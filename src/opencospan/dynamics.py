@@ -14,6 +14,12 @@ open dynamics sit on top of that; so does the one-directional fact this
 module makes checkable: a field admits a map from the empty system exactly
 when it is zero, so nonzero fields witness that gray-boxing has no
 left adjoint.
+
+`simulate` integrates the open rate equation (field plus boundary flows)
+with RK4.  It compiles that equation once per run with `rate_equation`
+into one flat generated function, which performs exactly the float
+operations of `Poly.evaluate`; the interpreted `evaluate` methods stay as
+public API and as the reference the compiled code is tested against.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -220,10 +227,12 @@ def admits_morphism_from_empty(v: PolyVectorField) -> bool:
     v is that field.  Any nonzero v therefore refutes a would-be left
     adjoint to gray-boxing.
     """
-    empty_candidate = pushforward_field(
-        FinFunction.from_empty(v.over), PolyVectorField.zero(EMPTY)
-    )
-    return v == empty_candidate
+    return v == _empty_candidate(v.over)
+
+
+@lru_cache(maxsize=64)
+def _empty_candidate(over: FinSet) -> PolyVectorField:
+    return pushforward_field(FinFunction.from_empty(over), PolyVectorField.zero(EMPTY))
 
 
 @dataclass(frozen=True)
@@ -323,6 +332,8 @@ class PiecewiseConstant:
             raise ValueError("need exactly one more value than breakpoints")
         if any(b >= a for a, b in zip(self.breakpoints[1:], self.breakpoints)):
             raise ValueError("breakpoints must be strictly increasing")
+        if not all(math.isfinite(t) for t in self.breakpoints):
+            raise ValueError("breakpoints must be finite")
         if not all(math.isfinite(v) for v in self.values):
             raise ValueError("flow values must be finite")
 
@@ -351,10 +362,25 @@ class FlowSchedule:
         )
 
 
-def open_rate_rhs(
-    system: OpenDynam, schedule: FlowSchedule, t: float, state: Sequence[float]
-) -> list[float]:
-    """The field's value plus inflows minus outflows, routed along the legs."""
+def rate_equation(
+    system: OpenDynam, schedule: FlowSchedule
+) -> Callable[[float, Sequence[float]], list[float]]:
+    """The open rate equation of `system` as a function rhs(t, state).
+
+    Its value is the field plus the inflows minus the outflows, each flow
+    routed along its leg and added in boundary order.  The shapes of the
+    schedule are checked here, the length of the state on every call.
+
+    The whole right-hand side is compiled once into generated Python
+    source with one statement per factor and per term, which performs the
+    float operations of `Poly.evaluate` in the same order: powers keep
+    `**`, so an overflow still raises OverflowError, and no expression
+    nests deeply enough to exhaust the compiler's recursion limit.  The
+    source contains only integer indices and exponents; coefficients are
+    read from a tuple bound in a closure.  The flows are evaluated once
+    per segment between the schedule's breakpoints, where they are all
+    constant.
+    """
     if len(schedule.inflows) != system.foot_left.size:
         raise DimensionError(
             f"{len(schedule.inflows)} inflows for a left foot of size {system.foot_left.size}"
@@ -363,12 +389,62 @@ def open_rate_rhs(
         raise DimensionError(
             f"{len(schedule.outflows)} outflows for a right foot of size {system.foot_right.size}"
         )
-    out = system.field.evaluate(state)
-    for x, flow in enumerate(schedule.inflows):
-        out[system.leg_left.table[x]] += flow(t)
-    for y, flow in enumerate(schedule.outflows):
-        out[system.leg_right.table[y]] -= flow(t)
-    return out
+    n = system.apex.size
+    coefficients: list[float] = []
+    body = ["".join("x%d, " % j for j in range(n)) + "= s"] if n else []
+    for i, p in enumerate(system.field.components):
+        body.append("v%d = 0.0" % i)
+        for c, exps in p.terms:
+            body.append("t = c[%d]" % len(coefficients))
+            coefficients.append(c)
+            for j, k in enumerate(exps):
+                if k == 1:
+                    body.append("t *= x%d" % j)
+                elif k:
+                    body.append("t *= x%d ** %d" % (j, k))
+            body.append("v%d += t" % i)
+    body.extend("v%d += fi[%d]" % (p, x) for x, p in enumerate(system.leg_left.table))
+    body.extend("v%d -= fo[%d]" % (p, y) for y, p in enumerate(system.leg_right.table))
+    body.append("return [" + "".join("v%d, " % i for i in range(n)) + "]")
+    source = "def bind(c):\n def field(s, fi, fo):\n%s return field\n" % "".join(
+        f"  {line}\n" for line in body
+    )
+    namespace: dict = {}
+    exec(compile(source, "<rate equation>", "exec"), namespace)
+    # popped, so that `field` and its globals form no reference cycle and
+    # are freed as soon as the caller drops them
+    field = namespace.pop("bind")(tuple(coefficients))
+
+    inflows, outflows = schedule.inflows, schedule.outflows
+    # every flow is constant between consecutive breakpoints of the whole
+    # schedule, so its values are looked up once per such segment
+    breakpoints = sorted({b for flow in inflows + outflows for b in flow.breakpoints})
+    segments: list[Optional[tuple[list[float], list[float]]]] = [None] * (
+        len(breakpoints) + 1
+    )
+
+    def rhs(t: float, state: Sequence[float]) -> list[float]:
+        if len(state) != n:
+            raise DimensionError(
+                f"state of length {len(state)} for a field over {n} places"
+            )
+        segment = bisect_right(breakpoints, t)
+        flows = segments[segment]
+        if flows is None:
+            flows = segments[segment] = (
+                [flow(t) for flow in inflows],
+                [flow(t) for flow in outflows],
+            )
+        return field(state, *flows)
+
+    return rhs
+
+
+def open_rate_rhs(
+    system: OpenDynam, schedule: FlowSchedule, t: float, state: Sequence[float]
+) -> list[float]:
+    """The field's value plus inflows minus outflows, routed along the legs."""
+    return rate_equation(system, schedule)(t, state)
 
 
 def simulate(
@@ -394,10 +470,11 @@ def simulate(
         raise DimensionError(
             f"initial state of length {len(state)} for {system.apex.size} places"
         )
+    rate = rate_equation(system, schedule)
 
     def rhs(t: float, c: Sequence[float]) -> list[float]:
         try:
-            return open_rate_rhs(system, schedule, t, c)
+            return rate(t, c)
         except OverflowError:
             raise DivergenceError(
                 f"state blew up near t = {t}", last_good_time=trajectory[-1][0]

@@ -76,6 +76,18 @@ def _as_size(value: Any, where: str) -> int:
     return value
 
 
+def _as_finite(value: Any, where: str) -> float:
+    """A JSON number as a float; NaN, infinities and too-large ints are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ModelFormatError(f"{where} must be a finite number")
+
+
 def _as_table(value: Any, where: str) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in value
@@ -186,10 +198,7 @@ def system_from_json(kind: str, value: Any) -> Union[System, PolyVectorField]:
             src.append(_multiset_from_json(entry["src"], places, f"transition {i} src"))
             tgt.append(_multiset_from_json(entry["tgt"], places, f"transition {i} tgt"))
             if kind == "petri_rates":
-                rate = entry["rate"]
-                if not isinstance(rate, (int, float)) or isinstance(rate, bool):
-                    raise ModelFormatError(f"transition {i} rate must be a number")
-                rates.append(float(rate))
+                rates.append(_as_finite(entry["rate"], f"transition {i} rate"))
         net = PetriNet(places, FinSet(len(raw)), tuple(src), tuple(tgt))
         if kind == "petri":
             return net
@@ -208,7 +217,7 @@ def system_from_json(kind: str, value: Any) -> Union[System, PolyVectorField]:
             if not isinstance(comp, list):
                 raise ModelFormatError(f"field component {i} must be an array of terms")
             terms = []
-            for term in comp:
+            for j, term in enumerate(comp):
                 if (
                     not isinstance(term, list)
                     or len(term) != 2
@@ -224,7 +233,8 @@ def system_from_json(kind: str, value: Any) -> Union[System, PolyVectorField]:
                         f"field component {i} exponent vectors must have "
                         f"{places.size} nonnegative entries"
                     )
-                terms.append((float(term[0]), exps))
+                coefficient = _as_finite(term[0], f"field component {i} term {j} coefficient")
+                terms.append((coefficient, exps))
             try:
                 components.append(Poly(places.size, tuple(terms)))
             except ValueError as exc:
@@ -484,16 +494,17 @@ class SimConfig:
 
 def _flow_from_json(value: Any, where: str) -> PiecewiseConstant:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return PiecewiseConstant.constant(float(value))
+        return PiecewiseConstant.constant(_as_finite(value, where))
     _require_keys(value, ("breakpoints", "values"), (), where)
     breakpoints = value["breakpoints"]
     values = value["values"]
     if not isinstance(breakpoints, list) or not isinstance(values, list):
         raise ModelFormatError(f"{where} breakpoints and values must be arrays")
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in breakpoints + values):
-        raise ModelFormatError(f"{where} entries must be numbers")
     try:
-        return PiecewiseConstant(tuple(breakpoints), tuple(values))
+        return PiecewiseConstant(
+            tuple(_as_finite(x, f"{where} breakpoints") for x in breakpoints),
+            tuple(_as_finite(x, f"{where} values") for x in values),
+        )
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from exc
 
@@ -504,10 +515,7 @@ def sim_config_from_json(value: Any) -> SimConfig:
     )
     numbers = {}
     for key in ("t0", "t1", "dt"):
-        raw = value[key]
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool) or not math.isfinite(raw):
-            raise ModelFormatError(f"{key} must be a finite number")
-        numbers[key] = float(raw)
+        numbers[key] = _as_finite(value[key], key)
     if not numbers["dt"] > 0.0:
         raise ModelValidationError(f"dt must be positive, got {numbers['dt']}")
     if not numbers["t1"] > numbers["t0"]:
@@ -520,6 +528,7 @@ def sim_config_from_json(value: Any) -> SimConfig:
         for k, v in initial.items()
     ):
         raise ModelFormatError("initialState must map place names to numbers")
+    initial = {name: _as_finite(v, f"initialState[{name}]") for name, v in initial.items()}
     flows = {}
     for key in ("inflows", "outflows"):
         block = value.get(key, {})
@@ -532,7 +541,7 @@ def sim_config_from_json(value: Any) -> SimConfig:
         numbers["t0"],
         numbers["t1"],
         numbers["dt"],
-        {k: float(v) for k, v in initial.items()},
+        initial,
         flows["inflows"],
         flows["outflows"],
     )

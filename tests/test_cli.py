@@ -1,6 +1,8 @@
 """End-to-end runs of the command line against the bundled example models."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -206,7 +208,54 @@ def test_kind_mismatches_exit_with_a_domain_error(tmp_path, capsys, models_dir):
         assert code == 2
 
 
+# The digest pins every float operation of the integrator.  `**` calls the C
+# library's pow; the digest was recorded on x86-64 Linux with glibc and CPython 3.11.
+SIR_CSV_SHA256 = "ee57c0aec23b995735735579e90516fae99e3a2650cf171bb1cd96ada4c14ad5"
+
+
+def test_simulate_writes_the_pinned_csv_bytes(tmp_path, capsys, models_dir):
+    csv = tmp_path / "sir.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", str(models_dir / "sir.json"),
+        "--config", str(models_dir / "sir_sim.json"), "--out", str(csv),
+    )
+    assert code == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == SIR_CSV_SHA256
+
+
 # -- failure modes ------------------------------------------------------------------------
+
+
+def simulate_expecting_a_format_error(tmp_path, capsys, model, config):
+    csv = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "simulate", str(model), "--config", config, "--out", str(csv))
+    assert code == 3 and not csv.exists()
+    return err
+
+
+def test_an_infinite_rate_is_refused_at_load_time(tmp_path, capsys, models_dir):
+    doc = json.loads((models_dir / "sir.json").read_text())
+    doc["payload"]["system"]["transitions"][1]["rate"] = math.inf
+    model = tmp_path / "sir.json"
+    model.write_text(json.dumps(doc))
+    err = simulate_expecting_a_format_error(tmp_path, capsys, model, write_sim_config(tmp_path))
+    assert "transition 1 rate must be a finite number" in err
+
+
+def test_a_nan_field_coefficient_is_refused_at_load_time(tmp_path, capsys, models_dir):
+    dynam = tmp_path / "dynam.json"
+    assert run_cli(capsys, "graybox", str(models_dir / "sir.json"), "--out", str(dynam))[0] == 0
+    doc = json.loads(dynam.read_text())
+    doc["payload"]["system"]["field"][1][0][0] = math.nan
+    dynam.write_text(json.dumps(doc))
+    err = simulate_expecting_a_format_error(tmp_path, capsys, dynam, write_sim_config(tmp_path))
+    assert "field component 1 term 0 coefficient must be a finite number" in err
+
+
+def test_a_nan_initial_state_is_refused_at_load_time(tmp_path, capsys, models_dir):
+    config = write_sim_config(tmp_path, initialState={"S": 0.99, "I": math.nan})
+    err = simulate_expecting_a_format_error(tmp_path, capsys, models_dir / "sir.json", config)
+    assert "initialState[I] must be a finite number" in err
 
 
 def test_missing_and_malformed_files_exit_3(tmp_path, capsys):

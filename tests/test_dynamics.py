@@ -279,6 +279,8 @@ def test_piecewise_constant_validation():
         PiecewiseConstant((2.0, 1.0), (0.0, 1.0, 2.0))
     with pytest.raises(ValueError):
         PiecewiseConstant((), (math.inf,))
+    with pytest.raises(ValueError):
+        PiecewiseConstant((math.nan,), (0.0, 1.0))
 
 
 def test_open_rate_rhs_routes_flows_through_the_legs():
