@@ -21,9 +21,9 @@ from typing import Optional, Union
 
 from .errors import (
     BoundaryError,
-    BudgetExceeded,
     ComposabilityError,
     KindError,
+    MorphismShapeError,
     NotInImageOfL,
 )
 from .finset import (
@@ -32,8 +32,8 @@ from .finset import (
     FinSet,
     compose,
     coproduct_map,
+    find_iso,
     pushout,
-    _iso_budget,
 )
 from .systems import (
     Graph,
@@ -48,6 +48,7 @@ from .systems import (
     discrete,
     interface_of,
     is_discrete,
+    label_key,
     system_coproduct,
     system_pushout,
     validate_morphism,
@@ -298,6 +299,8 @@ class TwoMorphism:
             return ["left foot map has the wrong endpoints"]
         if self.right.dom != self.src.foot_right or self.right.cod != self.tgt.foot_right:
             return ["right foot map has the wrong endpoints"]
+        if self.apex_map.dom != self.src.apex or self.apex_map.cod != self.tgt.apex:
+            return ["apex map has the wrong endpoints"]
         if compose(self.apex_map, src_l) != compose(tgt_l, self.left):
             out.append("left leg square does not commute")
         if compose(self.apex_map, src_r) != compose(tgt_r, self.right):
@@ -306,7 +309,7 @@ class TwoMorphism:
             carrier = SystemMorphism(
                 _payload(self.src), _payload(self.tgt), self.apex_map, self.cell_map
             )
-        except Exception as exc:  # shape problems read better as one violation
+        except MorphismShapeError as exc:  # a cell map that does not fit
             out.append(f"apex morphism ill-shaped: {exc}")
             return out
         out.extend(validate_morphism(carrier))
@@ -546,7 +549,7 @@ def _cell_key_graph(system: System, h: FinFunction, relabel_side: bool):
         s, t = g.src.table[e], g.tgt.table[e]
         if relabel_side:
             s, t = h.table[s], h.table[t]
-        label = labels[e] if labels is not None else None
+        label = label_key(labels[e]) if labels is not None else None
         return (s, t, label)
 
     return key
@@ -603,7 +606,8 @@ def _graph_adjacency(system: System) -> dict[tuple[int, int], Counter]:
     adj: dict[tuple[int, int], Counter] = {}
     for e in g.edges:
         key = (g.src.table[e], g.tgt.table[e])
-        adj.setdefault(key, Counter())[labels[e] if labels is not None else None] += 1
+        label = label_key(labels[e]) if labels is not None else None
+        adj.setdefault(key, Counter())[label] += 1
     return adj
 
 
@@ -623,12 +627,12 @@ def _petri_signature(system: System) -> list[tuple]:
 def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[IsoWitness]:
     """Decide whether two cospans over the same feet are isomorphic.
 
-    Searches for an apex bijection commuting with both pairs of legs whose
-    relabeling carries one decoration onto the other; the cell part of the
-    witness is then forced by `match_cells`.  Backtracking assigns apex
-    elements in ascending order with structural pruning (pairwise adjacency
-    counts for graph kinds, per-place profiles for Petri kinds), and charges
-    each attempted assignment against the same node budget as `find_iso`.
+    Delegates the search for an apex bijection commuting with both pairs of
+    legs to `find_iso`, with this kind's pairwise pruning (adjacency counts
+    between assigned nodes for graph kinds, per-place profiles for Petri
+    kinds) as its `compatible` rule, and `match_cells` as the leaf check;
+    the cell part of the witness is the one `match_cells` found there.
+    Budget, node counting and witness order are those of `find_iso`.
     """
     if type(m) is not type(n) or m.kind != n.kind:
         return None
@@ -638,29 +642,14 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
     elif m.foot_left != n.foot_left or m.foot_right != n.foot_right:
         return None
     d, e = _payload(m), _payload(n)
-    apex_m, apex_n = m.apex, n.apex
-    if apex_m.size != apex_n.size or cells_of(d).size != cells_of(e).size:
+    if m.apex.size != n.apex.size or cells_of(d).size != cells_of(e).size:
         return None
 
-    assignment: list[Optional[int]] = [None] * apex_m.size
-    used = [False] * apex_n.size
-    for (pm, qm) in zip(_leg_maps(m), _leg_maps(n)):
-        for x in pm.dom:
-            s, t = pm.table[x], qm.table[x]
-            if assignment[s] is None:
-                if used[t]:
-                    return None
-                assignment[s] = t
-                used[t] = True
-            elif assignment[s] != t:
-                return None
-
-    graph_like = isinstance(d, (Graph, LabeledGraph))
-    if graph_like:
+    if isinstance(d, (Graph, LabeledGraph)):
         adj_m = _graph_adjacency(d)
         adj_n = _graph_adjacency(e)
 
-        def compatible(x: int, y: int) -> bool:
+        def compatible(x: int, y: int, assignment: list[Optional[int]]) -> bool:
             for x2, y2 in enumerate(assignment):
                 if y2 is None:
                     continue
@@ -674,46 +663,22 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
         sig_m = _petri_signature(d)
         sig_n = _petri_signature(e)
 
-        def compatible(x: int, y: int) -> bool:
+        def compatible(x: int, y: int, assignment: list[Optional[int]]) -> bool:
             return sig_m[x] == sig_n[y]
 
-    for x, y in enumerate(assignment):
-        if y is not None and not compatible(x, y):
-            return None
+    cells: Optional[FinFunction] = None
 
-    max_nodes = _iso_budget(budget)
-    free = [x for x in range(apex_m.size) if assignment[x] is None]
-    nodes = 0
-
-    def finish() -> Optional[IsoWitness]:
-        h = FinFunction(apex_m, apex_n, tuple(assignment))  # type: ignore[arg-type]
+    def cells_match(h: FinFunction) -> bool:
+        nonlocal cells
         cells = match_cells(d, e, h)
-        if cells is None:
-            return None
-        return IsoWitness(h, cells)
+        return cells is not None
 
-    def extend(i: int) -> Optional[IsoWitness]:
-        nonlocal nodes
-        if i == len(free):
-            return finish()
-        x = free[i]
-        for y in range(apex_n.size):
-            if used[y]:
-                continue
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceeded(
-                    f"cospan isomorphism search exceeded its budget of {max_nodes} nodes"
-                )
-            if not compatible(x, y):
-                continue
-            assignment[x] = y
-            used[y] = True
-            found = extend(i + 1)
-            if found is not None:
-                return found
-            assignment[x] = None
-            used[y] = False
-        return None
-
-    return finish() if not free else extend(0)
+    h = find_iso(
+        m.apex,
+        n.apex,
+        constraints=list(zip(_leg_maps(m), _leg_maps(n))),
+        predicate=cells_match,
+        budget=budget,
+        compatible=compatible,
+    )
+    return None if h is None else IsoWitness(h, cells)  # type: ignore[arg-type]

@@ -208,6 +208,7 @@ def find_iso(
     constraints: Sequence[tuple[FinFunction, FinFunction]] = (),
     predicate: Optional[Callable[[FinFunction], bool]] = None,
     budget: Optional[int] = None,
+    compatible: Optional[Callable[[int, int, list[Optional[int]]], bool]] = None,
 ) -> Optional[FinFunction]:
     """Search for a bijection a -> b compatible with constraints and predicate.
 
@@ -217,6 +218,14 @@ def find_iso(
     in ascending order, so the witness returned is the lexicographically
     smallest table.  Every attempted assignment costs one node against the
     budget (default 10^6, overridable via OPENCOSPAN_ISO_BUDGET).
+
+    `compatible(x, y, assignment)`, if given, prunes pairwise: it says
+    whether x may map to y given the partial `assignment` (a list indexed
+    by elements of a, None where unassigned).  Every pinned pair is tested
+    once, with all pins in place, before the search starts; during the
+    search a candidate y for x is charged its node first and then tested,
+    with x itself still unassigned.  Pruning only skips candidates, so the
+    witness stays the smallest one that passes every test.
     """
     if a.size != b.size:
         return None
@@ -238,6 +247,10 @@ def find_iso(
                 used[tgt] = True
             elif assignment[src] != tgt:
                 return None
+    if compatible is not None:
+        for x, y in enumerate(assignment):
+            if y is not None and not compatible(x, y, assignment):
+                return None
 
     free = [x for x in range(a.size) if assignment[x] is None]
     nodes = 0
@@ -258,6 +271,8 @@ def find_iso(
                 raise BudgetExceeded(
                     f"isomorphism search exceeded its budget of {max_nodes} nodes"
                 )
+            if compatible is not None and not compatible(x, y, assignment):
+                continue
             assignment[x] = y
             used[y] = True
             found = extend(i + 1)
@@ -267,9 +282,4 @@ def find_iso(
             used[y] = False
         return None
 
-    if not free:
-        h = FinFunction(a, b, tuple(assignment))  # type: ignore[arg-type]
-        if predicate is None or predicate(h):
-            return h
-        return None
     return extend(0)

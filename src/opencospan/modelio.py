@@ -184,6 +184,9 @@ def system_from_json(kind: str, value: Any) -> Union[System, PolyVectorField]:
             raise ModelFormatError("labels must be an array of scalars")
         if len(labels) != edges.size:
             raise ModelFormatError(f"{len(labels)} labels for {edges.size} edges")
+        for i, label in enumerate(labels):
+            if isinstance(label, float) and not math.isfinite(label):
+                raise ModelFormatError(f"edge {i} label must be finite, got {label!r}")
         return LabeledGraph(graph, tuple(labels))
     if kind in ("petri", "petri_rates"):
         _require_keys(value, ("places", "transitions"), (), where)

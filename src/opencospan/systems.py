@@ -1,7 +1,8 @@
 """Concrete system kinds and the fiberwise calculus they share.
 
 Four kinds are supported: directed multigraphs ("graph"), edge-labeled
-graphs ("lgraph", labels are opaque scalars compared exactly), whole-grain
+graphs ("lgraph", labels are opaque scalars compared exactly: by type and
+value, so 1, 1.0 and True are three different labels), whole-grain
 Petri nets ("petri"), and Petri nets with a nonnegative rate per transition
 ("petri_rates").  Each kind assigns to a finite set N of nodes (places) the
 collection of structures over N; relabeling along a function, disjoint
@@ -32,6 +33,11 @@ from .finset import (
 KINDS = ("graph", "lgraph", "petri", "petri_rates")
 
 Label = Union[str, int, float, bool]
+
+
+def label_key(label: Label) -> tuple[type, Label]:
+    """The key two labels must share to count as equal: type and value."""
+    return (type(label), label)
 
 
 @dataclass(frozen=True)
@@ -302,7 +308,7 @@ def validate_morphism(m: SystemMorphism, check_rates: bool = True) -> list[str]:
         if isinstance(m.dom, LabeledGraph):
             assert isinstance(m.cod, LabeledGraph)
             for e in d.edges:
-                if m.dom.labels[e] != m.cod.labels[g.table[e]]:
+                if label_key(m.dom.labels[e]) != label_key(m.cod.labels[g.table[e]]):
                     violations.append(
                         f"label not preserved at edge {e}: "
                         f"{m.dom.labels[e]!r} != {m.cod.labels[g.table[e]]!r}"

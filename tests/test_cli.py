@@ -3,11 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import opencospan
 from opencospan import (
     FlowSchedule,
     PiecewiseConstant,
@@ -277,6 +280,42 @@ def test_iso_check_needs_exactly_two_files(capsys, models_dir):
     assert code == 2
 
 
+def write_one_edge_lgraph(tmp_path, name, label):
+    doc = {
+        "version": "1",
+        "kind": "lgraph",
+        "representation": "decorated",
+        "payload": {
+            "footLeft": 1,
+            "footRight": 1,
+            "legLeft": [0],
+            "legRight": [1],
+            "system": {"nodes": 2, "edges": 1, "src": [0], "tgt": [1], "labels": [label]},
+            "representation": "decorated",
+        },
+    }
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("other", [True, 1.0])
+def test_iso_check_compares_labels_by_type_and_value(tmp_path, capsys, other):
+    one = write_one_edge_lgraph(tmp_path, "one.json", 1)
+    code, out, _ = run_cli(capsys, "check", one, one, "--laws", "iso")
+    assert code == 0 and out.startswith("PASS iso")
+    two = write_one_edge_lgraph(tmp_path, "two.json", other)
+    code, out, _ = run_cli(capsys, "check", one, two, "--laws", "iso")
+    assert code == 2 and out.startswith("FAIL iso")
+
+
+@pytest.mark.parametrize("label", [math.nan, math.inf])
+def test_a_nonfinite_label_is_refused_at_load_time(tmp_path, capsys, label):
+    path = write_one_edge_lgraph(tmp_path, "bad.json", label)
+    code, _, err = run_cli(capsys, "check", path, path, "--laws", "iso")
+    assert code == 3 and "edge 0 label must be finite" in err
+
+
 def test_iso_check_covers_dynam_models(tmp_path, capsys, models_dir):
     dynam = tmp_path / "dynam.json"
     run_cli(capsys, "graybox", str(models_dir / "sir.json"), "--out", str(dynam))
@@ -330,10 +369,14 @@ def test_iso_check_respects_the_search_budget(tmp_path, capsys, monkeypatch):
 
 
 def test_module_entrypoint_runs_standalone():
+    # the child imports the same package as this test, installed or not
+    package_root = str(pathlib.Path(opencospan.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "opencospan.cli", "check", "--laws", "companion", "--map", "0,0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "PASS companion" in result.stdout

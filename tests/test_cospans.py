@@ -1,5 +1,9 @@
 """Cospan composition, tensoring, squares, companions, and iso search."""
 
+from collections import Counter
+from itertools import permutations
+from random import Random
+
 import pytest
 
 from opencospan import (
@@ -13,7 +17,10 @@ from opencospan import (
     Graph,
     KindError,
     LabeledGraph,
+    Multiset,
     NotInImageOfL,
+    PetriNet,
+    PetriNetWithRates,
     StructuredCospan,
     SystemMorphism,
     TwoMorphism,
@@ -207,6 +214,20 @@ def test_pasting_inconsistent_squares_fails_loudly():
         vcompose(good, wide)
 
 
+@pytest.mark.parametrize("apex_map", [fn([0, 1, 2], 3), fn([0, 1, 2, 3], 5)])
+def test_square_with_a_misfit_apex_map_is_reported(apex_map):
+    m = intro_open_graph()
+    square = TwoMorphism(
+        m,
+        m,
+        FinFunction.identity(m.foot_left),
+        FinFunction.identity(m.foot_right),
+        apex_map,
+        FinFunction.identity(FinSet(5)),
+    )
+    assert square.violations() == ["apex map has the wrong endpoints"]
+
+
 def test_square_validation_catches_label_breakage():
     inner = Graph(FinSet(1), FinSet(1), fn([0], 1), fn([0], 1))
     a = DecoratedCospan(EMPTY, EMPTY, fn([], 1), fn([], 1), LabeledGraph(inner, ("x",)))
@@ -334,6 +355,172 @@ def test_cospan_iso_budget_is_charged_per_assignment():
     with pytest.raises(BudgetExceeded):
         cospan_iso(free, free, budget=1)
     assert cospan_iso(free, free, budget=100) is not None
+
+
+# Plain data for an open system: (apex size, left leg table, right leg table,
+# cells).  A graph cell is (src node, tgt node, label); a net cell is
+# (consumed counts, produced counts, rate).  The oracle reads only this
+# form, so it shares no code with the search it checks.
+
+GRAPH_KINDS = ("graph", "lgraph")
+LABELS = ("a", "b", 1, True, 1.0)
+RATES = (0.5, 1.0)
+
+
+def build(kind, data):
+    size, left, right, cells = data
+    nodes = FinSet(size)
+    srcs, tgts, attrs = zip(*cells) if cells else ((), (), ())
+    if kind in GRAPH_KINDS:
+        graph = Graph(nodes, FinSet(len(cells)), fn(srcs, size), fn(tgts, size))
+        system = graph if kind == "graph" else LabeledGraph(graph, attrs)
+    else:
+        consumed = tuple(Multiset(nodes, c) for c in srcs)
+        produced = tuple(Multiset(nodes, c) for c in tgts)
+        net = PetriNet(nodes, FinSet(len(cells)), consumed, produced)
+        system = net if kind == "petri" else PetriNetWithRates(net, attrs)
+    legs = fn(left, size), fn(right, size)
+    return DecoratedCospan(FinSet(len(left)), FinSet(len(right)), *legs, system)
+
+
+def random_data(rng, kind, size, left, right):
+    def end():
+        if kind in GRAPH_KINDS:
+            return rng.randrange(size)
+        return tuple(rng.choice((0, 0, 1, 2)) for _ in range(size))
+
+    attr = {"lgraph": LABELS, "petri_rates": RATES}.get(kind, (None,))
+    n_cells = rng.randint(0, 4) if size or kind not in GRAPH_KINDS else 0
+    cells = [(end(), end(), rng.choice(attr)) for _ in range(n_cells)]
+    legs = [tuple(rng.randrange(size) for _ in range(k)) for k in (left, right)]
+    return size, legs[0], legs[1], cells
+
+
+def relabel_cell(p, cell):
+    def move(end):
+        if isinstance(end, int):
+            return p[end]
+        out = [0] * len(end)
+        for i, k in enumerate(end):
+            out[p[i]] = k
+        return tuple(out)
+
+    return move(cell[0]), move(cell[1]), cell[2]
+
+
+def permuted_data(rng, data):
+    size, left, right, cells = data
+    p = list(range(size))
+    rng.shuffle(p)
+    moved = [relabel_cell(p, c) for c in cells]
+    rng.shuffle(moved)
+    return size, tuple(p[x] for x in left), tuple(p[x] for x in right), moved
+
+
+def oracle_node_maps(m, n):
+    """Every apex bijection m -> n that commutes with both legs and carries
+    m's bag of cells onto n's, in lexicographic order.  Labels and rates
+    must agree in type and value."""
+    size, left, right, cells = m
+    size2, left2, right2, cells2 = n
+
+    def key(cell):
+        return cell[0], cell[1], type(cell[2]), cell[2]
+
+    if size != size2 or len(cells) != len(cells2):
+        return []
+    target = Counter(key(c) for c in cells2)
+    return [
+        p
+        for p in permutations(range(size))
+        if all(p[x] == y for x, y in zip(left, left2))
+        and all(p[x] == y for x, y in zip(right, right2))
+        and Counter(key(relabel_cell(p, c)) for c in cells) == target
+    ]
+
+
+def test_cospan_iso_agrees_with_a_brute_force_oracle():
+    rng = Random(20261018)
+    cases, isos = 1500, 0
+    for i in range(cases):
+        kind = ("graph", "lgraph", "petri", "petri_rates")[i % 4]
+        size = rng.randint(0, 5)
+        left, right = (rng.randint(0, 2), rng.randint(0, 2)) if size else (0, 0)
+        m = random_data(rng, kind, size, left, right)
+        n = permuted_data(rng, m) if i % 2 else random_data(rng, kind, size, left, right)
+        a, b = build(kind, m), build(kind, n)
+        if (i // 4) % 4 == 0:
+            a, b = to_structured(a), to_structured(b)
+        expected = oracle_node_maps(m, n)
+        witness = cospan_iso(a, b)
+        assert (witness is not None) == bool(expected), (i, m, n)
+        if witness is None:
+            continue
+        isos += 1
+        assert witness.node_map.table == expected[0], (i, m, n)
+        square = TwoMorphism(
+            a,
+            b,
+            FinFunction.identity(a.foot_left),
+            FinFunction.identity(a.foot_right),
+            witness.node_map,
+            witness.cell_map,
+        )
+        assert square.violations() == [], (i, m, n)
+    # every permuted copy is isomorphic, and some independent draws are too
+    assert cases // 2 < isos < cases
+
+
+def ring_data(kind, arcs):
+    """Six places, empty feet, one cell per arc with label "a" or rate 0.5."""
+
+    def end(x):
+        return x if kind in GRAPH_KINDS else tuple(int(i == x) for i in range(6))
+
+    attr = {"lgraph": "a", "petri_rates": 0.5}.get(kind)
+    return 6, (), (), [(end(s), end(t), attr) for s, t in arcs]
+
+
+RING = [(i, (i + 1) % 6) for i in range(6)]
+SIGMA = [3, 0, 5, 1, 4, 2]
+OTHER_RINGS = {
+    "relabelled": [(SIGMA[s], SIGMA[t]) for s, t in RING],
+    "two_triangles": [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, other, least_budget, node_map",
+    [
+        ("graph", "relabelled", 12, (0, 5, 1, 4, 2, 3)),
+        ("graph", "two_triangles", 60, None),
+        ("lgraph", "relabelled", 12, (0, 5, 1, 4, 2, 3)),
+        ("lgraph", "two_triangles", 60, None),
+        ("petri", "relabelled", 276, (0, 5, 1, 4, 2, 3)),
+        ("petri", "two_triangles", 1956, None),
+        ("petri_rates", "relabelled", 276, (0, 5, 1, 4, 2, 3)),
+        ("petri_rates", "two_triangles", 1956, None),
+    ],
+)
+def test_cospan_iso_node_budget_is_pinned(kind, other, least_budget, node_map):
+    m = build(kind, ring_data(kind, RING))
+    n = build(kind, ring_data(kind, OTHER_RINGS[other]))
+    with pytest.raises(BudgetExceeded):
+        cospan_iso(m, n, budget=least_budget - 1)
+    witness = cospan_iso(m, n, budget=least_budget)
+    if node_map is None:
+        assert witness is None
+    else:
+        assert witness.node_map.table == node_map
+        assert witness.cell_map.table == (1, 2, 3, 4, 5, 0)
+
+
+def test_cospan_iso_refuses_clashing_pins_before_searching():
+    # the legs pin 0 -> 0 and 1 -> 2, sending the edge 0 -> 1 to a non-edge
+    cells = ring_data("graph", RING)[3]
+    m = build("graph", (6, (0,), (1,), cells))
+    n = build("graph", (6, (0,), (2,), cells))
+    assert cospan_iso(m, n, budget=1) is None
 
 
 def test_match_cells_pairs_parallel_edges_in_order():

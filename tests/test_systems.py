@@ -128,6 +128,18 @@ def test_labels_must_be_preserved_exactly():
     assert any("label" in v for v in validate_morphism(m))
 
 
+@pytest.mark.parametrize("a, b", [(1, True), (1, 1.0), (0, False)])
+def test_labels_compare_by_type_and_value(a, b):
+    inner = loop_graph(1, [0])
+
+    def morphism(x, y):
+        dom, cod = LabeledGraph(inner, (x,)), LabeledGraph(inner, (y,))
+        return SystemMorphism(dom, cod, fn([0], 1), fn([0], 1))
+
+    assert any("label" in v for v in validate_morphism(morphism(a, b)))
+    assert validate_morphism(morphism(a, a)) == []
+
+
 def test_petri_multisets_transported_along_merged_places():
     places = FinSet(2)
     dom = PetriNet(
