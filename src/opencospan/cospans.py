@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Union
 
 from .errors import (
@@ -34,12 +35,9 @@ from .finset import (
     coproduct_map,
     find_iso,
     pushout,
+    _iso_budget,
 )
 from .systems import (
-    Graph,
-    LabeledGraph,
-    PetriNet,
-    PetriNetWithRates,
     System,
     SystemMorphism,
     cells_of,
@@ -48,12 +46,9 @@ from .systems import (
     discrete,
     interface_of,
     is_discrete,
-    label_key,
     system_coproduct,
     system_pushout,
     validate_morphism,
-    _graph_of,
-    _net_of,
 )
 
 
@@ -139,11 +134,15 @@ def representation_of(cospan: Cospan) -> str:
 def identity_cospan(kind: str, feet: FinSet, representation: str = "decorated") -> Cospan:
     """The unit cospan on a set: both legs the identity, structureless apex."""
     ident = FinFunction.identity(feet)
+    return _present(DecoratedCospan(feet, feet, ident, ident, discrete(kind, feet)), representation)
+
+
+def _present(cospan: DecoratedCospan, representation: str) -> Cospan:
+    """The one place that picks the presentation of a cospan built decorated."""
     if representation == "decorated":
-        return DecoratedCospan(feet, feet, ident, ident, discrete(kind, feet))
+        return cospan
     if representation == "structured":
-        leg = SystemMorphism.identity(discrete(kind, feet))
-        return StructuredCospan(leg, leg)
+        return to_structured(cospan)
     raise ValueError(f"unknown representation {representation!r}")
 
 
@@ -197,30 +196,20 @@ def tensor(m: Cospan, n: Cospan) -> Cospan:
             theory.laxator(m.decoration, n.decoration),
         )
     assert isinstance(n, StructuredCospan)
-    _, inj_m, inj_n = system_coproduct(m.system, n.system)
+    apex = system_coproduct(m.system, n.system)[0]
 
     def side(leg_m: SystemMorphism, leg_n: SystemMorphism) -> SystemMorphism:
-        foot, _, _ = system_coproduct(leg_m.dom, leg_n.dom)
+        # the apex injections shift n's part past m's, just as coproduct_map does
         return SystemMorphism(
-            foot,
-            inj_m.cod,
-            _tensor_leg_map(leg_m.node_map, leg_n.node_map, inj_m.node_map, inj_n.node_map),
-            _tensor_leg_map(leg_m.edge_map, leg_n.edge_map, inj_m.edge_map, inj_n.edge_map),
+            system_coproduct(leg_m.dom, leg_n.dom)[0],
+            apex,
+            coproduct_map(leg_m.node_map, leg_n.node_map),
+            coproduct_map(leg_m.edge_map, leg_n.edge_map),
         )
 
     return StructuredCospan(
         side(m.leg_left, n.leg_left), side(m.leg_right, n.leg_right)
     )
-
-
-def _tensor_leg_map(
-    f: FinFunction, g: FinFunction, inj_left: FinFunction, inj_right: FinFunction
-) -> FinFunction:
-    """The coproduct of two legs, re-addressed through the apex injections."""
-    table = tuple(inj_left.table[y] for y in f.table) + tuple(
-        inj_right.table[y] for y in g.table
-    )
-    return FinFunction(FinSet(f.dom.size + g.dom.size), inj_left.cod, table)
 
 
 def to_structured(cospan: DecoratedCospan) -> StructuredCospan:
@@ -408,7 +397,6 @@ def _unitor(cospan: Cospan, on_left: bool) -> TwoMorphism:
         apex_table = [-1] * po.apex.size
         for z, cls in enumerate(po.quotient.table):
             apex_table[cls] = leg_l.table[z] if z < foot.size else z - foot.size
-        cells = FinFunction.identity(cells_of(_payload(cospan)))
     else:
         unit = identity_cospan(kind, cospan.foot_right, representation)
         composite = hcompose(cospan, unit)
@@ -417,14 +405,13 @@ def _unitor(cospan: Cospan, on_left: bool) -> TwoMorphism:
         apex_table = [-1] * po.apex.size
         for z, cls in enumerate(po.quotient.table):
             apex_table[cls] = z if z < apex_size else leg_r.table[z - apex_size]
-        cells = FinFunction.identity(cells_of(_payload(cospan)))
     return TwoMorphism(
         composite,
         cospan,
         FinFunction.identity(cospan.foot_left),
         FinFunction.identity(cospan.foot_right),
         FinFunction(po.apex, cospan.apex, tuple(apex_table)),
-        cells,
+        FinFunction.identity(cells_of(_payload(cospan))),
     )
 
 
@@ -456,10 +443,7 @@ def companion(f: FinFunction, kind: str = "graph", representation: str = "decora
     """
     a, b = f.dom, f.cod
     ident_b = FinFunction.identity(b)
-    if representation == "decorated":
-        cospan: Cospan = DecoratedCospan(a, b, f, ident_b, discrete(kind, b))
-    else:
-        cospan = to_structured(DecoratedCospan(a, b, f, ident_b, discrete(kind, b)))
+    cospan = _present(DecoratedCospan(a, b, f, ident_b, discrete(kind, b)), representation)
     no_cells = FinFunction.identity(EMPTY)
     to_unit = TwoMorphism(
         cospan, identity_cospan(kind, b, representation), f, ident_b, ident_b, no_cells
@@ -470,29 +454,17 @@ def companion(f: FinFunction, kind: str = "graph", representation: str = "decora
     return AdjointPair(cospan, to_unit, from_unit)
 
 
+def _mirror(cell: TwoMorphism) -> TwoMorphism:
+    """The same square seen in a mirror: both cospans reversed, feet swapped."""
+    return TwoMorphism(
+        reverse(cell.src), reverse(cell.tgt), cell.right, cell.left, cell.apex_map, cell.cell_map
+    )
+
+
 def conjoint(f: FinFunction, kind: str = "graph", representation: str = "decorated") -> AdjointPair:
     """The mirror image of `companion`: the same cospan with its legs swapped."""
     comp = companion(f, kind, representation)
-    cospan = reverse(comp.cospan)
-    a, b = f.dom, f.cod
-    no_cells = FinFunction.identity(EMPTY)
-    to_unit = TwoMorphism(
-        cospan,
-        identity_cospan(kind, b, representation),
-        FinFunction.identity(b),
-        f,
-        FinFunction.identity(b),
-        no_cells,
-    )
-    from_unit = TwoMorphism(
-        identity_cospan(kind, a, representation),
-        cospan,
-        f,
-        FinFunction.identity(a),
-        f,
-        no_cells,
-    )
-    return AdjointPair(cospan, to_unit, from_unit)
+    return AdjointPair(reverse(comp.cospan), _mirror(comp.to_unit), _mirror(comp.from_unit))
 
 
 def check_companion(f: FinFunction, kind: str = "graph", representation: str = "decorated") -> tuple[bool, str]:
@@ -503,23 +475,17 @@ def check_companion(f: FinFunction, kind: str = "graph", representation: str = "
     side and must match one unitor through the other, both unitors being
     computed from the chosen pushouts.
     """
-    pair = companion(f, kind, representation)
-    for name, cell in (("to_unit", pair.to_unit), ("from_unit", pair.from_unit)):
-        bad = cell.violations()
-        if bad:
-            return False, f"{name} is not a valid square: {bad[0]}"
-    straight = vcompose(pair.from_unit, pair.to_unit)
-    if straight != unit_cell(f, kind, representation):
-        return False, "stacked squares do not equal the unit square on f"
-    bent = vcompose(hcompose_cells(pair.from_unit, pair.to_unit), right_unitor(pair.cospan))
-    if bent != left_unitor(pair.cospan):
-        return False, "bent composite does not match the unitors"
-    return True, ""
+    return _check_adjoint(companion(f, kind, representation), f, kind, representation, False)
 
 
 def check_conjoint(f: FinFunction, kind: str = "graph", representation: str = "decorated") -> tuple[bool, str]:
     """Verify the two defining equations of the conjoint of f (mirror image)."""
-    pair = conjoint(f, kind, representation)
+    return _check_adjoint(conjoint(f, kind, representation), f, kind, representation, True)
+
+
+def _check_adjoint(
+    pair: AdjointPair, f: FinFunction, kind: str, representation: str, mirrored: bool
+) -> tuple[bool, str]:
     for name, cell in (("to_unit", pair.to_unit), ("from_unit", pair.from_unit)):
         bad = cell.violations()
         if bad:
@@ -527,8 +493,10 @@ def check_conjoint(f: FinFunction, kind: str = "graph", representation: str = "d
     straight = vcompose(pair.from_unit, pair.to_unit)
     if straight != unit_cell(f, kind, representation):
         return False, "stacked squares do not equal the unit square on f"
-    bent = vcompose(hcompose_cells(pair.to_unit, pair.from_unit), left_unitor(pair.cospan))
-    if bent != right_unitor(pair.cospan):
+    # the mirror image pastes the squares the other way round and swaps the unitors
+    first, second = (pair.to_unit, pair.from_unit) if mirrored else (pair.from_unit, pair.to_unit)
+    through, onto = (left_unitor, right_unitor) if mirrored else (right_unitor, left_unitor)
+    if vcompose(hcompose_cells(first, second), through(pair.cospan)) != onto(pair.cospan):
         return False, "bent composite does not match the unitors"
     return True, ""
 
@@ -541,32 +509,20 @@ class IsoWitness:
     cell_map: FinFunction
 
 
-def _cell_key_graph(system: System, h: FinFunction, relabel_side: bool):
-    g = _graph_of(system)
-    labels = system.labels if isinstance(system, LabeledGraph) else None
-
-    def key(e: int):
-        s, t = g.src.table[e], g.tgt.table[e]
-        if relabel_side:
-            s, t = h.table[s], h.table[t]
-        label = label_key(labels[e]) if labels is not None else None
-        return (s, t, label)
-
-    return key
-
-
-def _cell_key_petri(system: System, h: FinFunction, relabel_side: bool):
-    net = _net_of(system)
-    rates = system.rates if isinstance(system, PetriNetWithRates) else None
-
-    def key(t: int):
-        src, tgt = net.src[t], net.tgt[t]
-        if relabel_side:
-            src, tgt = src.pushforward(h), tgt.pushforward(h)
-        rate = rates[t] if rates is not None else None
-        return (src.counts, tgt.counts, rate)
-
-    return key
+def _cell_keys(system: System, h: Optional[FinFunction] = None):
+    """Each cell's key (moved end, moved end, label_key(attribute)), in cell
+    order; the ends move along h if given."""
+    theory = decoration_theory(system.kind)
+    src, tgt = system.ends
+    if h is not None:
+        src, tgt = theory.move(src, h), theory.move(tgt, h)
+    attrs = system.attrs
+    # zip(map(type, attrs), attrs) is map(label_key, attrs) without a call per cell
+    return zip(
+        theory.hashable(src),
+        theory.hashable(tgt),
+        repeat(None) if attrs is None else zip(map(type, attrs), attrs),
+    )
 
 
 def match_cells(d: System, e: System, h: FinFunction) -> Optional[FinFunction]:
@@ -576,18 +532,12 @@ def match_cells(d: System, e: System, h: FinFunction) -> Optional[FinFunction]:
     through h; the bijection pairs groups in ascending order, so the
     witness is deterministic.  Returns None when the fingerprints differ.
     """
-    if isinstance(d, (Graph, LabeledGraph)):
-        key_d = _cell_key_graph(d, h, relabel_side=True)
-        key_e = _cell_key_graph(e, h, relabel_side=False)
-    else:
-        key_d = _cell_key_petri(d, h, relabel_side=True)
-        key_e = _cell_key_petri(e, h, relabel_side=False)
     groups_d: dict = {}
-    for c in cells_of(d):
-        groups_d.setdefault(key_d(c), []).append(c)
+    for c, key in enumerate(_cell_keys(d, h)):
+        groups_d.setdefault(key, []).append(c)
     groups_e: dict = {}
-    for c in cells_of(e):
-        groups_e.setdefault(key_e(c), []).append(c)
+    for c, key in enumerate(_cell_keys(e)):
+        groups_e.setdefault(key, []).append(c)
     if set(groups_d) != set(groups_e):
         return None
     table = [-1] * cells_of(d).size
@@ -601,27 +551,44 @@ def match_cells(d: System, e: System, h: FinFunction) -> Optional[FinFunction]:
 
 
 def _graph_adjacency(system: System) -> dict[tuple[int, int], Counter]:
-    g = _graph_of(system)
-    labels = system.labels if isinstance(system, LabeledGraph) else None
     adj: dict[tuple[int, int], Counter] = {}
-    for e in g.edges:
-        key = (g.src.table[e], g.tgt.table[e])
-        label = label_key(labels[e]) if labels is not None else None
-        adj.setdefault(key, Counter())[label] += 1
+    for s, t, label in _cell_keys(system):
+        adj.setdefault((s, t), Counter())[label] += 1
     return adj
 
 
 def _petri_signature(system: System) -> list[tuple]:
-    net = _net_of(system)
-    rates = system.rates if isinstance(system, PetriNetWithRates) else None
-    sigs = []
-    for p in net.places:
-        profile = sorted(
-            (net.src[t].counts[p], net.tgt[t].counts[p], rates[t] if rates is not None else None)
-            for t in net.transitions
-        )
-        sigs.append(tuple(profile))
-    return sigs
+    keys = list(_cell_keys(system))
+    return [
+        tuple(sorted((src[p], tgt[p], rate) for src, tgt, rate in keys))
+        for p in interface_of(system)
+    ]
+
+
+def _adjacency_rule(d: System, e: System):
+    """Graph shape: assigned pairs of nodes must carry the same edge counts."""
+    adj_m, adj_n = _graph_adjacency(d), _graph_adjacency(e)
+
+    def compatible(x: int, y: int, assignment: list[Optional[int]]) -> bool:
+        for x2, y2 in enumerate(assignment):
+            if y2 is None:
+                continue
+            if adj_m.get((x, x2), Counter()) != adj_n.get((y, y2), Counter()):
+                return False
+            if adj_m.get((x2, x), Counter()) != adj_n.get((y2, y), Counter()):
+                return False
+        return True
+
+    return compatible
+
+
+def _signature_rule(d: System, e: System):
+    """Petri shape: a place maps only to a place with the same profile."""
+    sig_m, sig_n = _petri_signature(d), _petri_signature(e)
+    return lambda x, y, assignment: sig_m[x] == sig_n[y]
+
+
+_PRUNING_RULES = {"graph": _adjacency_rule, "petri": _signature_rule}
 
 
 def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[IsoWitness]:
@@ -632,8 +599,11 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
     between assigned nodes for graph kinds, per-place profiles for Petri
     kinds) as its `compatible` rule, and `match_cells` as the leaf check;
     the cell part of the witness is the one `match_cells` found there.
-    Budget, node counting and witness order are those of `find_iso`.
+    Budget, node counting and witness order are those of `find_iso`; the
+    budget is resolved first, so a malformed OPENCOSPAN_ISO_BUDGET is
+    reported whatever the inputs.
     """
+    budget = _iso_budget(budget)
     if type(m) is not type(n) or m.kind != n.kind:
         return None
     if isinstance(m, StructuredCospan):
@@ -644,28 +614,7 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
     d, e = _payload(m), _payload(n)
     if m.apex.size != n.apex.size or cells_of(d).size != cells_of(e).size:
         return None
-
-    if isinstance(d, (Graph, LabeledGraph)):
-        adj_m = _graph_adjacency(d)
-        adj_n = _graph_adjacency(e)
-
-        def compatible(x: int, y: int, assignment: list[Optional[int]]) -> bool:
-            for x2, y2 in enumerate(assignment):
-                if y2 is None:
-                    continue
-                if adj_m.get((x, x2), Counter()) != adj_n.get((y, y2), Counter()):
-                    return False
-                if adj_m.get((x2, x), Counter()) != adj_n.get((y2, y), Counter()):
-                    return False
-            return True
-
-    else:
-        sig_m = _petri_signature(d)
-        sig_n = _petri_signature(e)
-
-        def compatible(x: int, y: int, assignment: list[Optional[int]]) -> bool:
-            return sig_m[x] == sig_n[y]
-
+    compatible = _PRUNING_RULES[decoration_theory(m.kind).shape](d, e)
     cells: Optional[FinFunction] = None
 
     def cells_match(h: FinFunction) -> bool:

@@ -36,7 +36,7 @@ from .errors import (
     DivergenceError,
     KindError,
 )
-from .finset import EMPTY, FinFunction, FinSet, compose, pushout
+from .finset import EMPTY, FinFunction, FinSet, _iso_budget, compose, find_iso, pushout
 from .systems import PetriNetWithRates
 from .cospans import Cospan, DecoratedCospan, StructuredCospan, to_decorated
 
@@ -305,16 +305,17 @@ def open_dynam_iso(
     m: OpenDynam, n: OpenDynam, rel: float = 1e-9
 ) -> Optional[FinFunction]:
     """A place bijection commuting with the legs that carries one field to
-    the other (coefficients compared within rel), or None."""
+    the other (coefficients compared within rel), or None.  The search
+    budget is resolved first, as in `find_iso`."""
+    budget = _iso_budget(None)
     if m.foot_left != n.foot_left or m.foot_right != n.foot_right:
         return None
-    from .finset import find_iso
-
     return find_iso(
         m.apex,
         n.apex,
         constraints=[(m.leg_left, n.leg_left), (m.leg_right, n.leg_right)],
         predicate=lambda h: field_close(pushforward_field(h, m.field), n.field, rel),
+        budget=budget,
     )
 
 

@@ -217,7 +217,8 @@ def find_iso(
     if given, accepts or rejects a complete bijection.  Candidates are tried
     in ascending order, so the witness returned is the lexicographically
     smallest table.  Every attempted assignment costs one node against the
-    budget (default 10^6, overridable via OPENCOSPAN_ISO_BUDGET).
+    budget (default 10^6, overridable via OPENCOSPAN_ISO_BUDGET), which is
+    resolved before anything else, so a malformed value is always reported.
 
     `compatible(x, y, assignment)`, if given, prunes pairwise: it says
     whether x may map to y given the partial `assignment` (a list indexed
@@ -227,9 +228,9 @@ def find_iso(
     with x itself still unassigned.  Pruning only skips candidates, so the
     witness stays the smallest one that passes every test.
     """
+    max_nodes = _iso_budget(budget)
     if a.size != b.size:
         return None
-    max_nodes = _iso_budget(budget)
 
     assignment: list[Optional[int]] = [None] * a.size
     used = [False] * b.size

@@ -547,7 +547,6 @@ def _random_rated_candidate(
     places = FinSet(rng.randint(1, 4))
     n_trans = rng.randint(0, 3)
     dom = random_system(rng, "petri_rates", places, max_cells=n_trans)
-    assert isinstance(dom, PetriNetWithRates)
     cod_places = FinSet(rng.randint(1, 4))
     f = random_function(rng, places, cod_places)
     n_out = rng.randint(0 if dom.transitions.size == 0 else 1, 3)

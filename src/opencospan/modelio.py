@@ -27,6 +27,7 @@ from typing import Any, Optional, Union
 from .errors import ModelFormatError, ModelValidationError, NotInImageOfL
 from .finset import EMPTY, FinFunction, FinSet
 from .systems import (
+    KINDS,
     Graph,
     LabeledGraph,
     Multiset,
@@ -35,6 +36,7 @@ from .systems import (
     System,
     SystemMorphism,
     cells_of,
+    decoration_theory,
     discrete,
     interface_of,
     is_discrete,
@@ -108,33 +110,7 @@ def _finfunction(value: Any, cod: FinSet, where: str, dom: Optional[FinSet] = No
 
 
 def system_to_json(system: Union[System, PolyVectorField]) -> dict:
-    if isinstance(system, Graph):
-        return {
-            "nodes": system.nodes.size,
-            "edges": system.edges.size,
-            "src": list(system.src.table),
-            "tgt": list(system.tgt.table),
-        }
-    if isinstance(system, LabeledGraph):
-        out = system_to_json(system.graph)
-        out["labels"] = list(system.labels)
-        return out
-    if isinstance(system, PetriNet):
-        return {
-            "places": system.places.size,
-            "transitions": [
-                {
-                    "src": {str(p): k for p, k in enumerate(system.src[t].counts) if k},
-                    "tgt": {str(p): k for p, k in enumerate(system.tgt[t].counts) if k},
-                }
-                for t in system.transitions
-            ],
-        }
-    if isinstance(system, PetriNetWithRates):
-        out = system_to_json(system.net)
-        for t, entry in enumerate(out["transitions"]):
-            entry["rate"] = system.rates[t]
-        return out
+    """The kind's base shape, plus its attribute column when it has one."""
     if isinstance(system, PolyVectorField):
         return {
             "places": system.over.size,
@@ -142,7 +118,31 @@ def system_to_json(system: Union[System, PolyVectorField]) -> dict:
                 [[c, list(exps)] for c, exps in p.terms] for p in system.components
             ],
         }
-    raise ModelFormatError(f"cannot serialize {type(system).__name__}")
+    if getattr(system, "kind", None) not in KINDS:
+        raise ModelFormatError(f"cannot serialize {type(system).__name__}")
+    src, tgt = system.ends
+    attrs = system.attrs
+    if decoration_theory(system.kind).shape == "graph":
+        out: dict = {
+            "nodes": interface_of(system).size,
+            "edges": cells_of(system).size,
+            "src": list(src),
+            "tgt": list(tgt),
+        }
+        if attrs is not None:
+            out["labels"] = list(attrs)
+        return out
+    transitions = [
+        {
+            "src": {str(p): k for p, k in enumerate(consumed.counts) if k},
+            "tgt": {str(p): k for p, k in enumerate(produced.counts) if k},
+        }
+        for consumed, produced in zip(src, tgt)
+    ]
+    if attrs is not None:
+        for entry, rate in zip(transitions, attrs):
+            entry["rate"] = rate
+    return {"places": interface_of(system).size, "transitions": transitions}
 
 
 def _multiset_from_json(value: Any, places: FinSet, where: str) -> Multiset:
@@ -250,37 +250,28 @@ Payload = Union[Cospan, OpenDynam]
 
 
 def cospan_to_json(cospan: Payload) -> dict:
-    if isinstance(cospan, OpenDynam):
+    if isinstance(cospan, StructuredCospan):
         return {
-            "footLeft": cospan.foot_left.size,
-            "footRight": cospan.foot_right.size,
-            "legLeft": list(cospan.leg_left.table),
-            "legRight": list(cospan.leg_right.table),
-            "system": system_to_json(cospan.field),
-            "representation": "decorated",
+            "footLeft": cospan.foot_left.size
+            if is_discrete(cospan.leg_left.dom)
+            else system_to_json(cospan.leg_left.dom),
+            "footRight": cospan.foot_right.size
+            if is_discrete(cospan.leg_right.dom)
+            else system_to_json(cospan.leg_right.dom),
+            "legLeft": list(cospan.leg_left.node_map.table),
+            "legRight": list(cospan.leg_right.node_map.table),
+            "system": system_to_json(cospan.system),
+            "representation": "structured",
         }
-    if isinstance(cospan, DecoratedCospan):
-        return {
-            "footLeft": cospan.foot_left.size,
-            "footRight": cospan.foot_right.size,
-            "legLeft": list(cospan.leg_left.table),
-            "legRight": list(cospan.leg_right.table),
-            "system": system_to_json(cospan.decoration),
-            "representation": "decorated",
-        }
-    out = {
-        "footLeft": cospan.foot_left.size
-        if is_discrete(cospan.leg_left.dom)
-        else system_to_json(cospan.leg_left.dom),
-        "footRight": cospan.foot_right.size
-        if is_discrete(cospan.leg_right.dom)
-        else system_to_json(cospan.leg_right.dom),
-        "legLeft": list(cospan.leg_left.node_map.table),
-        "legRight": list(cospan.leg_right.node_map.table),
-        "system": system_to_json(cospan.system),
-        "representation": "structured",
+    system = cospan.field if isinstance(cospan, OpenDynam) else cospan.decoration
+    return {
+        "footLeft": cospan.foot_left.size,
+        "footRight": cospan.foot_right.size,
+        "legLeft": list(cospan.leg_left.table),
+        "legRight": list(cospan.leg_right.table),
+        "system": system_to_json(system),
+        "representation": "decorated",
     }
-    return out
 
 
 def _foot_system(kind: str, value: Any, where: str) -> System:

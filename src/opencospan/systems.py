@@ -8,6 +8,16 @@ Petri nets ("petri"), and Petri nets with a nonnegative rate per transition
 collection of structures over N; relabeling along a function, disjoint
 union, and the structureless decoration make those collections compose.
 
+Every system is read the same way, whatever its kind: a node set and a
+cell set (`interface_of`, `cells_of`), the two ends of each cell
+(`system.ends`: node indices for graph kinds, `Multiset`s of places for
+Petri kinds), and an optional attribute column (`system.attrs`: the labels
+of an lgraph, the rates of a rated net, None otherwise).  Each operation
+below is written once on that reading.  What differs between kinds (how an
+end moves along a node map, how a system is built back from its parts,
+what its attributes demand of a morphism) is the kind's rule, held by its
+`DecorationTheory` and looked up once per operation.
+
 A `SystemMorphism` maps nodes and edges separately.  For Petri kinds the
 node map acts on places and the edge map on transitions; token counts are
 transported by summing over merged places, and a rated morphism must give
@@ -17,7 +27,9 @@ every target transition exactly the sum of the rates mapped onto it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import partial
+from operator import attrgetter
+from typing import Optional, Sequence, Union
 
 from .errors import KindError, MorphismShapeError, SpanError, UnsupportedGluing
 from .finset import (
@@ -26,7 +38,6 @@ from .finset import (
     FinSet,
     compose,
     coproduct,
-    coproduct_map,
     pushout,
 )
 
@@ -93,28 +104,16 @@ class Graph:
     tgt: FinFunction
 
     kind = "graph"
+    attrs = None
 
     def __post_init__(self) -> None:
         for name, leg in (("src", self.src), ("tgt", self.tgt)):
             if leg.dom != self.edges or leg.cod != self.nodes:
                 raise ValueError(f"{name} must map edges to nodes")
 
-
-@dataclass(frozen=True)
-class LabeledGraph:
-    """A graph with one opaque label per edge; labels compare exactly."""
-
-    graph: Graph
-    labels: tuple[Label, ...]
-
-    kind = "lgraph"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) != self.graph.edges.size:
-            raise ValueError(
-                f"{len(self.labels)} labels for {self.graph.edges.size} edges"
-            )
+    interface = property(attrgetter("nodes"))
+    cells = property(attrgetter("edges"))
+    ends = property(attrgetter("src.table", "tgt.table"))
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,7 @@ class PetriNet:
     tgt: tuple[Multiset, ...]
 
     kind = "petri"
+    attrs = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "src", tuple(self.src))
@@ -140,15 +140,64 @@ class PetriNet:
                 if ms.over != self.places:
                     raise ValueError(f"{name}[{i}] is a multiset over the wrong place set")
 
+    interface = property(attrgetter("places"))
+    cells = property(attrgetter("transitions"))
+    ends = property(attrgetter("src", "tgt"))
 
-@dataclass(frozen=True)
-class PetriNetWithRates:
+
+class _Attributed:
+    """An unattributed system (`base`) with one attribute per cell (`attrs`).
+
+    Two such systems are equal when their bases are and their attributes
+    agree by `label_key`, cell by cell; hashing follows the same rule.
+    """
+
+    interface = property(attrgetter("base.interface"))
+    cells = property(attrgetter("base.cells"))
+    ends = property(attrgetter("base.ends"))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.base == other.base
+            and self.attrs == other.attrs
+            and list(map(type, self.attrs)) == list(map(type, other.attrs))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.attrs, tuple(map(type, self.attrs))))
+
+
+@dataclass(frozen=True, eq=False)
+class LabeledGraph(_Attributed):
+    """A graph with one opaque label per edge; labels compare exactly."""
+
+    graph: Graph
+    labels: tuple[Label, ...]
+
+    kind = "lgraph"
+    base = property(attrgetter("graph"))
+    attrs = property(attrgetter("labels"))
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if len(self.labels) != self.graph.edges.size:
+            raise ValueError(
+                f"{len(self.labels)} labels for {self.graph.edges.size} edges"
+            )
+
+
+@dataclass(frozen=True, eq=False)
+class PetriNetWithRates(_Attributed):
     """A Petri net together with a nonnegative rate constant per transition."""
 
     net: PetriNet
     rates: tuple[float, ...]
 
     kind = "petri_rates"
+    base = property(attrgetter("net"))
+    attrs = property(attrgetter("rates"))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
@@ -174,28 +223,18 @@ System = Union[Graph, LabeledGraph, PetriNet, PetriNetWithRates]
 
 def interface_of(system: System) -> FinSet:
     """The node or place set: the part an open system exposes for gluing."""
-    if isinstance(system, Graph):
-        return system.nodes
-    if isinstance(system, LabeledGraph):
-        return system.graph.nodes
-    if isinstance(system, PetriNet):
-        return system.places
-    if isinstance(system, PetriNetWithRates):
-        return system.net.places
-    raise KindError(f"not a system: {system!r}")
+    try:
+        return system.interface
+    except AttributeError:
+        raise KindError(f"not a system: {system!r}") from None
 
 
 def cells_of(system: System) -> FinSet:
     """The edge or transition set."""
-    if isinstance(system, Graph):
-        return system.edges
-    if isinstance(system, LabeledGraph):
-        return system.graph.edges
-    if isinstance(system, PetriNet):
-        return system.transitions
-    if isinstance(system, PetriNetWithRates):
-        return system.net.transitions
-    raise KindError(f"not a system: {system!r}")
+    try:
+        return system.cells
+    except AttributeError:
+        raise KindError(f"not a system: {system!r}") from None
 
 
 def is_discrete(system: System) -> bool:
@@ -204,15 +243,7 @@ def is_discrete(system: System) -> bool:
 
 def discrete(kind: str, nodes: FinSet) -> System:
     """The structureless system on a given node set."""
-    if kind == "graph":
-        return Graph(nodes, EMPTY, FinFunction.from_empty(nodes), FinFunction.from_empty(nodes))
-    if kind == "lgraph":
-        return LabeledGraph(discrete("graph", nodes), ())
-    if kind == "petri":
-        return PetriNet(nodes, EMPTY, (), ())
-    if kind == "petri_rates":
-        return PetriNetWithRates(PetriNet(nodes, EMPTY, (), ()), ())
-    raise KindError(f"unknown system kind {kind!r}")
+    return decoration_theory(kind).build(nodes, EMPTY, (), (), ())
 
 
 @dataclass(frozen=True)
@@ -266,71 +297,36 @@ def compose_morphism(g: SystemMorphism, f: SystemMorphism) -> SystemMorphism:
     )
 
 
-def _graph_of(system: System) -> Graph:
-    return system.graph if isinstance(system, LabeledGraph) else system
-
-
-def _net_of(system: System) -> PetriNet:
-    return system.net if isinstance(system, PetriNetWithRates) else system
-
-
 def validate_morphism(m: SystemMorphism, check_rates: bool = True) -> list[str]:
     """All the ways m fails to be a morphism; empty means valid.
 
-    Graph kinds need the source and target squares to commute (and labels to
-    be preserved).  Petri kinds need each transition's consumed and produced
-    multisets, pushed forward along the place map, to equal those of its
-    image.  Rated nets additionally need every target transition's rate to
-    equal the sum of the rates mapped onto it (so transitions outside the
-    image must have rate zero).
+    Every cell's two ends, moved along the node map, must equal the ends of
+    its image: for graph kinds the source and target squares commute, for
+    Petri kinds the consumed and produced multisets are transported.  Then
+    the kind's attribute rule applies: labels are preserved exactly, and
+    every target transition's rate equals the sum of the rates mapped onto
+    it (so transitions outside the image must have rate zero).  Violations
+    are listed per cell, source side first, then the attribute rule's.
 
-    Pass check_rates=False to check only the underlying-net conditions.
-    The rate rule makes an inclusion into a larger net invalid whenever the
-    rest of that net carries positive rates, so boundary legs of open rated
-    systems are held to the underlying conditions; the full rule is for
-    maps that account for rates, such as decoration morphisms of squares.
+    Pass check_rates=False to skip the rate rule.  It makes an inclusion
+    into a larger net invalid whenever the rest of that net carries positive
+    rates, so boundary legs of open rated systems are held to the underlying
+    conditions; the full rule is for maps that account for rates, such as
+    decoration morphisms of squares.
     """
+    theory = decoration_theory(m.dom.kind)
+    g = m.edge_map.table
+    (d_src, d_tgt), (c_src, c_tgt) = m.dom.ends, m.cod.ends
+    src_fault, tgt_fault = theory.end_faults
     violations: list[str] = []
-    f, g = m.node_map, m.edge_map
-    if isinstance(m.dom, (Graph, LabeledGraph)):
-        d, c = _graph_of(m.dom), _graph_of(m.cod)
-        for e in d.edges:
-            if f.table[d.src.table[e]] != c.src.table[g.table[e]]:
-                violations.append(
-                    f"source square fails at edge {e}: "
-                    f"{f.table[d.src.table[e]]} != {c.src.table[g.table[e]]}"
-                )
-            if f.table[d.tgt.table[e]] != c.tgt.table[g.table[e]]:
-                violations.append(
-                    f"target square fails at edge {e}: "
-                    f"{f.table[d.tgt.table[e]]} != {c.tgt.table[g.table[e]]}"
-                )
-        if isinstance(m.dom, LabeledGraph):
-            assert isinstance(m.cod, LabeledGraph)
-            for e in d.edges:
-                if label_key(m.dom.labels[e]) != label_key(m.cod.labels[g.table[e]]):
-                    violations.append(
-                        f"label not preserved at edge {e}: "
-                        f"{m.dom.labels[e]!r} != {m.cod.labels[g.table[e]]!r}"
-                    )
-    else:
-        d, c = _net_of(m.dom), _net_of(m.cod)
-        for t in d.transitions:
-            if d.src[t].pushforward(f) != c.src[g.table[t]]:
-                violations.append(f"consumed multiset not preserved at transition {t}")
-            if d.tgt[t].pushforward(f) != c.tgt[g.table[t]]:
-                violations.append(f"produced multiset not preserved at transition {t}")
-        if check_rates and isinstance(m.dom, PetriNetWithRates):
-            assert isinstance(m.cod, PetriNetWithRates)
-            for t_out in c.transitions:
-                fiber_sum = sum(
-                    m.dom.rates[t] for t in d.transitions if g.table[t] == t_out
-                )
-                if fiber_sum != m.cod.rates[t_out]:
-                    violations.append(
-                        f"rate sum mismatch at transition {t_out}: "
-                        f"expected {fiber_sum!r}, found {m.cod.rates[t_out]!r}"
-                    )
+    moved = zip(theory.move(d_src, m.node_map), theory.move(d_tgt, m.node_map))
+    for e, (s, t) in enumerate(moved):
+        image = g[e]
+        if s != c_src[image]:
+            violations.append(src_fault.format(e, s, c_src[image]))
+        if t != c_tgt[image]:
+            violations.append(tgt_fault.format(e, t, c_tgt[image]))
+    violations.extend(theory.attribute_faults(m, check_rates))
     return violations
 
 
@@ -338,36 +334,18 @@ def system_coproduct(x: System, y: System) -> tuple[System, SystemMorphism, Syst
     """Disjoint union of two systems of the same kind, with its injections."""
     if x.kind != y.kind:
         raise KindError(f"cannot form a coproduct of kinds {x.kind!r} and {y.kind!r}")
-    if isinstance(x, Graph):
-        assert isinstance(y, Graph)
-        nodes, _, _ = coproduct(x.nodes, y.nodes)
-        edges, edge_inl, edge_inr = coproduct(x.edges, y.edges)
-        out: System = Graph(
-            nodes, edges, coproduct_map(x.src, y.src), coproduct_map(x.tgt, y.tgt)
-        )
-    elif isinstance(x, LabeledGraph):
-        assert isinstance(y, LabeledGraph)
-        g, _, _ = system_coproduct(x.graph, y.graph)
-        out = LabeledGraph(g, x.labels + y.labels)
-    elif isinstance(x, PetriNet):
-        assert isinstance(y, PetriNet)
-        places, place_inl, place_inr = coproduct(x.places, y.places)
-        transitions, _, _ = coproduct(x.transitions, y.transitions)
-        src = tuple(ms.pushforward(place_inl) for ms in x.src) + tuple(
-            ms.pushforward(place_inr) for ms in y.src
-        )
-        tgt = tuple(ms.pushforward(place_inl) for ms in x.tgt) + tuple(
-            ms.pushforward(place_inr) for ms in y.tgt
-        )
-        out = PetriNet(places, transitions, src, tgt)
-    elif isinstance(x, PetriNetWithRates):
-        assert isinstance(y, PetriNetWithRates)
-        net, _, _ = system_coproduct(x.net, y.net)
-        out = PetriNetWithRates(net, x.rates + y.rates)
-    else:
-        raise KindError(f"not a system: {x!r}")
-    _, node_inl, node_inr = coproduct(interface_of(x), interface_of(y))
-    _, cell_inl, cell_inr = coproduct(cells_of(x), cells_of(y))
+    theory = decoration_theory(x.kind)
+    move = theory.move
+    nodes, node_inl, node_inr = coproduct(interface_of(x), interface_of(y))
+    cells, cell_inl, cell_inr = coproduct(cells_of(x), cells_of(y))
+    (x_src, x_tgt), (y_src, y_tgt) = x.ends, y.ends
+    out = theory.build(
+        nodes,
+        cells,
+        move(x_src, node_inl) + move(y_src, node_inr),
+        move(x_tgt, node_inl) + move(y_tgt, node_inr),
+        None if x.attrs is None else x.attrs + y.attrs,
+    )
     return (
         out,
         SystemMorphism(x, out, node_inl, cell_inl),
@@ -391,7 +369,8 @@ def system_pushout(
         bad = validate_morphism(leg, check_rates=False)
         if bad:
             raise MorphismShapeError(f"{name} leg of the span is not a morphism: {bad[0]}")
-    if isinstance(f.dom, PetriNetWithRates) and cells_of(f.dom).size > 0:
+    theory = decoration_theory(f.dom.kind)
+    if not theory.glues_cells and cells_of(f.dom).size > 0:
         raise UnsupportedGluing(
             "rated nets can only be glued along spans with no transitions"
         )
@@ -399,65 +378,27 @@ def system_pushout(
     node_po = pushout(f.node_map, g.node_map)
     edge_po = pushout(f.edge_map, g.edge_map)
 
-    x_cells = cells_of(x).size
-    reps: list[int] = [-1] * edge_po.apex.size
+    # each class is represented by its least member, and classes are numbered
+    # in that order: the representatives from x come first, then those from y
+    reps: list[int] = []
     for z, cls in enumerate(edge_po.quotient.table):
-        if reps[cls] < 0:
-            reps[cls] = z
+        if cls == len(reps):
+            reps.append(z)
+    x_cells = cells_of(x).size
 
-    def rep_sides(cls: int) -> tuple[bool, int]:
-        z = reps[cls]
-        return (z < x_cells, z if z < x_cells else z - x_cells)
+    def glued(x_column: tuple, y_column: tuple) -> tuple:
+        return theory.move(
+            [x_column[z] for z in reps if z < x_cells], node_po.left
+        ) + theory.move([y_column[z - x_cells] for z in reps if z >= x_cells], node_po.right)
 
-    if isinstance(x, (Graph, LabeledGraph)):
-        gx, gy = _graph_of(x), _graph_of(y)
-        src_table, tgt_table = [], []
-        for cls in edge_po.apex:
-            from_x, e = rep_sides(cls)
-            if from_x:
-                src_table.append(node_po.left.table[gx.src.table[e]])
-                tgt_table.append(node_po.left.table[gx.tgt.table[e]])
-            else:
-                src_table.append(node_po.right.table[gy.src.table[e]])
-                tgt_table.append(node_po.right.table[gy.tgt.table[e]])
-        glued_graph = Graph(
-            node_po.apex,
-            edge_po.apex,
-            FinFunction(edge_po.apex, node_po.apex, tuple(src_table)),
-            FinFunction(edge_po.apex, node_po.apex, tuple(tgt_table)),
-        )
-        if isinstance(x, LabeledGraph):
-            assert isinstance(y, LabeledGraph)
-            labels = tuple(
-                x.labels[e] if from_x else y.labels[e]
-                for from_x, e in map(rep_sides, edge_po.apex)
-            )
-            out: System = LabeledGraph(glued_graph, labels)
-        else:
-            out = glued_graph
-    else:
-        nx, ny = _net_of(x), _net_of(y)
-        src_ms, tgt_ms = [], []
-        for cls in edge_po.apex:
-            from_x, t = rep_sides(cls)
-            if from_x:
-                src_ms.append(nx.src[t].pushforward(node_po.left))
-                tgt_ms.append(nx.tgt[t].pushforward(node_po.left))
-            else:
-                src_ms.append(ny.src[t].pushforward(node_po.right))
-                tgt_ms.append(ny.tgt[t].pushforward(node_po.right))
-        glued_net = PetriNet(node_po.apex, edge_po.apex, tuple(src_ms), tuple(tgt_ms))
-        if isinstance(x, PetriNetWithRates):
-            assert isinstance(y, PetriNetWithRates)
-            # the span domain is transition-free, so classes never merge and
-            # the class order is plain concatenation
-            rates = tuple(
-                x.rates[t] if from_x else y.rates[t]
-                for from_x, t in map(rep_sides, edge_po.apex)
-            )
-            out = PetriNetWithRates(glued_net, rates)
-        else:
-            out = glued_net
+    (x_src, x_tgt), (y_src, y_tgt) = x.ends, y.ends
+    out = theory.build(
+        node_po.apex,
+        edge_po.apex,
+        glued(x_src, y_src),
+        glued(x_tgt, y_tgt),
+        None if x.attrs is None else tuple(map((x.attrs + y.attrs).__getitem__, reps)),
+    )
     return (
         out,
         SystemMorphism(x, out, node_po.left, edge_po.left),
@@ -474,24 +415,87 @@ def relabel(f: FinFunction, system: System) -> System:
     """
     if f.dom != interface_of(system):
         raise MorphismShapeError("relabeling map must start at the system's node set")
-    if isinstance(system, Graph):
-        return Graph(f.cod, system.edges, compose(f, system.src), compose(f, system.tgt))
-    if isinstance(system, LabeledGraph):
-        inner = relabel(f, system.graph)
-        assert isinstance(inner, Graph)
-        return LabeledGraph(inner, system.labels)
-    if isinstance(system, PetriNet):
-        return PetriNet(
-            f.cod,
-            system.transitions,
-            tuple(ms.pushforward(f) for ms in system.src),
-            tuple(ms.pushforward(f) for ms in system.tgt),
-        )
-    if isinstance(system, PetriNetWithRates):
-        inner = relabel(f, system.net)
-        assert isinstance(inner, PetriNet)
-        return PetriNetWithRates(inner, system.rates)
-    raise KindError(f"not a system: {system!r}")
+    theory = decoration_theory(system.kind)
+    src, tgt = system.ends
+    return theory.build(
+        f.cod, cells_of(system), theory.move(src, f), theory.move(tgt, f), system.attrs
+    )
+
+
+# -- the kinds' rules: a kind is a shape (what a cell's two ends are) plus an
+# optional attribute column; each rule is looked up once per operation
+
+
+def _move_nodes(column: Sequence[int], f: FinFunction) -> tuple[int, ...]:
+    """Graph shape: an end is a node index, moved by f's table."""
+    table = f.table
+    return tuple([table[v] for v in column])
+
+
+def _move_multisets(column: Sequence[Multiset], f: FinFunction) -> tuple[Multiset, ...]:
+    """Petri shape: an end is a multiset of places, pushed forward along f."""
+    return tuple([ms.pushforward(f) for ms in column])
+
+
+def _label_faults(m: SystemMorphism, check_rates: bool) -> list[str]:
+    """lgraph: every edge keeps its label exactly, by `label_key`."""
+    g, cod = m.edge_map.table, m.cod.attrs
+    return [
+        f"label not preserved at edge {e}: {label!r} != {cod[g[e]]!r}"
+        for e, label in enumerate(m.dom.attrs)
+        if label_key(label) != label_key(cod[g[e]])
+    ]
+
+
+def _rate_faults(m: SystemMorphism, check_rates: bool) -> list[str]:
+    """petri_rates: each target rate is the sum of the rates mapped onto it."""
+    if not check_rates:
+        return []
+    g, dom = m.edge_map.table, m.dom.attrs
+    faults = []
+    for t_out, rate in enumerate(m.cod.attrs):
+        fiber_sum = sum(dom[t] for t in range(len(dom)) if g[t] == t_out)
+        if fiber_sum != rate:
+            faults.append(
+                f"rate sum mismatch at transition {t_out}: "
+                f"expected {fiber_sum!r}, found {rate!r}"
+            )
+    return faults
+
+
+# shape: (move a column of ends, the column as hashable keys (a multiset by its
+#         counts, which hash in C), build the unattributed system from parts,
+#         wording of a broken source/target end)
+_SHAPES = {
+    "graph": (
+        _move_nodes,
+        tuple,
+        lambda nodes, cells, src, tgt: Graph(
+            nodes, cells, FinFunction(cells, nodes, src), FinFunction(cells, nodes, tgt)
+        ),
+        (
+            "source square fails at edge {0}: {1} != {2}",
+            "target square fails at edge {0}: {1} != {2}",
+        ),
+    ),
+    "petri": (
+        _move_multisets,
+        partial(map, attrgetter("counts")),
+        PetriNet,
+        (
+            "consumed multiset not preserved at transition {0}",
+            "produced multiset not preserved at transition {0}",
+        ),
+    ),
+}
+# kind: (shape, class adding the attribute column, attribute rule,
+#        may gluing merge cells)
+_KIND_RULES = {
+    "graph": ("graph", None, lambda m, check_rates: [], True),
+    "lgraph": ("graph", LabeledGraph, _label_faults, True),
+    "petri": ("petri", None, lambda m, check_rates: [], True),
+    "petri_rates": ("petri", PetriNetWithRates, _rate_faults, False),
+}
 
 
 class DecorationTheory:
@@ -503,12 +507,29 @@ class DecorationTheory:
     given set.  Reindexing is strictly functorial; the laxator is natural
     only up to the isomorphisms that re-address the coproduct, which is
     exactly why composites of decorated cospans live over a chosen pushout.
+
+    The theory also holds the kind's rules that every system operation
+    reads: `shape` ("graph" or "petri"), `move(column, f)` for a column of
+    cell ends, `hashable(column)` (the ends as plain hashable values),
+    `build` from parts, `end_faults` (the wording of a broken source or
+    target end), `attribute_faults(m, check_rates)` and `glues_cells`
+    (False where merged cells have no canonical attribute).
     """
 
     def __init__(self, kind: str):
         if kind not in KINDS:
             raise KindError(f"unknown system kind {kind!r}")
         self.kind = kind
+        self.shape, self._attributed, self.attribute_faults, self.glues_cells = _KIND_RULES[kind]
+        self.move, self.hashable, self._from_parts, self.end_faults = _SHAPES[self.shape]
+
+    def build(
+        self, nodes: FinSet, cells: FinSet, src: tuple, tgt: tuple, attrs: Optional[tuple]
+    ) -> System:
+        """The system with these nodes, cells, cell ends and attribute column
+        (ignored by kinds without one)."""
+        base = self._from_parts(nodes, cells, src, tgt)
+        return base if self._attributed is None else self._attributed(base, attrs)
 
     def trivial(self, a: FinSet) -> System:
         return discrete(self.kind, a)

@@ -21,6 +21,7 @@ from opencospan import (
 from opencospan.cli import main
 from opencospan.finset import ISO_BUDGET_ENV
 from opencospan.laws import sir_open_net
+from opencospan.modelio import canonical_json
 
 
 def run_cli(capsys, *args):
@@ -104,6 +105,109 @@ def test_convert_roundtrip_is_byte_identical(tmp_path, capsys, models_dir):
     assert load_model(str(there)).representation == "structured"
     assert run_cli(capsys, "convert", str(there), "--to", "decorated", "--out", str(back))[0] == 0
     assert back.read_bytes() == sir.read_bytes()
+
+
+def _small_model(kind, system):
+    payload = {
+        "footLeft": 1,
+        "footRight": 1,
+        "legLeft": [0],
+        "legRight": [system.get("nodes", system.get("places", 0)) - 1],
+        "representation": "decorated",
+        "system": system,
+    }
+    return {"version": "1", "kind": kind, "representation": "decorated", "payload": payload}
+
+
+_PATH = {"nodes": 3, "edges": 2, "src": [0, 1], "tgt": [1, 2]}
+_NET = {
+    "places": 2,
+    "transitions": [
+        {"src": {"0": 1}, "tgt": {"1": 1}},
+        {"src": {"1": 2}, "tgt": {"0": 1, "1": 1}},
+    ],
+}
+SMALL_MODELS = {
+    "graph": _small_model("graph", _PATH),
+    "lgraph": _small_model("lgraph", dict(_PATH, labels=["a", 2])),
+    "petri": _small_model("petri", _NET),
+    "petri_rates": _small_model(
+        "petri_rates",
+        dict(
+            _NET,
+            transitions=[
+                dict(t, rate=r) for t, r in zip(_NET["transitions"], (0.5, 1.25))
+            ],
+        ),
+    ),
+}
+
+# SHA-256 of the files the workflow below writes, recorded before the four
+# kinds shared one code path; keys are the step names of `_small_workflow`
+# (its two conversions back are compared with other files instead)
+SMALL_MODEL_SHA256 = {
+    "graph": {
+        "composed": "382ab9c8a4a011514b24055addbd7d2235ee9a60d648e4377a9677e997520b5e",
+        "tensored": "4acfca92125c1b4a14b0963a56c2aea8564b47659fac5cace1c4b7315e17c52b",
+        "structured": "bbd2b4508a8b1a007d117e5040640ea90257b21c99e3ea6cd7c3f12b4d9157f7",
+        "structured_composed": "82a5abb22ebe23dbd02ffa0fe5974fd905a2c4d8c1d0f3923d221fe69e0141ad",
+        "structured_tensored": "7ffb1209fe5642848ba8b29353dd5cb5feaf150dfa90d46d18e9ab96f9160190",
+    },
+    "lgraph": {
+        "composed": "c2053a50b7a89bc64b0eb2a4687eab9ea9c7f539e2a0c54a5e2d89d28ffa1434",
+        "tensored": "738889208ccf4aaeeefd5b5decbbf24624a6ce53e8e8c5cb1e6805ada0e8ec0b",
+        "structured": "384d5d0bc80d8308ae5996df497dcf2c8c079e9911a430ca87b2cce9dc09cc5e",
+        "structured_composed": "6180c7e4784758ab747acb3faaaff43810d4d975f8d439670ce0475de9dba261",
+        "structured_tensored": "9a589b63a103b899de8a8f9fab4e3d27ebfab7858f56856a0b093f4841c8dc66",
+    },
+    "petri": {
+        "composed": "73a86067ba036f57396644f75ffe4e3e2b14f96cab8f0e6f6d064c26ff7fa737",
+        "tensored": "28d88a946092f777d40a4532b56f22ef5a43bcb3bc18a6f3b068b6dd0bf700a0",
+        "structured": "c6fbe622569bf55390f5c9541bf7ca82b8cfe107b0d075eed571248144f7470f",
+        "structured_composed": "0b6680fcf7317961b0a72dff1e93e04064c203a6cc7d9a43acbf1ea039e60d05",
+        "structured_tensored": "27b19bd8ac8f660d09d54a83e2f56cce7abfd4f97f4313562e2f468533bf6988",
+    },
+    "petri_rates": {
+        "composed": "21240ce451bdfe981e86583b70c9507d655f7133c7a21ac1336bb4e6a8276750",
+        "tensored": "83bfd803b50fd163f646dc7713dd19e8d826a6865cf085d37a6a90e41113a07a",
+        "structured": "7dda0e32c4cece5885330b6bc4a0e4067fa80aea383fdaa2f2b9cb2616751e90",
+        "structured_composed": "f58a7dde47a8f390e7e70acf2b8fe58dc126f70461f78fdb104fe99cc5fd8f40",
+        "structured_tensored": "d684b4366422b530e109ad1a89bdb47ae527e6a299e06acfed65ac147395f82c",
+    },
+}
+
+
+def _small_workflow(capsys, tmp_path, kind):
+    """compose, tensor and convert one small model through the command line,
+    in both presentations; returns {step: written bytes}.  An argument
+    "@step" names the file that step wrote."""
+    model = tmp_path / f"{kind}.json"
+    model.write_text(json.dumps(SMALL_MODELS[kind]))
+    steps = [
+        ("composed", "compose", "@model", "@model"),
+        ("tensored", "tensor", "@model", "@model"),
+        ("structured", "convert", "@model", "--to", "structured"),
+        ("structured_composed", "compose", "@structured", "@structured"),
+        ("structured_tensored", "tensor", "@structured", "@structured"),
+        ("decorated_again", "convert", "@structured", "--to", "decorated"),
+        ("composed_again", "convert", "@structured_composed", "--to", "decorated"),
+    ]
+    paths = {"model": model}
+    for name, command, *args in steps:
+        paths[name] = tmp_path / f"{kind}-{name}.json"
+        argv = [str(paths[a[1:]]) if a.startswith("@") else a for a in args]
+        code, _, err = run_cli(capsys, command, *argv, "--out", str(paths[name]))
+        assert (code, err) == (0, ""), name
+    return {name: paths[name].read_bytes() for name, *_ in steps}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_MODELS))
+def test_small_models_of_every_kind_write_pinned_bytes(tmp_path, capsys, kind):
+    written = _small_workflow(capsys, tmp_path, kind)
+    assert written.pop("decorated_again") == (canonical_json(SMALL_MODELS[kind]) + "\n").encode()
+    assert written.pop("composed_again") == written["composed"]
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in written.items()}
+    assert digests == SMALL_MODEL_SHA256[kind]
 
 
 def test_convert_to_the_same_representation_passes_through(tmp_path, capsys, models_dir):

@@ -17,6 +17,7 @@ from opencospan import (
     Graph,
     KindError,
     LabeledGraph,
+    ModelValidationError,
     Multiset,
     NotInImageOfL,
     PetriNet,
@@ -44,6 +45,7 @@ from opencospan import (
     unit_cell,
     vcompose,
 )
+from opencospan.finset import ISO_BUDGET_ENV
 from opencospan.systems import decoration_theory
 from opencospan.laws import intro_open_graph, sir_halves, sir_open_net
 
@@ -355,6 +357,51 @@ def test_cospan_iso_budget_is_charged_per_assignment():
     with pytest.raises(BudgetExceeded):
         cospan_iso(free, free, budget=1)
     assert cospan_iso(free, free, budget=100) is not None
+
+
+def _early_mismatches():
+    """Pairs that cospan_iso turns down before any search, one per check."""
+    m = intro_open_graph()
+    fewer_cells = DecoratedCospan(
+        m.foot_left, m.foot_right, m.leg_left, m.leg_right, discrete("graph", m.apex)
+    )
+    bigger = DecoratedCospan(
+        m.foot_left,
+        m.foot_right,
+        FinFunction(m.foot_left, FinSet(5), m.leg_left.table),
+        FinFunction(m.foot_right, FinSet(5), m.leg_right.table),
+        discrete("graph", FinSet(5)),
+    )
+    return {
+        "species": (m, to_structured(m)),
+        "kind": (identity_cospan("graph", FinSet(1)), identity_cospan("petri", FinSet(1))),
+        "feet": (identity_cospan("graph", FinSet(1)), identity_cospan("graph", FinSet(2))),
+        "structured feet": (
+            identity_cospan("graph", FinSet(1), "structured"),
+            identity_cospan("graph", FinSet(2), "structured"),
+        ),
+        "apex": (fewer_cells, bigger),
+        "cells": (m, fewer_cells),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_early_mismatches()))
+def test_a_malformed_budget_is_reported_on_every_early_return(monkeypatch, case):
+    m, n = _early_mismatches()[case]
+    assert cospan_iso(m, n) is None
+    monkeypatch.setenv(ISO_BUDGET_ENV, "abc")
+    with pytest.raises(ModelValidationError):
+        cospan_iso(m, n)
+
+
+def test_label_equality_agrees_with_cospan_iso():
+    loop = Graph(FinSet(1), FinSet(1), fn([0], 1), fn([0], 1))
+    one, true = LabeledGraph(loop, (1,)), LabeledGraph(loop, (True,))
+    assert one != true and hash(one) != hash(true)
+    assert one == LabeledGraph(loop, (1,)) and hash(one) == hash(LabeledGraph(loop, (1,)))
+    m, n = (DecoratedCospan(EMPTY, EMPTY, fn([], 1), fn([], 1), d) for d in (one, true))
+    assert m != n and cospan_iso(m, n) is None
+    assert m == m and cospan_iso(m, m) is not None
 
 
 # Plain data for an open system: (apex size, left leg table, right leg table,

@@ -14,6 +14,7 @@ from opencospan import (
     FinSet,
     FlowSchedule,
     KindError,
+    ModelValidationError,
     Multiset,
     OpenDynam,
     PetriNet,
@@ -37,6 +38,7 @@ from opencospan import (
     simulate,
     to_structured,
 )
+from opencospan.finset import ISO_BUDGET_ENV
 from opencospan.laws import decay_open_net, sir_open_net, water_net
 
 
@@ -258,6 +260,24 @@ def test_open_dynam_iso_finds_the_relabeling():
     )
     assert open_dynam_iso(system, moved) == sigma
     assert open_dynam_iso(system, graybox(decay_open_net())) is None
+
+
+def test_open_dynam_iso_reports_a_malformed_budget_before_any_check(monkeypatch):
+    system = graybox(sir_open_net())
+    other_feet = graybox(decay_open_net())  # feet differ
+    other_apex = OpenDynam(  # same feet, one place more
+        system.foot_left,
+        system.foot_right,
+        FinFunction(system.foot_left, FinSet(4), system.leg_left.table),
+        FinFunction(system.foot_right, FinSet(4), system.leg_right.table),
+        PolyVectorField.zero(FinSet(4)),
+    )
+    for other in (other_feet, other_apex):
+        assert open_dynam_iso(system, other) is None
+    monkeypatch.setenv(ISO_BUDGET_ENV, "abc")
+    for other in (other_feet, other_apex):
+        with pytest.raises(ModelValidationError):
+            open_dynam_iso(system, other)
 
 
 # -- boundary flows and integration --------------------------------------------------------

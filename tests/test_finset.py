@@ -336,3 +336,11 @@ def test_bad_env_budget_is_a_validation_error(monkeypatch):
     monkeypatch.setenv(ISO_BUDGET_ENV, "0")
     with pytest.raises(ModelValidationError):
         find_iso(FinSet(2), FinSet(2))
+
+
+def test_bad_env_budget_is_reported_before_the_size_check(monkeypatch):
+    from opencospan import ModelValidationError
+
+    monkeypatch.setenv(ISO_BUDGET_ENV, "abc")
+    with pytest.raises(ModelValidationError):
+        find_iso(FinSet(2), FinSet(3))

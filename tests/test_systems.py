@@ -128,6 +128,84 @@ def test_labels_must_be_preserved_exactly():
     assert any("label" in v for v in validate_morphism(m))
 
 
+def _graph(n, src, tgt):
+    return Graph(FinSet(n), FinSet(len(src)), fn(src, n), fn(tgt, n))
+
+
+def _net(n, src, tgt):
+    over = FinSet(n)
+    return PetriNet(
+        over,
+        FinSet(len(src)),
+        tuple(Multiset.from_dict(over, d) for d in src),
+        tuple(Multiset.from_dict(over, d) for d in tgt),
+    )
+
+
+def _failing_morphisms():
+    """One morphism per kind that fails at several cells on both sides."""
+    d = _graph(3, [0, 1, 2, 0], [1, 2, 0, 0])
+    c = _graph(2, [0, 1, 1], [1, 0, 0])
+    f, g = fn([0, 1, 1], 2), fn([2, 0, 1, 0], 3)
+    dn = _net(3, [{0: 1}, {1: 2}, {0: 1, 2: 1}, {2: 1}], [{1: 1}, {2: 1}, {0: 2}, {1: 1}])
+    cn = _net(2, [{1: 1}, {1: 2}, {0: 1}], [{1: 1}, {0: 1}, {}])
+    fp, gp = fn([0, 1, 1], 2), fn([0, 1, 1, 0], 3)
+    return {
+        "graph": SystemMorphism(d, c, f, g),
+        "lgraph": SystemMorphism(
+            LabeledGraph(d, ("a", 2, True, 1.0)), LabeledGraph(c, (1, "a", 2)), f, g
+        ),
+        "petri": SystemMorphism(dn, cn, fp, gp),
+        "petri_rates": SystemMorphism(
+            PetriNetWithRates(dn, (0.5, 0.25, 0.125, 0.25)),
+            PetriNetWithRates(cn, (0.75, 0.5, 0.5)),
+            fp,
+            gp,
+        ),
+    }
+
+
+_GRAPH_VIOLATIONS = [
+    "source square fails at edge 0: 0 != 1",
+    "target square fails at edge 0: 1 != 0",
+    "source square fails at edge 1: 1 != 0",
+    "target square fails at edge 3: 0 != 1",
+]
+_NET_VIOLATIONS = [
+    "consumed multiset not preserved at transition 0",
+    "produced multiset not preserved at transition 1",
+    "consumed multiset not preserved at transition 2",
+    "produced multiset not preserved at transition 2",
+]
+# recorded before the four kinds shared one code path: per cell, source side
+# first, then target side; attribute checks after all cells
+PINNED_VIOLATIONS = {
+    "graph": _GRAPH_VIOLATIONS,
+    "lgraph": _GRAPH_VIOLATIONS
+    + [
+        "label not preserved at edge 0: 'a' != 2",
+        "label not preserved at edge 1: 2 != 1",
+        "label not preserved at edge 2: True != 'a'",
+        "label not preserved at edge 3: 1.0 != 1",
+    ],
+    "petri": _NET_VIOLATIONS,
+    "petri_rates": _NET_VIOLATIONS
+    + [
+        "rate sum mismatch at transition 1: expected 0.375, found 0.5",
+        "rate sum mismatch at transition 2: expected 0, found 0.5",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_VIOLATIONS))
+def test_violation_lists_are_pinned(kind):
+    m = _failing_morphisms()[kind]
+    assert validate_morphism(m) == PINNED_VIOLATIONS[kind]
+    assert validate_morphism(m, check_rates=False) == PINNED_VIOLATIONS[kind][:4] + (
+        PINNED_VIOLATIONS[kind][4:] if kind == "lgraph" else []
+    )
+
+
 @pytest.mark.parametrize("a, b", [(1, True), (1, 1.0), (0, False)])
 def test_labels_compare_by_type_and_value(a, b):
     inner = loop_graph(1, [0])
