@@ -48,6 +48,7 @@ from .systems import (
     is_discrete,
     system_coproduct,
     system_pushout,
+    system_union,
     validate_morphism,
 )
 
@@ -164,14 +165,14 @@ def hcompose(m: Cospan, n: Cospan) -> Cospan:
                 f"left foot has size {n.foot_left.size}"
             )
         po = pushout(m.leg_right, n.leg_left)
-        theory = decoration_theory(m.kind)
-        decoration = theory.reindex(po.quotient, theory.laxator(m.decoration, n.decoration))
+        # po.left and po.right are the quotient after the two injections, so
+        # this is reindex(po.quotient, laxator(d, e)) with each cell moved once
         return DecoratedCospan(
             m.foot_left,
             n.foot_right,
             compose(po.left, m.leg_left),
             compose(po.right, n.leg_right),
-            decoration,
+            system_union(m.decoration, po.left, n.decoration, po.right),
         )
     assert isinstance(n, StructuredCospan)
     if m.leg_right.dom != n.leg_left.dom:
@@ -558,11 +559,14 @@ def _graph_adjacency(system: System) -> dict[tuple[int, int], Counter]:
 
 
 def _petri_signature(system: System) -> list[tuple]:
-    keys = list(_cell_keys(system))
-    return [
-        tuple(sorted((src[p], tgt[p], rate) for src, tgt, rate in keys))
-        for p in interface_of(system)
-    ]
+    """Each place's sorted (consumed, produced, rate key) over the transitions
+    that touch it; every other transition adds (0, 0, rate key)."""
+    profiles: list[list] = [[] for _ in interface_of(system)]
+    for src, tgt, rate in _cell_keys(system):
+        consumed, produced = dict(src), dict(tgt)
+        for p in consumed.keys() | produced.keys():
+            profiles[p].append((consumed.get(p, 0), produced.get(p, 0), rate))
+    return [tuple(sorted(profile)) for profile in profiles]
 
 
 def _adjacency_rule(d: System, e: System):
@@ -585,6 +589,10 @@ def _adjacency_rule(d: System, e: System):
 def _signature_rule(d: System, e: System):
     """Petri shape: a place maps only to a place with the same profile."""
     sig_m, sig_n = _petri_signature(d), _petri_signature(e)
+    # a profile leaves out the (0, 0, rate key) of untouched transitions:
+    # profiles that hold them compare equal only if all the rates do
+    if sorted(d.attrs or ()) != sorted(e.attrs or ()):
+        return lambda x, y, assignment: False
     return lambda x, y, assignment: sig_m[x] == sig_n[y]
 
 

@@ -189,11 +189,12 @@ def mass_action(net: PetriNetWithRates) -> PolyVectorField:
     """
     n = net.places.size
     raw: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for t in net.transitions:
-        exps = tuple(net.net.src[t].counts)
-        rate = net.rates[t]
-        for p in net.places:
-            delta = net.net.tgt[t].counts[p] - net.net.src[t].counts[p]
+    for consumed, produced, rate in zip(net.net.src, net.net.tgt, net.rates):
+        exps = consumed.counts
+        deltas = dict(produced.pairs)
+        for p, k in consumed.pairs:
+            deltas[p] = deltas.get(p, 0) - k
+        for p, delta in deltas.items():
             if delta:
                 raw[p].append((rate * delta, exps))
     return PolyVectorField(

@@ -60,8 +60,9 @@ class FinFunction:
             raise ValueError(
                 f"table length {len(self.table)} does not match domain size {self.dom.size}"
             )
+        size = self.cod.size
         for x, y in enumerate(self.table):
-            if y not in self.cod:
+            if not (isinstance(y, int) and 0 <= y < size):
                 raise ValueError(
                     f"table[{x}] = {y!r} is outside the codomain of size {self.cod.size}"
                 )

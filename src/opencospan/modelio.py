@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -134,8 +135,8 @@ def system_to_json(system: Union[System, PolyVectorField]) -> dict:
         return out
     transitions = [
         {
-            "src": {str(p): k for p, k in enumerate(consumed.counts) if k},
-            "tgt": {str(p): k for p, k in enumerate(produced.counts) if k},
+            "src": {str(p): k for p, k in consumed.pairs},
+            "tgt": {str(p): k for p, k in produced.pairs},
         }
         for consumed, produced in zip(src, tgt)
     ]
@@ -154,6 +155,8 @@ def _multiset_from_json(value: Any, places: FinSet, where: str) -> Multiset:
             place = int(key)
         except (TypeError, ValueError):
             raise ModelFormatError(f"{where} has non-numeric place key {key!r}") from None
+        if key != str(place):
+            raise ModelFormatError(f"{where} has place key {key!r}, expected {str(place)!r}")
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ModelFormatError(f"{where}[{key}] must be a nonnegative integer")
         if place not in places:
@@ -296,36 +299,22 @@ def cospan_from_json(kind: str, representation: str, value: Any) -> Payload:
         )
     system = system_from_json(kind, value["system"])
     apex = system.over if isinstance(system, PolyVectorField) else interface_of(system)
-    if kind == "dynam":
-        if representation != "decorated":
-            raise ModelFormatError("dynam models only have a decorated representation")
-        assert isinstance(system, PolyVectorField)
-        foot_left = FinSet(_as_size(value["footLeft"], "footLeft"))
-        foot_right = FinSet(_as_size(value["footRight"], "footRight"))
-        try:
-            return OpenDynam(
-                foot_left,
-                foot_right,
-                _finfunction(value["legLeft"], apex, "legLeft", dom=foot_left),
-                _finfunction(value["legRight"], apex, "legRight", dom=foot_right),
-                system,
-            )
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from exc
-    assert not isinstance(system, PolyVectorField)
+    if kind == "dynam" and representation != "decorated":
+        raise ModelFormatError("dynam models only have a decorated representation")
     if representation == "decorated":
         foot_left = FinSet(_as_size(value["footLeft"], "footLeft"))
         foot_right = FinSet(_as_size(value["footRight"], "footRight"))
         try:
-            return DecoratedCospan(
+            return (OpenDynam if kind == "dynam" else DecoratedCospan)(
                 foot_left,
                 foot_right,
                 _finfunction(value["legLeft"], apex, "legLeft", dom=foot_left),
                 _finfunction(value["legRight"], apex, "legRight", dom=foot_right),
-                system,
+                system,  # type: ignore[arg-type]
             )
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from exc
+    assert not isinstance(system, PolyVectorField)
     if representation != "structured":
         raise ModelFormatError(f"unknown representation {value['representation']!r}")
     left_foot = _foot_system(kind, value["footLeft"], "footLeft")
@@ -448,13 +437,27 @@ def _check_name_lengths(names: Names, payload: Payload) -> None:
             raise ModelFormatError(f"names.{label} has {len(got)} entries, expected {want}")
 
 
-def load_model(path: str) -> ModelFile:
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ModelFormatError(f"duplicate key {key!r} in one JSON object")
+    return obj
+
+
+def _read_json(path: str) -> Any:
+    """A JSON file's value; invalid JSON and repeated keys in an object are refused."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return model_from_json(raw)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
+
+
+def load_model(path: str) -> ModelFile:
+    return model_from_json(_read_json(path))
 
 
 def save_model(path: str, model: ModelFile) -> None:
@@ -542,12 +545,7 @@ def sim_config_from_json(value: Any) -> SimConfig:
 
 
 def load_sim_config(path: str) -> SimConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return sim_config_from_json(raw)
+    return sim_config_from_json(_read_json(path))
 
 
 def resolve_simulation(

@@ -51,47 +51,78 @@ def label_key(label: Label) -> tuple[type, Label]:
     return (type(label), label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Multiset:
-    """A finite multiset over {0..n-1}, stored as a count per element."""
+    """A finite multiset over {0..n-1}, stored sparsely as its nonzero
+    (place, count) `pairs` in place order; built from and read back as one
+    count per place (`counts`)."""
 
     over: FinSet
-    counts: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if len(self.counts) != self.over.size:
-            raise ValueError(
-                f"multiset has {len(self.counts)} counts over a set of size {self.over.size}"
-            )
-        for i, k in enumerate(self.counts):
+    def __init__(self, over: FinSet, counts: Sequence[int]) -> None:
+        counts = tuple(counts)
+        if len(counts) != over.size:
+            raise ValueError(f"multiset has {len(counts)} counts over a set of size {over.size}")
+        for i, k in enumerate(counts):
             if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ValueError(f"count at {i} must be a nonnegative int, got {k!r}")
+        self.__post_init__(over, tuple([(p, k) for p, k in enumerate(counts) if k]))
+
+    def __post_init__(self, over: FinSet, pairs: tuple[tuple[int, int], ...]) -> None:
+        """Check the pairs, in O(len(pairs)), and set the fields."""
+        last = -1
+        for p, k in pairs:
+            if type(p) is not int or not last < p or type(k) is not int or k <= 0:
+                raise ValueError(f"pairs need increasing places and positive counts: {pairs!r}")
+            last = p
+        if last >= over.size:
+            raise ValueError(f"place {last} is outside the set of size {over.size}")
+        object.__setattr__(self, "over", over)
+        object.__setattr__(self, "pairs", pairs)
+
+    @classmethod
+    def _from_pairs(cls, over: FinSet, pairs: tuple[tuple[int, int], ...]) -> Multiset:
+        ms = object.__new__(cls)
+        ms.__post_init__(over, pairs)
+        return ms
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        counts = [0] * self.over.size
+        for p, k in self.pairs:
+            counts[p] = k
+        return tuple(counts)
+
+    def __repr__(self) -> str:
+        return f"Multiset(over={self.over!r}, counts={self.counts!r})"
 
     @staticmethod
     def zero(over: FinSet) -> Multiset:
-        return Multiset(over, (0,) * over.size)
+        return Multiset._from_pairs(over, ())
 
     @staticmethod
     def from_dict(over: FinSet, entries: dict[int, int]) -> Multiset:
-        counts = [0] * over.size
         for place, k in entries.items():
             if place not in over:
                 raise ValueError(f"place {place} is outside the set of size {over.size}")
-            counts[place] += k
-        return Multiset(over, tuple(counts))
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+                raise ValueError(f"count at {place} must be a nonnegative int, got {k!r}")
+        return Multiset._from_pairs(over, tuple(sorted([(p, k) for p, k in entries.items() if k])))
 
     def pushforward(self, f: FinFunction) -> Multiset:
         """Transport counts along f, summing over merged elements."""
         if f.dom != self.over:
             raise MorphismShapeError("multiset pushforward along a map with the wrong domain")
-        counts = [0] * f.cod.size
-        for place, k in enumerate(self.counts):
-            counts[f.table[place]] += k
-        return Multiset(f.cod, tuple(counts))
+        table = f.table
+        moved: dict[int, int] = {}
+        for p, k in self.pairs:
+            q = table[p]
+            moved[q] = moved.get(q, 0) + k
+        return Multiset._from_pairs(f.cod, tuple(sorted(moved.items())))
 
     def total(self) -> int:
-        return sum(self.counts)
+        return sum(k for _, k in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -209,13 +240,8 @@ class PetriNetWithRates(_Attributed):
             if not (r >= 0.0):
                 raise ValueError(f"rate at transition {i} must be nonnegative, got {r}")
 
-    @property
-    def places(self) -> FinSet:
-        return self.net.places
-
-    @property
-    def transitions(self) -> FinSet:
-        return self.net.transitions
+    places = property(attrgetter("net.places"))
+    transitions = property(attrgetter("net.transitions"))
 
 
 System = Union[Graph, LabeledGraph, PetriNet, PetriNetWithRates]
@@ -270,13 +296,8 @@ class SystemMorphism:
         if self.edge_map.dom != cells_of(self.dom) or self.edge_map.cod != cells_of(self.cod):
             raise MorphismShapeError("edge map does not fit the two systems")
 
-    @property
-    def place_map(self) -> FinFunction:
-        return self.node_map
-
-    @property
-    def transition_map(self) -> FinFunction:
-        return self.edge_map
+    place_map = property(attrgetter("node_map"))
+    transition_map = property(attrgetter("edge_map"))
 
     @staticmethod
     def identity(system: System) -> SystemMorphism:
@@ -330,22 +351,34 @@ def validate_morphism(m: SystemMorphism, check_rates: bool = True) -> list[str]:
     return violations
 
 
-def system_coproduct(x: System, y: System) -> tuple[System, SystemMorphism, SystemMorphism]:
-    """Disjoint union of two systems of the same kind, with its injections."""
+def system_union(x: System, f: FinFunction, y: System, g: FinFunction) -> System:
+    """The disjoint union of x and y, its nodes moved along f and g into one
+    shared node set: `relabel(copair(f, g), x + y)`, with each cell moved once.
+
+    Along the coproduct injections this is the coproduct; along the two maps
+    of a pushout it is the decoration of a composite cospan.
+    """
     if x.kind != y.kind:
         raise KindError(f"cannot form a coproduct of kinds {x.kind!r} and {y.kind!r}")
+    if f.dom != interface_of(x) or g.dom != interface_of(y) or f.cod != g.cod:
+        raise MorphismShapeError("union maps must start at the two node sets and share a target")
     theory = decoration_theory(x.kind)
     move = theory.move
-    nodes, node_inl, node_inr = coproduct(interface_of(x), interface_of(y))
-    cells, cell_inl, cell_inr = coproduct(cells_of(x), cells_of(y))
     (x_src, x_tgt), (y_src, y_tgt) = x.ends, y.ends
-    out = theory.build(
-        nodes,
-        cells,
-        move(x_src, node_inl) + move(y_src, node_inr),
-        move(x_tgt, node_inl) + move(y_tgt, node_inr),
+    return theory.build(
+        f.cod,
+        FinSet(cells_of(x).size + cells_of(y).size),
+        move(x_src, f) + move(y_src, g),
+        move(x_tgt, f) + move(y_tgt, g),
         None if x.attrs is None else x.attrs + y.attrs,
     )
+
+
+def system_coproduct(x: System, y: System) -> tuple[System, SystemMorphism, SystemMorphism]:
+    """Disjoint union of two systems of the same kind, with its injections."""
+    _, node_inl, node_inr = coproduct(interface_of(x), interface_of(y))
+    _, cell_inl, cell_inr = coproduct(cells_of(x), cells_of(y))
+    out = system_union(x, node_inl, y, node_inr)
     return (
         out,
         SystemMorphism(x, out, node_inl, cell_inl),
@@ -464,7 +497,7 @@ def _rate_faults(m: SystemMorphism, check_rates: bool) -> list[str]:
 
 
 # shape: (move a column of ends, the column as hashable keys (a multiset by its
-#         counts, which hash in C), build the unattributed system from parts,
+#         pairs, which hash in C), build the unattributed system from parts,
 #         wording of a broken source/target end)
 _SHAPES = {
     "graph": (
@@ -480,7 +513,7 @@ _SHAPES = {
     ),
     "petri": (
         _move_multisets,
-        partial(map, attrgetter("counts")),
+        partial(map, attrgetter("pairs")),
         PetriNet,
         (
             "consumed multiset not preserved at transition {0}",

@@ -484,3 +484,46 @@ def test_module_entrypoint_runs_standalone():
     )
     assert result.returncode == 0
     assert "PASS companion" in result.stdout
+
+
+# -- place keys and repeated keys -----------------------------------------------
+
+
+def convert_expecting_a_format_error(tmp_path, capsys, text):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    out = tmp_path / "out.json"
+    code, _, err = run_cli(capsys, "convert", str(model), "--to", "structured", "--out", str(out))
+    assert code == 3 and not out.exists()
+    return err
+
+
+@pytest.mark.parametrize(
+    "key, canonical", [("01", "1"), (" 0", "0"), ("+1", "1"), ("1 ", "1")]
+)
+def test_a_place_key_in_any_other_form_than_the_number_is_refused(
+    tmp_path, capsys, models_dir, key, canonical
+):
+    # int() would read the key as a place, and two keys for one place would
+    # silently merge their tokens
+    doc = json.loads((models_dir / "sir.json").read_text())
+    doc["payload"]["system"]["transitions"][0]["src"] = {"1": 2, key: 3}
+    err = convert_expecting_a_format_error(tmp_path, capsys, json.dumps(doc))
+    assert f"transition 0 src has place key {key!r}, expected {canonical!r}" in err
+
+
+def test_a_repeated_key_in_a_model_or_config_file_is_refused(tmp_path, capsys, models_dir):
+    text = (models_dir / "sir.json").read_text()
+    repeated = text.replace('"src":{"0":1,"1":1}', '"src":{"0":1,"1":1,"0":4}', 1)
+    assert repeated != text
+    err = convert_expecting_a_format_error(tmp_path, capsys, repeated)
+    assert "duplicate key '0' in one JSON object" in err
+
+    config = tmp_path / "sim.json"
+    config.write_text('{"t0": 0, "t1": 1, "dt": 0.5, "dt": 0.1, "initialState": {}}')
+    csv = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", str(models_dir / "sir.json"), "--config", str(config), "--out", str(csv)
+    )
+    assert code == 3 and not csv.exists()
+    assert f"{config}: duplicate key 'dt' in one JSON object" in err

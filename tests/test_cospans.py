@@ -45,9 +45,16 @@ from opencospan import (
     unit_cell,
     vcompose,
 )
-from opencospan.finset import ISO_BUDGET_ENV
-from opencospan.systems import decoration_theory
-from opencospan.laws import intro_open_graph, sir_halves, sir_open_net
+from opencospan.cospans import _signature_rule
+from opencospan.finset import ISO_BUDGET_ENV, compose, pushout
+from opencospan.systems import cells_of, decoration_theory, interface_of
+from opencospan.laws import (
+    intro_open_graph,
+    random_composable,
+    random_system,
+    sir_halves,
+    sir_open_net,
+)
 
 
 def fn(table, cod):
@@ -574,3 +581,79 @@ def test_match_cells_pairs_parallel_edges_in_order():
     double = Graph(FinSet(2), FinSet(2), fn([0, 0], 2), fn([1, 1], 2))
     k = match_cells(double, double, FinFunction.identity(FinSet(2)))
     assert k == FinFunction.identity(FinSet(2))
+
+
+# -- composition moves each cell once -------------------------------------------
+
+
+def composed_by_the_two_move_formula(m, n):
+    """hcompose as defined: the laxator's disjoint union, moved along the quotient."""
+    po = pushout(m.leg_right, n.leg_left)
+    theory = decoration_theory(m.kind)
+    return DecoratedCospan(
+        m.foot_left,
+        n.foot_right,
+        compose(po.left, m.leg_left),
+        compose(po.right, n.leg_right),
+        theory.reindex(po.quotient, theory.laxator(m.decoration, n.decoration)),
+    )
+
+
+@pytest.mark.parametrize("kind", ["graph", "lgraph", "petri", "petri_rates"])
+def test_hcompose_equals_the_two_move_formula_on_seeded_chains(kind):
+    for seed in range(12):
+        chain = random_composable(Random(f"{kind}-{seed}"), kind, 5)
+        decorated = structured = chain[0]
+        for n in chain[1:]:
+            expected = composed_by_the_two_move_formula(decorated, n)
+            decorated = hcompose(decorated, n)
+            assert decorated == expected
+            structured = hcompose(to_structured(structured), to_structured(n))
+            assert structured == to_structured(expected)
+            structured = to_decorated(structured)
+
+
+def test_hcompose_of_rated_nets_pushes_each_end_forward_once(monkeypatch):
+    calls = []
+    pushforward = Multiset.pushforward
+
+    def counted(ms, f):
+        calls.append(f)
+        return pushforward(ms, f)
+
+    monkeypatch.setattr(Multiset, "pushforward", counted)
+    left, right = sir_halves()
+    composite = hcompose(left, right)
+    cells = composite.decoration.transitions.size
+    assert cells == 2
+    # one pushforward per consumed and per produced multiset of the composite
+    assert len(calls) == 2 * cells
+
+
+def full_petri_profiles(system):
+    """Per place, the sorted (consumed, produced, rate key) of every transition."""
+    src, tgt = system.ends
+    keys = [None] * len(src) if system.attrs is None else [(float, r) for r in system.attrs]
+    return [
+        sorted((s.counts[p], t.counts[p], key) for s, t, key in zip(src, tgt, keys))
+        for p in interface_of(system)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["petri", "petri_rates"])
+def test_petri_pruning_agrees_with_full_per_place_profiles(kind):
+    rng = Random(kind)
+    for _ in range(200):
+        nodes = FinSet(rng.randint(0, 4))
+        d = random_system(rng, kind, nodes, max_cells=3)
+        if rng.random() < 0.5:
+            e = random_system(rng, kind, nodes, max_cells=3)
+        else:  # the same rates, so profiles decide
+            e = relabel(FinFunction(nodes, nodes, tuple(rng.sample(range(nodes.size), nodes.size))), d)
+        if cells_of(d).size != cells_of(e).size:
+            continue
+        compatible = _signature_rule(d, e)
+        full_d, full_e = full_petri_profiles(d), full_petri_profiles(e)
+        for x in nodes:
+            for y in nodes:
+                assert compatible(x, y, []) == (full_d[x] == full_e[y])

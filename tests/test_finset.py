@@ -80,6 +80,18 @@ def test_finfunction_checks_its_table():
         FinFunction(FinSet(1), FinSet(2), (2,))
 
 
+@pytest.mark.parametrize(
+    "bad, shown", [(3, "3"), (-1, "-1"), (1.0, "1.0"), ("1", "'1'"), (None, "None")]
+)
+def test_finfunction_names_the_first_entry_outside_the_codomain(bad, shown):
+    # entries before the bad one are fine, the ones after it are bad too
+    with pytest.raises(ValueError) as caught:
+        FinFunction(FinSet(4), FinSet(3), (0, 2, bad, 7))
+    assert str(caught.value) == f"table[2] = {shown} is outside the codomain of size 3"
+    # an int subclass is an int, as it always was
+    assert FinFunction(FinSet(2), FinSet(2), (True, 0)).table == (True, 0)
+
+
 def test_identity_and_inverse():
     ident = FinFunction.identity(FinSet(3))
     assert ident.table == (0, 1, 2)
