@@ -9,8 +9,11 @@ because both presentations choose the same colimits.
 
 Conventions: `hcompose(m, n)` glues m's right foot to n's left foot, so
 composites read left to right.  `vcompose(a, b)` applies a first, then b.
-Horizontal composition is associative and unital only up to isomorphism;
-`cospan_iso` decides that equivalence and returns an explicit witness.
+Both presentations number pushout classes by their least member and
+concatenate cells, so `hcompose` and `tensor` are associative on the nose
+(`==`) but unital only up to isomorphism; `cospan_iso` decides that
+equivalence and returns an explicit witness.  `dynamics.compose_open_dynam`
+sums float coefficients, so it is associative only up to rounding.
 """
 
 from __future__ import annotations
@@ -147,23 +150,31 @@ def _present(cospan: DecoratedCospan, representation: str) -> Cospan:
     raise ValueError(f"unknown representation {representation!r}")
 
 
-def _same_species(m: Cospan, n: Cospan, what: str) -> None:
+def _check_pair(m: Cospan, n: Cospan, what: str) -> None:
+    """Raise what `hcompose` (what="compose") or `tensor` (what="tensor")
+    would raise on m and n before doing any work: first a species clash,
+    then, for compose, feet that disagree."""
     if type(m) is not type(n):
         raise ComposabilityError(f"cannot {what} a decorated and a structured cospan")
     if m.kind != n.kind:
         raise KindError(f"cannot {what} cospans of kinds {m.kind!r} and {n.kind!r}")
-
-
-def hcompose(m: Cospan, n: Cospan) -> Cospan:
-    """Glue m's right foot to n's left foot over the chosen pushout."""
-    _same_species(m, n, "compose")
+    if what != "compose":
+        return
     if isinstance(m, DecoratedCospan):
-        assert isinstance(n, DecoratedCospan)
         if m.foot_right != n.foot_left:
             raise ComposabilityError(
                 f"feet disagree: right foot has size {m.foot_right.size}, "
                 f"left foot has size {n.foot_left.size}"
             )
+    elif m.leg_right.dom != n.leg_left.dom:
+        raise ComposabilityError("feet disagree: the shared foot system must be equal")
+
+
+def hcompose(m: Cospan, n: Cospan) -> Cospan:
+    """Glue m's right foot to n's left foot over the chosen pushout."""
+    _check_pair(m, n, "compose")
+    if isinstance(m, DecoratedCospan):
+        assert isinstance(n, DecoratedCospan)
         po = pushout(m.leg_right, n.leg_left)
         # po.left and po.right are the quotient after the two injections, so
         # this is reindex(po.quotient, laxator(d, e)) with each cell moved once
@@ -175,8 +186,6 @@ def hcompose(m: Cospan, n: Cospan) -> Cospan:
             system_union(m.decoration, po.left, n.decoration, po.right),
         )
     assert isinstance(n, StructuredCospan)
-    if m.leg_right.dom != n.leg_left.dom:
-        raise ComposabilityError("feet disagree: the shared foot system must be equal")
     _, inj_m, inj_n = system_pushout(m.leg_right, n.leg_left)
     return StructuredCospan(
         compose_morphism(inj_m, m.leg_left), compose_morphism(inj_n, n.leg_right)
@@ -185,7 +194,7 @@ def hcompose(m: Cospan, n: Cospan) -> Cospan:
 
 def tensor(m: Cospan, n: Cospan) -> Cospan:
     """Set two open systems side by side; feet and apexes become coproducts."""
-    _same_species(m, n, "tensor")
+    _check_pair(m, n, "tensor")
     if isinstance(m, DecoratedCospan):
         assert isinstance(n, DecoratedCospan)
         theory = decoration_theory(m.kind)

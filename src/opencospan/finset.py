@@ -62,7 +62,7 @@ class FinFunction:
             )
         size = self.cod.size
         for x, y in enumerate(self.table):
-            if not (isinstance(y, int) and 0 <= y < size):
+            if not (type(y) is int and 0 <= y < size):
                 raise ValueError(
                     f"table[{x}] = {y!r} is outside the codomain of size {self.cod.size}"
                 )

@@ -7,21 +7,30 @@ import os
 import pathlib
 import subprocess
 import sys
+from functools import reduce
+from random import Random
 
 import pytest
 
 import opencospan
 from opencospan import (
     FlowSchedule,
+    Multiset,
     PiecewiseConstant,
+    compose_open_dynam,
     graybox,
+    hcompose,
     load_model,
     open_rate_rhs,
+    save_model,
+    tensor,
+    to_structured,
 )
-from opencospan.cli import main
+from opencospan.cli import _pairwise_fold, main
+from opencospan.errors import OpenCospanError
 from opencospan.finset import ISO_BUDGET_ENV
-from opencospan.laws import sir_open_net
-from opencospan.modelio import canonical_json
+from opencospan.laws import random_composable, random_cospan, sir_open_net
+from opencospan.modelio import ModelFile, canonical_json
 
 
 def run_cli(capsys, *args):
@@ -95,6 +104,137 @@ def test_tensor_doubles_the_boundary(tmp_path, capsys, models_dir):
     assert pair.payload.foot_left.size == 6
     assert pair.payload.foot_right.size == 2
     assert pair.payload.decoration.rates == (0.3, 0.1, 0.3, 0.1)
+
+
+# -- folding a chain of files --------------------------------------------------------
+
+KINDS = ("graph", "lgraph", "petri", "petri_rates")
+FOLDS = {"compose": hcompose, "tensor": tensor}
+
+
+def write_chain(tmp_path, name, payloads):
+    paths = []
+    for i, payload in enumerate(payloads):
+        paths.append(str(tmp_path / f"{name}-{i}.json"))
+        save_model(paths[-1], ModelFile(getattr(payload, "kind", "dynam"), payload))
+    return paths
+
+
+def left_fold_outcome(tmp_path, command, paths):
+    """Exit code, stderr and written bytes of reduce(op, payloads), the fold
+    the command line made before it folded pairwise."""
+    models = [load_model(path) for path in paths]
+    try:
+        combined = reduce(FOLDS[command], [m.payload for m in models])
+    except OpenCospanError as exc:
+        return 2, f"error: {exc}\n", None
+    out = tmp_path / "left_fold.json"
+    save_model(str(out), ModelFile(models[0].kind, combined))
+    return 0, "", out.read_bytes()
+
+
+def cli_outcome(tmp_path, capsys, command, paths):
+    out = tmp_path / "cli_fold.json"
+    if out.exists():
+        out.unlink()
+    code, _, err = run_cli(capsys, command, *paths, "--out", str(out))
+    return code, err, out.read_bytes() if out.exists() else None
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_folding_a_chain_writes_the_bytes_of_the_left_fold(tmp_path, capsys, kind):
+    for k in (2, 3, 5, 16, 33):
+        chain = random_composable(Random(f"fold-{kind}-{k}"), kind, k)
+        for present in (lambda c: c, to_structured):
+            paths = write_chain(tmp_path, kind, [present(c) for c in chain])
+            for command in FOLDS:
+                want = left_fold_outcome(tmp_path, command, paths)
+                assert want[0] == 0
+                assert cli_outcome(tmp_path, capsys, command, paths) == want, (k, command)
+
+
+def faulty_chains(kind):
+    """Chains with two faults each, where the pairwise fold would meet the
+    second fault first: one at pair (1, 2) and one at pair (2, 3)."""
+    other = "petri" if kind != "petri" else "graph"
+
+    def chain(feet, kinds=(kind,) * 5):
+        rng = Random(f"faults-{kind}-{feet}-{kinds}")
+        return [random_cospan(rng, kd, left, right) for kd, (left, right) in zip(kinds, feet)]
+
+    # feet 1 vs 3 at (1, 2), then 2 vs 0 at (2, 3)
+    two_feet = chain(((1, 2), (2, 1), (3, 2), (0, 1), (1, 1)))
+    yield "feet", two_feet
+    # feet 1 vs 3 at (1, 2), then a kind clash at (2, 3)
+    yield "kind", chain(((1, 2), (2, 1), (3, 2), (2, 1), (1, 1)), (kind,) * 3 + (other, kind))
+    # feet 1 vs 3 at (1, 2), then a structured cospan after decorated ones
+    yield "mix", two_feet[:3] + [to_structured(c) for c in two_feet[3:]]
+    # tensor ignores feet: a kind clash at (1, 2), then a mix at (2, 3)
+    clash = chain(((1, 1),) * 5, (kind, kind, other, kind, kind))
+    yield "kind-then-mix", clash[:3] + [to_structured(c) for c in clash[3:]]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_faulty_chain_fails_as_the_left_fold_does(tmp_path, capsys, kind):
+    for name, chain in faulty_chains(kind):
+        paths = write_chain(tmp_path, name, chain)
+        for command in FOLDS:
+            want = left_fold_outcome(tmp_path, command, paths)
+            if want[0] == 0:
+                continue  # tensor of the chains whose faults are only feet
+            assert cli_outcome(tmp_path, capsys, command, paths) == want, (name, command)
+
+
+def test_composing_dynam_files_keeps_the_left_fold(tmp_path, capsys):
+    # a dynam composite sums float coefficients of like terms, and only the
+    # left fold's association gives its bytes: four decays at rates 0.1, 0.2,
+    # 0.3, 0.6 sum to 1.2000000000000002 from the left but to 1.2 pairwise
+    decays = []
+    for i, rate in enumerate((0.1, 0.2, 0.3, 0.6)):
+        net = tmp_path / f"decay{i}.json"
+        system = {"places": 1, "transitions": [{"src": {"0": 1}, "tgt": {}, "rate": rate}]}
+        net.write_text(json.dumps(_small_model("petri_rates", system)))
+        decays.append(str(tmp_path / f"decay{i}-dynam.json"))
+        assert run_cli(capsys, "graybox", str(net), "--out", decays[-1])[0] == 0
+    chains = [decays] + [
+        write_chain(tmp_path, f"dynam{seed}", map(graybox, random_composable(Random(seed), "petri_rates", 5)))
+        for seed in range(8)
+    ]
+    for paths in chains:
+        payloads = [load_model(path).payload for path in paths]
+        want = tmp_path / "want.json"
+        save_model(str(want), ModelFile("dynam", reduce(compose_open_dynam, payloads)))
+        assert cli_outcome(tmp_path, capsys, "compose", paths) == (0, "", want.read_bytes())
+    decay_payloads = [load_model(path).payload for path in decays]
+    for fold, coefficient in ((reduce, -1.2000000000000002), (_pairwise_fold, -1.2)):
+        composite = fold(compose_open_dynam, decay_payloads)
+        assert composite.field.components[0].terms == ((coefficient, (1,)),)
+
+
+def test_composing_sixteen_rated_nets_moves_each_cell_at_most_four_times(
+    tmp_path, capsys, monkeypatch
+):
+    chain = random_composable(Random("count"), "petri_rates", 16, max_cells=4)
+    paths = write_chain(tmp_path, "petri_rates", chain)
+    cells = sum(c.decoration.transitions.size for c in chain)
+    counts = {"hcompose": 0, "pushforward": 0}
+    pushforward = Multiset.pushforward
+
+    def counted_hcompose(m, n):
+        counts["hcompose"] += 1
+        return hcompose(m, n)
+
+    def counted_pushforward(ms, f):
+        counts["pushforward"] += 1
+        return pushforward(ms, f)
+
+    monkeypatch.setattr(opencospan.cli, "hcompose", counted_hcompose)
+    monkeypatch.setattr(Multiset, "pushforward", counted_pushforward)
+    code, _, err = run_cli(capsys, "compose", *paths, "--out", str(tmp_path / "out.json"))
+    assert (code, err) == (0, "")
+    assert counts["hcompose"] == 15
+    # two ends per cell, each moved once per level of the fold: log2(16) = 4
+    assert 0 < counts["pushforward"] <= 2 * cells * 4
 
 
 def test_convert_roundtrip_is_byte_identical(tmp_path, capsys, models_dir):

@@ -613,6 +613,20 @@ def test_hcompose_equals_the_two_move_formula_on_seeded_chains(kind):
             structured = to_decorated(structured)
 
 
+@pytest.mark.parametrize("kind", ["graph", "lgraph", "petri", "petri_rates"])
+def test_hcompose_and_tensor_are_associative_on_the_nose(kind):
+    # the CLI folds chains pairwise and relies on ==, not on an isomorphism
+    for seed in range(40):
+        rng = Random(f"assoc-{kind}-{seed}")
+        composable = random_composable(rng, kind, 3)
+        loose = [random_composable(rng, kind, 1)[0] for _ in range(3)]
+        for present in (lambda c: c, to_structured):
+            m, n, p = map(present, composable)
+            assert hcompose(hcompose(m, n), p) == hcompose(m, hcompose(n, p))
+            m, n, p = map(present, loose)
+            assert tensor(tensor(m, n), p) == tensor(m, tensor(n, p))
+
+
 def test_hcompose_of_rated_nets_pushes_each_end_forward_once(monkeypatch):
     calls = []
     pushforward = Multiset.pushforward
