@@ -10,23 +10,23 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .errors import KindError, ModelFormatError, ModelValidationError, OpenCospanError
+from .errors import ModelFormatError, ModelValidationError, OpenCospanError
 from .finset import FinFunction, FinSet
 from .cospans import (
     Cospan,
     _check_pair,
+    _present,
     check_companion,
     check_conjoint,
     cospan_iso,
     hcompose,
     tensor,
     to_decorated,
-    to_structured,
     StructuredCospan,
 )
-from .dynamics import OpenDynam, compose_open_dynam, graybox, open_dynam_iso, simulate
+from .dynamics import graybox, simulate
 from .laws import LAW_SUITES, LawReport
 from .modelio import (
     ModelFile,
@@ -53,19 +53,13 @@ def _fold_command(args: argparse.Namespace, op, op_name: str) -> int:
         raise ModelValidationError(f"{op_name} needs at least two model files")
     models = [load_model(path) for path in args.files]
     payloads = [m.payload for m in models]
-    if all(isinstance(p, OpenDynam) for p in payloads):
-        if op is not hcompose:
-            raise KindError(f"{op_name} does not operate on dynam models")
-        # float sums of like terms change bits when reassociated: keep the left fold
-        combined: Union[Cospan, OpenDynam] = reduce(compose_open_dynam, payloads)
-    elif any(isinstance(p, OpenDynam) for p in payloads):
-        raise KindError(f"cannot {op_name} dynam models with other kinds")
-    else:
-        # the left fold would meet the first bad adjacent pair first; so does this
-        for m, n in zip(payloads, payloads[1:]):
-            _check_pair(m, n, op_name)
-        combined = _pairwise_fold(op, payloads)
-    save_model(args.out, ModelFile(models[0].kind, combined))
+    # the left fold would meet the first bad adjacent pair first; so does this
+    for m, n in zip(payloads, payloads[1:]):
+        _check_pair(m, n, op_name)
+    # composing fields sums the floats of like terms, which change bits when
+    # reassociated: dynam compose keeps the left fold
+    fold = reduce if op is hcompose and models[0].kind == "dynam" else _pairwise_fold
+    save_model(args.out, ModelFile(models[0].kind, fold(op, payloads)))
     return 0
 
 
@@ -79,25 +73,13 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     model = load_model(args.file)
-    payload = model.payload
-    if isinstance(payload, OpenDynam):
-        raise KindError("dynam models only have a decorated representation")
-    if args.to == "structured":
-        converted: Cospan = (
-            payload if isinstance(payload, StructuredCospan) else to_structured(payload)
-        )
-    else:
-        converted = (
-            payload if not isinstance(payload, StructuredCospan) else to_decorated(payload)
-        )
+    converted = _present(_normalized(model), args.to)
     save_model(args.out, ModelFile(model.kind, converted, model.names))
     return 0
 
 
 def _cmd_graybox(args: argparse.Namespace) -> int:
     model = load_model(args.file)
-    if isinstance(model.payload, OpenDynam):
-        raise KindError("model is already a dynam model")
     system = graybox(model.payload)
     save_model(args.out, ModelFile("dynam", system, model.names))
     return 0
@@ -129,7 +111,7 @@ def _parse_map(raw: str, cod: Optional[int]) -> FinFunction:
         raise ModelValidationError(str(exc)) from exc
 
 
-def _normalized(model: ModelFile) -> Union[Cospan, OpenDynam]:
+def _normalized(model: ModelFile) -> Cospan:
     if isinstance(model.payload, StructuredCospan):
         return to_decorated(model.payload)
     return model.payload
@@ -139,12 +121,7 @@ def _check_iso(args: argparse.Namespace) -> LawReport:
     if len(args.files) != 2:
         raise ModelValidationError("the iso check needs exactly two model files")
     a, b = (_normalized(load_model(path)) for path in args.files)
-    if isinstance(a, OpenDynam) and isinstance(b, OpenDynam):
-        found = open_dynam_iso(a, b) is not None
-    elif isinstance(a, OpenDynam) or isinstance(b, OpenDynam):
-        found = False
-    else:
-        found = cospan_iso(a, b) is not None
+    found = cospan_iso(a, b) is not None
     return LawReport(
         "iso", found, 1, "" if found else "no isomorphism over the shared feet"
     )

@@ -12,8 +12,15 @@ composites read left to right.  `vcompose(a, b)` applies a first, then b.
 Both presentations number pushout classes by their least member and
 concatenate cells, so `hcompose` and `tensor` are associative on the nose
 (`==`) but unital only up to isomorphism; `cospan_iso` decides that
-equivalence and returns an explicit witness.  `dynamics.compose_open_dynam`
-sums float coefficients, so it is associative only up to rounding.
+equivalence and returns an explicit witness.
+
+Open dynamical systems are the fifth decorated kind ("dynam"): the
+decoration is a polynomial vector field, and the union of two decorations
+is the sum of their pushforwards.  Composing them sums the float
+coefficients of like terms, so dynam `hcompose` is associative only up to
+rounding; `tensor` adds no two terms, so it is exact.  Fields have no
+structured presentation, and `cospan_iso` compares them within
+`field_close`'s tolerance at the leaves of the search.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import (
@@ -41,30 +49,32 @@ from .finset import (
     _iso_budget,
 )
 from .systems import (
+    Decoration,
     System,
     SystemMorphism,
     cells_of,
     compose_morphism,
     decoration_theory,
     discrete,
+    field_close,
     interface_of,
     is_discrete,
+    pushforward_field,
     system_coproduct,
     system_pushout,
-    system_union,
     validate_morphism,
 )
 
 
 @dataclass(frozen=True)
 class DecoratedCospan:
-    """A cospan of finite sets whose apex carries a system."""
+    """A cospan of finite sets whose apex carries a system (a field for dynam)."""
 
     foot_left: FinSet
     foot_right: FinSet
     leg_left: FinFunction
     leg_right: FinFunction
-    decoration: System
+    decoration: Decoration
 
     def __post_init__(self) -> None:
         apex = interface_of(self.decoration)
@@ -80,6 +90,9 @@ class DecoratedCospan:
     @property
     def kind(self) -> str:
         return self.decoration.kind
+
+    # the decoration, under the name an open dynamical system gives it
+    field = property(attrgetter("decoration"))
 
 
 @dataclass(frozen=True)
@@ -183,7 +196,7 @@ def hcompose(m: Cospan, n: Cospan) -> Cospan:
             n.foot_right,
             compose(po.left, m.leg_left),
             compose(po.right, n.leg_right),
-            system_union(m.decoration, po.left, n.decoration, po.right),
+            decoration_theory(m.kind).union(m.decoration, po.left, n.decoration, po.right),
         )
     assert isinstance(n, StructuredCospan)
     _, inj_m, inj_n = system_pushout(m.leg_right, n.leg_left)
@@ -225,6 +238,8 @@ def tensor(m: Cospan, n: Cospan) -> Cospan:
 def to_structured(cospan: DecoratedCospan) -> StructuredCospan:
     """Repackage a decorated cospan with its feet made structureless systems."""
     kind = cospan.kind
+    if decoration_theory(kind).shape == "field":
+        raise KindError(f"{kind} models only have a decorated representation")
     no_cells = FinFunction.from_empty(cells_of(cospan.decoration))
     return StructuredCospan(
         SystemMorphism(discrete(kind, cospan.foot_left), cospan.decoration, cospan.leg_left, no_cells),
@@ -262,7 +277,7 @@ def reverse(cospan: Cospan) -> Cospan:
     return StructuredCospan(cospan.leg_right, cospan.leg_left)
 
 
-def _payload(cospan: Cospan) -> System:
+def _payload(cospan: Cospan) -> Decoration:
     return cospan.decoration if isinstance(cospan, DecoratedCospan) else cospan.system
 
 
@@ -606,6 +621,19 @@ def _signature_rule(d: System, e: System):
 
 
 _PRUNING_RULES = {"graph": _adjacency_rule, "petri": _signature_rule}
+_NO_CELLS = FinFunction.identity(EMPTY)
+
+
+def _search_rules(d: Decoration, e: Decoration):
+    """The `compatible` rule and the leaf check (node bijection -> cell map
+    or None) of a search from d to e, or None when cell counts differ.  A
+    field has no cells and no pruning; its leaf check is `field_close`."""
+    shape = decoration_theory(d.kind).shape
+    if shape == "field":
+        return None, lambda h: _NO_CELLS if field_close(pushforward_field(h, d), e) else None
+    if cells_of(d).size != cells_of(e).size:
+        return None
+    return _PRUNING_RULES[shape](d, e), lambda h: match_cells(d, e, h)
 
 
 def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[IsoWitness]:
@@ -614,11 +642,12 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
     Delegates the search for an apex bijection commuting with both pairs of
     legs to `find_iso`, with this kind's pairwise pruning (adjacency counts
     between assigned nodes for graph kinds, per-place profiles for Petri
-    kinds) as its `compatible` rule, and `match_cells` as the leaf check;
-    the cell part of the witness is the one `match_cells` found there.
-    Budget, node counting and witness order are those of `find_iso`; the
-    budget is resolved first, so a malformed OPENCOSPAN_ISO_BUDGET is
-    reported whatever the inputs.
+    kinds, none for fields) as its `compatible` rule, and the kind's leaf
+    check (`match_cells`, or `field_close` for fields); the cell part of
+    the witness is the one the leaf check found there.  Budget, node
+    counting and witness order are those of `find_iso`; the budget is
+    resolved first, so a malformed OPENCOSPAN_ISO_BUDGET is reported
+    whatever the inputs.
     """
     budget = _iso_budget(budget)
     if type(m) is not type(n) or m.kind != n.kind:
@@ -628,15 +657,17 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
             return None
     elif m.foot_left != n.foot_left or m.foot_right != n.foot_right:
         return None
-    d, e = _payload(m), _payload(n)
-    if m.apex.size != n.apex.size or cells_of(d).size != cells_of(e).size:
+    if m.apex.size != n.apex.size:
         return None
-    compatible = _PRUNING_RULES[decoration_theory(m.kind).shape](d, e)
+    rules = _search_rules(_payload(m), _payload(n))
+    if rules is None:
+        return None
+    compatible, leaf = rules
     cells: Optional[FinFunction] = None
 
     def cells_match(h: FinFunction) -> bool:
         nonlocal cells
-        cells = match_cells(d, e, h)
+        cells = leaf(h)
         return cells is not None
 
     h = find_iso(

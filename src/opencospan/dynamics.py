@@ -1,19 +1,20 @@
-"""Polynomial vector fields, mass-action semantics, and open dynamics.
+"""Mass-action semantics, open dynamics, and their simulation.
 
-A field over n places is one sparse polynomial per place in the canonical
-form: exponent vectors are distinct and sorted, coefficients below 1e-12
-are dropped.  Construction-time canonicalization makes structural equality
-meaningful; `poly_close`/`field_close` compare coefficients to a relative
-tolerance, which is the working notion of equality for anything computed
-along two different routes.
+The field algebra (`Poly`, `PolyVectorField`, `pushforward_field`,
+`poly_close`/`field_close` and the rest) lives in `systems`, beside the
+kind table whose "dynam" row it makes; it is imported back here, so every
+name stays importable from this module.  A field over n places is one
+sparse polynomial per place in canonical form, and `field_close` compares
+coefficients to a relative tolerance, which is the working notion of
+equality for anything computed along two different routes.
 
-Transporting a field along a function works by substituting variables on
-the way in and summing components over merged places on the way out.  The
-mass-action field of a rated net and the gray-boxing of open nets into
-open dynamics sit on top of that; so does the one-directional fact this
-module makes checkable: a field admits a map from the empty system exactly
-when it is zero, so nonzero fields witness that gray-boxing has no
-left adjoint.
+An open dynamical system (`OpenDynam`) is a `DecoratedCospan` whose
+decoration is such a field, so it composes, tensors and is compared by
+`cospans.hcompose`, `tensor` and `cospan_iso`.  The mass-action field of
+a rated net and the gray-boxing of open nets into open dynamics sit on top
+of that; so does the one-directional fact this module makes checkable: a
+field admits a map from the empty system exactly when it is zero, so
+nonzero fields witness that gray-boxing has no left adjoint.
 
 `simulate` integrates the open rate equation (field plus boundary flows)
 with RK4.  It compiles that equation once per run with `rate_equation`
@@ -30,154 +31,27 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .errors import (
-    ComposabilityError,
-    DimensionError,
-    DivergenceError,
-    KindError,
+from .errors import DimensionError, DivergenceError, KindError
+from .finset import EMPTY, FinFunction, FinSet
+# the field algebra is imported back so that every dynamics.X name still resolves
+from .systems import (  # noqa: F401
+    COEFF_DROP,
+    PetriNetWithRates,
+    Poly,
+    PolyVectorField,
+    field_close,
+    poly_add,
+    poly_close,
+    pushforward_field,
 )
-from .finset import EMPTY, FinFunction, FinSet, _iso_budget, compose, find_iso, pushout
-from .systems import PetriNetWithRates
-from .cospans import Cospan, DecoratedCospan, StructuredCospan, to_decorated
-
-COEFF_DROP = 1e-12
-
-
-@dataclass(frozen=True)
-class Poly:
-    """A sparse real polynomial in nvars variables, in canonical form.
-
-    Terms are (coefficient, exponents) pairs with distinct exponent
-    vectors, sorted lexicographically, no coefficient within 1e-12 of
-    zero.  Use `from_terms` to build one from raw terms.
-    """
-
-    nvars: int
-    terms: tuple[tuple[float, tuple[int, ...]], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "terms", tuple((float(c), tuple(e)) for c, e in self.terms)
-        )
-        seen = []
-        for c, exps in self.terms:
-            if len(exps) != self.nvars:
-                raise ValueError(f"exponent vector {exps} is not of length {self.nvars}")
-            if any(k < 0 or not isinstance(k, int) for k in exps):
-                raise ValueError(f"exponents must be nonnegative ints, got {exps}")
-            if abs(c) <= COEFF_DROP:
-                raise ValueError(f"coefficient {c!r} is below the storage threshold")
-            seen.append(exps)
-        if seen != sorted(seen) or len(set(seen)) != len(seen):
-            raise ValueError("terms must be sorted by distinct exponent vectors")
-
-    @staticmethod
-    def zero(nvars: int) -> Poly:
-        return Poly(nvars, ())
-
-    @staticmethod
-    def from_terms(nvars: int, raw: Sequence[tuple[float, Sequence[int]]]) -> Poly:
-        """Canonicalize raw terms: combine, drop near-zeros, sort."""
-        acc: dict[tuple[int, ...], float] = {}
-        for c, exps in raw:
-            key = tuple(exps)
-            acc[key] = acc.get(key, 0.0) + float(c)
-        terms = tuple(
-            (acc[e], e) for e in sorted(acc) if abs(acc[e]) > COEFF_DROP
-        )
-        return Poly(nvars, terms)
-
-    def evaluate(self, point: Sequence[float]) -> float:
-        if len(point) != self.nvars:
-            raise DimensionError(
-                f"point of length {len(point)} for a polynomial in {self.nvars} variables"
-            )
-        total = 0.0
-        for c, exps in self.terms:
-            value = c
-            for x, k in zip(point, exps):
-                if k:
-                    value *= x**k
-            total += value
-        return total
-
-    def substitute_along(self, f: FinFunction) -> Poly:
-        """Rename variable i to variable f(i); merged variables add exponents."""
-        if f.dom.size != self.nvars:
-            raise DimensionError("substitution map must cover every variable")
-        raw = []
-        for c, exps in self.terms:
-            new = [0] * f.cod.size
-            for i, k in enumerate(exps):
-                new[f.table[i]] += k
-            raw.append((c, tuple(new)))
-        return Poly.from_terms(f.cod.size, raw)
-
-
-def poly_add(*polys: Poly) -> Poly:
-    if not polys:
-        raise ValueError("need at least one polynomial")
-    nvars = polys[0].nvars
-    raw: list[tuple[float, tuple[int, ...]]] = []
-    for p in polys:
-        if p.nvars != nvars:
-            raise DimensionError("cannot add polynomials in different variable counts")
-        raw.extend(p.terms)
-    return Poly.from_terms(nvars, raw)
-
-
-def poly_close(p: Poly, q: Poly, rel: float = 1e-9) -> bool:
-    """Structural equality: identical exponent sets, coefficients within rel.
-
-    A term unmatched on the other side passes only if its coefficient is
-    itself below the tolerance (it may have been dropped at the storage
-    threshold along one route).
-    """
-    if p.nvars != q.nvars:
-        return False
-    a = {e: c for c, e in p.terms}
-    b = {e: c for c, e in q.terms}
-    for e in set(a) | set(b):
-        ca, cb = a.get(e, 0.0), b.get(e, 0.0)
-        if abs(ca - cb) > rel * max(abs(ca), abs(cb), 1e-3):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class PolyVectorField:
-    """One polynomial per place: the right-hand side of an autonomous ODE."""
-
-    over: FinSet
-    components: tuple[Poly, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        if len(self.components) != self.over.size:
-            raise ValueError(
-                f"{len(self.components)} components over a set of size {self.over.size}"
-            )
-        for i, p in enumerate(self.components):
-            if p.nvars != self.over.size:
-                raise ValueError(f"component {i} uses {p.nvars} variables, need {self.over.size}")
-
-    @staticmethod
-    def zero(over: FinSet) -> PolyVectorField:
-        return PolyVectorField(over, tuple(Poly.zero(over.size) for _ in over))
-
-    def evaluate(self, point: Sequence[float]) -> list[float]:
-        if len(point) != self.over.size:
-            raise DimensionError(
-                f"state of length {len(point)} for a field over {self.over.size} places"
-            )
-        return [p.evaluate(point) for p in self.components]
-
-
-def field_close(u: PolyVectorField, v: PolyVectorField, rel: float = 1e-9) -> bool:
-    return (
-        u.over == v.over
-        and all(poly_close(p, q, rel) for p, q in zip(u.components, v.components))
-    )
+from .cospans import (
+    Cospan,
+    DecoratedCospan,
+    StructuredCospan,
+    cospan_iso,
+    hcompose,
+    to_decorated,
+)
 
 
 def mass_action(net: PetriNetWithRates) -> PolyVectorField:
@@ -202,24 +76,6 @@ def mass_action(net: PetriNetWithRates) -> PolyVectorField:
     )
 
 
-def pushforward_field(f: FinFunction, v: PolyVectorField) -> PolyVectorField:
-    """Transport a field over M to one over N along f: M -> N.
-
-    Incoming states are pulled back (each variable reads the value of its
-    image), components over a shared image are added.  This is functorial
-    on the nose, which the tests pin down.
-    """
-    if v.over != f.dom:
-        raise DimensionError("field must live over the map's domain")
-    buckets: list[list[Poly]] = [[] for _ in range(f.cod.size)]
-    for i, p in enumerate(v.components):
-        buckets[f.table[i]].append(p.substitute_along(f))
-    components = tuple(
-        poly_add(*bucket) if bucket else Poly.zero(f.cod.size) for bucket in buckets
-    )
-    return PolyVectorField(f.cod, components)
-
-
 def admits_morphism_from_empty(v: PolyVectorField) -> bool:
     """Whether the empty open dynamical system maps into (S, v).
 
@@ -236,34 +92,15 @@ def _empty_candidate(over: FinSet) -> PolyVectorField:
     return pushforward_field(FinFunction.from_empty(over), PolyVectorField.zero(EMPTY))
 
 
-@dataclass(frozen=True)
-class OpenDynam:
-    """A polynomial field with chosen inflow and outflow boundary maps."""
-
-    foot_left: FinSet
-    foot_right: FinSet
-    leg_left: FinFunction
-    leg_right: FinFunction
-    field: PolyVectorField
-
-    def __post_init__(self) -> None:
-        if self.leg_left.dom != self.foot_left or self.leg_left.cod != self.field.over:
-            raise ValueError("left leg must map the left foot into the field's places")
-        if self.leg_right.dom != self.foot_right or self.leg_right.cod != self.field.over:
-            raise ValueError("right leg must map the right foot into the field's places")
-
-    @property
-    def apex(self) -> FinSet:
-        return self.field.over
+OpenDynam = DecoratedCospan
+"""An open dynamical system: a cospan decorated by a polynomial vector field."""
 
 
 def graybox(open_net: Cospan) -> OpenDynam:
     """Forget a rated open net's wiring diagram, keep its mass-action ODEs."""
     if isinstance(open_net, StructuredCospan):
         open_net = to_decorated(open_net)
-    if not isinstance(open_net, DecoratedCospan) or not isinstance(
-        open_net.decoration, PetriNetWithRates
-    ):
+    if not isinstance(open_net, DecoratedCospan) or open_net.kind != "petri_rates":
         raise KindError("gray-boxing applies to open Petri nets with rates")
     return OpenDynam(
         open_net.foot_left,
@@ -275,49 +112,15 @@ def graybox(open_net: Cospan) -> OpenDynam:
 
 
 def compose_open_dynam(m: OpenDynam, n: OpenDynam) -> OpenDynam:
-    """Glue two open dynamical systems along their shared foot.
-
-    States over the glued place set restrict to states of each part; the
-    composite field is the sum of the parts' fields transported along the
-    pushout injections.
-    """
-    if m.foot_right != n.foot_left:
-        raise ComposabilityError(
-            f"feet disagree: right foot has size {m.foot_right.size}, "
-            f"left foot has size {n.foot_left.size}"
-        )
-    po = pushout(m.leg_right, n.leg_left)
-    left = pushforward_field(po.left, m.field)
-    right = pushforward_field(po.right, n.field)
-    field = PolyVectorField(
-        po.apex,
-        tuple(poly_add(p, q) for p, q in zip(left.components, right.components)),
-    )
-    return OpenDynam(
-        m.foot_left,
-        n.foot_right,
-        compose(po.left, m.leg_left),
-        compose(po.right, n.leg_right),
-        field,
-    )
+    """Glue two open dynamical systems along their shared foot: `hcompose`."""
+    return hcompose(m, n)
 
 
-def open_dynam_iso(
-    m: OpenDynam, n: OpenDynam, rel: float = 1e-9
-) -> Optional[FinFunction]:
-    """A place bijection commuting with the legs that carries one field to
-    the other (coefficients compared within rel), or None.  The search
-    budget is resolved first, as in `find_iso`."""
-    budget = _iso_budget(None)
-    if m.foot_left != n.foot_left or m.foot_right != n.foot_right:
-        return None
-    return find_iso(
-        m.apex,
-        n.apex,
-        constraints=[(m.leg_left, n.leg_left), (m.leg_right, n.leg_right)],
-        predicate=lambda h: field_close(pushforward_field(h, m.field), n.field, rel),
-        budget=budget,
-    )
+def open_dynam_iso(m: OpenDynam, n: OpenDynam) -> Optional[FinFunction]:
+    """The place bijection `cospan_iso` finds between two open dynamical
+    systems, or None."""
+    witness = cospan_iso(m, n)
+    return None if witness is None else witness.node_map
 
 
 @dataclass(frozen=True)

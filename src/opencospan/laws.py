@@ -17,12 +17,12 @@ from typing import Callable, Iterable, Optional
 from .finset import FinFunction, FinSet, compose, pushout
 from .systems import (
     Graph,
-    LabeledGraph,
     Multiset,
     PetriNet,
     PetriNetWithRates,
     System,
     SystemMorphism,
+    decoration_theory,
     validate_morphism,
 )
 from .cospans import (
@@ -46,7 +46,6 @@ from .dynamics import (
     Poly,
     PolyVectorField,
     admits_morphism_from_empty,
-    compose_open_dynam,
     field_close,
     graybox,
     simulate,
@@ -196,33 +195,33 @@ def random_function(rng: Random, dom: FinSet, cod: FinSet) -> FinFunction:
     return FinFunction(dom, cod, tuple(rng.randrange(cod.size) for _ in dom))
 
 
+# per shape, one random cell end; per attributed kind, one random attribute
+_RANDOM_ENDS = {
+    "graph": lambda rng, nodes: rng.randrange(nodes.size),
+    "petri": lambda rng, nodes: Multiset(
+        nodes, tuple(rng.choice((0, 0, 0, 1, 1, 2)) for _ in nodes)
+    ),
+}
+_RANDOM_ATTRS = {
+    "lgraph": lambda rng: rng.choice(LABEL_POOL),
+    "petri_rates": lambda rng: round(rng.uniform(0.0, 5.0), 6),
+}
+
+
 def random_system(rng: Random, kind: str, nodes: FinSet, max_cells: int = 5) -> System:
+    """A random system of a cell kind, built by its theory; the draws come in
+    a fixed order: the cell count, all sources, all targets, all attributes."""
+    theory = decoration_theory(kind)
+    if theory.shape not in _RANDOM_ENDS:
+        raise ValueError(f"no random systems of kind {kind!r}")
     n_cells = rng.randint(0, max_cells) if nodes.size > 0 else 0
     cells = FinSet(n_cells)
-    if kind in ("graph", "lgraph"):
-        graph = Graph(
-            nodes,
-            cells,
-            random_function(rng, cells, nodes),
-            random_function(rng, cells, nodes),
-        )
-        if kind == "graph":
-            return graph
-        return LabeledGraph(graph, tuple(rng.choice(LABEL_POOL) for _ in cells))
-    if kind in ("petri", "petri_rates"):
-        def multisets() -> tuple[Multiset, ...]:
-            return tuple(
-                Multiset(nodes, tuple(rng.choice((0, 0, 0, 1, 1, 2)) for _ in nodes))
-                for _ in cells
-            )
-
-        net = PetriNet(nodes, cells, multisets(), multisets())
-        if kind == "petri":
-            return net
-        return PetriNetWithRates(
-            net, tuple(round(rng.uniform(0.0, 5.0), 6) for _ in cells)
-        )
-    raise ValueError(f"unknown kind {kind!r}")
+    end = _RANDOM_ENDS[theory.shape]
+    src = tuple(end(rng, nodes) for _ in cells)
+    tgt = tuple(end(rng, nodes) for _ in cells)
+    attr = _RANDOM_ATTRS.get(kind)
+    attrs = None if attr is None else tuple(attr(rng) for _ in cells)
+    return theory.build(nodes, cells, src, tgt, attrs)
 
 
 def random_cospan(
@@ -521,7 +520,7 @@ def graybox_functoriality(cases: int = 200, seed: int = 29) -> LawReport:
     for case in range(cases):
         m, n = random_composable(rng, "petri_rates", 2, max_apex=4, max_foot=3, max_cells=3)
         via_nets = graybox(hcompose(m, n))
-        via_fields = compose_open_dynam(graybox(m), graybox(n))
+        via_fields = hcompose(graybox(m), graybox(n))
         if (
             via_nets.leg_left != via_fields.leg_left
             or via_nets.leg_right != via_fields.leg_right

@@ -23,17 +23,20 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from .errors import ModelFormatError, ModelValidationError, NotInImageOfL
 from .finset import EMPTY, FinFunction, FinSet
 from .systems import (
     KINDS,
+    Decoration,
     Graph,
     LabeledGraph,
     Multiset,
     PetriNet,
     PetriNetWithRates,
+    Poly,
+    PolyVectorField,
     System,
     SystemMorphism,
     cells_of,
@@ -43,16 +46,9 @@ from .systems import (
     is_discrete,
 )
 from .cospans import Cospan, DecoratedCospan, StructuredCospan, representation_of
-from .dynamics import (
-    FlowSchedule,
-    OpenDynam,
-    PiecewiseConstant,
-    Poly,
-    PolyVectorField,
-)
+from .dynamics import FlowSchedule, OpenDynam, PiecewiseConstant, graybox
 
 MODEL_VERSION = "1"
-KINDS_IN_FILES = ("graph", "lgraph", "petri", "petri_rates", "dynam")
 
 
 def canonical_json(value: Any) -> str:
@@ -110,20 +106,21 @@ def _finfunction(value: Any, cod: FinSet, where: str, dom: Optional[FinSet] = No
         raise ModelFormatError(f"{where}: {exc}") from exc
 
 
-def system_to_json(system: Union[System, PolyVectorField]) -> dict:
+def system_to_json(system: Decoration) -> dict:
     """The kind's base shape, plus its attribute column when it has one."""
-    if isinstance(system, PolyVectorField):
+    if getattr(system, "kind", None) not in KINDS:
+        raise ModelFormatError(f"cannot serialize {type(system).__name__}")
+    shape = decoration_theory(system.kind).shape
+    if shape == "field":
         return {
             "places": system.over.size,
             "field": [
                 [[c, list(exps)] for c, exps in p.terms] for p in system.components
             ],
         }
-    if getattr(system, "kind", None) not in KINDS:
-        raise ModelFormatError(f"cannot serialize {type(system).__name__}")
     src, tgt = system.ends
     attrs = system.attrs
-    if decoration_theory(system.kind).shape == "graph":
+    if shape == "graph":
         out: dict = {
             "nodes": interface_of(system).size,
             "edges": cells_of(system).size,
@@ -165,7 +162,7 @@ def _multiset_from_json(value: Any, places: FinSet, where: str) -> Multiset:
     return Multiset.from_dict(places, entries)
 
 
-def system_from_json(kind: str, value: Any) -> Union[System, PolyVectorField]:
+def system_from_json(kind: str, value: Any) -> Decoration:
     where = f"{kind} system"
     if kind in ("graph", "lgraph"):
         required = ("nodes", "edges", "src", "tgt") + (("labels",) if kind == "lgraph" else ())
@@ -249,10 +246,7 @@ def system_from_json(kind: str, value: Any) -> Union[System, PolyVectorField]:
     raise ModelFormatError(f"unknown kind {kind!r}")
 
 
-Payload = Union[Cospan, OpenDynam]
-
-
-def cospan_to_json(cospan: Payload) -> dict:
+def cospan_to_json(cospan: Cospan) -> dict:
     if isinstance(cospan, StructuredCospan):
         return {
             "footLeft": cospan.foot_left.size
@@ -266,13 +260,12 @@ def cospan_to_json(cospan: Payload) -> dict:
             "system": system_to_json(cospan.system),
             "representation": "structured",
         }
-    system = cospan.field if isinstance(cospan, OpenDynam) else cospan.decoration
     return {
         "footLeft": cospan.foot_left.size,
         "footRight": cospan.foot_right.size,
         "legLeft": list(cospan.leg_left.table),
         "legRight": list(cospan.leg_right.table),
-        "system": system_to_json(system),
+        "system": system_to_json(cospan.decoration),
         "representation": "decorated",
     }
 
@@ -280,13 +273,10 @@ def cospan_to_json(cospan: Payload) -> dict:
 def _foot_system(kind: str, value: Any, where: str) -> System:
     if isinstance(value, int) and not isinstance(value, bool):
         return discrete(kind, FinSet(_as_size(value, where)))
-    system = system_from_json(kind, value)
-    if isinstance(system, PolyVectorField):
-        raise ModelFormatError(f"{where}: a field cannot be a foot")
-    return system
+    return system_from_json(kind, value)
 
 
-def cospan_from_json(kind: str, representation: str, value: Any) -> Payload:
+def cospan_from_json(kind: str, representation: str, value: Any) -> Cospan:
     _require_keys(
         value,
         ("footLeft", "footRight", "legLeft", "legRight", "system", "representation"),
@@ -298,23 +288,22 @@ def cospan_from_json(kind: str, representation: str, value: Any) -> Payload:
             "payload representation does not match the file's representation field"
         )
     system = system_from_json(kind, value["system"])
-    apex = system.over if isinstance(system, PolyVectorField) else interface_of(system)
+    apex = interface_of(system)
     if kind == "dynam" and representation != "decorated":
         raise ModelFormatError("dynam models only have a decorated representation")
     if representation == "decorated":
         foot_left = FinSet(_as_size(value["footLeft"], "footLeft"))
         foot_right = FinSet(_as_size(value["footRight"], "footRight"))
         try:
-            return (OpenDynam if kind == "dynam" else DecoratedCospan)(
+            return DecoratedCospan(
                 foot_left,
                 foot_right,
                 _finfunction(value["legLeft"], apex, "legLeft", dom=foot_left),
                 _finfunction(value["legRight"], apex, "legRight", dom=foot_right),
-                system,  # type: ignore[arg-type]
+                system,
             )
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from exc
-    assert not isinstance(system, PolyVectorField)
     if representation != "structured":
         raise ModelFormatError(f"unknown representation {value['representation']!r}")
     left_foot = _foot_system(kind, value["footLeft"], "footLeft")
@@ -384,14 +373,12 @@ class ModelFile:
     """One model as stored on disk: a cospan plus bookkeeping."""
 
     kind: str
-    payload: Payload
+    payload: Cospan
     names: Optional[Names] = None
     version: str = MODEL_VERSION
 
     @property
     def representation(self) -> str:
-        if isinstance(self.payload, OpenDynam):
-            return "decorated"
         return representation_of(self.payload)
 
     def to_json(self) -> dict:
@@ -413,7 +400,7 @@ def model_from_json(value: Any) -> ModelFile:
     if value["version"] != MODEL_VERSION:
         raise ModelFormatError(f"unsupported version {value['version']!r}")
     kind = value["kind"]
-    if kind not in KINDS_IN_FILES:
+    if kind not in KINDS:
         raise ModelFormatError(f"unknown kind {kind!r}")
     representation = value["representation"]
     if representation not in ("structured", "decorated"):
@@ -425,7 +412,7 @@ def model_from_json(value: Any) -> ModelFile:
     return ModelFile(kind, payload, names)
 
 
-def _check_name_lengths(names: Names, payload: Payload) -> None:
+def _check_name_lengths(names: Names, payload: Cospan) -> None:
     apex = payload.apex.size
     checks = (
         ("places", names.places, apex),
@@ -552,17 +539,11 @@ def resolve_simulation(
     model: ModelFile, config: SimConfig
 ) -> tuple[OpenDynam, FlowSchedule, list[float], Names]:
     """Turn named config entries into positional state and flow schedules."""
-    from .dynamics import graybox
-
-    payload = model.payload
-    if isinstance(payload, OpenDynam):
-        system = payload
-    elif model.kind == "petri_rates":
-        system = graybox(payload)
-    else:
+    if model.kind not in ("dynam", "petri_rates"):
         raise ModelValidationError(
             f"simulation needs a dynam or petri_rates model, got kind {model.kind!r}"
         )
+    system = graybox(model.payload) if model.kind == "petri_rates" else model.payload
     names = default_names(model)
     assert names.places is not None and names.foot_left is not None
     assert names.foot_right is not None

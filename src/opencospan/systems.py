@@ -1,15 +1,16 @@
 """Concrete system kinds and the fiberwise calculus they share.
 
-Four kinds are supported: directed multigraphs ("graph"), edge-labeled
+Five kinds are supported: directed multigraphs ("graph"), edge-labeled
 graphs ("lgraph", labels are opaque scalars compared exactly: by type and
-value, so 1, 1.0 and True are three different labels), whole-grain
-Petri nets ("petri"), and Petri nets with a nonnegative rate per transition
-("petri_rates").  Each kind assigns to a finite set N of nodes (places) the
-collection of structures over N; relabeling along a function, disjoint
-union, and the structureless decoration make those collections compose.
+value, so 1, 1.0 and True are three different labels), whole-grain Petri
+nets ("petri"), Petri nets with a nonnegative rate per transition
+("petri_rates"), and polynomial vector fields ("dynam").  Each kind
+assigns to a finite set N of nodes (places) the collection of structures
+over N; relabeling along a function, disjoint union, and the structureless
+decoration make those collections compose.
 
-Every system is read the same way, whatever its kind: a node set and a
-cell set (`interface_of`, `cells_of`), the two ends of each cell
+Every cell system is read the same way, whatever its kind: a node set and
+a cell set (`interface_of`, `cells_of`), the two ends of each cell
 (`system.ends`: node indices for graph kinds, `Multiset`s of places for
 Petri kinds), and an optional attribute column (`system.attrs`: the labels
 of an lgraph, the rates of a rated net, None otherwise).  Each operation
@@ -17,6 +18,10 @@ below is written once on that reading.  What differs between kinds (how an
 end moves along a node map, how a system is built back from its parts,
 what its attributes demand of a morphism) is the kind's rule, held by its
 `DecorationTheory` and looked up once per operation.
+
+The "dynam" row of the kind table rests on the field algebra kept beside
+it (`Poly`, `PolyVectorField`, `pushforward_field`): a field has no cells,
+moves by pushing forward, and the union of two fields is their sum.
 
 A `SystemMorphism` maps nodes and edges separately.  For Petri kinds the
 node map acts on places and the edge map on transitions; token counts are
@@ -31,7 +36,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Optional, Sequence, Union
 
-from .errors import KindError, MorphismShapeError, SpanError, UnsupportedGluing
+from .errors import DimensionError, KindError, MorphismShapeError, SpanError, UnsupportedGluing
 from .finset import (
     EMPTY,
     FinFunction,
@@ -41,7 +46,7 @@ from .finset import (
     pushout,
 )
 
-KINDS = ("graph", "lgraph", "petri", "petri_rates")
+KINDS = ("graph", "lgraph", "petri", "petri_rates", "dynam")
 
 Label = Union[str, int, float, bool]
 
@@ -267,9 +272,9 @@ def is_discrete(system: System) -> bool:
     return cells_of(system).size == 0
 
 
-def discrete(kind: str, nodes: FinSet) -> System:
-    """The structureless system on a given node set."""
-    return decoration_theory(kind).build(nodes, EMPTY, (), (), ())
+def discrete(kind: str, nodes: FinSet) -> Decoration:
+    """The structureless system on a given node set (the zero field for dynam)."""
+    return decoration_theory(kind).trivial(nodes)
 
 
 @dataclass(frozen=True)
@@ -455,6 +460,173 @@ def relabel(f: FinFunction, system: System) -> System:
     )
 
 
+# -- the field algebra: the decorations of the "dynam" kind
+
+
+COEFF_DROP = 1e-12
+
+
+@dataclass(frozen=True)
+class Poly:
+    """A sparse real polynomial in nvars variables, in canonical form.
+
+    Terms are (coefficient, exponents) pairs with distinct exponent
+    vectors, sorted lexicographically, no coefficient within 1e-12 of
+    zero.  Use `from_terms` to build one from raw terms.
+    """
+
+    nvars: int
+    terms: tuple[tuple[float, tuple[int, ...]], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "terms", tuple((float(c), tuple(e)) for c, e in self.terms)
+        )
+        seen = []
+        for c, exps in self.terms:
+            if len(exps) != self.nvars:
+                raise ValueError(f"exponent vector {exps} is not of length {self.nvars}")
+            if any(k < 0 or not isinstance(k, int) for k in exps):
+                raise ValueError(f"exponents must be nonnegative ints, got {exps}")
+            if abs(c) <= COEFF_DROP:
+                raise ValueError(f"coefficient {c!r} is below the storage threshold")
+            seen.append(exps)
+        if seen != sorted(seen) or len(set(seen)) != len(seen):
+            raise ValueError("terms must be sorted by distinct exponent vectors")
+
+    @staticmethod
+    def zero(nvars: int) -> Poly:
+        return Poly(nvars, ())
+
+    @staticmethod
+    def from_terms(nvars: int, raw: Sequence[tuple[float, Sequence[int]]]) -> Poly:
+        """Canonicalize raw terms: combine, drop near-zeros, sort."""
+        acc: dict[tuple[int, ...], float] = {}
+        for c, exps in raw:
+            key = tuple(exps)
+            acc[key] = acc.get(key, 0.0) + float(c)
+        terms = tuple(
+            (acc[e], e) for e in sorted(acc) if abs(acc[e]) > COEFF_DROP
+        )
+        return Poly(nvars, terms)
+
+    def evaluate(self, point: Sequence[float]) -> float:
+        if len(point) != self.nvars:
+            raise DimensionError(
+                f"point of length {len(point)} for a polynomial in {self.nvars} variables"
+            )
+        total = 0.0
+        for c, exps in self.terms:
+            value = c
+            for x, k in zip(point, exps):
+                if k:
+                    value *= x**k
+            total += value
+        return total
+
+    def substitute_along(self, f: FinFunction) -> Poly:
+        """Rename variable i to variable f(i); merged variables add exponents."""
+        if f.dom.size != self.nvars:
+            raise DimensionError("substitution map must cover every variable")
+        raw = []
+        for c, exps in self.terms:
+            new = [0] * f.cod.size
+            for i, k in enumerate(exps):
+                new[f.table[i]] += k
+            raw.append((c, tuple(new)))
+        return Poly.from_terms(f.cod.size, raw)
+
+
+def poly_add(*polys: Poly) -> Poly:
+    if not polys:
+        raise ValueError("need at least one polynomial")
+    nvars = polys[0].nvars
+    raw: list[tuple[float, tuple[int, ...]]] = []
+    for p in polys:
+        if p.nvars != nvars:
+            raise DimensionError("cannot add polynomials in different variable counts")
+        raw.extend(p.terms)
+    return Poly.from_terms(nvars, raw)
+
+
+def poly_close(p: Poly, q: Poly, rel: float = 1e-9) -> bool:
+    """Structural equality: identical exponent sets, coefficients within rel.
+
+    A term unmatched on the other side passes only if its coefficient is
+    itself below the tolerance (it may have been dropped at the storage
+    threshold along one route).
+    """
+    if p.nvars != q.nvars:
+        return False
+    a = {e: c for c, e in p.terms}
+    b = {e: c for c, e in q.terms}
+    for e in set(a) | set(b):
+        ca, cb = a.get(e, 0.0), b.get(e, 0.0)
+        if abs(ca - cb) > rel * max(abs(ca), abs(cb), 1e-3):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class PolyVectorField:
+    """One polynomial per place: the right-hand side of an autonomous ODE."""
+
+    over: FinSet
+    components: tuple[Poly, ...]
+
+    kind = "dynam"
+    interface = property(attrgetter("over"))
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "components", tuple(self.components))
+        if len(self.components) != self.over.size:
+            raise ValueError(
+                f"{len(self.components)} components over a set of size {self.over.size}"
+            )
+        for i, p in enumerate(self.components):
+            if p.nvars != self.over.size:
+                raise ValueError(f"component {i} uses {p.nvars} variables, need {self.over.size}")
+
+    @staticmethod
+    def zero(over: FinSet) -> PolyVectorField:
+        return PolyVectorField(over, tuple(Poly.zero(over.size) for _ in over))
+
+    def evaluate(self, point: Sequence[float]) -> list[float]:
+        if len(point) != self.over.size:
+            raise DimensionError(
+                f"state of length {len(point)} for a field over {self.over.size} places"
+            )
+        return [p.evaluate(point) for p in self.components]
+
+
+def field_close(u: PolyVectorField, v: PolyVectorField, rel: float = 1e-9) -> bool:
+    return (
+        u.over == v.over
+        and all(poly_close(p, q, rel) for p, q in zip(u.components, v.components))
+    )
+
+
+def pushforward_field(f: FinFunction, v: PolyVectorField) -> PolyVectorField:
+    """Transport a field over M to one over N along f: M -> N.
+
+    Incoming states are pulled back (each variable reads the value of its
+    image), components over a shared image are added.  This is functorial
+    on the nose, which the tests pin down.
+    """
+    if v.over != f.dom:
+        raise DimensionError("field must live over the map's domain")
+    buckets: list[list[Poly]] = [[] for _ in range(f.cod.size)]
+    for i, p in enumerate(v.components):
+        buckets[f.table[i]].append(p.substitute_along(f))
+    components = tuple(
+        poly_add(*bucket) if bucket else Poly.zero(f.cod.size) for bucket in buckets
+    )
+    return PolyVectorField(f.cod, components)
+
+
+Decoration = Union[System, PolyVectorField]
+
+
 # -- the kinds' rules: a kind is a shape (what a cell's two ends are) plus an
 # optional attribute column; each rule is looked up once per operation
 
@@ -534,23 +706,26 @@ _KIND_RULES = {
 class DecorationTheory:
     """One kind's fiberwise interface: what lives over a node set and how it moves.
 
-    `reindex` relabels along a function, `laxator` is the disjoint union of
-    a structure over M and one over N as a structure over M + N, `unit` is
-    the empty structure, and `trivial` the structureless decoration on a
-    given set.  Reindexing is strictly functorial; the laxator is natural
-    only up to the isomorphisms that re-address the coproduct, which is
-    exactly why composites of decorated cospans live over a chosen pushout.
+    `reindex` relabels along a function, `union(x, f, y, g)` moves x and y
+    along f and g into one shared node set and joins them there, `laxator`
+    is that union along the coproduct injections (a structure over M and
+    one over N as a structure over M + N), `unit` is the empty structure,
+    and `trivial` the structureless decoration on a given set.  Reindexing
+    is strictly functorial; the laxator is natural only up to the
+    isomorphisms that re-address the coproduct, which is exactly why
+    composites of decorated cospans live over a chosen pushout.
 
     The theory also holds the kind's rules that every system operation
-    reads: `shape` ("graph" or "petri"), `move(column, f)` for a column of
-    cell ends, `hashable(column)` (the ends as plain hashable values),
-    `build` from parts, `end_faults` (the wording of a broken source or
-    target end), `attribute_faults(m, check_rates)` and `glues_cells`
-    (False where merged cells have no canonical attribute).
+    reads: `shape` ("graph", "petri", or "field" for dynam), and for the
+    cell kinds `move(column, f)` for a column of cell ends,
+    `hashable(column)` (the ends as plain hashable values), `build` from
+    parts, `end_faults` (the wording of a broken source or target end),
+    `attribute_faults(m, check_rates)` and `glues_cells` (False where
+    merged cells have no canonical attribute).
     """
 
     def __init__(self, kind: str):
-        if kind not in KINDS:
+        if kind not in _KIND_RULES:
             raise KindError(f"unknown system kind {kind!r}")
         self.kind = kind
         self.shape, self._attributed, self.attribute_faults, self.glues_cells = _KIND_RULES[kind]
@@ -564,21 +739,25 @@ class DecorationTheory:
         base = self._from_parts(nodes, cells, src, tgt)
         return base if self._attributed is None else self._attributed(base, attrs)
 
-    def trivial(self, a: FinSet) -> System:
-        return discrete(self.kind, a)
+    def trivial(self, a: FinSet) -> Decoration:
+        return self.build(a, EMPTY, (), (), ())
 
-    def unit(self) -> System:
-        return discrete(self.kind, EMPTY)
+    def unit(self) -> Decoration:
+        return self.trivial(EMPTY)
 
     def reindex(self, f: FinFunction, decoration: System) -> System:
         if decoration.kind != self.kind:
             raise KindError(f"decoration of kind {decoration.kind!r} in a {self.kind!r} theory")
         return relabel(f, decoration)
 
-    def laxator(self, d: System, e: System) -> System:
+    def union(self, x: System, f: FinFunction, y: System, g: FinFunction) -> System:
+        return system_union(x, f, y, g)
+
+    def laxator(self, d: Decoration, e: Decoration) -> Decoration:
         if d.kind != self.kind or e.kind != self.kind:
             raise KindError("laxator arguments must match the theory's kind")
-        return system_coproduct(d, e)[0]
+        _, inl, inr = coproduct(interface_of(d), interface_of(e))
+        return self.union(d, inl, e, inr)
 
     def fiber_violations(self, d: System, e: System, cell_map: FinFunction) -> list[str]:
         """Why cell_map is not a morphism d -> e over a shared node set."""
@@ -590,7 +769,34 @@ class DecorationTheory:
         return validate_morphism(m)
 
 
-_THEORIES = {kind: DecorationTheory(kind) for kind in KINDS}
+class _FieldTheory(DecorationTheory):
+    """The "dynam" row: a decoration over S is a polynomial vector field on
+    R^S, reindexed by `pushforward_field`; the union of two fields is the
+    sum of their pushforwards, so the laxator is the direct sum."""
+
+    def __init__(self) -> None:
+        self.kind, self.shape = "dynam", "field"
+
+    def trivial(self, a: FinSet) -> PolyVectorField:
+        return PolyVectorField.zero(a)
+
+    def reindex(self, f: FinFunction, decoration: PolyVectorField) -> PolyVectorField:
+        if decoration.kind != self.kind:
+            raise KindError(f"decoration of kind {decoration.kind!r} in a {self.kind!r} theory")
+        return pushforward_field(f, decoration)
+
+    def union(
+        self, x: PolyVectorField, f: FinFunction, y: PolyVectorField, g: FinFunction
+    ) -> PolyVectorField:
+        left = pushforward_field(f, x)
+        right = pushforward_field(g, y)
+        return PolyVectorField(
+            f.cod, tuple(poly_add(p, q) for p, q in zip(left.components, right.components))
+        )
+
+
+_THEORIES = {kind: DecorationTheory(kind) for kind in _KIND_RULES}
+_THEORIES["dynam"] = _FieldTheory()
 
 
 def decoration_theory(kind: str) -> DecorationTheory:

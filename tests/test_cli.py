@@ -357,6 +357,25 @@ def test_convert_to_the_same_representation_passes_through(tmp_path, capsys, mod
     assert out.read_bytes() == sir.read_bytes()
 
 
+def test_convert_to_decorated_passes_a_dynam_file_through(tmp_path, capsys, models_dir):
+    dynam = tmp_path / "dynam.json"
+    out = tmp_path / "same.json"
+    assert run_cli(capsys, "graybox", str(models_dir / "sir.json"), "--out", str(dynam))[0] == 0
+    canonical = tmp_path / "canonical.json"
+    save_model(str(canonical), load_model(str(dynam)))
+    assert run_cli(capsys, "convert", str(dynam), "--to", "decorated", "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == canonical.read_bytes()
+
+
+def test_tensoring_dynam_files_writes_the_graybox_of_the_tensored_nets(tmp_path, capsys):
+    for seed in range(6):
+        nets = [random_cospan(Random(f"tensor-{seed}-{i}"), "petri_rates") for i in range(3)]
+        paths = write_chain(tmp_path, f"dynam{seed}", map(graybox, nets))
+        want = tmp_path / "want.json"
+        save_model(str(want), ModelFile("dynam", graybox(reduce(tensor, nets))))
+        assert cli_outcome(tmp_path, capsys, "tensor", paths) == (0, "", want.read_bytes())
+
+
 def test_nondiscrete_structured_foot_is_rejected(tmp_path, capsys):
     bad = {
         "version": "1",
@@ -448,7 +467,6 @@ def test_kind_mismatches_exit_with_a_domain_error(tmp_path, capsys, models_dir):
     for args in (
         ("graybox", str(dynam), "--out", str(tmp_path / "x.json")),
         ("convert", str(dynam), "--to", "structured", "--out", str(tmp_path / "x.json")),
-        ("tensor", str(dynam), str(dynam), "--out", str(tmp_path / "x.json")),
         ("compose", str(dynam), str(models_dir / "sir.json"), "--out", str(tmp_path / "x.json")),
     ):
         code, _, _ = run_cli(capsys, *args)

@@ -7,6 +7,7 @@ import pytest
 
 from opencospan import (
     EMPTY,
+    BudgetExceeded,
     DecoratedCospan,
     DimensionError,
     DivergenceError,
@@ -36,6 +37,7 @@ from opencospan import (
     poly_close,
     pushforward_field,
     simulate,
+    tensor,
     to_structured,
 )
 from opencospan.finset import ISO_BUDGET_ENV
@@ -278,6 +280,56 @@ def test_open_dynam_iso_reports_a_malformed_budget_before_any_check(monkeypatch)
     for other in (other_feet, other_apex):
         with pytest.raises(ModelValidationError):
             open_dynam_iso(system, other)
+
+
+def rated_ring(n, cycles, rate=0.5):
+    """Gray-boxed arcs p -> next p around each cycle, equal rates, empty feet."""
+    places = FinSet(n)
+    arcs = [(c[j], c[(j + 1) % len(c)]) for c in cycles for j in range(len(c))]
+    one = [Multiset.from_dict(places, {p: 1}) for p in places]
+    net = PetriNetWithRates(
+        PetriNet(places, FinSet(len(arcs)), [one[s] for s, _ in arcs], [one[t] for _, t in arcs]),
+        (rate,) * len(arcs),
+    )
+    none = FinFunction.from_empty(places)
+    return graybox(DecoratedCospan(EMPTY, EMPTY, none, none, net))
+
+
+def test_the_dynam_iso_search_spends_the_pinned_nodes(monkeypatch):
+    # no pruning and field_close at the leaves: 6 + 30 + ... + 720 = 1956
+    # nodes exhaust the search, and 103 reach the relabelling
+    ring = rated_ring(6, [list(range(6))])
+    cases = (
+        (rated_ring(6, [[0, 1, 2], [3, 4, 5]]), 1956, None),
+        (rated_ring(6, [[0, 2, 4, 1, 3, 5]]), 103, (0, 2, 4, 1, 3, 5)),
+    )
+    for other, budget, witness in cases:
+        monkeypatch.setenv(ISO_BUDGET_ENV, str(budget))
+        found = open_dynam_iso(ring, other)
+        assert (found if found is None else found.table) == witness
+        monkeypatch.setenv(ISO_BUDGET_ENV, str(budget - 1))
+        with pytest.raises(BudgetExceeded):
+            open_dynam_iso(ring, other)
+
+
+def test_graybox_preserves_tensor_on_the_nose():
+    from opencospan.laws import random_cospan
+
+    rng = Random(41)
+    for _ in range(100):
+        m, n = (random_cospan(rng, "petri_rates", max_apex=4) for _ in range(2))
+        assert graybox(tensor(m, n)) == tensor(graybox(m), graybox(n))
+
+
+def test_dynam_tensor_is_associative_on_the_nose():
+    # no two terms meet in a tensor, so no float is added: the pairwise fold
+    # of `opencospan tensor` is valid for fields
+    from opencospan.laws import random_cospan
+
+    rng = Random(43)
+    for _ in range(50):
+        a, b, c = (graybox(random_cospan(rng, "petri_rates", max_apex=4)) for _ in range(3))
+        assert tensor(tensor(a, b), c) == tensor(a, tensor(b, c))
 
 
 # -- boundary flows and integration --------------------------------------------------------
