@@ -116,7 +116,7 @@ def write_chain(tmp_path, name, payloads):
     paths = []
     for i, payload in enumerate(payloads):
         paths.append(str(tmp_path / f"{name}-{i}.json"))
-        save_model(paths[-1], ModelFile(getattr(payload, "kind", "dynam"), payload))
+        save_model(paths[-1], ModelFile(payload.kind, payload))
     return paths
 
 
