@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from .errors import ModelFormatError, ModelValidationError, OpenCospanError
 from .finset import FinFunction, FinSet
 from .cospans import (
-    Cospan,
     _check_pair,
     _present,
     check_companion,
@@ -23,8 +22,6 @@ from .cospans import (
     cospan_iso,
     hcompose,
     tensor,
-    to_decorated,
-    StructuredCospan,
 )
 from .dynamics import graybox, simulate
 from .laws import LAW_SUITES, LawReport
@@ -73,7 +70,7 @@ def _cmd_tensor(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     model = load_model(args.file)
-    converted = _present(_normalized(model), args.to)
+    converted = _present(model.payload, args.to)
     save_model(args.out, ModelFile(model.kind, converted, model.names))
     return 0
 
@@ -111,16 +108,10 @@ def _parse_map(raw: str, cod: Optional[int]) -> FinFunction:
         raise ModelValidationError(str(exc)) from exc
 
 
-def _normalized(model: ModelFile) -> Cospan:
-    if isinstance(model.payload, StructuredCospan):
-        return to_decorated(model.payload)
-    return model.payload
-
-
 def _check_iso(args: argparse.Namespace) -> LawReport:
     if len(args.files) != 2:
         raise ModelValidationError("the iso check needs exactly two model files")
-    a, b = (_normalized(load_model(path)) for path in args.files)
+    a, b = (_present(load_model(path).payload, "decorated") for path in args.files)
     found = cospan_iso(a, b) is not None
     return LawReport(
         "iso", found, 1, "" if found else "no isomorphism over the shared feet"

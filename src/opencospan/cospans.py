@@ -2,10 +2,18 @@
 
 Two interchangeable presentations are provided.  A `DecoratedCospan` is a
 cospan of finite sets whose apex carries a system as decoration; a
-`StructuredCospan` is a cospan of systems whose feet are structureless.
-`to_structured` and `to_decorated` translate between them and are mutually
-inverse; both translations preserve composition and tensor on the nose
-because both presentations choose the same colimits.
+`StructuredCospan` is a cospan of systems L(a) -> x <- L(b) whose feet are
+discrete, the images of finite sets, by construction: a foot with cells is
+refused with `NotInImageOfL`.  Both carry the same data, and both are read
+the same way: `representation` names the presentation, `foot_left` and
+`foot_right` are finite sets, `leg_maps` are the two node maps into the
+apex, and `decoration` is the apex system.  Everything below is written
+once on that reading.  `_present(cospan, representation)` is the one
+switch between the presentations, through `to_structured` and
+`to_decorated`, which are mutually inverse; both translations preserve
+composition and tensor on the nose because both presentations choose the
+same colimits.  Only `hcompose` and `tensor` build each presentation their
+own way, the structured one by `system_pushout` and `system_coproduct`.
 
 Conventions: `hcompose(m, n)` glues m's right foot to n's left foot, so
 composites read left to right.  `vcompose(a, b)` applies a first, then b.
@@ -76,6 +84,8 @@ class DecoratedCospan:
     leg_right: FinFunction
     decoration: Decoration
 
+    representation = "decorated"
+
     def __post_init__(self) -> None:
         apex = interface_of(self.decoration)
         if self.leg_left.dom != self.foot_left or self.leg_left.cod != apex:
@@ -91,30 +101,37 @@ class DecoratedCospan:
     def kind(self) -> str:
         return self.decoration.kind
 
+    leg_maps = property(attrgetter("leg_left", "leg_right"))
     # the decoration, under the name an open dynamical system gives it
     field = property(attrgetter("decoration"))
 
 
 @dataclass(frozen=True)
 class StructuredCospan:
-    """A cospan of systems.  Feet are meant to be structureless (images of
-    the free functor on finite sets); `violations` reports when they are not.
+    """A cospan of systems L(a) -> x <- L(b), where L sends a finite set to
+    the structureless system on it.  The feet are discrete by construction:
+    a foot with cells is refused with `NotInImageOfL`, so every structured
+    cospan has a decorated form.
     """
 
     leg_left: SystemMorphism
     leg_right: SystemMorphism
 
+    representation = "structured"
+
     def __post_init__(self) -> None:
         if self.leg_left.cod != self.leg_right.cod:
             raise ValueError("both legs must land in one shared apex system")
-
-    @property
-    def system(self) -> System:
-        return self.leg_left.cod
+        for name, leg in (("left", self.leg_left), ("right", self.leg_right)):
+            if not is_discrete(leg.dom):
+                raise NotInImageOfL(
+                    f"{name} foot carries {cells_of(leg.dom).size} cells; "
+                    "only structureless feet have a decorated form"
+                )
 
     @property
     def apex(self) -> FinSet:
-        return interface_of(self.system)
+        return interface_of(self.decoration)
 
     @property
     def foot_left(self) -> FinSet:
@@ -126,26 +143,14 @@ class StructuredCospan:
 
     @property
     def kind(self) -> str:
-        return self.system.kind
+        return self.decoration.kind
 
-    def violations(self) -> list[str]:
-        # legs are boundary inclusions: the rated fiber-sum rule does not
-        # apply to them, only the underlying-net conditions do
-        out = []
-        for name, leg in (("left", self.leg_left), ("right", self.leg_right)):
-            if not is_discrete(leg.dom):
-                out.append(f"{name} foot is not discrete")
-            out.extend(
-                f"{name} leg: {v}" for v in validate_morphism(leg, check_rates=False)
-            )
-        return out
+    leg_maps = property(attrgetter("leg_left.node_map", "leg_right.node_map"))
+    # the apex system, which both legs share
+    decoration = property(attrgetter("leg_left.cod"))
 
 
 Cospan = Union[DecoratedCospan, StructuredCospan]
-
-
-def representation_of(cospan: Cospan) -> str:
-    return "decorated" if isinstance(cospan, DecoratedCospan) else "structured"
 
 
 def identity_cospan(kind: str, feet: FinSet, representation: str = "decorated") -> Cospan:
@@ -154,33 +159,29 @@ def identity_cospan(kind: str, feet: FinSet, representation: str = "decorated") 
     return _present(DecoratedCospan(feet, feet, ident, ident, discrete(kind, feet)), representation)
 
 
-def _present(cospan: DecoratedCospan, representation: str) -> Cospan:
-    """The one place that picks the presentation of a cospan built decorated."""
-    if representation == "decorated":
+def _present(cospan: Cospan, representation: str) -> Cospan:
+    """The one place that picks the presentation of a cospan: `cospan` itself
+    if it is already in that presentation, else its translation."""
+    if representation not in ("decorated", "structured"):
+        raise ValueError(f"unknown representation {representation!r}")
+    if cospan.representation == representation:
         return cospan
-    if representation == "structured":
-        return to_structured(cospan)
-    raise ValueError(f"unknown representation {representation!r}")
+    return to_structured(cospan) if representation == "structured" else to_decorated(cospan)
 
 
 def _check_pair(m: Cospan, n: Cospan, what: str) -> None:
     """Raise what `hcompose` (what="compose") or `tensor` (what="tensor")
     would raise on m and n before doing any work: first a species clash,
     then, for compose, feet that disagree."""
-    if type(m) is not type(n):
+    if m.representation != n.representation:
         raise ComposabilityError(f"cannot {what} a decorated and a structured cospan")
     if m.kind != n.kind:
         raise KindError(f"cannot {what} cospans of kinds {m.kind!r} and {n.kind!r}")
-    if what != "compose":
-        return
-    if isinstance(m, DecoratedCospan):
-        if m.foot_right != n.foot_left:
-            raise ComposabilityError(
-                f"feet disagree: right foot has size {m.foot_right.size}, "
-                f"left foot has size {n.foot_left.size}"
-            )
-    elif m.leg_right.dom != n.leg_left.dom:
-        raise ComposabilityError("feet disagree: the shared foot system must be equal")
+    if what == "compose" and m.foot_right != n.foot_left:
+        raise ComposabilityError(
+            f"feet disagree: right foot has size {m.foot_right.size}, "
+            f"left foot has size {n.foot_left.size}"
+        )
 
 
 def hcompose(m: Cospan, n: Cospan) -> Cospan:
@@ -219,7 +220,7 @@ def tensor(m: Cospan, n: Cospan) -> Cospan:
             theory.laxator(m.decoration, n.decoration),
         )
     assert isinstance(n, StructuredCospan)
-    apex = system_coproduct(m.system, n.system)[0]
+    apex = system_coproduct(m.decoration, n.decoration)[0]
 
     def side(leg_m: SystemMorphism, leg_n: SystemMorphism) -> SystemMorphism:
         # the apex injections shift n's part past m's, just as coproduct_map does
@@ -248,43 +249,15 @@ def to_structured(cospan: DecoratedCospan) -> StructuredCospan:
 
 
 def to_decorated(cospan: StructuredCospan) -> DecoratedCospan:
-    """Read a structured cospan as a decorated one.  Feet must be discrete."""
-    for name, leg in (("left", cospan.leg_left), ("right", cospan.leg_right)):
-        if not is_discrete(leg.dom):
-            raise NotInImageOfL(
-                f"{name} foot carries {cells_of(leg.dom).size} cells; "
-                "only structureless feet have a decorated form"
-            )
-    return DecoratedCospan(
-        cospan.foot_left,
-        cospan.foot_right,
-        cospan.leg_left.node_map,
-        cospan.leg_right.node_map,
-        cospan.system,
-    )
+    """Read a structured cospan as a decorated one; its feet are discrete."""
+    return DecoratedCospan(cospan.foot_left, cospan.foot_right, *cospan.leg_maps, cospan.decoration)
 
 
 def reverse(cospan: Cospan) -> Cospan:
     """Swap the two feet; the apex and its structure stay put."""
-    if isinstance(cospan, DecoratedCospan):
-        return DecoratedCospan(
-            cospan.foot_right,
-            cospan.foot_left,
-            cospan.leg_right,
-            cospan.leg_left,
-            cospan.decoration,
-        )
-    return StructuredCospan(cospan.leg_right, cospan.leg_left)
-
-
-def _payload(cospan: Cospan) -> Decoration:
-    return cospan.decoration if isinstance(cospan, DecoratedCospan) else cospan.system
-
-
-def _leg_maps(cospan: Cospan) -> tuple[FinFunction, FinFunction]:
-    if isinstance(cospan, DecoratedCospan):
-        return cospan.leg_left, cospan.leg_right
-    return cospan.leg_left.node_map, cospan.leg_right.node_map
+    d = _present(cospan, "decorated")
+    swapped = DecoratedCospan(d.foot_right, d.foot_left, d.leg_right, d.leg_left, d.decoration)
+    return _present(swapped, cospan.representation)
 
 
 @dataclass(frozen=True)
@@ -305,9 +278,9 @@ class TwoMorphism:
 
     def violations(self) -> list[str]:
         out: list[str] = []
-        src_l, src_r = _leg_maps(self.src)
-        tgt_l, tgt_r = _leg_maps(self.tgt)
-        if type(self.src) is not type(self.tgt) or self.src.kind != self.tgt.kind:
+        src_l, src_r = self.src.leg_maps
+        tgt_l, tgt_r = self.tgt.leg_maps
+        if self.src.representation != self.tgt.representation or self.src.kind != self.tgt.kind:
             return ["source and target cospans are of different species"]
         if self.left.dom != self.src.foot_left or self.left.cod != self.tgt.foot_left:
             return ["left foot map has the wrong endpoints"]
@@ -321,7 +294,7 @@ class TwoMorphism:
             out.append("right leg square does not commute")
         try:
             carrier = SystemMorphism(
-                _payload(self.src), _payload(self.tgt), self.apex_map, self.cell_map
+                self.src.decoration, self.tgt.decoration, self.apex_map, self.cell_map
             )
         except MorphismShapeError as exc:  # a cell map that does not fit
             out.append(f"apex morphism ill-shaped: {exc}")
@@ -337,7 +310,7 @@ class TwoMorphism:
             FinFunction.identity(cospan.foot_left),
             FinFunction.identity(cospan.foot_right),
             FinFunction.identity(cospan.apex),
-            FinFunction.identity(cells_of(_payload(cospan))),
+            FinFunction.identity(cells_of(cospan.decoration)),
         )
 
 
@@ -378,8 +351,8 @@ def hcompose_cells(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
         raise BoundaryError("horizontal pasting needs a.right == b.left")
     src = hcompose(a.src, b.src)
     tgt = hcompose(a.tgt, b.tgt)
-    src_po = pushout(_leg_maps(a.src)[1], _leg_maps(b.src)[0])
-    tgt_po = pushout(_leg_maps(a.tgt)[1], _leg_maps(b.tgt)[0])
+    src_po = pushout(a.src.leg_maps[1], b.src.leg_maps[0])
+    tgt_po = pushout(a.tgt.leg_maps[1], b.tgt.leg_maps[0])
 
     m_size = a.src.apex.size
     apex_table = [-1] * src_po.apex.size
@@ -396,14 +369,14 @@ def hcompose_cells(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
             )
     apex_map = FinFunction(src_po.apex, tgt_po.apex, tuple(apex_table))
 
-    a_cells = cells_of(_payload(a.src)).size
-    tgt_a_cells = cells_of(_payload(a.tgt)).size
+    a_cells = cells_of(a.src.decoration).size
+    tgt_a_cells = cells_of(a.tgt.decoration).size
     cell_table = tuple(a.cell_map.table) + tuple(
         tgt_a_cells + y for y in b.cell_map.table
     )
     cell_map = FinFunction(
-        FinSet(a_cells + cells_of(_payload(b.src)).size),
-        FinSet(tgt_a_cells + cells_of(_payload(b.tgt)).size),
+        FinSet(a_cells + cells_of(b.src.decoration).size),
+        FinSet(tgt_a_cells + cells_of(b.tgt.decoration).size),
         cell_table,
     )
     return TwoMorphism(src, tgt, a.left, b.right, apex_map, cell_map)
@@ -411,13 +384,13 @@ def hcompose_cells(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
 
 def _unitor(cospan: Cospan, on_left: bool) -> TwoMorphism:
     """The square from (unit ; m) or (m ; unit) down to m itself."""
-    representation = representation_of(cospan)
+    representation = cospan.representation
     kind = cospan.kind
-    leg_l, leg_r = _leg_maps(cospan)
+    leg_l, leg_r = cospan.leg_maps
     if on_left:
         unit = identity_cospan(kind, cospan.foot_left, representation)
         composite = hcompose(unit, cospan)
-        po = pushout(_leg_maps(unit)[1], leg_l)
+        po = pushout(unit.leg_maps[1], leg_l)
         foot = cospan.foot_left
         apex_table = [-1] * po.apex.size
         for z, cls in enumerate(po.quotient.table):
@@ -425,7 +398,7 @@ def _unitor(cospan: Cospan, on_left: bool) -> TwoMorphism:
     else:
         unit = identity_cospan(kind, cospan.foot_right, representation)
         composite = hcompose(cospan, unit)
-        po = pushout(leg_r, _leg_maps(unit)[0])
+        po = pushout(leg_r, unit.leg_maps[0])
         apex_size = cospan.apex.size
         apex_table = [-1] * po.apex.size
         for z, cls in enumerate(po.quotient.table):
@@ -436,7 +409,7 @@ def _unitor(cospan: Cospan, on_left: bool) -> TwoMorphism:
         FinFunction.identity(cospan.foot_left),
         FinFunction.identity(cospan.foot_right),
         FinFunction(po.apex, cospan.apex, tuple(apex_table)),
-        FinFunction.identity(cells_of(_payload(cospan))),
+        FinFunction.identity(cells_of(cospan.decoration)),
     )
 
 
@@ -650,16 +623,13 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
     whatever the inputs.
     """
     budget = _iso_budget(budget)
-    if type(m) is not type(n) or m.kind != n.kind:
+    if m.representation != n.representation or m.kind != n.kind:
         return None
-    if isinstance(m, StructuredCospan):
-        if m.leg_left.dom != n.leg_left.dom or m.leg_right.dom != n.leg_right.dom:
-            return None
-    elif m.foot_left != n.foot_left or m.foot_right != n.foot_right:
+    if m.foot_left != n.foot_left or m.foot_right != n.foot_right:
         return None
     if m.apex.size != n.apex.size:
         return None
-    rules = _search_rules(_payload(m), _payload(n))
+    rules = _search_rules(m.decoration, n.decoration)
     if rules is None:
         return None
     compatible, leaf = rules
@@ -673,7 +643,7 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
     h = find_iso(
         m.apex,
         n.apex,
-        constraints=list(zip(_leg_maps(m), _leg_maps(n))),
+        constraints=list(zip(m.leg_maps, n.leg_maps)),
         predicate=cells_match,
         budget=budget,
         compatible=compatible,

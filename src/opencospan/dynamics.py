@@ -44,14 +44,7 @@ from .systems import (  # noqa: F401
     poly_close,
     pushforward_field,
 )
-from .cospans import (
-    Cospan,
-    DecoratedCospan,
-    StructuredCospan,
-    cospan_iso,
-    hcompose,
-    to_decorated,
-)
+from .cospans import Cospan, DecoratedCospan, _present, cospan_iso, hcompose
 
 
 def mass_action(net: PetriNetWithRates) -> PolyVectorField:
@@ -98,10 +91,9 @@ OpenDynam = DecoratedCospan
 
 def graybox(open_net: Cospan) -> OpenDynam:
     """Forget a rated open net's wiring diagram, keep its mass-action ODEs."""
-    if isinstance(open_net, StructuredCospan):
-        open_net = to_decorated(open_net)
-    if not isinstance(open_net, DecoratedCospan) or open_net.kind != "petri_rates":
+    if getattr(open_net, "representation", None) is None or open_net.kind != "petri_rates":
         raise KindError("gray-boxing applies to open Petri nets with rates")
+    open_net = _present(open_net, "decorated")
     return OpenDynam(
         open_net.foot_left,
         open_net.foot_right,

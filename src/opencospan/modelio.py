@@ -5,9 +5,10 @@ A model file looks like
     {"version": "1", "kind": "petri_rates", "representation": "decorated",
      "payload": {...}, "names": {...}}
 
-where the payload is a cospan object: footLeft/footRight (sizes, or full
-system objects in structured files), legLeft/legRight (tables into the
-apex), a system object, and a representation tag matching the top level.
+where the payload is a cospan object: footLeft/footRight (sizes, or, in
+structured files, system objects with no cells), legLeft/legRight (tables
+into the apex), a system object, and a representation tag matching the top
+level.  Both presentations are read the same way and written the same way.
 Unknown fields are rejected everywhere.  The optional names block carries
 presentation-only labels for places and boundary elements; it never
 affects composition or conversion.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .errors import ModelFormatError, ModelValidationError, NotInImageOfL
-from .finset import EMPTY, FinFunction, FinSet
+from .finset import FinFunction, FinSet
 from .systems import (
     KINDS,
     Decoration,
@@ -37,15 +38,11 @@ from .systems import (
     PetriNetWithRates,
     Poly,
     PolyVectorField,
-    System,
-    SystemMorphism,
     cells_of,
     decoration_theory,
-    discrete,
     interface_of,
-    is_discrete,
 )
-from .cospans import Cospan, DecoratedCospan, StructuredCospan, representation_of
+from .cospans import Cospan, DecoratedCospan, _present
 from .dynamics import FlowSchedule, OpenDynam, PiecewiseConstant, graybox
 
 MODEL_VERSION = "1"
@@ -247,36 +244,28 @@ def system_from_json(kind: str, value: Any) -> Decoration:
 
 
 def cospan_to_json(cospan: Cospan) -> dict:
-    if isinstance(cospan, StructuredCospan):
-        return {
-            "footLeft": cospan.foot_left.size
-            if is_discrete(cospan.leg_left.dom)
-            else system_to_json(cospan.leg_left.dom),
-            "footRight": cospan.foot_right.size
-            if is_discrete(cospan.leg_right.dom)
-            else system_to_json(cospan.leg_right.dom),
-            "legLeft": list(cospan.leg_left.node_map.table),
-            "legRight": list(cospan.leg_right.node_map.table),
-            "system": system_to_json(cospan.system),
-            "representation": "structured",
-        }
+    leg_left, leg_right = cospan.leg_maps
     return {
         "footLeft": cospan.foot_left.size,
         "footRight": cospan.foot_right.size,
-        "legLeft": list(cospan.leg_left.table),
-        "legRight": list(cospan.leg_right.table),
+        "legLeft": list(leg_left.table),
+        "legRight": list(leg_right.table),
         "system": system_to_json(cospan.decoration),
-        "representation": "decorated",
+        "representation": cospan.representation,
     }
 
 
-def _foot_system(kind: str, value: Any, where: str) -> System:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return discrete(kind, FinSet(_as_size(value, where)))
-    return system_from_json(kind, value)
+def _foot(kind: str, representation: str, value: Any, where: str) -> tuple[FinSet, int]:
+    """A foot's node set and the number of cells it carries.  Structured
+    files may spell a foot as a system object instead of a size."""
+    if representation == "structured" and (not isinstance(value, int) or isinstance(value, bool)):
+        foot = system_from_json(kind, value)
+        return interface_of(foot), cells_of(foot).size
+    return FinSet(_as_size(value, where)), 0
 
 
 def cospan_from_json(kind: str, representation: str, value: Any) -> Cospan:
+    """Both presentations are read as a decorated cospan, then presented."""
     _require_keys(
         value,
         ("footLeft", "footRight", "legLeft", "legRight", "system", "representation"),
@@ -291,46 +280,16 @@ def cospan_from_json(kind: str, representation: str, value: Any) -> Cospan:
     apex = interface_of(system)
     if kind == "dynam" and representation != "decorated":
         raise ModelFormatError("dynam models only have a decorated representation")
-    if representation == "decorated":
-        foot_left = FinSet(_as_size(value["footLeft"], "footLeft"))
-        foot_right = FinSet(_as_size(value["footRight"], "footRight"))
-        try:
-            return DecoratedCospan(
-                foot_left,
-                foot_right,
-                _finfunction(value["legLeft"], apex, "legLeft", dom=foot_left),
-                _finfunction(value["legRight"], apex, "legRight", dom=foot_right),
-                system,
-            )
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from exc
-    if representation != "structured":
-        raise ModelFormatError(f"unknown representation {value['representation']!r}")
-    left_foot = _foot_system(kind, value["footLeft"], "footLeft")
-    right_foot = _foot_system(kind, value["footRight"], "footRight")
-
-    def leg(foot: System, raw: Any, where: str) -> SystemMorphism:
-        node_map = _finfunction(raw, apex, where, dom=interface_of(foot))
-        if is_discrete(foot):
-            edge_map = FinFunction(EMPTY, cells_of(system), ())
-        else:
+    feet = [_foot(kind, representation, value[key], key) for key in ("footLeft", "footRight")]
+    legs = []
+    for (foot, cells), where in zip(feet, ("legLeft", "legRight")):
+        legs.append(_finfunction(value[where], apex, where, dom=foot))
+        if cells:
             raise NotInImageOfL(
-                f"{where}: foot carries {cells_of(foot).size} cells and is not "
-                "the image of a finite set"
+                f"{where}: foot carries {cells} cells and is not the image of a finite set"
             )
-        try:
-            return SystemMorphism(foot, system, node_map, edge_map)
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from exc
-
-    cospan = StructuredCospan(
-        leg(left_foot, value["legLeft"], "legLeft"),
-        leg(right_foot, value["legRight"], "legRight"),
-    )
-    bad = cospan.violations()
-    if bad:
-        raise ModelValidationError(f"structured cospan invalid: {bad[0]}")
-    return cospan
+    (foot_left, _), (foot_right, _) = feet
+    return _present(DecoratedCospan(foot_left, foot_right, *legs, system), representation)
 
 
 @dataclass(frozen=True)
@@ -379,7 +338,7 @@ class ModelFile:
 
     @property
     def representation(self) -> str:
-        return representation_of(self.payload)
+        return self.payload.representation
 
     def to_json(self) -> dict:
         out = {

@@ -252,12 +252,21 @@ class PetriNetWithRates(_Attributed):
 System = Union[Graph, LabeledGraph, PetriNet, PetriNetWithRates]
 
 
+def _lacks(value: object, what: str) -> KindError:
+    """The error for a value with no node or cell set.  It names the kind or
+    the type, not the repr, which for a field is as long as the field."""
+    kind = getattr(value, "kind", None)
+    if kind in KINDS:
+        return KindError(f"{kind} decorations have no {what}")
+    return KindError(f"not a system: {type(value).__name__}")
+
+
 def interface_of(system: System) -> FinSet:
     """The node or place set: the part an open system exposes for gluing."""
     try:
         return system.interface
     except AttributeError:
-        raise KindError(f"not a system: {system!r}") from None
+        raise _lacks(system, "nodes") from None
 
 
 def cells_of(system: System) -> FinSet:
@@ -265,7 +274,7 @@ def cells_of(system: System) -> FinSet:
     try:
         return system.cells
     except AttributeError:
-        raise KindError(f"not a system: {system!r}") from None
+        raise _lacks(system, "cells") from None
 
 
 def is_discrete(system: System) -> bool:

@@ -95,6 +95,14 @@ def test_compose_mismatched_feet_is_a_domain_error(tmp_path, capsys, models_dir)
     assert code == 2 and "feet disagree" in err
 
 
+def test_structured_feet_that_disagree_name_their_sizes(tmp_path, capsys):
+    rng = Random("structured-feet")
+    chain = [to_structured(random_cospan(rng, "petri", *feet)) for feet in ((0, 1), (2, 0))]
+    paths = write_chain(tmp_path, "structured-feet", chain)
+    code, _, err = run_cli(capsys, "compose", *paths, "--out", str(tmp_path / "x.json"))
+    assert (code, err) == (2, "error: feet disagree: right foot has size 1, left foot has size 2\n")
+
+
 def test_tensor_doubles_the_boundary(tmp_path, capsys, models_dir):
     out = tmp_path / "pair.json"
     sir = str(models_dir / "sir.json")

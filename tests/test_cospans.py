@@ -31,6 +31,7 @@ from opencospan import (
     conjoint,
     cospan_iso,
     discrete,
+    graybox,
     hcompose,
     hcompose_cells,
     identity_cospan,
@@ -45,12 +46,13 @@ from opencospan import (
     unit_cell,
     vcompose,
 )
-from opencospan.cospans import _signature_rule
+from opencospan.cospans import _present, _signature_rule
 from opencospan.finset import ISO_BUDGET_ENV, compose, pushout
 from opencospan.systems import cells_of, decoration_theory, interface_of
 from opencospan.laws import (
     intro_open_graph,
     random_composable,
+    random_cospan,
     random_system,
     sir_halves,
     sir_open_net,
@@ -301,18 +303,80 @@ def test_structured_composition_matches_decorated_composition():
 def test_structured_feet_must_be_discrete_to_convert_back():
     loop = Graph(FinSet(1), FinSet(1), fn([0], 1), fn([0], 1))
     leg = SystemMorphism.identity(loop)
-    cospan = StructuredCospan(leg, leg)
-    assert any("not discrete" in v for v in cospan.violations())
-    with pytest.raises(NotInImageOfL):
-        to_decorated(cospan)
+    with pytest.raises(NotInImageOfL, match="left foot carries 1 cells"):
+        StructuredCospan(leg, leg)
 
 
 def test_structured_unit_and_feet_accessors():
     unit = identity_cospan("lgraph", FinSet(2), representation="structured")
     assert isinstance(unit, StructuredCospan)
     assert unit.foot_left == unit.foot_right == FinSet(2)
-    assert unit.violations() == []
     assert to_structured(to_decorated(unit)) == unit
+
+
+CELL_KINDS = ("graph", "lgraph", "petri", "petri_rates")
+
+
+def seeded_cospans(kind, count=20):
+    rng = Random(f"present-{kind}")
+    return [random_cospan(rng, kind) for _ in range(count)]
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_present_is_the_one_switch_between_presentations(kind):
+    for d in seeded_cospans(kind):
+        s = to_structured(d)
+        assert (d.representation, s.representation) == ("decorated", "structured")
+        for c in (d, s):
+            assert _present(c, c.representation) is c
+        assert _present(d, "structured") == s
+        assert _present(s, "decorated") == to_decorated(s) == d
+        assert _present(_present(d, "structured"), "decorated") == d
+        assert _present(_present(s, "decorated"), "structured") == s
+        # the shared reading gives the same feet, legs and apex either way
+        assert (s.foot_left, s.foot_right, s.leg_maps, s.decoration) == (
+            d.foot_left, d.foot_right, d.leg_maps, d.decoration
+        )
+        with pytest.raises(ValueError, match="unknown representation"):
+            _present(d, "skewed")
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_reverse_of_a_structured_cospan_swaps_its_legs(kind):
+    for d in seeded_cospans(kind):
+        s = to_structured(d)
+        assert reverse(s) == StructuredCospan(s.leg_right, s.leg_left)
+        assert reverse(s) == to_structured(reverse(d))
+
+
+def test_presenting_a_field_as_structured_keeps_its_kind_error():
+    with pytest.raises(KindError, match="^dynam models only have a decorated representation$"):
+        _present(graybox(sir_open_net()), "structured")
+
+
+def test_structured_feet_that_disagree_name_their_sizes():
+    m = to_structured(random_cospan(Random("feet"), "graph", 1, 1))
+    n = to_structured(random_cospan(Random("feet"), "graph", 2, 1))
+    with pytest.raises(
+        ComposabilityError, match="^feet disagree: right foot has size 1, left foot has size 2$"
+    ):
+        hcompose(m, n)
+
+
+def test_squares_over_fields_name_the_kind_not_the_field():
+    small = graybox(sir_open_net())
+    large = graybox(tensor(sir_open_net(), tensor(sir_open_net(), sir_open_net())))
+    messages = set()
+    for field in (small, large):
+        for call in (
+            lambda: TwoMorphism.identity(field),
+            lambda: left_unitor(field),
+            lambda: check_companion(fn([0, 0], 1), "dynam"),
+        ):
+            with pytest.raises(KindError) as caught:
+                call()
+            messages.add(str(caught.value))
+    assert messages == {"dynam decorations have no cells"}
 
 
 # -- isomorphism decisions ------------------------------------------------------------

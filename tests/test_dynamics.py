@@ -246,8 +246,9 @@ def test_graybox_keeps_the_boundary_and_takes_mass_action():
     assert system.leg_left == net.leg_left and system.leg_right == net.leg_right
     assert system.field == mass_action(net.decoration)
     assert graybox(to_structured(net)).field == system.field
-    with pytest.raises(KindError):
-        graybox(identity_cospan("graph", FinSet(1)))
+    for not_a_rated_open_net in (identity_cospan("graph", FinSet(1)), net.decoration):
+        with pytest.raises(KindError, match="gray-boxing applies to open Petri nets with rates"):
+            graybox(not_a_rated_open_net)
 
 
 def test_open_dynam_iso_finds_the_relabeling():
