@@ -58,6 +58,7 @@ from .finset import (
 )
 from .systems import (
     Decoration,
+    PolyVectorField,
     System,
     SystemMorphism,
     cells_of,
@@ -566,17 +567,86 @@ def _petri_signature(system: System) -> list[tuple]:
     return [tuple(sorted(profile)) for profile in profiles]
 
 
+def _count(row: dict, partner: int, key: tuple) -> None:
+    counts = row.setdefault(partner, {})
+    counts[key] = counts.get(key, 0) + 1
+
+
+def _petri_pairs(system: System) -> list[dict[int, dict]]:
+    """Per place x and other place x2, the counts of (consumed[x],
+    produced[x], consumed[x2], produced[x2], rate key) over the transitions
+    that touch both."""
+    rows: list[dict] = [{} for _ in interface_of(system)]
+    for src, tgt, rate in _cell_keys(system):
+        consumed, produced = dict(src), dict(tgt)
+        touched = consumed.keys() | produced.keys()
+        for x in touched:
+            here = (consumed.get(x, 0), produced.get(x, 0))
+            for x2 in touched - {x}:
+                _count(rows[x], x2, (*here, consumed.get(x2, 0), produced.get(x2, 0), rate))
+    return rows
+
+
+# field_close's tolerance.  A term whose coefficient is above rel * 1e-3 (the
+# floor of poly_close) cannot pass unmatched, and a bijection neither merges
+# nor splits terms, so only such terms are counted; at rel = 1e-9 that floor
+# is COEFF_DROP and every stored term counts.
+_FIELD_REL = 1e-9
+
+
+def _field_pairs(field: PolyVectorField) -> list[dict[int, dict]]:
+    """Per place a and other place b, the counts of (True, exponent of a,
+    exponent of b) over the terms of component a in which b occurs, and of
+    (False, exponent of b, exponent of a) over those of component b in which
+    a occurs."""
+    rows: list[dict] = [{} for _ in field.components]
+    for x, poly in enumerate(field.components):
+        for c, exps in poly.terms:
+            if abs(c) <= _FIELD_REL * 1e-3:
+                continue
+            for x2, k in enumerate(exps):
+                if k and x2 != x:
+                    _count(rows[x], x2, (True, exps[x], k))
+                    _count(rows[x2], x, (False, exps[x], k))
+    return rows
+
+
 def _adjacency_rule(d: System, e: System):
     """Graph shape: assigned pairs of nodes must carry the same edge counts."""
     adj_m, adj_n = _graph_adjacency(d), _graph_adjacency(e)
+    none = Counter()
 
     def compatible(x: int, y: int, assignment: list[Optional[int]]) -> bool:
         for x2, y2 in enumerate(assignment):
             if y2 is None:
                 continue
-            if adj_m.get((x, x2), Counter()) != adj_n.get((y, y2), Counter()):
+            if adj_m.get((x, x2), none) != adj_n.get((y, y2), none):
                 return False
-            if adj_m.get((x2, x), Counter()) != adj_n.get((y2, y), Counter()):
+            if adj_m.get((x2, x), none) != adj_n.get((y2, y), none):
+                return False
+        return True
+
+    return compatible
+
+
+def _pair_rule(unary, pairs, d: Decoration, e: Decoration):
+    """`unary(x, y)`, then equal `pairs` rows between x and each assigned
+    partner x2 and between y and its image y2.  The rows are built on the
+    first test of a free node with an assigned partner: the pinned pre-check
+    (x itself assigned) and `compatible(x, y, [])` run `unary` alone."""
+    rows = None
+
+    def compatible(x: int, y: int, assignment: list[Optional[int]]) -> bool:
+        nonlocal rows
+        if not unary(x, y):
+            return False
+        if rows is None:
+            if all(y2 is None for y2 in assignment) or assignment[x] is not None:
+                return True
+            rows = pairs(d), pairs(e)
+        row_m, row_n = rows[0][x], rows[1][y]
+        for x2, y2 in enumerate(assignment):
+            if y2 is not None and row_m.get(x2) != row_n.get(y2):
                 return False
         return True
 
@@ -584,13 +654,14 @@ def _adjacency_rule(d: System, e: System):
 
 
 def _signature_rule(d: System, e: System):
-    """Petri shape: a place maps only to a place with the same profile."""
+    """Petri shape: a place maps only to a place with the same profile, and
+    co-occurs with each assigned place as its image does."""
     sig_m, sig_n = _petri_signature(d), _petri_signature(e)
     # a profile leaves out the (0, 0, rate key) of untouched transitions:
     # profiles that hold them compare equal only if all the rates do
     if sorted(d.attrs or ()) != sorted(e.attrs or ()):
         return lambda x, y, assignment: False
-    return lambda x, y, assignment: sig_m[x] == sig_n[y]
+    return _pair_rule(lambda x, y: sig_m[x] == sig_n[y], _petri_pairs, d, e)
 
 
 _PRUNING_RULES = {"graph": _adjacency_rule, "petri": _signature_rule}
@@ -600,10 +671,13 @@ _NO_CELLS = FinFunction.identity(EMPTY)
 def _search_rules(d: Decoration, e: Decoration):
     """The `compatible` rule and the leaf check (node bijection -> cell map
     or None) of a search from d to e, or None when cell counts differ.  A
-    field has no cells and no pruning; its leaf check is `field_close`."""
+    field has no cells; it is pruned by term co-occurrence and its leaf
+    check is `field_close`."""
     shape = decoration_theory(d.kind).shape
     if shape == "field":
-        return None, lambda h: _NO_CELLS if field_close(pushforward_field(h, d), e) else None
+        return _pair_rule(lambda x, y: True, _field_pairs, d, e), lambda h: (
+            _NO_CELLS if field_close(pushforward_field(h, d), e, _FIELD_REL) else None
+        )
     if cells_of(d).size != cells_of(e).size:
         return None
     return _PRUNING_RULES[shape](d, e), lambda h: match_cells(d, e, h)
@@ -614,13 +688,14 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
 
     Delegates the search for an apex bijection commuting with both pairs of
     legs to `find_iso`, with this kind's pairwise pruning (adjacency counts
-    between assigned nodes for graph kinds, per-place profiles for Petri
-    kinds, none for fields) as its `compatible` rule, and the kind's leaf
-    check (`match_cells`, or `field_close` for fields); the cell part of
-    the witness is the one the leaf check found there.  Budget, node
-    counting and witness order are those of `find_iso`; the budget is
-    resolved first, so a malformed OPENCOSPAN_ISO_BUDGET is reported
-    whatever the inputs.
+    between assigned nodes for graph kinds; per-place profiles, then
+    transition co-occurrence with assigned places for Petri kinds; term
+    co-occurrence with assigned places for fields) as its `compatible`
+    rule, and the kind's leaf check (`match_cells`, or `field_close` for
+    fields); the cell part of the witness is the one the leaf check found
+    there.  Budget, node counting and witness order are those of
+    `find_iso`; the budget is resolved first, so a malformed
+    OPENCOSPAN_ISO_BUDGET is reported whatever the inputs.
     """
     budget = _iso_budget(budget)
     if m.representation != n.representation or m.kind != n.kind:

@@ -561,9 +561,10 @@ def poly_add(*polys: Poly) -> Poly:
 def poly_close(p: Poly, q: Poly, rel: float = 1e-9) -> bool:
     """Structural equality: identical exponent sets, coefficients within rel.
 
-    A term unmatched on the other side passes only if its coefficient is
-    itself below the tolerance (it may have been dropped at the storage
-    threshold along one route).
+    A term unmatched on the other side passes only if its coefficient is at
+    most rel * 1e-3.  At the default rel that bound is COEFF_DROP, so no
+    stored term passes unmatched: one dropped at the storage threshold along
+    one route fails against the same term kept along another.
     """
     if p.nvars != q.nvars:
         return False

@@ -638,6 +638,33 @@ def test_iso_check_respects_the_search_budget(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.startswith("PASS iso")
 
 
+def test_iso_check_decides_a_ten_place_ring_against_two_five_cycles(tmp_path, capsys):
+    # profiles alone cannot tell these equal-rate nets apart, and the search
+    # over them ran out of its default budget
+    paths = []
+    for name, cycles in (("ring", [range(10)]), ("cycles", [range(5), range(5, 10)])):
+        arcs = [(c[j], c[(j + 1) % len(c)]) for c in cycles for j in range(len(c))]
+        transitions = [{"src": {str(s): 1}, "tgt": {str(t): 1}, "rate": 0.5} for s, t in arcs]
+        doc = {
+            "version": "1",
+            "kind": "petri_rates",
+            "representation": "decorated",
+            "payload": {
+                "footLeft": 0,
+                "footRight": 0,
+                "legLeft": [],
+                "legRight": [],
+                "system": {"places": 10, "transitions": transitions},
+                "representation": "decorated",
+            },
+        }
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    code, out, err = run_cli(capsys, "check", *paths, "--laws", "iso")
+    assert (code, err) == (2, "") and out.startswith("FAIL iso")
+
+
 def test_module_entrypoint_runs_standalone():
     # the child imports the same package as this test, installed or not
     package_root = str(pathlib.Path(opencospan.__file__).resolve().parent.parent)

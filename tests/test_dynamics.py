@@ -108,6 +108,11 @@ def test_poly_add_and_close():
     assert not poly_close(a, poly_add(a, mono(1, 1e-2, (1,))))
     # a term dropped at the storage threshold still compares close
     assert poly_close(Poly.zero(1), Poly.from_terms(1, [(1e-13, (0,))]))
+    # but at rel = 1e-9 the tolerance floor is the storage threshold itself,
+    # so a stored term never passes unmatched, however near the threshold
+    kept, dropped = mono(1, 1.05e-12, (1,)), Poly.from_terms(1, [(0.95e-12, (1,))])
+    assert dropped == Poly.zero(1)
+    assert not poly_close(kept, dropped) and not poly_close(dropped, kept)
     assert not poly_close(mono(1, 1.0, (1,)), mono(1, 1.0, (2,)))
     with pytest.raises(DimensionError):
         poly_add(mono(1, 1.0, (1,)), mono(2, 1.0, (1, 0)))
@@ -297,12 +302,12 @@ def rated_ring(n, cycles, rate=0.5):
 
 
 def test_the_dynam_iso_search_spends_the_pinned_nodes(monkeypatch):
-    # no pruning and field_close at the leaves: 6 + 30 + ... + 720 = 1956
-    # nodes exhaust the search, and 103 reach the relabelling
+    # term co-occurrence prunes as adjacency does for graphs: 60 nodes exhaust
+    # the search (1956 without pruning), and 9 reach the relabelling (103)
     ring = rated_ring(6, [list(range(6))])
     cases = (
-        (rated_ring(6, [[0, 1, 2], [3, 4, 5]]), 1956, None),
-        (rated_ring(6, [[0, 2, 4, 1, 3, 5]]), 103, (0, 2, 4, 1, 3, 5)),
+        (rated_ring(6, [[0, 1, 2], [3, 4, 5]]), 60, None),
+        (rated_ring(6, [[0, 2, 4, 1, 3, 5]]), 9, (0, 2, 4, 1, 3, 5)),
     )
     for other, budget, witness in cases:
         monkeypatch.setenv(ISO_BUDGET_ENV, str(budget))
