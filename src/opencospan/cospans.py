@@ -601,13 +601,14 @@ def _field_pairs(field: PolyVectorField) -> list[dict[int, dict]]:
     a occurs."""
     rows: list[dict] = [{} for _ in field.components]
     for x, poly in enumerate(field.components):
-        for c, exps in poly.terms:
+        for c, support in poly.sparse:
             if abs(c) <= _FIELD_REL * 1e-3:
                 continue
-            for x2, k in enumerate(exps):
-                if k and x2 != x:
-                    _count(rows[x], x2, (True, exps[x], k))
-                    _count(rows[x2], x, (False, exps[x], k))
+            own = dict(support).get(x, 0)
+            for x2, k in support:
+                if x2 != x:
+                    _count(rows[x], x2, (True, own, k))
+                    _count(rows[x2], x, (False, own, k))
     return rows
 
 

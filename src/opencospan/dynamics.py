@@ -39,6 +39,7 @@ from .systems import (  # noqa: F401
     PetriNetWithRates,
     Poly,
     PolyVectorField,
+    Support,
     field_close,
     poly_add,
     poly_close,
@@ -52,20 +53,24 @@ def mass_action(net: PetriNetWithRates) -> PolyVectorField:
 
     Each transition fires at its rate times the product of its input
     concentrations (with multiplicity as exponent), and moves state in the
-    direction produced-minus-consumed.
+    direction produced-minus-consumed.  A term's monomial is the support of
+    its transition's consumed multiset, taken as it is, and the places no
+    transition changes share one zero component: the cost is the size of
+    the net, not places times terms.
     """
     n = net.places.size
-    raw: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in range(n)]
+    raw: dict[int, list[tuple[float, Support]]] = {}
     for consumed, produced, rate in zip(net.net.src, net.net.tgt, net.rates):
-        exps = consumed.counts
+        support = consumed.pairs
         deltas = dict(produced.pairs)
-        for p, k in consumed.pairs:
+        for p, k in support:
             deltas[p] = deltas.get(p, 0) - k
         for p, delta in deltas.items():
             if delta:
-                raw[p].append((rate * delta, exps))
+                raw.setdefault(p, []).append((rate * delta, support))
+    zero = Poly.zero(n)
     return PolyVectorField(
-        net.places, tuple(Poly.from_terms(n, raw[p]) for p in range(n))
+        net.places, tuple([Poly._canonical(n, raw[p]) if p in raw else zero for p in range(n)])
     )
 
 
@@ -191,13 +196,13 @@ def rate_equation(
     body = ["".join("x%d, " % j for j in range(n)) + "= s"] if n else []
     for i, p in enumerate(system.field.components):
         body.append("v%d = 0.0" % i)
-        for c, exps in p.terms:
+        for c, support in p.sparse:
             body.append("t = c[%d]" % len(coefficients))
             coefficients.append(c)
-            for j, k in enumerate(exps):
+            for j, k in support:
                 if k == 1:
                     body.append("t *= x%d" % j)
-                elif k:
+                else:
                     body.append("t *= x%d ** %d" % (j, k))
             body.append("v%d += t" % i)
     body.extend("v%d += fi[%d]" % (p, x) for x, p in enumerate(system.leg_left.table))

@@ -55,6 +55,11 @@ class DivergenceError(OpenCospanError):
         self.last_good_time = last_good_time
 
 
+class CoefficientOverflow(OpenCospanError):
+    """A polynomial coefficient is not a finite float: a rate, or a sum or
+    product of them, overflowed."""
+
+
 class ModelFormatError(OpenCospanError):
     """A model or config file does not match the documented JSON schema."""
 

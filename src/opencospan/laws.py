@@ -637,7 +637,7 @@ def no_left_adjoint_witness(max_places: int = 2, max_degree: int = 2) -> LawRepo
         for components in itertools.product(component_pool, repeat=n):
             field = PolyVectorField(places, components)
             checked += 1
-            expected = all(not p.terms for p in components)
+            expected = all(not p.sparse for p in components)
             if admits_morphism_from_empty(field) != expected:
                 return LawReport(
                     "noleftadjoint", False, checked,

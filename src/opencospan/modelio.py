@@ -38,6 +38,7 @@ from .systems import (
     PetriNetWithRates,
     Poly,
     PolyVectorField,
+    _dense_of,
     cells_of,
     decoration_theory,
     interface_of,
@@ -109,10 +110,12 @@ def system_to_json(system: Decoration) -> dict:
         raise ModelFormatError(f"cannot serialize {type(system).__name__}")
     shape = decoration_theory(system.kind).shape
     if shape == "field":
+        n = system.over.size
         return {
-            "places": system.over.size,
+            "places": n,
             "field": [
-                [[c, list(exps)] for c, exps in p.terms] for p in system.components
+                [[c, _dense_of(n, support)] for c, support in p.sparse]
+                for p in system.components
             ],
         }
     src, tgt = system.ends
@@ -407,9 +410,11 @@ def load_model(path: str) -> ModelFile:
 
 
 def save_model(path: str, model: ModelFile) -> None:
+    """Write a model as canonical JSON.  It is serialized before the file is
+    opened, so a model that cannot be written leaves the file as it was."""
+    text = canonical_json(model.to_json()) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(model.to_json()))
-        handle.write("\n")
+        handle.write(text)
 
 
 def default_names(model: ModelFile) -> Names:
@@ -533,7 +538,7 @@ def trajectory_to_csv(
     trajectory: list[tuple[float, tuple[float, ...]]], place_names: tuple[str, ...]
 ) -> str:
     """Rows of t plus one column per place, 17 significant digits."""
+    row = ",".join(["%.17g"] * (len(place_names) + 1))
     lines = ["t," + ",".join(place_names)]
-    for t, state in trajectory:
-        lines.append(",".join(f"{x:.17g}" for x in (t, *state)))
+    lines.extend([row % (t, *state) for t, state in trajectory])
     return "\n".join(lines) + "\n"

@@ -31,12 +31,20 @@ every target transition exactly the sum of the rates mapped onto it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from typing import Optional, Sequence, Union
 
-from .errors import DimensionError, KindError, MorphismShapeError, SpanError, UnsupportedGluing
+from .errors import (
+    CoefficientOverflow,
+    DimensionError,
+    KindError,
+    MorphismShapeError,
+    SpanError,
+    UnsupportedGluing,
+)
 from .finset import (
     EMPTY,
     FinFunction,
@@ -54,6 +62,31 @@ Label = Union[str, int, float, bool]
 def label_key(label: Label) -> tuple[type, Label]:
     """The key two labels must share to count as equal: type and value."""
     return (type(label), label)
+
+
+# the nonzero (place, count) pairs of a multiset, in place order: also the
+# (variable, exponent) pairs of a monomial
+Support = tuple[tuple[int, int], ...]
+
+
+def _check_pairs(pairs: Support, size: int) -> None:
+    """Sparse support over {0..size-1}: increasing int places, positive int counts."""
+    last = -1
+    for p, k in pairs:
+        if type(p) is not int or not last < p or type(k) is not int or k <= 0:
+            raise ValueError(f"pairs need increasing places and positive counts: {pairs!r}")
+        last = p
+    if last >= size:
+        raise ValueError(f"place {last} is outside the set of size {size}")
+
+
+def _push_pairs(pairs: Support, table: Sequence[int]) -> Support:
+    """Sparse support moved along a map's table, summing over merged places."""
+    moved: dict[int, int] = {}
+    for p, k in pairs:
+        q = table[p]
+        moved[q] = moved.get(q, 0) + k
+    return tuple(sorted(moved.items()))
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -76,13 +109,7 @@ class Multiset:
 
     def __post_init__(self, over: FinSet, pairs: tuple[tuple[int, int], ...]) -> None:
         """Check the pairs, in O(len(pairs)), and set the fields."""
-        last = -1
-        for p, k in pairs:
-            if type(p) is not int or not last < p or type(k) is not int or k <= 0:
-                raise ValueError(f"pairs need increasing places and positive counts: {pairs!r}")
-            last = p
-        if last >= over.size:
-            raise ValueError(f"place {last} is outside the set of size {over.size}")
+        _check_pairs(pairs, over.size)
         object.__setattr__(self, "over", over)
         object.__setattr__(self, "pairs", pairs)
 
@@ -119,12 +146,7 @@ class Multiset:
         """Transport counts along f, summing over merged elements."""
         if f.dom != self.over:
             raise MorphismShapeError("multiset pushforward along a map with the wrong domain")
-        table = f.table
-        moved: dict[int, int] = {}
-        for p, k in self.pairs:
-            q = table[p]
-            moved[q] = moved.get(q, 0) + k
-        return Multiset._from_pairs(f.cod, tuple(sorted(moved.items())))
+        return Multiset._from_pairs(f.cod, _push_pairs(self.pairs, f.table))
 
     def total(self) -> int:
         return sum(k for _, k in self.pairs)
@@ -475,49 +497,103 @@ def relabel(f: FinFunction, system: System) -> System:
 COEFF_DROP = 1e-12
 
 
-@dataclass(frozen=True)
+def _dense_order(support: Support) -> Support:
+    """A sort key on sparse supports that orders them as their dense exponent
+    vectors order lexicographically: at the first variable where two vectors
+    differ, the one with an entry there (or the larger entry) is the larger."""
+    return tuple([(-p, k) for p, k in support])
+
+
+def _support_of(nvars: int, exps: Sequence[int]) -> Support:
+    """The nonzero (variable, exponent) pairs of a dense exponent vector."""
+    exps = tuple(exps)
+    if len(exps) != nvars:
+        raise ValueError(f"exponent vector {exps} is not of length {nvars}")
+    for k in exps:
+        if type(k) is not int or k < 0:
+            raise ValueError(f"exponents must be nonnegative ints, got {exps}")
+    return tuple([(j, k) for j, k in enumerate(exps) if k])
+
+
+def _dense_of(nvars: int, support: Support) -> list[int]:
+    """The dense exponent vector of a support, as a list."""
+    exps = [0] * nvars
+    for j, k in support:
+        exps[j] = k
+    return exps
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class Poly:
     """A sparse real polynomial in nvars variables, in canonical form.
 
-    Terms are (coefficient, exponents) pairs with distinct exponent
-    vectors, sorted lexicographically, no coefficient within 1e-12 of
-    zero.  Use `from_terms` to build one from raw terms.
+    Each term is stored as its coefficient and the support of its monomial:
+    the nonzero (variable, exponent) pairs in variable order (`sparse`), so
+    a term costs the number of variables it reads, not nvars.  Terms are
+    distinct, sorted as their dense exponent vectors sort lexicographically,
+    and every coefficient is finite and more than 1e-12 away from zero.
+    `Poly(nvars, terms)` takes and `.terms` reads back dense (coefficient,
+    exponents) pairs; use `from_terms` to build one from raw dense terms.
     """
 
     nvars: int
-    terms: tuple[tuple[float, tuple[int, ...]], ...]
+    sparse: tuple[tuple[float, Support], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "terms", tuple((float(c), tuple(e)) for c, e in self.terms)
-        )
-        seen = []
-        for c, exps in self.terms:
-            if len(exps) != self.nvars:
-                raise ValueError(f"exponent vector {exps} is not of length {self.nvars}")
-            if any(k < 0 or not isinstance(k, int) for k in exps):
-                raise ValueError(f"exponents must be nonnegative ints, got {exps}")
+    def __init__(self, nvars: int, terms: Sequence[tuple[float, Sequence[int]]]) -> None:
+        self.__post_init__(nvars, tuple([(float(c), _support_of(nvars, e)) for c, e in terms]))
+
+    def __post_init__(self, nvars: int, sparse: tuple[tuple[float, Support], ...]) -> None:
+        """Check the terms, in O(their total support), and set the fields."""
+        last = None
+        for c, support in sparse:
+            if not math.isfinite(c):
+                raise CoefficientOverflow(f"coefficient overflow: {c!r} is not a finite float")
             if abs(c) <= COEFF_DROP:
                 raise ValueError(f"coefficient {c!r} is below the storage threshold")
-            seen.append(exps)
-        if seen != sorted(seen) or len(set(seen)) != len(seen):
-            raise ValueError("terms must be sorted by distinct exponent vectors")
+            _check_pairs(support, nvars)
+            key = _dense_order(support)
+            if last is not None and not last < key:
+                raise ValueError("terms must be sorted by distinct exponent vectors")
+            last = key
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "sparse", sparse)
+
+    @classmethod
+    def _from_sparse(cls, nvars: int, sparse: tuple[tuple[float, Support], ...]) -> Poly:
+        poly = object.__new__(cls)
+        poly.__post_init__(nvars, sparse)
+        return poly
+
+    @classmethod
+    def _canonical(cls, nvars: int, raw: Sequence[tuple[float, Support]]) -> Poly:
+        """Canonicalize raw sparse terms: combine, drop near-zeros, sort.  A
+        non-finite sum is kept, so that the checks refuse it."""
+        acc: dict[Support, float] = {}
+        for c, support in raw:
+            acc[support] = acc.get(support, 0.0) + c
+        return cls._from_sparse(
+            nvars,
+            tuple([
+                (acc[s], s) for s in sorted(acc, key=_dense_order) if not abs(acc[s]) <= COEFF_DROP
+            ]),
+        )
+
+    @property
+    def terms(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
+        """The terms as (coefficient, dense exponent vector) pairs."""
+        return tuple([(c, tuple(_dense_of(self.nvars, s))) for c, s in self.sparse])
+
+    def __repr__(self) -> str:
+        return f"Poly(nvars={self.nvars!r}, terms={self.terms!r})"
 
     @staticmethod
     def zero(nvars: int) -> Poly:
-        return Poly(nvars, ())
+        return Poly._from_sparse(nvars, ())
 
     @staticmethod
     def from_terms(nvars: int, raw: Sequence[tuple[float, Sequence[int]]]) -> Poly:
-        """Canonicalize raw terms: combine, drop near-zeros, sort."""
-        acc: dict[tuple[int, ...], float] = {}
-        for c, exps in raw:
-            key = tuple(exps)
-            acc[key] = acc.get(key, 0.0) + float(c)
-        terms = tuple(
-            (acc[e], e) for e in sorted(acc) if abs(acc[e]) > COEFF_DROP
-        )
-        return Poly(nvars, terms)
+        """Canonicalize raw dense terms: combine, drop near-zeros, sort."""
+        return Poly._canonical(nvars, [(float(c), _support_of(nvars, e)) for c, e in raw])
 
     def evaluate(self, point: Sequence[float]) -> float:
         if len(point) != self.nvars:
@@ -525,37 +601,34 @@ class Poly:
                 f"point of length {len(point)} for a polynomial in {self.nvars} variables"
             )
         total = 0.0
-        for c, exps in self.terms:
+        for c, support in self.sparse:
             value = c
-            for x, k in zip(point, exps):
-                if k:
-                    value *= x**k
+            for j, k in support:
+                value *= point[j] ** k
             total += value
         return total
 
     def substitute_along(self, f: FinFunction) -> Poly:
-        """Rename variable i to variable f(i); merged variables add exponents."""
+        """Rename variable i to variable f(i); merged variables add exponents:
+        each monomial is pushed forward along f, as a multiset is."""
         if f.dom.size != self.nvars:
             raise DimensionError("substitution map must cover every variable")
-        raw = []
-        for c, exps in self.terms:
-            new = [0] * f.cod.size
-            for i, k in enumerate(exps):
-                new[f.table[i]] += k
-            raw.append((c, tuple(new)))
-        return Poly.from_terms(f.cod.size, raw)
+        table = f.table
+        return Poly._canonical(
+            f.cod.size, [(c, _push_pairs(support, table)) for c, support in self.sparse]
+        )
 
 
 def poly_add(*polys: Poly) -> Poly:
     if not polys:
         raise ValueError("need at least one polynomial")
     nvars = polys[0].nvars
-    raw: list[tuple[float, tuple[int, ...]]] = []
+    raw: list[tuple[float, Support]] = []
     for p in polys:
         if p.nvars != nvars:
             raise DimensionError("cannot add polynomials in different variable counts")
-        raw.extend(p.terms)
-    return Poly.from_terms(nvars, raw)
+        raw.extend(p.sparse)
+    return Poly._canonical(nvars, raw)
 
 
 def poly_close(p: Poly, q: Poly, rel: float = 1e-9) -> bool:
@@ -564,15 +637,20 @@ def poly_close(p: Poly, q: Poly, rel: float = 1e-9) -> bool:
     A term unmatched on the other side passes only if its coefficient is at
     most rel * 1e-3.  At the default rel that bound is COEFF_DROP, so no
     stored term passes unmatched: one dropped at the storage threshold along
-    one route fails against the same term kept along another.
+    one route fails against the same term kept along another.  A non-finite
+    coefficient is close to nothing.
     """
     if p.nvars != q.nvars:
         return False
-    a = {e: c for c, e in p.terms}
-    b = {e: c for c, e in q.terms}
-    for e in set(a) | set(b):
+    a = {e: c for c, e in p.sparse}
+    b = {e: c for c, e in q.sparse}
+    for e in a.keys() | b.keys():
         ca, cb = a.get(e, 0.0), b.get(e, 0.0)
-        if abs(ca - cb) > rel * max(abs(ca), abs(cb), 1e-3):
+        # the difference is non-finite when either side is, and when two
+        # finite coefficients of opposite sign are too far apart to compare
+        difference = ca - cb
+        bound = rel * max(abs(ca), abs(cb), 1e-3)
+        if not math.isfinite(difference) or abs(difference) > bound:
             return False
     return True
 
@@ -599,7 +677,7 @@ class PolyVectorField:
 
     @staticmethod
     def zero(over: FinSet) -> PolyVectorField:
-        return PolyVectorField(over, tuple(Poly.zero(over.size) for _ in over))
+        return PolyVectorField(over, (Poly.zero(over.size),) * over.size)
 
     def evaluate(self, point: Sequence[float]) -> list[float]:
         if len(point) != self.over.size:

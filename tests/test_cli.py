@@ -525,6 +525,33 @@ def test_a_nan_field_coefficient_is_refused_at_load_time(tmp_path, capsys, model
     assert "field component 1 term 0 coefficient must be a finite number" in err
 
 
+def test_an_overflowing_graybox_is_a_domain_error_and_keeps_the_output_file(tmp_path, capsys):
+    # a finite rate whose mass-action coefficient, 1.5e308 * (3 - 1), overflows
+    net = {
+        "version": "1",
+        "kind": "petri_rates",
+        "representation": "decorated",
+        "payload": {
+            "footLeft": 0,
+            "footRight": 0,
+            "legLeft": [],
+            "legRight": [],
+            "representation": "decorated",
+            "system": {
+                "places": 1,
+                "transitions": [{"src": {"0": 1}, "tgt": {"0": 3}, "rate": 1.5e308}],
+            },
+        },
+    }
+    model, out = tmp_path / "net.json", tmp_path / "out.json"
+    model.write_text(json.dumps(net))
+    out.write_bytes(b"previous contents\n")
+    code, stdout, err = run_cli(capsys, "graybox", str(model), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: coefficient overflow: inf is not a finite float\n"
+    assert out.read_bytes() == b"previous contents\n"
+
+
 def test_a_nan_initial_state_is_refused_at_load_time(tmp_path, capsys, models_dir):
     config = write_sim_config(tmp_path, initialState={"S": 0.99, "I": math.nan})
     err = simulate_expecting_a_format_error(tmp_path, capsys, models_dir / "sir.json", config)

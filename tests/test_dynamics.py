@@ -1,6 +1,7 @@
 """Polynomial fields, mass-action, gray-boxing, and the integrator."""
 
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from opencospan import (
     EMPTY,
     BudgetExceeded,
+    CoefficientOverflow,
     DecoratedCospan,
     DimensionError,
     DivergenceError,
@@ -17,6 +19,7 @@ from opencospan import (
     KindError,
     ModelValidationError,
     Multiset,
+    OpenCospanError,
     OpenDynam,
     PetriNet,
     PetriNetWithRates,
@@ -118,6 +121,64 @@ def test_poly_add_and_close():
         poly_add(mono(1, 1.0, (1,)), mono(2, 1.0, (1, 0)))
 
 
+def test_bool_exponents_are_refused():
+    # a bool passes isinstance(k, int); stored, it would be written as
+    # `true`, which loading refuses
+    for exps in ((True,), (False,), (1, True), (False, 1)):
+        n = len(exps)
+        with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
+            Poly(n, ((1.0, exps),))
+        with pytest.raises(ValueError, match="exponents must be nonnegative ints"):
+            Poly.from_terms(n, [(1.0, exps)])
+    with pytest.raises(ValueError):
+        Poly._from_sparse(1, ((1.0, ((0, True),)),))
+
+
+def test_non_finite_coefficients_are_refused_as_an_overflow():
+    assert issubclass(CoefficientOverflow, OpenCospanError)
+    assert not issubclass(CoefficientOverflow, ValueError)
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(CoefficientOverflow, match="coefficient overflow"):
+            Poly(1, ((c, (1,)),))
+        with pytest.raises(CoefficientOverflow):
+            Poly.from_terms(1, [(c, (1,))])
+    big = mono(1, 1e308, (1,))
+    with pytest.raises(CoefficientOverflow):
+        poly_add(big, big)
+    # infinities that cancel sum to NaN, which is refused, not dropped as zero
+    with pytest.raises(CoefficientOverflow):
+        Poly.from_terms(1, [(math.inf, (1,)), (-math.inf, (1,))])
+    # a finite rate whose mass-action term overflows: 1.5e308 * (3 - 1)
+    places = FinSet(1)
+    net = PetriNetWithRates(
+        PetriNet(places, FinSet(1), (Multiset(places, (1,)),), (Multiset(places, (3,)),)),
+        (1.5e308,),
+    )
+    with pytest.raises(CoefficientOverflow, match="inf"):
+        mass_action(net)
+
+
+def unchecked_mono(coeff):
+    """A one-term Poly built around the constructor's checks, as a corrupted
+    or hand-made object would be."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "nvars", 1)
+    object.__setattr__(p, "sparse", ((coeff, ((0, 1),)),))
+    return p
+
+
+def test_poly_close_is_false_on_non_finite_coefficients():
+    five = mono(1, 5.0, (1,))
+    assert poly_close(unchecked_mono(5.0), five)
+    for c in (math.nan, math.inf, -math.inf):
+        assert not poly_close(unchecked_mono(c), five)
+        assert not poly_close(five, unchecked_mono(c))
+        assert not poly_close(unchecked_mono(c), unchecked_mono(c))
+    # finite coefficients too far apart to subtract are not close either
+    assert not poly_close(mono(1, 1e308, (1,)), mono(1, -1e308, (1,)))
+    assert poly_close(mono(1, 1e308, (1,)), mono(1, 1e308 * (1 + 1e-12), (1,)))
+
+
 # -- mass-action ---------------------------------------------------------------------
 
 
@@ -147,6 +208,46 @@ def test_catalytic_transitions_contribute_nothing():
     ms = Multiset(places, (1,))
     net = PetriNetWithRates(PetriNet(places, FinSet(1), (ms,), (ms,)), (2.0,))
     assert mass_action(net) == PolyVectorField.zero(places)
+
+
+def test_grayboxing_a_wide_net_costs_the_size_of_the_net():
+    # 80,000 places and 40 transitions: dense exponent vectors made this
+    # 80,000 entries per term
+    rng = Random(11)
+    n, cells = 80_000, 40
+    places = FinSet(n)
+    src, tgt = [], []
+    for _ in range(cells):
+        a, b, c = rng.sample(range(n), 3)
+        src.append(Multiset.from_dict(places, {a: 1, b: rng.randint(1, 2)}))
+        tgt.append(Multiset.from_dict(places, {c: 1}))
+    net = PetriNetWithRates(
+        PetriNet(places, FinSet(cells), src, tgt), [rng.uniform(0.1, 1.0) for _ in range(cells)]
+    )
+    none = FinFunction.from_empty(places)
+    tracemalloc.start()
+    try:
+        field = graybox(DecoratedCospan(EMPTY, EMPTY, none, none, net)).field
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every term's monomial is its transition's consumed support, as it is
+    expected = {}
+    for consumed, produced, rate in zip(src, tgt, net.rates):
+        for p in {p for p, _ in consumed.pairs + produced.pairs}:
+            delta = dict(produced.pairs).get(p, 0) - dict(consumed.pairs).get(p, 0)
+            expected.setdefault(p, []).append((rate * delta, consumed.pairs))
+    stored = {
+        p: list(poly.sparse) for p, poly in enumerate(field.components) if poly.sparse
+    }
+    assert stored.keys() == expected.keys()
+    for p, terms in stored.items():
+        assert sorted(terms, key=lambda term: term[1]) == sorted(
+            expected[p], key=lambda term: term[1]
+        )
+    # about 1.4 MB at peak, the tuple of components; dense exponent vectors
+    # peaked at 38.6 MB here
+    assert peak < 4_000_000, peak
 
 
 # -- pushforward ----------------------------------------------------------------------

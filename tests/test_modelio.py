@@ -5,8 +5,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opencospan import (
+    EMPTY,
     DecoratedCospan,
     FinFunction,
     FinSet,
@@ -82,6 +84,21 @@ def test_save_load_save_is_byte_identical(tmp_path, name):
     assert loaded.kind == model.kind and loaded.names == model.names
     save_model(str(second), loaded)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_a_model_that_cannot_be_serialized_leaves_the_file_as_it_was(tmp_path):
+    # an lgraph built through the API may carry a NaN label, which
+    # canonical JSON refuses
+    graph = Graph(FinSet(1), FinSet(1), fn([0], 1), fn([0], 1))
+    bad = ModelFile(
+        "lgraph",
+        DecoratedCospan(EMPTY, EMPTY, fn([], 1), fn([], 1), LabeledGraph(graph, (math.nan,))),
+    )
+    out = tmp_path / "out.json"
+    out.write_bytes(b"previous contents\n")
+    with pytest.raises(ModelFormatError, match="not serializable canonically"):
+        save_model(str(out), bad)
+    assert out.read_bytes() == b"previous contents\n"
 
 
 def test_float_rates_survive_the_roundtrip_exactly():
@@ -327,3 +344,19 @@ def test_trajectory_csv_has_a_header_and_full_precision():
     # every value round-trips through its printed form exactly
     assert [float(x) for x in lines[1].split(",")] == [0.0, 1.0, 0.1]
     assert [float(x) for x in lines[2].split(",")] == [0.5, 0.25, 1e-17]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(allow_nan=False),
+            st.lists(st.floats(allow_nan=False), min_size=3, max_size=3),
+        ),
+        max_size=5,
+    )
+)
+def test_trajectory_csv_rows_print_every_value_as_its_17_digit_form(rows):
+    trajectory = [(t, tuple(state)) for t, state in rows]
+    want = ["t,a,b,c"] + [",".join(f"{x:.17g}" for x in (t, *state)) for t, state in trajectory]
+    assert trajectory_to_csv(trajectory, ("a", "b", "c")) == "\n".join(want) + "\n"

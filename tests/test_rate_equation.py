@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from opencospan import (
     EMPTY,
+    CoefficientOverflow,
     DimensionError,
     FinFunction,
     FinSet,
@@ -75,7 +76,9 @@ def open_system(field, left=(), right=()):
 
 # -- hypothesis strategies ---------------------------------------------------
 
-coefficients = st.floats(allow_nan=True, allow_infinity=True).filter(
+# a Poly refuses non-finite coefficients; finite ones up to the largest
+# double still overflow in products, and non-finite states still reach them
+coefficients = st.floats(allow_nan=False, allow_infinity=False).filter(
     lambda c: not abs(c) <= 1e-12
 )
 state_values = st.one_of(st.floats(-4, 4), st.floats(allow_nan=True, allow_infinity=True))
@@ -167,18 +170,21 @@ def test_powers_overflow_like_the_oracle():
         rate_equation(open_system(field), FlowSchedule.zero(0, 0))(0.0, [1e200, 1.0])
 
 
-def test_non_finite_coefficients_built_through_the_api():
+def test_non_finite_coefficients_are_refused_and_huge_ones_overflow_like_the_oracle():
+    for c in (math.nan, math.inf, -math.inf):
+        with pytest.raises(CoefficientOverflow):
+            Poly(2, ((c, (0, 0)),))
     field = PolyVectorField(
         FinSet(2),
         (
-            Poly(2, ((math.nan, (0, 0)), (math.inf, (1, 0)))),
-            Poly(2, ((-math.inf, (0, 1)), (1.0, (1, 1)))),
+            Poly(2, ((1.7e308, (0, 0)), (-1.7e308, (1, 0)))),
+            Poly(2, ((1.7e308, (0, 1)), (1.0, (1, 1)))),
         ),
     )
     assert_matches_oracle(
         open_system(field, left=(1,)),
         FlowSchedule((PiecewiseConstant.constant(2.0),), ()),
-        [(0.0, [1.0, 0.0]), (0.0, [0.0, -2.0]), (1.0, [math.inf, math.nan])],
+        [(0.0, [1.0, 0.0]), (0.0, [-1.0, 2.0]), (1.0, [math.inf, math.nan])],
     )
 
 
