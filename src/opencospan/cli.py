@@ -86,10 +86,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     model = load_model(args.file)
     config = load_sim_config(args.config)
     system, schedule, initial, names = resolve_simulation(model, config)
-    trajectory = simulate(system, schedule, initial, config.t0, config.t1, config.dt)
     assert names.places is not None
+    # the trajectory is freed once formatted, before the text is encoded
+    text = trajectory_to_csv(
+        simulate(system, schedule, initial, config.t0, config.t1, config.dt), names.places
+    )
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(trajectory_to_csv(trajectory, names.places))
+        handle.write(text)
     return 0
 
 

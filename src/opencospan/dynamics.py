@@ -17,9 +17,11 @@ field admits a map from the empty system exactly when it is zero, so
 nonzero fields witness that gray-boxing has no left adjoint.
 
 `simulate` integrates the open rate equation (field plus boundary flows)
-with RK4.  It compiles that equation once per run with `rate_equation`
-into one flat generated function, which performs exactly the float
-operations of `Poly.evaluate`; the interpreted `evaluate` methods stay as
+with RK4.  It compiles one whole RK4 step once per run into one flat
+generated function: four stages of the field and the final combination,
+inlined, doing exactly the float operations of the stage-by-stage loop
+over `Poly.evaluate`.  `rate_equation` compiles the same generated field
+code alone, as one stage.  The interpreted `evaluate` methods stay as
 public API and as the reference the compiled code is tested against.
 """
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-from .errors import DimensionError, DivergenceError, KindError
+from .errors import DimensionError, DivergenceError, KindError, SimulationTooLarge
 from .finset import EMPTY, FinFunction, FinSet
 # the field algebra is imported back so that every dynamics.X name still resolves
 from .systems import (  # noqa: F401
@@ -164,6 +166,157 @@ class FlowSchedule:
         )
 
 
+# factors per generated product expression: a longer product continues as
+# `p = p * ...`, so that no expression nests deeply enough to exhaust the
+# compiler's recursion limit
+_CHUNK = 32
+
+# the most trajectory values, (steps + 1) * (places + 1) with the time column,
+# that one `simulate` run may produce.  CLI `simulate` peaked at 89.7 bytes
+# of resident memory per value with every value a distinct float printed in
+# 24 characters, and at 78.6 with 19 (1,000 places by 1,000 and 3,000 steps,
+# over an 18 MB baseline), so a run at the cap stays under about 1 GB.
+MAX_TRAJECTORY_VALUES = 10_000_000
+
+
+def _blew_up(at: float, last_good: float) -> DivergenceError:
+    return DivergenceError(f"state blew up near t = {at}", last_good_time=last_good)
+
+
+def _source(system: OpenDynam, rk4: bool) -> tuple[str, tuple[float, ...], list[int]]:
+    """The generated source of the open rate equation of `system`, alone or
+    as one classical RK4 step; its coefficients; the places it touches.
+
+    The one generator of field code is `stage`: one statement per term, as
+    `a3 += k5 * x2 * x7 ** 2`, in the order and association of
+    `Poly.evaluate` (`0.0 +` the first term, products left to right, powers
+    kept as `**` so that an overflow still raises OverflowError), then the
+    inflows and the outflows in boundary order.  State values, stage values
+    and coefficients are plain locals; the source holds only integer
+    indices and exponents, and the coefficients are unpacked from the tuple
+    `K`.  Code is emitted only for the touched places, those some term
+    reads or some component or flow writes, so its size is that of the net.
+
+    Without `rk4`, `field(s, f)` returns the right-hand side at state `s`
+    with flow values `f` (inflows, then outflows); an untouched place reads
+    0.0.  With `rk4`, `step(s, t, h, f1, f2, f4)` returns the state one step
+    of size h after `s`, the flows taken at t, t + h/2 and t + h, with the
+    float operations of the stage-by-stage loop: `x + h / 2 * a` and so on,
+    then `x + h / 6 * (a + 2 * b + 2 * c + d)`.  It copies untouched places
+    as they are, and turns an OverflowError in a stage into the
+    DivergenceError `blew_up` makes from the stage's time.
+    """
+    n = system.apex.size
+    left, right = system.leg_left.table, system.leg_right.table
+    coefficients: list[float] = []
+    # per place, its terms as (index of the coefficient, monomial support)
+    components: list[list[tuple[int, Support]]] = []
+    for p in system.field.components:
+        components.append([])
+        for c, support in p.sparse:
+            components[-1].append((len(coefficients), support))
+            coefficients.append(c)
+    read = sorted({j for terms in components for _, support in terms for j, _ in support})
+    written = {i for i, terms in enumerate(components) if terms}
+    touched = sorted(written.union(read, left, right))
+
+    def stage(x: str, d: str, f: str) -> list[str]:
+        # lines setting d<i> to the right-hand side at the state x<j>, with
+        # the flow values f[...], for every touched place i
+        lines = []
+        for i in touched:
+            if not components[i]:
+                lines.append("%s%d = 0.0" % (d, i))
+            for later, (k, support) in enumerate(components[i]):
+                factors = ["k%d" % k] + [
+                    "%s%d" % (x, j) if e == 1 else "%s%d ** %d" % (x, j, e) for j, e in support
+                ]
+                product = " * ".join(factors[:_CHUNK])
+                if len(factors) > _CHUNK:
+                    lines.append("p = " + product)
+                    lines.extend(
+                        "p = p * " + " * ".join(factors[a : a + _CHUNK])
+                        for a in range(_CHUNK, len(factors), _CHUNK)
+                    )
+                    product = "p"
+                lines.append(("%s%d += %s" if later else "%s%d = 0.0 + %s") % (d, i, product))
+        lines.extend("%s%d += %s[%d]" % (d, p, f, x) for x, p in enumerate(left))
+        lines.extend("%s%d -= %s[%d]" % (d, p, f, len(left) + y) for y, p in enumerate(right))
+        return lines
+
+    body = ["x%d = s[%d]" % (j, j) for j in (touched if rk4 else read)]
+    if coefficients:
+        body.append("".join("k%d, " % k for k in range(len(coefficients))) + "= K")
+    if not rk4:
+        body += stage("x", "v", "f")
+        out = set(touched)
+        body.append("return [%s]" % ", ".join("v%d" % i if i in out else "0.0" for i in range(n)))
+        name, signature = "field", "s, f"
+    else:
+        body += ["h2 = h / 2", "h6 = h / 6"]
+        for x, d, f, at, weight in (
+            ("x", "a", "f1", "t", "h2"),
+            ("y", "b", "f2", "t + h2", "h2"),
+            ("y", "c", "f2", "t + h2", "h"),
+            ("y", "d", "f4", "t + h", None),
+        ):
+            lines = stage(x, d, f)
+            if lines:
+                body += ["try:"] + [" " + line for line in lines]
+                body += ["except OverflowError:", " raise blew_up(%s, t) from None" % at]
+            if weight:
+                body += ["y%d = x%d + %s * %s%d" % (j, j, weight, d, j) for j in read]
+        body.append("out = s.copy()")
+        body += [
+            "out[%d] = x%d + h6 * (a%d + 2 * b%d + 2 * c%d + d%d)" % ((i,) * 6) for i in touched
+        ]
+        body.append("return out")
+        name, signature = "step", "s, t, h, f1, f2, f4"
+    source = "def bind(K):\n def %s(%s):\n%s return %s\n" % (
+        name, signature, "".join(f"  {line}\n" for line in body), name
+    )
+    return source, tuple(coefficients), touched
+
+
+def _compile(system: OpenDynam, rk4: bool) -> tuple[Callable, list[int]]:
+    """The function `_source` generates, compiled, and the touched places."""
+    source, coefficients, touched = _source(system, rk4)
+    namespace: dict = {"blew_up": _blew_up}
+    exec(compile(source, "<rate equation>", "exec"), namespace)
+    # popped, so that the function and its globals form no reference cycle
+    # and are freed as soon as the caller drops them
+    return namespace.pop("bind")(coefficients), touched
+
+
+def _check_schedule(system: OpenDynam, schedule: FlowSchedule) -> None:
+    if len(schedule.inflows) != system.foot_left.size:
+        raise DimensionError(
+            f"{len(schedule.inflows)} inflows for a left foot of size {system.foot_left.size}"
+        )
+    if len(schedule.outflows) != system.foot_right.size:
+        raise DimensionError(
+            f"{len(schedule.outflows)} outflows for a right foot of size {system.foot_right.size}"
+        )
+
+
+def _flow_values(schedule: FlowSchedule) -> Callable[[float], list[float]]:
+    """The values of every flow at time t, inflows then outflows.  Every
+    flow is constant between consecutive breakpoints of the whole schedule,
+    so the values are looked up once per such segment."""
+    flows = schedule.inflows + schedule.outflows
+    breakpoints = sorted({b for flow in flows for b in flow.breakpoints})
+    segments: list[Optional[list[float]]] = [None] * (len(breakpoints) + 1)
+
+    def at(t: float) -> list[float]:
+        segment = bisect_right(breakpoints, t)
+        values = segments[segment]
+        if values is None:
+            values = segments[segment] = [flow(t) for flow in flows]
+        return values
+
+    return at
+
+
 def rate_equation(
     system: OpenDynam, schedule: FlowSchedule
 ) -> Callable[[float, Sequence[float]], list[float]]:
@@ -173,71 +326,23 @@ def rate_equation(
     routed along its leg and added in boundary order.  The shapes of the
     schedule are checked here, the length of the state on every call.
 
-    The whole right-hand side is compiled once into generated Python
-    source with one statement per factor and per term, which performs the
-    float operations of `Poly.evaluate` in the same order: powers keep
-    `**`, so an overflow still raises OverflowError, and no expression
-    nests deeply enough to exhaust the compiler's recursion limit.  The
-    source contains only integer indices and exponents; coefficients are
-    read from a tuple bound in a closure.  The flows are evaluated once
-    per segment between the schedule's breakpoints, where they are all
-    constant.
+    This is the one-stage case of the code `simulate` compiles: the whole
+    right-hand side is generated once as Python source that performs the
+    float operations of `Poly.evaluate` in the same order (see `_source`).
+    The flows are evaluated once per segment between the schedule's
+    breakpoints, where they are all constant.
     """
-    if len(schedule.inflows) != system.foot_left.size:
-        raise DimensionError(
-            f"{len(schedule.inflows)} inflows for a left foot of size {system.foot_left.size}"
-        )
-    if len(schedule.outflows) != system.foot_right.size:
-        raise DimensionError(
-            f"{len(schedule.outflows)} outflows for a right foot of size {system.foot_right.size}"
-        )
+    _check_schedule(system, schedule)
     n = system.apex.size
-    coefficients: list[float] = []
-    body = ["".join("x%d, " % j for j in range(n)) + "= s"] if n else []
-    for i, p in enumerate(system.field.components):
-        body.append("v%d = 0.0" % i)
-        for c, support in p.sparse:
-            body.append("t = c[%d]" % len(coefficients))
-            coefficients.append(c)
-            for j, k in support:
-                if k == 1:
-                    body.append("t *= x%d" % j)
-                else:
-                    body.append("t *= x%d ** %d" % (j, k))
-            body.append("v%d += t" % i)
-    body.extend("v%d += fi[%d]" % (p, x) for x, p in enumerate(system.leg_left.table))
-    body.extend("v%d -= fo[%d]" % (p, y) for y, p in enumerate(system.leg_right.table))
-    body.append("return [" + "".join("v%d, " % i for i in range(n)) + "]")
-    source = "def bind(c):\n def field(s, fi, fo):\n%s return field\n" % "".join(
-        f"  {line}\n" for line in body
-    )
-    namespace: dict = {}
-    exec(compile(source, "<rate equation>", "exec"), namespace)
-    # popped, so that `field` and its globals form no reference cycle and
-    # are freed as soon as the caller drops them
-    field = namespace.pop("bind")(tuple(coefficients))
-
-    inflows, outflows = schedule.inflows, schedule.outflows
-    # every flow is constant between consecutive breakpoints of the whole
-    # schedule, so its values are looked up once per such segment
-    breakpoints = sorted({b for flow in inflows + outflows for b in flow.breakpoints})
-    segments: list[Optional[tuple[list[float], list[float]]]] = [None] * (
-        len(breakpoints) + 1
-    )
+    field, _ = _compile(system, rk4=False)
+    flows_at = _flow_values(schedule)
 
     def rhs(t: float, state: Sequence[float]) -> list[float]:
         if len(state) != n:
             raise DimensionError(
                 f"state of length {len(state)} for a field over {n} places"
             )
-        segment = bisect_right(breakpoints, t)
-        flows = segments[segment]
-        if flows is None:
-            flows = segments[segment] = (
-                [flow(t) for flow in inflows],
-                [flow(t) for flow in outflows],
-            )
-        return field(state, *flows)
+        return field(state, flows_at(t))
 
     return rhs
 
@@ -260,46 +365,56 @@ def simulate(
     """Integrate the open rate equation with fixed-step classical RK4.
 
     Steps are laid out from t0 with a shortened final step landing exactly
-    on t1; the trajectory includes both endpoints.  A non-finite state
-    raises DivergenceError carrying the last good time.
+    on t1; the trajectory includes both endpoints.  A run whose step count
+    is not finite, or whose (steps + 1) * (places + 1) values exceed
+    `MAX_TRAJECTORY_VALUES`, is refused with SimulationTooLarge before the
+    first step.  A non-finite state raises DivergenceError carrying the
+    last good time.
+
+    One whole RK4 step, all four stages and the final combination, is
+    compiled once per run (`_compile`), so the trajectory is bit for bit
+    that of the stage-by-stage loop over `rate_equation`.
     """
     if not (dt > 0.0):
         raise ValueError(f"step size must be positive, got {dt}")
     if not (t1 > t0):
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     state = [float(x) for x in initial]
-    if len(state) != system.apex.size:
-        raise DimensionError(
-            f"initial state of length {len(state)} for {system.apex.size} places"
-        )
-    rate = rate_equation(system, schedule)
-
-    def rhs(t: float, c: Sequence[float]) -> list[float]:
-        try:
-            return rate(t, c)
-        except OverflowError:
-            raise DivergenceError(
-                f"state blew up near t = {t}", last_good_time=trajectory[-1][0]
-            ) from None
-
+    n = system.apex.size
+    if len(state) != n:
+        raise DimensionError(f"initial state of length {len(state)} for {n} places")
+    _check_schedule(system, schedule)
     span = t1 - t0
-    n_full = int(span / dt)
+    steps = span / dt
+    if not math.isfinite(steps):
+        raise SimulationTooLarge(
+            f"[{t0}, {t1}] in steps of {dt} is {steps} steps, over the cap of "
+            f"{MAX_TRAJECTORY_VALUES} values, (steps + 1) * (places + 1)"
+        )
+    n_full = int(steps)
     if t0 + n_full * dt >= t1:
         n_full -= 1
+    values = (n_full + 2) * (n + 1)
+    if values > MAX_TRAJECTORY_VALUES:
+        raise SimulationTooLarge(
+            f"{n_full + 1} steps over {n} places make {values} values, over the cap of "
+            f"{MAX_TRAJECTORY_VALUES} values, (steps + 1) * (places + 1)"
+        )
+    step, touched = _compile(system, rk4=True)
+    flows_at = _flow_values(schedule)
+
     trajectory = [(t0, tuple(state))]
+    # the step copies the places it does not touch; their value after any
+    # step is x + 0.0, which differs from x only for -0.0, so it is set once
+    for j in set(range(n)).difference(touched):
+        state[j] += 0.0
+    isfinite = math.isfinite
     t = t0
     for k in range(n_full + 1):
         h = dt if k < n_full else t1 - t
-        k1 = rhs(t, state)
-        k2 = rhs(t + h / 2, [c + h / 2 * d for c, d in zip(state, k1)])
-        k3 = rhs(t + h / 2, [c + h / 2 * d for c, d in zip(state, k2)])
-        k4 = rhs(t + h, [c + h * d for c, d in zip(state, k3)])
-        state = [
-            c + h / 6 * (a + 2 * b + 2 * cc + dd)
-            for c, a, b, cc, dd in zip(state, k1, k2, k3, k4)
-        ]
+        state = step(state, t, h, flows_at(t), flows_at(t + h / 2), flows_at(t + h))
         t = t0 + (k + 1) * dt if k < n_full else t1
-        if not all(math.isfinite(x) for x in state):
+        if not all(map(isfinite, state)):
             raise DivergenceError(
                 f"state became non-finite at t = {t}", last_good_time=trajectory[-1][0]
             )

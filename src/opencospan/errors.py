@@ -55,6 +55,11 @@ class DivergenceError(OpenCospanError):
         self.last_good_time = last_good_time
 
 
+class SimulationTooLarge(OpenCospanError):
+    """A simulation asks for more steps, or more trajectory values, than
+    one run may produce."""
+
+
 class CoefficientOverflow(OpenCospanError):
     """A polynomial coefficient is not a finite float: a rate, or a sum or
     product of them, overflowed."""

@@ -534,11 +534,22 @@ def resolve_simulation(
     return system, schedule, state, names
 
 
+def _csv_field(name: str) -> str:
+    """A header name as an RFC 4180 field: quoted, with `"` doubled, when it
+    holds a comma, a quote, CR or LF; as it is otherwise."""
+    if any(c in name for c in ',"\r\n'):
+        return '"' + name.replace('"', '""') + '"'
+    return name
+
+
 def trajectory_to_csv(
     trajectory: list[tuple[float, tuple[float, ...]]], place_names: tuple[str, ...]
 ) -> str:
-    """Rows of t plus one column per place, 17 significant digits."""
+    """Rows of t plus one column per place, 17 significant digits; a place
+    name that needs it is quoted in the header (`_csv_field`)."""
     row = ",".join(["%.17g"] * (len(place_names) + 1))
-    lines = ["t," + ",".join(place_names)]
+    lines = ["t," + ",".join(map(_csv_field, place_names))]
     lines.extend([row % (t, *state) for t, state in trajectory])
-    return "\n".join(lines) + "\n"
+    # the empty last line gives the final newline without copying the text
+    lines.append("")
+    return "\n".join(lines)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line against the bundled example models."""
 
+import csv
 import hashlib
 import json
 import math
@@ -494,6 +495,53 @@ def test_simulate_writes_the_pinned_csv_bytes(tmp_path, capsys, models_dir):
     )
     assert code == 0
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == SIR_CSV_SHA256
+
+
+def test_simulate_quotes_header_names_that_need_it(tmp_path, capsys, models_dir):
+    doc = json.loads((models_dir / "sir.json").read_text())
+    doc["names"]["places"] = ["S,susceptible", "I\ninfected", "R"]
+    model = tmp_path / "named.json"
+    model.write_text(json.dumps(doc))
+    config = json.loads((models_dir / "sir_sim.json").read_text())
+    config["initialState"] = {"S,susceptible": 0.99, "I\ninfected": 0.01}
+    config_path = tmp_path / "sim.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "named.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", str(model), "--config", str(config_path), "--out", str(out)
+    )
+    assert code == 0
+    with open(out, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    # a header and 10,001 rows, as written, every one with four columns
+    assert rows[0] == ["t", "S,susceptible", "I\ninfected", "R"]
+    assert len(rows) == 10_002 and {len(row) for row in rows} == {4}
+    # the values are those of the plainly named model
+    plain = tmp_path / "plain.csv"
+    run_cli(
+        capsys, "simulate", str(models_dir / "sir.json"),
+        "--config", str(models_dir / "sir_sim.json"), "--out", str(plain),
+    )
+    assert out.read_bytes().split(b"\n", 2)[2] == plain.read_bytes().split(b"\n", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        {"t0": -1e308, "t1": 1e308, "dt": 1.0},
+        {"t0": 0.0, "t1": 10.0, "dt": 5e-324},
+        {"t0": 0.0, "t1": 1e9, "dt": 1e-9},
+    ],
+)
+def test_simulate_refuses_an_unbounded_run_with_one_error_line(tmp_path, capsys, models_dir, window):
+    config = write_sim_config(tmp_path, **window)
+    csv_path = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", str(models_dir / "sir.json"), "--config", config, "--out", str(csv_path)
+    )
+    assert (code, out) == (2, "") and not csv_path.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "over the cap of 10000000 values" in err
 
 
 # -- failure modes ------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from opencospan import (
     PiecewiseConstant,
     Poly,
     PolyVectorField,
+    SimulationTooLarge,
     admits_morphism_from_empty,
     compose,
     compose_open_dynam,
@@ -43,6 +44,7 @@ from opencospan import (
     tensor,
     to_structured,
 )
+from opencospan import dynamics
 from opencospan.finset import ISO_BUDGET_ENV
 from opencospan.laws import decay_open_net, sir_open_net, water_net
 
@@ -528,3 +530,22 @@ def test_simulate_reports_divergence_with_the_last_good_time():
     with pytest.raises(DivergenceError) as excinfo:
         simulate(system, FlowSchedule.zero(0, 0), [10.0], 0.0, 1.0, 0.01)
     assert 0.0 <= excinfo.value.last_good_time < 0.2
+
+
+def test_simulate_refuses_an_unbounded_run_before_the_first_step(monkeypatch):
+    system = one_place_dynam(mono(1, -1.0, (1,)))
+    for t0, t1, dt in ((-1e308, 1e308, 1.0), (0.0, 10.0, 5e-324), (-1e308, 1e308, math.inf)):
+        with pytest.raises(SimulationTooLarge, match=r"steps, over the cap of 10000000 values"):
+            simulate(system, FlowSchedule.zero(0, 0), [1.0], t0, t1, dt)
+    with pytest.raises(SimulationTooLarge) as excinfo:
+        simulate(system, FlowSchedule.zero(0, 0), [1.0], 0.0, 1e9, 1e-9)
+    assert str(excinfo.value) == (
+        "1000000000000000000 steps over 1 places make 2000000000000000002 values, "
+        "over the cap of 10000000 values, (steps + 1) * (places + 1)"
+    )
+    assert isinstance(excinfo.value, OpenCospanError)
+    # the cap counts rows (steps + 1) times columns (places + 1)
+    monkeypatch.setattr(dynamics, "MAX_TRAJECTORY_VALUES", 10)
+    assert len(simulate(system, FlowSchedule.zero(0, 0), [1.0], 0.0, 1.0, 0.25)) == 5
+    with pytest.raises(SimulationTooLarge, match="5 steps over 1 places make 12 values"):
+        simulate(system, FlowSchedule.zero(0, 0), [1.0], 0.0, 1.0, 0.2)

@@ -1,6 +1,8 @@
 """JSON model files: canonical serialization, strict parsing, sim configs."""
 
 import copy
+import csv
+import io
 import json
 import math
 
@@ -344,6 +346,16 @@ def test_trajectory_csv_has_a_header_and_full_precision():
     # every value round-trips through its printed form exactly
     assert [float(x) for x in lines[1].split(",")] == [0.0, 1.0, 0.1]
     assert [float(x) for x in lines[2].split(",")] == [0.5, 0.25, 1e-17]
+
+
+def test_trajectory_csv_quotes_header_names_that_need_it():
+    names = ("S,susceptible", "I\ninfected", 'say "R"', "carriage\rreturn", "plain name")
+    text = trajectory_to_csv([(0.0, (1.0,) * 5), (0.5, (2.0,) * 5)], names)
+    assert text.startswith(
+        't,"S,susceptible","I\ninfected","say ""R""","carriage\rreturn",plain name\n0,1,'
+    )
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows == [["t", *names], ["0"] + ["1"] * 5, ["0.5"] + ["2"] * 5]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,15 +1,21 @@
-"""The compiled open rate equation against the interpreted evaluator.
+"""The compiled open rate equation and RK4 step against interpreted oracles.
 
 `rate_equation` generates code for the whole right-hand side.  The oracle
 here evaluates the field with `PolyVectorField.evaluate` and routes each
 flow along its leg by hand, in boundary order.  The two must agree bit for
 bit (any NaN matching any NaN) and must raise OverflowError on the same
 inputs, which is what `simulate` turns into a DivergenceError.
+
+`simulate` compiles a whole RK4 step from the same generator.  Its oracle
+is the stage-by-stage RK4 loop written out below over the field oracle;
+the trajectories must agree bit for bit on every row, and divergences in
+message and last good time.
 """
 
 import gc
 import itertools
 import math
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,16 +23,24 @@ from hypothesis import given, settings, strategies as st
 from opencospan import (
     EMPTY,
     CoefficientOverflow,
+    DecoratedCospan,
     DimensionError,
+    DivergenceError,
     FinFunction,
     FinSet,
     FlowSchedule,
+    Multiset,
     OpenDynam,
+    PetriNet,
+    PetriNetWithRates,
     PiecewiseConstant,
     Poly,
     PolyVectorField,
+    graybox,
     rate_equation,
+    simulate,
 )
+from opencospan.dynamics import _source
 
 
 def oracle(system, schedule, t, state):
@@ -199,7 +213,7 @@ def test_shapes_are_checked():
         rhs(0.0, [1.0])
 
 
-def test_large_components_and_long_terms_compile():
+def wide_component():
     # one component of 5,000 terms, each a separate statement group
     wide = Poly(
         2,
@@ -209,15 +223,23 @@ def test_large_components_and_long_terms_compile():
         ),
     )
     assert len(wide.terms) == 5000
-    field = PolyVectorField(FinSet(2), (wide, Poly.zero(2)))
-    assert_matches_oracle(open_system(field), FlowSchedule.zero(0, 0), [(0.0, [0.999, 1.001])])
+    return PolyVectorField(FinSet(2), (wide, Poly.zero(2)))
 
+
+def long_term(n=3000):
     # one term of 3,000 factors, over as many places
-    n = 3000
-    long_term = Poly(n, ((0.5, tuple(1 + j % 2 for j in range(n))),))
-    field = PolyVectorField(FinSet(n), (long_term,) + (Poly.zero(n),) * (n - 1))
-    state = [1 + (j % 5 - 2) * 1e-3 for j in range(n)]
-    assert_matches_oracle(open_system(field, right=(0,)), FlowSchedule.zero(0, 1), [(0.0, state)])
+    term = Poly(n, ((0.5, tuple(1 + j % 2 for j in range(n))),))
+    return PolyVectorField(FinSet(n), (term,) + (Poly.zero(n),) * (n - 1))
+
+
+def test_large_components_and_long_terms_compile():
+    assert_matches_oracle(
+        open_system(wide_component()), FlowSchedule.zero(0, 0), [(0.0, [0.999, 1.001])]
+    )
+    state = [1 + (j % 5 - 2) * 1e-3 for j in range(3000)]
+    assert_matches_oracle(
+        open_system(long_term(), right=(0,)), FlowSchedule.zero(0, 1), [(0.0, state)]
+    )
 
 
 def test_a_dropped_rate_equation_leaves_no_garbage_cycle():
@@ -231,3 +253,213 @@ def test_a_dropped_rate_equation_leaves_no_garbage_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the compiled RK4 step against the stage-by-stage loop -------------------------
+
+
+def oracle_simulate(system, schedule, initial, t0, t1, dt):
+    """The RK4 loop of `simulate` written out stage by stage over `oracle`."""
+    state = [float(x) for x in initial]
+    trajectory = [(t0, tuple(state))]
+
+    def rhs(t, c):
+        try:
+            return oracle(system, schedule, t, c)
+        except OverflowError:
+            raise DivergenceError(
+                f"state blew up near t = {t}", last_good_time=trajectory[-1][0]
+            ) from None
+
+    n_full = int((t1 - t0) / dt)
+    if t0 + n_full * dt >= t1:
+        n_full -= 1
+    t = t0
+    for k in range(n_full + 1):
+        h = dt if k < n_full else t1 - t
+        k1 = rhs(t, state)
+        k2 = rhs(t + h / 2, [c + h / 2 * d for c, d in zip(state, k1)])
+        k3 = rhs(t + h / 2, [c + h / 2 * d for c, d in zip(state, k2)])
+        k4 = rhs(t + h, [c + h * d for c, d in zip(state, k3)])
+        state = [
+            c + h / 6 * (a + 2 * b + 2 * cc + dd)
+            for c, a, b, cc, dd in zip(state, k1, k2, k3, k4)
+        ]
+        t = t0 + (k + 1) * dt if k < n_full else t1
+        if not all(math.isfinite(x) for x in state):
+            raise DivergenceError(
+                f"state became non-finite at t = {t}", last_good_time=trajectory[-1][0]
+            )
+        trajectory.append((t, tuple(state)))
+    return trajectory
+
+
+def run(integrate, *args):
+    """The trajectory, or the divergence as (message, last good time)."""
+    try:
+        return integrate(*args)
+    except DivergenceError as exc:
+        return str(exc), exc.last_good_time
+
+
+def assert_integrates_like_the_oracle(system, schedule, initial, t0, t1, dt):
+    got = run(simulate, system, schedule, initial, t0, t1, dt)
+    want = run(oracle_simulate, system, schedule, initial, t0, t1, dt)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert len(got) == len(want)
+    for (t, row), (t_want, row_want) in zip(got, want):
+        assert t == t_want and len(row) == len(row_want)
+        assert all(same_bits(a, b) for a, b in zip(row, row_want)), (t, row, row_want)
+    return want
+
+
+moderate = st.floats(-3, 3).filter(lambda c: not abs(c) <= 1e-12)
+initial_values = st.one_of(
+    st.floats(-4, 4),
+    st.just(-0.0),
+    st.floats(-1e200, 1e200),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def simulations(draw):
+    n = draw(st.integers(1, 4))
+    # exponents up to 4; coefficients mostly moderate, some near the largest double
+    terms = st.tuples(
+        st.one_of(moderate, moderate, coefficients), st.tuples(*[st.integers(0, 4)] * n)
+    )
+    field = PolyVectorField(
+        FinSet(n),
+        tuple(
+            Poly.from_terms(n, draw(st.lists(terms, max_size=4, unique_by=lambda term: term[1])))
+            for _ in range(n)
+        ),
+    )
+    # legs may send several flows into one place
+    left, right = draw(legs(n)), draw(legs(n))
+    t0 = draw(st.floats(-2, 2))
+    dt = draw(st.floats(1e-3, 0.5))
+    steps = draw(st.integers(1, 5))
+    # a whole number of steps, or a shortened last one
+    t1 = t0 + (steps - draw(st.sampled_from([0.0, 0.25, 0.5, 0.9]))) * dt
+    # breakpoints on the times the stages read their flows, and off them
+    grid = [t0 + k * dt for k in range(steps + 1)]
+    stage_times = [u for t in grid for u in (t, t + dt / 2, t + dt)]
+    breakpoints = st.lists(st.one_of(st.sampled_from(stage_times), st.floats(-2, 4)), max_size=3)
+
+    def flow():
+        points = sorted(set(draw(breakpoints)))
+        size = len(points) + 1
+        values = draw(st.lists(st.floats(-10, 10), min_size=size, max_size=size))
+        return PiecewiseConstant(tuple(points), tuple(values))
+
+    schedule = FlowSchedule(tuple(flow() for _ in left.table), tuple(flow() for _ in right.table))
+    initial = draw(st.lists(initial_values, min_size=n, max_size=n))
+    return OpenDynam(left.dom, right.dom, left, right, field), schedule, initial, t0, t1, dt
+
+
+@settings(max_examples=300, deadline=None)
+@given(simulations())
+def test_the_compiled_step_integrates_like_the_stage_by_stage_loop(case):
+    assert_integrates_like_the_oracle(*case)
+
+
+# x0' = x0 ** 2 - outflow, x1' = 0.25 * x1 + two inflows, x2 untouched; from
+# [a, -0.0, -0.0] on [0.3, 100] with dt = 0.1 the square overflows in the
+# stage named, on a later step.  The messages and last good times are those
+# the stage-by-stage loop gave before the step was compiled.
+OVERFLOW_IN_STAGE = {
+    1: (1.2589254117941673, "state blew up near t = 1.3", 1.3),
+    2: (1.0, "state blew up near t = 1.5500000000000003", 1.5000000000000002),
+    3: (1.5848931924611136, "state blew up near t = 1.1500000000000001", 1.1),
+    4: (6.309573444801933, "state blew up near t = 0.7000000000000001", 0.6000000000000001),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(OVERFLOW_IN_STAGE))
+def test_an_overflow_in_each_stage_keeps_its_message_and_last_good_time(stage):
+    a, message, last_good_time = OVERFLOW_IN_STAGE[stage]
+    field = PolyVectorField(
+        FinSet(3),
+        (Poly(3, ((1.0, (2, 0, 0)),)), Poly(3, ((0.25, (0, 1, 0)),)), Poly.zero(3)),
+    )
+    system = open_system(field, left=(1, 1), right=(0,))
+    schedule = FlowSchedule(
+        (PiecewiseConstant((0.55,), (1.0, 2.0)), PiecewiseConstant.constant(0.5)),
+        (PiecewiseConstant((0.65, 0.9), (0.0, 0.125, 0.0)),),
+    )
+    args = (system, schedule, [a, -0.0, -0.0], 0.3, 100.0, 0.1)
+    assert assert_integrates_like_the_oracle(*args) == (message, last_good_time)
+
+
+def test_an_untouched_place_becomes_x_plus_zero_after_a_step():
+    # place 1 is neither read nor written: the step copies it, so -0.0 must
+    # become 0.0 once, as x + h / 6 * (0.0 + ...) makes it on every step
+    field = PolyVectorField(FinSet(3), (Poly(3, ((-0.5, (1, 0, 0)),)), Poly.zero(3), Poly.zero(3)))
+    trajectory = assert_integrates_like_the_oracle(
+        open_system(field, left=(2,)),
+        FlowSchedule((PiecewiseConstant.constant(-0.0),), ()),
+        [1.0, -0.0, -0.0], 0.0, 0.5, 0.25,
+    )
+    assert [math.copysign(1.0, row[1]) for _, row in trajectory] == [-1.0, 1.0, 1.0]
+
+
+def test_a_non_finite_state_keeps_its_message_and_last_good_time():
+    field = PolyVectorField(FinSet(1), (Poly(1, ((1e308, (1,)),)),))
+    args = (open_system(field), FlowSchedule.zero(0, 0), [10.0], 0.0, 1.0, 0.25)
+    assert assert_integrates_like_the_oracle(*args) == ("state became non-finite at t = 0.25", 0.0)
+
+
+def test_large_components_and_long_terms_integrate_like_the_oracle():
+    assert_integrates_like_the_oracle(
+        open_system(wide_component()), FlowSchedule.zero(0, 0), [0.999, 1.001], 0.0, 2e-7, 1e-7
+    )
+    state = [1 + (j % 5 - 2) * 1e-3 for j in range(3000)]
+    trajectory = assert_integrates_like_the_oracle(
+        open_system(long_term(), right=(0,)),
+        FlowSchedule((), (PiecewiseConstant.constant(0.25),)),
+        state, 0.0, 0.02, 0.01,
+    )
+    assert len(trajectory) == 3
+
+
+def test_a_simulate_run_leaves_no_garbage_cycle():
+    field = PolyVectorField(FinSet(2), (Poly(2, ((-0.5, (1, 1)),)), Poly.zero(2)))
+    gc.collect()
+    gc.disable()
+    try:
+        trajectory = simulate(open_system(field), FlowSchedule.zero(0, 0), [2.0, 1.0], 0.0, 1.0, 0.25)
+        assert len(trajectory) == 5
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_generated_step_has_the_size_of_the_net_not_of_its_places():
+    # 4,000 places, 40 transitions: code for the touched places only, where
+    # four stages over every place would be about 4 * 4,000 lines
+    rng = Random(5)
+    n, cells = 4000, 40
+    places = FinSet(n)
+    src, tgt = [], []
+    for _ in range(cells):
+        a, b, c = rng.sample(range(n), 3)
+        src.append(Multiset.from_dict(places, {a: 1, b: rng.randint(1, 2)}))
+        tgt.append(Multiset.from_dict(places, {c: 1}))
+    net = PetriNetWithRates(
+        PetriNet(places, FinSet(cells), src, tgt), [rng.uniform(0.1, 1.0) for _ in range(cells)]
+    )
+    none = FinFunction.from_empty(places)
+    system = graybox(DecoratedCospan(EMPTY, EMPTY, none, none, net))
+    terms = sum(len(p.sparse) for p in system.field.components)
+    source, _, touched = _source(system, rk4=True)
+    lines = source.splitlines()
+    assert terms <= 3 * cells and len(touched) <= 3 * cells
+    # per stage a line per term and per touched place, then a line per
+    # touched place for the stage values and for the new state
+    assert len(lines) <= 4 * (terms + len(touched)) + 4 * len(touched) + 20, len(lines)
+    # and no line lists every place: one such line alone is over 20,000 characters
+    assert len(source) <= 200 * (terms + len(touched)), len(source)
