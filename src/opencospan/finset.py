@@ -10,6 +10,7 @@ chosen pushout quotient numbers equivalence classes by their least member.
 from __future__ import annotations
 
 import os
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -24,6 +25,12 @@ DEFAULT_ISO_BUDGET = 1_000_000
 ISO_BUDGET_ENV = "OPENCOSPAN_ISO_BUDGET"
 
 
+def _short(value: object) -> str:
+    """A value's repr for an error message, cut to 40 characters (reprlib)."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 @dataclass(frozen=True)
 class FinSet:
     """The canonical finite set {0, ..., size-1}."""
@@ -32,7 +39,7 @@ class FinSet:
 
     def __post_init__(self) -> None:
         if not isinstance(self.size, int) or isinstance(self.size, bool):
-            raise ValueError(f"finite set size must be an int, got {self.size!r}")
+            raise ValueError(f"finite set size must be an int, got {_short(self.size)}")
         if self.size < 0:
             raise ValueError(f"finite set size must be >= 0, got {self.size}")
 
@@ -40,7 +47,7 @@ class FinSet:
         return iter(range(self.size))
 
     def __contains__(self, x: object) -> bool:
-        return isinstance(x, int) and 0 <= x < self.size
+        return type(x) is int and 0 <= x < self.size
 
 
 EMPTY = FinSet(0)
@@ -64,7 +71,7 @@ class FinFunction:
         for x, y in enumerate(self.table):
             if not (type(y) is int and 0 <= y < size):
                 raise ValueError(
-                    f"table[{x}] = {y!r} is outside the codomain of size {self.cod.size}"
+                    f"table[{x}] = {_short(y)} is outside the codomain of size {size}"
                 )
 
     def __call__(self, x: int) -> int:

@@ -13,6 +13,13 @@ Unknown fields are rejected everywhere.  The optional names block carries
 presentation-only labels for places and boundary elements; it never
 affects composition or conversion.
 
+Each value check has one owner.  The constructors check sizes, ranges,
+counts, exponents, table entries and lengths (`FinSet`, `FinFunction`,
+`Multiset.from_dict`, `Poly` and the system classes); `_built` reports a
+refusal as a `ModelFormatError` at its place in the file.  This module
+checks only what they cannot see: the JSON shape (objects, arrays, fields,
+repeated keys), the plain spelling of place keys, and finite numbers.
+
 Canonical output sorts keys, drops insignificant whitespace, and prints
 floats as their shortest round-tripping decimal, so files written from
 equal models compare equal byte for byte.
@@ -24,7 +31,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .errors import ModelFormatError, ModelValidationError, NotInImageOfL
 from .finset import FinFunction, FinSet
@@ -67,10 +74,12 @@ def _require_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...
             raise ModelFormatError(f"{where} has unknown field {key!r}")
 
 
-def _as_size(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ModelFormatError(f"{where} must be a nonnegative integer")
-    return value
+def _built(where: str, build: Callable[..., Any], *args: Any) -> Any:
+    """build(*args), with a constructor's refusal as a format error at where."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ModelFormatError(f"{where}: {exc}") from exc
 
 
 def _as_finite(value: Any, where: str) -> float:
@@ -85,23 +94,10 @@ def _as_finite(value: Any, where: str) -> float:
     raise ModelFormatError(f"{where} must be a finite number")
 
 
-def _as_table(value: Any, where: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
+def _finfunction(value: Any, dom: FinSet, cod: FinSet, where: str) -> FinFunction:
+    if not isinstance(value, list):
         raise ModelFormatError(f"{where} must be an array of integers")
-    return tuple(value)
-
-
-def _finfunction(value: Any, cod: FinSet, where: str, dom: Optional[FinSet] = None) -> FinFunction:
-    table = _as_table(value, where)
-    domain = dom if dom is not None else FinSet(len(table))
-    if dom is not None and len(table) != dom.size:
-        raise ModelFormatError(f"{where} has {len(table)} entries, expected {dom.size}")
-    try:
-        return FinFunction(domain, cod, table)
-    except ValueError as exc:
-        raise ModelFormatError(f"{where}: {exc}") from exc
+    return _built(where, FinFunction, dom, cod, value)
 
 
 def system_to_json(system: Decoration) -> dict:
@@ -154,12 +150,8 @@ def _multiset_from_json(value: Any, places: FinSet, where: str) -> Multiset:
             raise ModelFormatError(f"{where} has non-numeric place key {key!r}") from None
         if key != str(place):
             raise ModelFormatError(f"{where} has place key {key!r}, expected {str(place)!r}")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise ModelFormatError(f"{where}[{key}] must be a nonnegative integer")
-        if place not in places:
-            raise ModelFormatError(f"{where} refers to place {place} of {places.size}")
         entries[place] = count
-    return Multiset.from_dict(places, entries)
+    return _built(where, Multiset.from_dict, places, entries)
 
 
 def system_from_json(kind: str, value: Any) -> Decoration:
@@ -167,13 +159,13 @@ def system_from_json(kind: str, value: Any) -> Decoration:
     if kind in ("graph", "lgraph"):
         required = ("nodes", "edges", "src", "tgt") + (("labels",) if kind == "lgraph" else ())
         _require_keys(value, required, (), where)
-        nodes = FinSet(_as_size(value["nodes"], "nodes"))
-        edges = FinSet(_as_size(value["edges"], "edges"))
+        nodes = _built("nodes", FinSet, value["nodes"])
+        edges = _built("edges", FinSet, value["edges"])
         graph = Graph(
             nodes,
             edges,
-            _finfunction(value["src"], nodes, "src", dom=edges),
-            _finfunction(value["tgt"], nodes, "tgt", dom=edges),
+            _finfunction(value["src"], edges, nodes, "src"),
+            _finfunction(value["tgt"], edges, nodes, "tgt"),
         )
         if kind == "graph":
             return graph
@@ -182,15 +174,13 @@ def system_from_json(kind: str, value: Any) -> Decoration:
             isinstance(l, (str, int, float, bool)) for l in labels
         ):
             raise ModelFormatError("labels must be an array of scalars")
-        if len(labels) != edges.size:
-            raise ModelFormatError(f"{len(labels)} labels for {edges.size} edges")
         for i, label in enumerate(labels):
             if isinstance(label, float) and not math.isfinite(label):
                 raise ModelFormatError(f"edge {i} label must be finite, got {label!r}")
-        return LabeledGraph(graph, tuple(labels))
+        return _built("labels", LabeledGraph, graph, tuple(labels))
     if kind in ("petri", "petri_rates"):
         _require_keys(value, ("places", "transitions"), (), where)
-        places = FinSet(_as_size(value["places"], "places"))
+        places = _built("places", FinSet, value["places"])
         raw = value["transitions"]
         if not isinstance(raw, list):
             raise ModelFormatError("transitions must be an array")
@@ -205,15 +195,12 @@ def system_from_json(kind: str, value: Any) -> Decoration:
         net = PetriNet(places, FinSet(len(raw)), tuple(src), tuple(tgt))
         if kind == "petri":
             return net
-        try:
-            return PetriNetWithRates(net, tuple(rates))
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from exc
+        return _built("transitions", PetriNetWithRates, net, tuple(rates))
     if kind == "dynam":
         _require_keys(value, ("places", "field"), (), where)
-        places = FinSet(_as_size(value["places"], "places"))
+        places = _built("places", FinSet, value["places"])
         raw = value["field"]
-        if not isinstance(raw, list) or len(raw) != places.size:
+        if not isinstance(raw, list):
             raise ModelFormatError(f"field must be an array of {places.size} components")
         components = []
         for i, comp in enumerate(raw):
@@ -221,28 +208,14 @@ def system_from_json(kind: str, value: Any) -> Decoration:
                 raise ModelFormatError(f"field component {i} must be an array of terms")
             terms = []
             for j, term in enumerate(comp):
-                if (
-                    not isinstance(term, list)
-                    or len(term) != 2
-                    or not isinstance(term[0], (int, float))
-                    or isinstance(term[0], bool)
-                ):
+                if not isinstance(term, list) or len(term) != 2 or not isinstance(term[1], list):
                     raise ModelFormatError(
                         f"field component {i} terms must look like [coefficient, [exponents]]"
                     )
-                exps = _as_table(term[1], f"field component {i} exponents")
-                if len(exps) != places.size or any(k < 0 for k in exps):
-                    raise ModelFormatError(
-                        f"field component {i} exponent vectors must have "
-                        f"{places.size} nonnegative entries"
-                    )
                 coefficient = _as_finite(term[0], f"field component {i} term {j} coefficient")
-                terms.append((coefficient, exps))
-            try:
-                components.append(Poly(places.size, tuple(terms)))
-            except ValueError as exc:
-                raise ModelFormatError(f"field component {i} not canonical: {exc}") from exc
-        return PolyVectorField(places, tuple(components))
+                terms.append((coefficient, term[1]))
+            components.append(_built(f"field component {i}", Poly, places.size, terms))
+        return _built("field", PolyVectorField, places, tuple(components))
     raise ModelFormatError(f"unknown kind {kind!r}")
 
 
@@ -264,7 +237,7 @@ def _foot(kind: str, representation: str, value: Any, where: str) -> tuple[FinSe
     if representation == "structured" and (not isinstance(value, int) or isinstance(value, bool)):
         foot = system_from_json(kind, value)
         return interface_of(foot), cells_of(foot).size
-    return FinSet(_as_size(value, where)), 0
+    return _built(where, FinSet, value), 0
 
 
 def cospan_from_json(kind: str, representation: str, value: Any) -> Cospan:
@@ -286,7 +259,7 @@ def cospan_from_json(kind: str, representation: str, value: Any) -> Cospan:
     feet = [_foot(kind, representation, value[key], key) for key in ("footLeft", "footRight")]
     legs = []
     for (foot, cells), where in zip(feet, ("legLeft", "legRight")):
-        legs.append(_finfunction(value[where], apex, where, dom=foot))
+        legs.append(_finfunction(value[where], foot, apex, where))
         if cells:
             raise NotInImageOfL(
                 f"{where}: foot carries {cells} cells and is not the image of a finite set"
@@ -448,13 +421,12 @@ def _flow_from_json(value: Any, where: str) -> PiecewiseConstant:
     values = value["values"]
     if not isinstance(breakpoints, list) or not isinstance(values, list):
         raise ModelFormatError(f"{where} breakpoints and values must be arrays")
-    try:
-        return PiecewiseConstant(
-            tuple(_as_finite(x, f"{where} breakpoints") for x in breakpoints),
-            tuple(_as_finite(x, f"{where} values") for x in values),
-        )
-    except ValueError as exc:
-        raise ModelFormatError(f"{where}: {exc}") from exc
+    return _built(
+        where,
+        PiecewiseConstant,
+        tuple(_as_finite(x, f"{where} breakpoints") for x in breakpoints),
+        tuple(_as_finite(x, f"{where} values") for x in values),
+    )
 
 
 def sim_config_from_json(value: Any) -> SimConfig:
@@ -471,10 +443,7 @@ def sim_config_from_json(value: Any) -> SimConfig:
             f"need t1 > t0, got [{numbers['t0']}, {numbers['t1']}]"
         )
     initial = value["initialState"]
-    if not isinstance(initial, dict) or not all(
-        isinstance(k, str) and isinstance(v, (int, float)) and not isinstance(v, bool)
-        for k, v in initial.items()
-    ):
+    if not isinstance(initial, dict):
         raise ModelFormatError("initialState must map place names to numbers")
     initial = {name: _as_finite(v, f"initialState[{name}]") for name, v in initial.items()}
     flows = {}

@@ -52,6 +52,7 @@ from .finset import (
     compose,
     coproduct,
     pushout,
+    _short,
 )
 
 KINDS = ("graph", "lgraph", "petri", "petri_rates", "dynam")
@@ -69,15 +70,36 @@ def label_key(label: Label) -> tuple[type, Label]:
 Support = tuple[tuple[int, int], ...]
 
 
-def _check_pairs(pairs: Support, size: int) -> None:
-    """Sparse support over {0..size-1}: increasing int places, positive int counts."""
+# how a refusal words a bad count or exponent, given its place and value
+_COUNT_FAULT = "count at {} must be a nonnegative int, got {}"
+_EXPONENT_FAULT = "exponents must be nonnegative ints, got {1} at {0}"
+
+
+def _check_pairs(pairs: Support, size: int, fault: str = _COUNT_FAULT) -> None:
+    """Sparse support over {0..size-1}: increasing int places, positive int
+    counts.  This is the one check of every stored pair, on every path; a
+    refusal names the first bad pair, with its values cut short."""
     last = -1
     for p, k in pairs:
-        if type(p) is not int or not last < p or type(k) is not int or k <= 0:
-            raise ValueError(f"pairs need increasing places and positive counts: {pairs!r}")
+        if type(p) is not int or not last < p:
+            raise ValueError(f"place {_short(p)} must be an int in {last + 1}..{size - 1}")
+        if type(k) is not int or k <= 0:
+            raise ValueError(fault.format(p, _short(k)) if k else f"place {p} stores a zero")
         last = p
     if last >= size:
         raise ValueError(f"place {last} is outside the set of size {size}")
+
+
+def _nonzero_pairs(values: Sequence, fault: str) -> Support:
+    """A dense vector's nonzero (index, value) pairs, for `_check_pairs`; a
+    zero is dropped unseen by it, so here it must be the int 0."""
+    pairs = []
+    for i, k in enumerate(values):
+        if k:
+            pairs.append((i, k))
+        elif type(k) is not int:
+            raise ValueError(fault.format(i, _short(k)))
+    return tuple(pairs)
 
 
 def _push_pairs(pairs: Support, table: Sequence[int]) -> Support:
@@ -102,10 +124,7 @@ class Multiset:
         counts = tuple(counts)
         if len(counts) != over.size:
             raise ValueError(f"multiset has {len(counts)} counts over a set of size {over.size}")
-        for i, k in enumerate(counts):
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise ValueError(f"count at {i} must be a nonnegative int, got {k!r}")
-        self.__post_init__(over, tuple([(p, k) for p, k in enumerate(counts) if k]))
+        self.__post_init__(over, _nonzero_pairs(counts, _COUNT_FAULT))
 
     def __post_init__(self, over: FinSet, pairs: tuple[tuple[int, int], ...]) -> None:
         """Check the pairs, in O(len(pairs)), and set the fields."""
@@ -135,12 +154,19 @@ class Multiset:
 
     @staticmethod
     def from_dict(over: FinSet, entries: dict[int, int]) -> Multiset:
+        """A zero count is dropped unseen by `_check_pairs`: checked here."""
         for place, k in entries.items():
-            if place not in over:
-                raise ValueError(f"place {place} is outside the set of size {over.size}")
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-                raise ValueError(f"count at {place} must be a nonnegative int, got {k!r}")
-        return Multiset._from_pairs(over, tuple(sorted([(p, k) for p, k in entries.items() if k])))
+            if not k:
+                if place not in over:
+                    raise ValueError(f"place {_short(place)} is outside the set of size {over.size}")
+                if type(k) is not int:
+                    raise ValueError(_COUNT_FAULT.format(place, _short(k)))
+        pairs = [(p, k) for p, k in entries.items() if k]
+        try:
+            pairs.sort()
+        except TypeError:
+            raise ValueError(f"places must be ints, got {_short(list(entries))}") from None
+        return Multiset._from_pairs(over, tuple(pairs))
 
     def pushforward(self, f: FinFunction) -> Multiset:
         """Transport counts along f, summing over merged elements."""
@@ -508,11 +534,8 @@ def _support_of(nvars: int, exps: Sequence[int]) -> Support:
     """The nonzero (variable, exponent) pairs of a dense exponent vector."""
     exps = tuple(exps)
     if len(exps) != nvars:
-        raise ValueError(f"exponent vector {exps} is not of length {nvars}")
-    for k in exps:
-        if type(k) is not int or k < 0:
-            raise ValueError(f"exponents must be nonnegative ints, got {exps}")
-    return tuple([(j, k) for j, k in enumerate(exps) if k])
+        raise ValueError(f"exponent vector has {len(exps)} entries, not {nvars}")
+    return _nonzero_pairs(exps, _EXPONENT_FAULT)
 
 
 def _dense_of(nvars: int, support: Support) -> list[int]:
@@ -550,7 +573,7 @@ class Poly:
                 raise CoefficientOverflow(f"coefficient overflow: {c!r} is not a finite float")
             if abs(c) <= COEFF_DROP:
                 raise ValueError(f"coefficient {c!r} is below the storage threshold")
-            _check_pairs(support, nvars)
+            _check_pairs(support, nvars, _EXPONENT_FAULT)
             key = _dense_order(support)
             if last is not None and not last < key:
                 raise ValueError("terms must be sorted by distinct exponent vectors")

@@ -780,6 +780,49 @@ def test_a_place_key_in_any_other_form_than_the_number_is_refused(
     assert f"transition 0 src has place key {key!r}, expected {canonical!r}" in err
 
 
+def open_system(kind, system, legs=()):
+    """A decorated model file of kind over system, with a left foot of
+    len(legs) elements and an empty right foot."""
+    payload = {
+        "footLeft": len(legs),
+        "footRight": 0,
+        "legLeft": list(legs),
+        "legRight": [],
+        "representation": "decorated",
+        "system": system,
+    }
+    return {"version": "1", "kind": kind, "representation": "decorated", "payload": payload}
+
+
+def nested(depth):
+    value = [0]
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+WIDE = 100_000
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        open_system("dynam", {"places": WIDE, "field": [[[1.0, [1] * (WIDE - 1) + [0.0]]]]}),
+        open_system("petri", {"places": WIDE, "transitions": [
+            {"src": {str(p): 1 if p < WIDE - 1 else -1 for p in range(WIDE)}, "tgt": {}}
+        ]}),
+        open_system(
+            "petri", {"places": 1, "transitions": [{"src": {"0": nested(500)}, "tgt": {}}]}
+        ),
+        open_system("petri", {"places": 1, "transitions": []}, legs=[nested(500)]),
+    ],
+    ids=["wide exponent vector", "wide multiset", "nested count", "nested leg entry"],
+)
+def test_a_refused_value_is_named_in_one_short_line_however_large(tmp_path, capsys, doc):
+    err = convert_expecting_a_format_error(tmp_path, capsys, json.dumps(doc))
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120, err
+
+
 def test_a_repeated_key_in_a_model_or_config_file_is_refused(tmp_path, capsys, models_dir):
     text = (models_dir / "sir.json").read_text()
     repeated = text.replace('"src":{"0":1,"1":1}', '"src":{"0":1,"1":1,"0":4}', 1)

@@ -35,7 +35,7 @@ CASES_PER_FAMILY = 40
 PINNED = {
     "compose": (
         "5f5390e7dafa8e5b487efa9ea7571275ba4f548dd244851ce7d633e7092ce19a",
-        "85c1e9f035ed72eb5bdd53608109dbd3202700dd3671f1fac4d3a662cf318836",
+        "706d6f7e5f92c8fc7208d2e4f76147ccdc3729ba22705cd82f5e8e45fb7012f0",
     ),
     "tensor": (
         "6e765fcb798645613f4801ca9333d0d385e2d6feba1ffecc5893b03cb743ec80",
@@ -43,11 +43,11 @@ PINNED = {
     ),
     "convert": (
         "5a0dada2235888e497eeee84686550e8821ade20cfc8975e37837b1686fcc367",
-        "fcfb7ed9f503a56f2c3c979c84befe1edcbd327bcdafb2afd7e2d61f10e6efdd",
+        "5d8335b31bbfb76818a1b752be5c7a3048c525c8c8a7ac4223b22ccda1b89eef",
     ),
     "graybox": (
         "21b984a82224ad94b2dd7399bde7fb8628d46dccf6b58d00d9f062bf6f816181",
-        "518da51a33f3fc712c2f072758b3f17843a7a4919c8eb3c160d014ab1a8b6d37",
+        "f16b0757e01d1c58d750b014e636abc33b267eaae82ee4da6069fcea4ed8274a",
     ),
     "simulate": (
         "bbfb462ce4f48ae0e5cc15b37e31aa49b82b53fb02d5a4368a18bf76fb7cac75",
@@ -55,7 +55,7 @@ PINNED = {
     ),
     "iso": (
         "b006b9f1c9a1195f77d50fc2f3a7f679e5711f83e14314b12bd4d91867c0f0bf",
-        "1cad86e61a0e2e15ff04a183b7eff5ae8c43718798d70c2ce1b57597a9da685a",
+        "d9db24ce0486a2b45780b2bec05e58f3729b15b73fd60240e088a3c3713dfc08",
     ),
 }
 
@@ -193,6 +193,16 @@ def set_exponents(doc, make):
     field[-1] = [[1.0, make(len(field))]]
 
 
+def constant_terms(doc, *coefficients):
+    """The first component of doc's field becomes constant terms."""
+    field = field_of(doc)
+    field[0] = [[c, [0] * len(field)] for c in coefficients]
+
+
+def labels_without_edges(doc):
+    at(doc, "payload", "system").update(edges=0, src=[], tgt=[], labels=["x"])
+
+
 def set_leg(doc, table):
     at(doc, "payload")["legLeft"] = table
 
@@ -236,8 +246,8 @@ VALUE_DAMAGE = {
     "bool exponent": (("dynam",), lambda d: set_exponents(d, lambda n: [True] + [0] * (n - 1))),
     "false exponent": (("dynam",), lambda d: set_exponents(d, lambda n: [False] * n)),
     "exponents not an array": (("dynam",), lambda d: set_exponents(d, lambda n: n)),
-    "tiny coefficient": (("dynam",), lambda d: field_of(d).__setitem__(0, [[1e-13, [0] * len(field_of(d))]])),
-    "repeated term": (("dynam",), lambda d: field_of(d).__setitem__(0, [[1.0, [0] * len(field_of(d))]] * 2)),
+    "tiny coefficient": (("dynam",), lambda d: constant_terms(d, 1e-13)),
+    "repeated term": (("dynam",), lambda d: constant_terms(d, 1.0, 1.0)),
     "missing component": (("dynam",), lambda d: field_of(d).pop()),
     "leg entry 9": (KINDS, lambda d: set_leg(d, [9])),
     "leg entry string": (KINDS, lambda d: set_leg(d, ["one"])),
@@ -248,7 +258,7 @@ VALUE_DAMAGE = {
     "leg table an object": (KINDS, lambda d: set_leg(d, {"0": 0})),
     "graph end out of range": (("graph", "lgraph"), lambda d: set_graph_end(d, 5)),
     "graph end float": (("graph", "lgraph"), lambda d: set_graph_end(d, 0.0)),
-    "too few labels": (("lgraph",), lambda d: at(d, "payload", "system").update(edges=0, src=[], tgt=[], labels=["x"])),
+    "too few labels": (("lgraph",), labels_without_edges),
     "negative rate": (("petri_rates",), lambda d: set_rate(d, -1.0)),
     "negative size": (KINDS, lambda d: at(d, "payload").update(footRight=-1)),
     "bool size": (KINDS, lambda d: at(d, "payload").update(footRight=True)),
@@ -265,6 +275,18 @@ def raw_damage(text):
     }
 
 
+def on_nets(edit):
+    """edit, for a net; an unknown field, for another kind."""
+
+    def apply(doc):
+        if "transitions" in doc["payload"]["system"]:
+            edit(doc)
+        else:
+            doc["extra"] = 1
+
+    return apply
+
+
 JSON_DAMAGE = {
     "unknown field": lambda d: d.update(extra=1),
     "missing payload": lambda d: d.pop("payload"),
@@ -273,9 +295,9 @@ JSON_DAMAGE = {
     "bad version": lambda d: d.update(version="2"),
     "payload representation": lambda d: d["payload"].update(
         representation="structured" if d["representation"] == "decorated" else "decorated"),
-    "place key spelled 01": lambda d: set_transition(d, "src", {"01": 1}) if "transitions" in d["payload"]["system"] else d.update(extra=1),
-    "non-numeric place key": lambda d: set_transition(d, "src", {"a": 1}) if "transitions" in d["payload"]["system"] else d.update(extra=1),
-    "infinite rate": lambda d: set_rate(d, 1e400) if "transitions" in d["payload"]["system"] else d.update(extra=1),
+    "place key spelled 01": on_nets(lambda d: set_transition(d, "src", {"01": 1})),
+    "non-numeric place key": on_nets(lambda d: set_transition(d, "src", {"a": 1})),
+    "infinite rate": on_nets(lambda d: set_rate(d, 1e400)),
 }
 
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from opencospan import (
     ModelFile,
     ModelFormatError,
     ModelValidationError,
+    Multiset,
     Names,
     NotInImageOfL,
     OpenDynam,
@@ -35,7 +37,8 @@ from opencospan import (
     to_structured,
     trajectory_to_csv,
 )
-from opencospan.laws import intro_open_graph, sir_open_net
+from opencospan import systems
+from opencospan.laws import intro_open_graph, random_cospan, sir_open_net
 
 
 def fn(table, cod):
@@ -172,20 +175,101 @@ def test_rates_are_validated_when_present():
     rejects(raw)
 
 
-def test_leg_tables_must_land_in_the_apex():
-    raw = copy.deepcopy(valid_json())
-    raw["payload"]["legLeft"] = [0, 0, 9]
-    rejects(raw)
-    raw["payload"]["legLeft"] = [0, "one", 1]
-    rejects(raw)
+def dynam_json():
+    return ModelFile("dynam", graybox(sir_open_net())).to_json()
 
 
-def test_multisets_are_checked_per_place():
-    raw = copy.deepcopy(valid_json())
-    raw["payload"]["system"]["transitions"][0]["src"] = {"7": 1}
-    rejects(raw)
-    raw["payload"]["system"]["transitions"][0]["src"] = {"0": -1}
-    rejects(raw)
+def with_src(value):
+    def edit(raw):
+        raw["payload"]["system"]["transitions"][0]["src"] = value
+
+    return edit
+
+
+def with_exponents(exps):
+    def edit(raw):
+        raw["payload"]["system"]["field"][1] = [[1.0, exps]]
+
+    return edit
+
+
+def with_leg(table):
+    def edit(raw):
+        raw["payload"]["legLeft"] = table
+
+    return edit
+
+
+# value checks owned by a constructor, met in a file: the constructor's
+# message, behind the place in the file where the value sits
+MOVED_CHECKS = [
+    ("place 7 of 3", valid_json, with_src({"7": 1}),
+     "transition 0 src: place 7 is outside the set of size 3"),
+    ("count -1", valid_json, with_src({"0": -1}),
+     "transition 0 src: count at 0 must be a nonnegative int, got -1"),
+    ("count true", valid_json, with_src({"0": True}),
+     "transition 0 src: count at 0 must be a nonnegative int, got True"),
+    ("count 1.5", valid_json, with_src({"0": 1.5}),
+     "transition 0 src: count at 0 must be a nonnegative int, got 1.5"),
+    ("short exponents", dynam_json, with_exponents([1, 0]),
+     "field component 1: exponent vector has 2 entries, not 3"),
+    ("negative exponent", dynam_json, with_exponents([0, -1, 0]),
+     "field component 1: exponents must be nonnegative ints, got -1 at 1"),
+    ("float exponent", dynam_json, with_exponents([1.5, 0, 0]),
+     "field component 1: exponents must be nonnegative ints, got 1.5 at 0"),
+    ("bool exponent", dynam_json, with_exponents([0, 0, True]),
+     "field component 1: exponents must be nonnegative ints, got True at 2"),
+    ("leg entry 9", valid_json, with_leg([0, 0, 9]),
+     "legLeft: table[2] = 9 is outside the codomain of size 3"),
+    ("leg entry 'one'", valid_json, with_leg([0, "one", 1]),
+     "legLeft: table[1] = 'one' is outside the codomain of size 3"),
+    ("leg entry true", valid_json, with_leg([0, True, 1]),
+     "legLeft: table[1] = True is outside the codomain of size 3"),
+    ("leg entry [0]", valid_json, with_leg([[0], 1, 2]),
+     "legLeft: table[0] = [0] is outside the codomain of size 3"),
+    ("leg table of the wrong length", valid_json, with_leg([0, 1]),
+     "legLeft: table length 2 does not match domain size 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, edit, message", [pytest.param(*case[1:], id=case[0]) for case in MOVED_CHECKS]
+)
+def test_a_value_a_constructor_refuses_is_a_format_error_at_its_place(base, edit, message):
+    raw = copy.deepcopy(base())
+    edit(raw)
+    with pytest.raises(ModelFormatError) as caught:
+        model_from_json(raw)
+    assert str(caught.value) == message
+
+
+def counted(monkeypatch, owner, name):
+    """The arguments of each call of owner.name while the test runs."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_loading_checks_each_stored_pair_once(monkeypatch):
+    net = random_cospan(Random("one check per datum"), "petri_rates", 2, 2, max_apex=6, max_cells=9)
+    field = graybox(net)
+    raws = [ModelFile("petri_rates", net).to_json(), ModelFile("dynam", field).to_json()]
+    checks = counted(monkeypatch, systems, "_check_pairs")
+    dense = counted(monkeypatch, Multiset, "__init__")
+    model_from_json(raws[0])
+    transitions = net.decoration.transitions.size
+    assert transitions >= 5 and len(checks) == 2 * transitions
+    checks.clear()
+    model_from_json(raws[1])
+    terms = sum(len(p.sparse) for p in field.decoration.components)
+    assert terms >= 5 and len(checks) == terms
+    assert dense == []
 
 
 def test_names_must_fit_and_not_repeat():

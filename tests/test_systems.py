@@ -68,6 +68,14 @@ def test_multiset_from_dict_and_total():
         Multiset.from_dict(over, {3: 1})
     with pytest.raises(ValueError):
         Multiset(over, (1, -1, 0))
+    # a bool is no place, as it is no table entry
+    assert True not in over and 1 in over
+    with pytest.raises(ValueError, match="place True must be an int in 0..2"):
+        Multiset.from_dict(over, {True: 1})
+    with pytest.raises(ValueError, match="place True is outside the set of size 3"):
+        Multiset.from_dict(over, {True: 0})
+    with pytest.raises(ValueError, match="places must be ints"):
+        Multiset.from_dict(over, {"a": 1, 0: 1})
 
 
 def test_multiset_pushforward_sums_merged_places():
