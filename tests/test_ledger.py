@@ -8,7 +8,10 @@ in one command, broken JSON, and one damaged file for each value check a
 constructor owns (place ranges, counts, leg tables, exponents, sizes).
 
 Each command family (`compose`, `tensor`, `convert`, `graybox`,
-`simulate`, `check --laws iso`) folds into two SHA-256 digests.  The
+`simulate`, `check --laws iso`) folds into two SHA-256 digests.  So
+does a `usage` family: argparse's usage errors and help pages, each run
+between two successful commands, with `COLUMNS=80` so that the text
+wraps the same way everywhere.  The
 first covers exit codes, stdout and the bytes written; the second covers
 stderr, with the run's directory written as `<tmp>`.  A change of
 behaviour moves the first, a change of wording only the second.  An
@@ -28,7 +31,7 @@ from opencospan.cli import main
 from opencospan.finset import ISO_BUDGET_ENV
 
 KINDS = ("graph", "lgraph", "petri", "petri_rates", "dynam")
-FAMILIES = ("compose", "tensor", "convert", "graybox", "simulate", "iso")
+FAMILIES = ("compose", "tensor", "convert", "graybox", "simulate", "iso", "usage")
 CASES_PER_FAMILY = 40
 
 # family: (behaviour digest, stderr digest)
@@ -56,6 +59,10 @@ PINNED = {
     "iso": (
         "b006b9f1c9a1195f77d50fc2f3a7f679e5711f83e14314b12bd4d91867c0f0bf",
         "d9db24ce0486a2b45780b2bec05e58f3729b15b73fd60240e088a3c3713dfc08",
+    ),
+    "usage": (
+        "a35e41864295bea4da3b6595736ecf1c2057c8684be9eec647c646f06b55f516",
+        "f62abc64d573287c8885f32821b56863c0d4fa3097a74820edd90dafa6618ca7",
     ),
 }
 
@@ -321,14 +328,19 @@ class Corpus:
             handle.write(json.dumps(doc) if text is None else text)
         return path
 
-    def run(self, argv):
-        """(exit code, stdout, bytes written, stderr) of one command."""
+    def run(self, argv, out=True):
+        """(exit code, stdout, bytes written, stderr) of one command; with
+        out, a command other than `check` writes to a fresh path.  An exit
+        through argparse is recorded as ("SystemExit", its code)."""
         out_path = self.path(".out")
-        if argv[0] != "check":
+        if out and argv[0] != "check":
             argv = argv + ["--out", out_path]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
         written = None
         if os.path.exists(out_path):
             with open(out_path, "rb") as handle:
@@ -425,18 +437,53 @@ def value_damage_cases(corpus):
             yield ["convert", corpus.write(doc), "--to", "structured"]
 
 
+def usage_cases(corpus):
+    """(argv, out) of each usage error and help page, each between two
+    commands that succeed."""
+    rng = Random("ledger-usage")
+
+    def success():
+        kind = rng.choice(KINDS)
+        docs = chain(rng, kind, 2, draw_representation(rng, kind))
+        paths = [corpus.write(doc) for doc in docs]
+        twin = corpus.write(permuted(rng, docs[0]))
+        return rng.choice((
+            ["compose"] + paths,
+            ["convert", paths[0], "--to", "decorated"],
+            ["check", paths[0], twin, "--laws", "iso"],
+        )), True
+
+    files = [corpus.write(doc) for doc in chain(rng, "petri_rates", 2, "decorated")]
+    mistakes = [
+        ([], False),  # no subcommand
+        (["bogus"], False),  # an unknown subcommand
+        (["compose"] + files, False),  # no -o
+        (["convert", files[0], "--to", "bogus"], True),
+        (["check", "--laws", "companion", "--map", "0", "--cod", "x"], False),
+        (["--help"], False),
+        (["compose", "--help"], False),
+    ]
+    cases = [success()]
+    for mistake in mistakes:
+        cases += [mistake, success()]
+    return cases
+
+
 def ledger(root):
     """family: (behaviour digest, stderr digest) over the seeded corpus."""
     corpus = Corpus(root)
     digests = {}
     for family in FAMILIES:
-        rng = Random(f"ledger-{family}")
-        cases = [draw_case(rng, family, corpus) for _ in range(CASES_PER_FAMILY)]
+        if family == "usage":
+            cases = usage_cases(corpus)
+        else:
+            rng = Random(f"ledger-{family}")
+            cases = [(draw_case(rng, family, corpus), True) for _ in range(CASES_PER_FAMILY)]
         if family == "convert":
-            cases.extend(value_damage_cases(corpus))
+            cases.extend((argv, True) for argv in value_damage_cases(corpus))
         behaviour, stderr = hashlib.sha256(), hashlib.sha256()
-        for argv in cases:
-            code, out, written, err = corpus.run(argv)
+        for argv, with_out in cases:
+            code, out, written, err = corpus.run(argv, with_out)
             behaviour.update(repr((code, out, written)).encode())
             stderr.update(repr(err).encode())
         digests[family] = (behaviour.hexdigest(), stderr.hexdigest())
@@ -445,4 +492,5 @@ def ledger(root):
 
 def test_the_ledger_matches_its_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.delenv(ISO_BUDGET_ENV, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
     assert ledger(str(tmp_path)) == PINNED
