@@ -18,7 +18,9 @@ counts, exponents, table entries and lengths (`FinSet`, `FinFunction`,
 `Multiset.from_dict`, `Poly` and the system classes); `_built` reports a
 refusal as a `ModelFormatError` at its place in the file.  This module
 checks only what they cannot see: the JSON shape (objects, arrays, fields,
-repeated keys), the plain spelling of place keys, and finite numbers.
+repeated keys), the plain spelling of place keys, and finite numbers.  Its
+messages, like the constructors', cut any value from the file to 40
+characters, so a huge value still gives one short line.
 
 Canonical output sorts keys, drops insignificant whitespace, and prints
 floats as their shortest round-tripping decimal, so files written from
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .errors import ModelFormatError, ModelValidationError, NotInImageOfL
-from .finset import FinFunction, FinSet
+from .finset import FinFunction, FinSet, _short
 from .systems import (
     KINDS,
     Decoration,
@@ -68,10 +70,10 @@ def _require_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...
         raise ModelFormatError(f"{where} must be an object")
     for key in required:
         if key not in obj:
-            raise ModelFormatError(f"{where} is missing required field {key!r}")
+            raise ModelFormatError(f"{where} is missing required field {_short(key)}")
     for key in obj:
         if key not in required and key not in optional:
-            raise ModelFormatError(f"{where} has unknown field {key!r}")
+            raise ModelFormatError(f"{where} has unknown field {_short(key)}")
 
 
 def _built(where: str, build: Callable[..., Any], *args: Any) -> Any:
@@ -147,9 +149,11 @@ def _multiset_from_json(value: Any, places: FinSet, where: str) -> Multiset:
         try:
             place = int(key)
         except (TypeError, ValueError):
-            raise ModelFormatError(f"{where} has non-numeric place key {key!r}") from None
+            raise ModelFormatError(f"{where} has non-numeric place key {_short(key)}") from None
         if key != str(place):
-            raise ModelFormatError(f"{where} has place key {key!r}, expected {str(place)!r}")
+            raise ModelFormatError(
+                f"{where} has place key {_short(key)}, expected {_short(str(place))}"
+            )
         entries[place] = count
     return _built(where, Multiset.from_dict, places, entries)
 
@@ -216,7 +220,7 @@ def system_from_json(kind: str, value: Any) -> Decoration:
                 terms.append((coefficient, term[1]))
             components.append(_built(f"field component {i}", Poly, places.size, terms))
         return _built("field", PolyVectorField, places, tuple(components))
-    raise ModelFormatError(f"unknown kind {kind!r}")
+    raise ModelFormatError(f"unknown kind {_short(kind)}")
 
 
 def cospan_to_json(cospan: Cospan) -> dict:
@@ -333,13 +337,13 @@ def model_from_json(value: Any) -> ModelFile:
         value, ("version", "kind", "representation", "payload"), ("names",), "model file"
     )
     if value["version"] != MODEL_VERSION:
-        raise ModelFormatError(f"unsupported version {value['version']!r}")
+        raise ModelFormatError(f"unsupported version {_short(value['version'])}")
     kind = value["kind"]
     if kind not in KINDS:
-        raise ModelFormatError(f"unknown kind {kind!r}")
+        raise ModelFormatError(f"unknown kind {_short(kind)}")
     representation = value["representation"]
     if representation not in ("structured", "decorated"):
-        raise ModelFormatError(f"unknown representation {representation!r}")
+        raise ModelFormatError(f"unknown representation {_short(representation)}")
     payload = cospan_from_json(kind, representation, value["payload"])
     names = Names.from_json(value["names"]) if "names" in value else None
     if names is not None:
@@ -363,7 +367,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     obj = dict(pairs)
     if len(obj) != len(pairs):
         key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise ModelFormatError(f"duplicate key {key!r} in one JSON object")
+        raise ModelFormatError(f"duplicate key {_short(key)} in one JSON object")
     return obj
 
 
@@ -484,7 +488,7 @@ def resolve_simulation(
     state = [0.0] * len(names.places)
     for name, val in config.initial.items():
         if name not in place_index:
-            raise ModelValidationError(f"initialState names unknown place {name!r}")
+            raise ModelValidationError(f"initialState names unknown place {_short(name)}")
         state[place_index[name]] = val
 
     def resolve(block: dict[str, PiecewiseConstant], known: tuple[str, ...], label: str):
@@ -492,7 +496,9 @@ def resolve_simulation(
         out = [PiecewiseConstant.ZERO] * len(known)
         for name, flow in block.items():
             if name not in index:
-                raise ModelValidationError(f"{label} names unknown boundary element {name!r}")
+                raise ModelValidationError(
+                    f"{label} names unknown boundary element {_short(name)}"
+                )
             out[index[name]] = flow
         return tuple(out)
 

@@ -27,7 +27,8 @@ from opencospan import (
     tensor,
     to_structured,
 )
-from opencospan.cli import _pairwise_fold, main
+from opencospan import cli
+from opencospan.cli import MAX_MAP_SIZE, _pairwise_fold, _parse_map, main
 from opencospan.errors import OpenCospanError
 from opencospan.finset import ISO_BUDGET_ENV
 from opencospan.laws import random_composable, random_cospan, sir_open_net
@@ -683,6 +684,30 @@ def test_check_companion_and_conjoint_for_a_given_map(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "args, size, what",
+    [
+        (["--map", "0", "--cod", "99999999999999999999"], 99999999999999999999, "codomain"),
+        (["--map", "0", "--cod", str(MAX_MAP_SIZE + 1)], MAX_MAP_SIZE + 1, "codomain"),
+        (["--map", str(MAX_MAP_SIZE)], MAX_MAP_SIZE + 1, "codomain"),
+        (["--map", ",".join(["0"] * (MAX_MAP_SIZE + 1)), "--cod", "1"], MAX_MAP_SIZE + 1,
+         "--map table"),
+    ],
+    ids=["past any list", "one over", "inferred", "long table"],
+)
+def test_a_map_over_the_cap_is_refused_before_anything_is_built(capsys, args, size, what):
+    for law in ("companion", "conjoint"):
+        code, out, err = run_cli(capsys, "check", "--laws", law, *args)
+        assert (code, out) == (2, "")
+        assert err == f"error: {what} of size {size} is over the cap of {MAX_MAP_SIZE}\n"
+
+
+def test_a_map_at_the_cap_is_accepted():
+    f = _parse_map(str(MAX_MAP_SIZE - 1), None)
+    assert (f.dom.size, f.cod.size) == (1, MAX_MAP_SIZE)
+    assert _parse_map("0", MAX_MAP_SIZE).cod.size == MAX_MAP_SIZE
+
+
 def test_check_runs_registered_suites(capsys):
     code, out, _ = run_cli(capsys, "check", "--laws", "simulation")
     assert code == 0
@@ -823,6 +848,55 @@ def test_a_refused_value_is_named_in_one_short_line_however_large(tmp_path, caps
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120, err
 
 
+LONG_KEY = "k" * WIDE
+
+
+def with_field(doc, key, value):
+    doc = dict(doc)
+    doc[key] = value
+    return doc
+
+
+SIR_PATH = pathlib.Path(__file__).resolve().parent.parent / "models" / "sir.json"
+SIR = json.loads(SIR_PATH.read_text())
+
+
+def sir_with_place_key(key):
+    doc = json.loads(SIR_PATH.read_text())
+    doc["payload"]["system"]["transitions"][0]["src"] = {key: 1}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(with_field(SIR, "kind", [0] * WIDE)),
+        json.dumps(with_field(SIR, "version", [0] * WIDE)),
+        json.dumps(with_field(SIR, "representation", [0] * WIDE)),
+        json.dumps(with_field(SIR, LONG_KEY, 1)),
+        json.dumps(SIR)[:-1] + f', "{LONG_KEY}": 1, "{LONG_KEY}": 2}}',
+        sir_with_place_key(LONG_KEY),
+        sir_with_place_key("0" * 4000 + "1"),
+    ],
+    ids=["kind", "version", "representation", "unknown field", "duplicate key",
+         "non-numeric place key", "place key with leading zeros"],
+)
+def test_a_file_shape_fault_is_named_in_one_short_line_however_large(tmp_path, capsys, text):
+    err = convert_expecting_a_format_error(tmp_path, capsys, text)
+    assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+    assert len(err) - len(str(tmp_path)) < 120, err[:200]
+
+
+def test_a_long_unknown_name_in_a_config_is_named_in_one_short_line(tmp_path, capsys):
+    for block in ("initialState", "inflows"):
+        config = write_sim_config(tmp_path, **{block: {LONG_KEY: 1.0}})
+        code, _, err = run_cli(
+            capsys, "simulate", str(SIR_PATH), "--config", str(config),
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2 and err.count("\n") == 1 and len(err) < 120, err[:200]
+
+
 def test_a_repeated_key_in_a_model_or_config_file_is_refused(tmp_path, capsys, models_dir):
     text = (models_dir / "sir.json").read_text()
     repeated = text.replace('"src":{"0":1,"1":1}', '"src":{"0":1,"1":1,"0":4}', 1)
@@ -838,3 +912,76 @@ def test_a_repeated_key_in_a_model_or_config_file_is_refused(tmp_path, capsys, m
     )
     assert code == 3 and not csv.exists()
     assert f"{config}: duplicate key 'dt' in one JSON object" in err
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_parser():
+    """The parser cache emptied before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_importing_the_cli_builds_no_parser():
+    package_root = str(pathlib.Path(opencospan.__file__).resolve().parent.parent)
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import opencospan.cli\n"
+        "print(len(built))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
+
+
+def test_main_builds_its_parser_once(fresh_parser, monkeypatch, capsys, models_dir, tmp_path):
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    sir, left, right = (str(models_dir / f"{n}.json") for n in ("sir", "sir_left", "sir_right"))
+    runs = [
+        ["compose", left, right, "--out", str(tmp_path / "c.json")],
+        ["check", sir, sir, "--laws", "iso"],
+        ["convert", sir, "--to", "structured", "--out", str(tmp_path / "s.json")],
+        ["check", "--laws", "companion", "--map", "0,0"],
+    ]
+    for argv in runs:
+        assert run_cli(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit):
+        main(["convert", sir, "--to", "bogus"])
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_a_usage_error_leaves_the_next_call_as_in_a_fresh_process(
+    fresh_parser, capsys, models_dir
+):
+    sir, left = str(models_dir / "sir.json"), str(models_dir / "sir_left.json")
+    argv = ["check", sir, left, "--laws", "iso"]
+    fresh = run_cli(capsys, *argv)
+    assert fresh[0] == 2 and fresh[1].startswith("FAIL iso")
+    namespace = vars(cli.build_parser().parse_args(argv))
+    assert run_cli(capsys, "check", "--laws", "companion", "--map", "1,0", "--cod", "3")[0] == 0
+    for mistake in (
+        ["check", sir, left, "--laws", "iso", "--cod", "x"],
+        ["check", sir, left],
+        ["convert", sir, "--to", "bogus"],
+        ["bogus", sir],
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(mistake)
+        assert exit_.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, *argv) == fresh
+        assert vars(cli._parser().parse_args(argv)) == namespace
