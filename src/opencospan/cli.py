@@ -99,8 +99,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-# check_companion on a map into 10**5 elements takes about 1.2 s and 50 MB,
-# growing linearly with the size of either set
+# check_companion grows linearly with the size of either set: a map of
+# 10**5 elements into 10**5 takes about 1.6 s and 70 MB (2 cores, Python 3.11)
 MAX_MAP_SIZE = 100_000
 
 
@@ -110,7 +110,7 @@ def _parse_map(raw: str, cod: Optional[int]) -> FinFunction:
         table = tuple(int(token) for token in entries)
     except ValueError:
         raise ModelFormatError(
-            f"--map must be a comma-separated list of ints, got {raw!r}"
+            f"--map must be a comma-separated list of ints, got {_short(raw)}"
         ) from None
     size = cod if cod is not None else (max(table) + 1 if table else 0)
     for what, n in (("--map table", len(table)), ("codomain", size)):
@@ -153,7 +153,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             reports.append(LAW_SUITES[name]())
         else:
             raise ModelFormatError(
-                f"unknown law {name!r}; choose from {', '.join(sorted(LAW_SUITES))}, "
+                f"unknown law {_short(name)}; choose from {', '.join(sorted(LAW_SUITES))}, "
                 "iso, or all"
             )
     for report in reports:

@@ -619,6 +619,8 @@ def test_missing_and_malformed_files_exit_3(tmp_path, capsys):
 def test_unknown_law_names_exit_3(capsys):
     code, _, err = run_cli(capsys, "check", "--laws", "transmutation")
     assert code == 3 and "unknown law" in err
+    code, _, long_err = run_cli(capsys, "check", "--laws", "x" * 100_000)
+    assert code == 3 and long_err.count("\n") == 1 and len(long_err) < len(err) + 40
 
 
 def test_iso_check_needs_exactly_two_files(capsys, models_dir):
@@ -700,6 +702,13 @@ def test_a_map_over_the_cap_is_refused_before_anything_is_built(capsys, args, si
         code, out, err = run_cli(capsys, "check", "--laws", law, *args)
         assert (code, out) == (2, "")
         assert err == f"error: {what} of size {size} is over the cap of {MAX_MAP_SIZE}\n"
+
+
+def test_a_map_that_is_not_a_list_of_ints_is_named_in_one_short_line(capsys):
+    for raw in ("0,x", "0," * 100_000 + "x"):
+        code, _, err = run_cli(capsys, "check", "--laws", "companion", "--map", raw)
+        assert code == 3 and err.count("\n") == 1 and len(err) < 120, err[:200]
+        assert err.startswith("error: --map must be a comma-separated list of ints, got '0,")
 
 
 def test_a_map_at_the_cap_is_accepted():
@@ -851,47 +860,49 @@ def test_a_refused_value_is_named_in_one_short_line_however_large(tmp_path, caps
 LONG_KEY = "k" * WIDE
 
 
-def with_field(doc, key, value):
-    doc = dict(doc)
-    doc[key] = value
-    return doc
+def edited(edit):
+    """doc -> the text of doc after edit(doc)."""
+
+    def text(doc):
+        edit(doc)
+        return json.dumps(doc)
+
+    return text
 
 
-SIR_PATH = pathlib.Path(__file__).resolve().parent.parent / "models" / "sir.json"
-SIR = json.loads(SIR_PATH.read_text())
+def first_src(doc):
+    return doc["payload"]["system"]["transitions"][0]["src"]
 
 
-def sir_with_place_key(key):
-    doc = json.loads(SIR_PATH.read_text())
-    doc["payload"]["system"]["transitions"][0]["src"] = {key: 1}
-    return json.dumps(doc)
+# a shape fault in a model file whose value or key is huge; name: doc -> text
+HUGE_SHAPE_FAULTS = {
+    "kind": edited(lambda d: d.update(kind=[0] * WIDE)),
+    "version": edited(lambda d: d.update(version=[0] * WIDE)),
+    "representation": edited(lambda d: d.update(representation=[0] * WIDE)),
+    "unknown field": edited(lambda d: d.update({LONG_KEY: 1})),
+    "duplicate key": lambda d: json.dumps(d)[:-1] + f', "{LONG_KEY}": 1, "{LONG_KEY}": 2}}',
+    "non-numeric place key": edited(lambda d: first_src(d).update({LONG_KEY: 1})),
+    "place key with leading zeros": edited(lambda d: first_src(d).update({"0" * 4000 + "1": 1})),
+}
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        json.dumps(with_field(SIR, "kind", [0] * WIDE)),
-        json.dumps(with_field(SIR, "version", [0] * WIDE)),
-        json.dumps(with_field(SIR, "representation", [0] * WIDE)),
-        json.dumps(with_field(SIR, LONG_KEY, 1)),
-        json.dumps(SIR)[:-1] + f', "{LONG_KEY}": 1, "{LONG_KEY}": 2}}',
-        sir_with_place_key(LONG_KEY),
-        sir_with_place_key("0" * 4000 + "1"),
-    ],
-    ids=["kind", "version", "representation", "unknown field", "duplicate key",
-         "non-numeric place key", "place key with leading zeros"],
-)
-def test_a_file_shape_fault_is_named_in_one_short_line_however_large(tmp_path, capsys, text):
-    err = convert_expecting_a_format_error(tmp_path, capsys, text)
+@pytest.mark.parametrize("fault", sorted(HUGE_SHAPE_FAULTS))
+def test_a_file_shape_fault_is_named_in_one_short_line_however_large(
+    tmp_path, capsys, models_dir, fault
+):
+    doc = json.loads((models_dir / "sir.json").read_text())
+    err = convert_expecting_a_format_error(tmp_path, capsys, HUGE_SHAPE_FAULTS[fault](doc))
     assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
     assert len(err) - len(str(tmp_path)) < 120, err[:200]
 
 
-def test_a_long_unknown_name_in_a_config_is_named_in_one_short_line(tmp_path, capsys):
+def test_a_long_unknown_name_in_a_config_is_named_in_one_short_line(
+    tmp_path, capsys, models_dir
+):
     for block in ("initialState", "inflows"):
         config = write_sim_config(tmp_path, **{block: {LONG_KEY: 1.0}})
         code, _, err = run_cli(
-            capsys, "simulate", str(SIR_PATH), "--config", str(config),
+            capsys, "simulate", str(models_dir / "sir.json"), "--config", str(config),
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2 and err.count("\n") == 1 and len(err) < 120, err[:200]
