@@ -104,6 +104,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 MAX_MAP_SIZE = 100_000
 
 
+def _int(raw: str) -> int:
+    """`int` for argparse, naming a bad value cut short as `_short` does."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_short(raw)}") from None
+
+
 def _parse_map(raw: str, cod: Optional[int]) -> FinFunction:
     entries = [token.strip() for token in raw.split(",") if token.strip() != ""]
     try:
@@ -204,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'companion'/'conjoint' with --map check one function",
     )
     check_p.add_argument("--map", help="function table for companion/conjoint, e.g. 0,0")
-    check_p.add_argument("--cod", type=int, help="codomain size for --map")
+    check_p.add_argument("--cod", type=_int, help="codomain size for --map")
     check_p.set_defaults(handler=_cmd_check)
     return parser
 

@@ -33,7 +33,6 @@ structured presentation, and `cospan_iso` compares them within
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -58,7 +57,6 @@ from .finset import (
 )
 from .systems import (
     Decoration,
-    PolyVectorField,
     System,
     SystemMorphism,
     cells_of,
@@ -509,8 +507,8 @@ class IsoWitness:
 
 
 def _cell_keys(system: System, h: Optional[FinFunction] = None):
-    """Each cell's key (moved end, moved end, label_key(attribute)), in cell
-    order; the ends move along h if given."""
+    """Each cell's key (consumed support, produced support,
+    label_key(attribute)), in cell order; the ends move along h if given."""
     theory = decoration_theory(system.kind)
     src, tgt = system.ends
     if h is not None:
@@ -549,154 +547,97 @@ def match_cells(d: System, e: System, h: FinFunction) -> Optional[FinFunction]:
     return FinFunction(cells_of(d), cells_of(e), tuple(table))
 
 
-def _graph_adjacency(system: System) -> dict[tuple[int, int], Counter]:
-    adj: dict[tuple[int, int], Counter] = {}
-    for s, t, label in _cell_keys(system):
-        adj.setdefault((s, t), Counter())[label] += 1
-    return adj
-
-
-def _petri_signature(system: System) -> list[tuple]:
-    """Each place's sorted (consumed, produced, rate key) over the transitions
-    that touch it; every other transition adds (0, 0, rate key)."""
-    profiles: list[list] = [[] for _ in interface_of(system)]
-    for src, tgt, rate in _cell_keys(system):
-        consumed, produced = dict(src), dict(tgt)
-        for p in consumed.keys() | produced.keys():
-            profiles[p].append((consumed.get(p, 0), produced.get(p, 0), rate))
-    return [tuple(sorted(profile)) for profile in profiles]
-
-
-def _count(row: dict, partner: int, key: tuple) -> None:
-    counts = row.setdefault(partner, {})
+def _count(counts: dict, key) -> None:
     counts[key] = counts.get(key, 0) + 1
 
 
-def _petri_pairs(system: System) -> list[dict[int, dict]]:
-    """Per place x and other place x2, the counts of (consumed[x],
-    produced[x], consumed[x2], produced[x2], rate key) over the transitions
-    that touch both."""
-    rows: list[dict] = [{} for _ in interface_of(system)]
-    for src, tgt, rate in _cell_keys(system):
-        consumed, produced = dict(src), dict(tgt)
-        touched = consumed.keys() | produced.keys()
-        for x in touched:
-            here = (consumed.get(x, 0), produced.get(x, 0))
-            for x2 in touched - {x}:
-                _count(rows[x], x2, (*here, consumed.get(x2, 0), produced.get(x2, 0), rate))
-    return rows
+def _incidences(decoration: Decoration):
+    """Every cell or term as (consumed support, produced support, key): an
+    edge consumes its source and produces its target, a transition its two
+    multisets, and a term of component x its monomial and x itself.  The key
+    is a cell's label or rate key, and None for a term, whose coefficient
+    only the leaf check reads."""
+    if decoration_theory(decoration.kind).shape == "field":
+        return (
+            (support, ((x, 1),), None)
+            for x, poly in enumerate(decoration.components)
+            for _, support in poly.sparse
+        )
+    return _cell_keys(decoration)
 
 
-# field_close's tolerance.  A term whose coefficient is above rel * 1e-3 (the
-# floor of poly_close) cannot pass unmatched, and a bijection neither merges
-# nor splits terms, so only such terms are counted; at rel = 1e-9 that floor
-# is COEFF_DROP and every stored term counts.
-_FIELD_REL = 1e-9
-
-
-def _field_pairs(field: PolyVectorField) -> list[dict[int, dict]]:
-    """Per place a and other place b, the counts of (True, exponent of a,
-    exponent of b) over the terms of component a in which b occurs, and of
-    (False, exponent of b, exponent of a) over those of component b in which
-    a occurs."""
-    rows: list[dict] = [{} for _ in field.components]
-    for x, poly in enumerate(field.components):
-        for c, support in poly.sparse:
-            if abs(c) <= _FIELD_REL * 1e-3:
-                continue
-            own = dict(support).get(x, 0)
-            for x2, k in support:
+def _profiles(decoration: Decoration, colours: dict):
+    """One pass over the incidences.  Per place, its colour: the bag of
+    ((consumed, produced) at the place, key) over the cells that touch it,
+    interned in `colours` as a small int.  Per place x and other place x2,
+    the counts of (at x, at x2, key) over the cells that touch both.  And
+    the counts of the keys over all cells."""
+    places = interface_of(decoration).size
+    bags: list[dict] = [{} for _ in range(places)]
+    rows: list[dict] = [{} for _ in range(places)]
+    keys: dict = {}
+    for consumed, produced, key in _incidences(decoration):
+        _count(keys, key)
+        at = {x: (k, 0) for x, k in consumed}
+        for x, k in produced:
+            at[x] = (at.get(x, (0, 0))[0], k)
+        for x, here in at.items():
+            _count(bags[x], (here, key))
+            for x2, there in at.items():
                 if x2 != x:
-                    _count(rows[x], x2, (True, own, k))
-                    _count(rows[x2], x, (False, own, k))
-    return rows
+                    _count(rows[x].setdefault(x2, {}), (here, there, key))
+    return [colours.setdefault(frozenset(bag.items()), len(colours)) for bag in bags], rows, keys
 
 
-def _adjacency_rule(d: System, e: System):
-    """Graph shape: assigned pairs of nodes must carry the same edge counts."""
-    adj_m, adj_n = _graph_adjacency(d), _graph_adjacency(e)
-    none = Counter()
-
-    def compatible(x: int, y: int, assignment: list[Optional[int]]) -> bool:
-        for x2, y2 in enumerate(assignment):
-            if y2 is None:
-                continue
-            if adj_m.get((x, x2), none) != adj_n.get((y, y2), none):
-                return False
-            if adj_m.get((x2, x), none) != adj_n.get((y2, y), none):
-                return False
-        return True
-
-    return compatible
-
-
-def _pair_rule(unary, pairs, d: Decoration, e: Decoration):
-    """`unary(x, y)`, then equal `pairs` rows between x and each assigned
-    partner x2 and between y and its image y2.  The rows are built on the
-    first test of a free node with an assigned partner: the pinned pre-check
-    (x itself assigned) and `compatible(x, y, [])` run `unary` alone."""
-    rows = None
-
-    def compatible(x: int, y: int, assignment: list[Optional[int]]) -> bool:
-        nonlocal rows
-        if not unary(x, y):
-            return False
-        if rows is None:
-            if all(y2 is None for y2 in assignment) or assignment[x] is not None:
-                return True
-            rows = pairs(d), pairs(e)
-        row_m, row_n = rows[0][x], rows[1][y]
-        for x2, y2 in enumerate(assignment):
-            if y2 is not None and row_m.get(x2) != row_n.get(y2):
-                return False
-        return True
-
-    return compatible
-
-
-def _signature_rule(d: System, e: System):
-    """Petri shape: a place maps only to a place with the same profile, and
-    co-occurs with each assigned place as its image does."""
-    sig_m, sig_n = _petri_signature(d), _petri_signature(e)
-    # a profile leaves out the (0, 0, rate key) of untouched transitions:
-    # profiles that hold them compare equal only if all the rates do
-    if sorted(d.attrs or ()) != sorted(e.attrs or ()):
-        return lambda x, y, assignment: False
-    return _pair_rule(lambda x, y: sig_m[x] == sig_n[y], _petri_pairs, d, e)
-
-
-_PRUNING_RULES = {"graph": _adjacency_rule, "petri": _signature_rule}
+# field_close's tolerance.  poly_close lets an unmatched term pass only up to
+# rel / 1e3, which at this rel is COEFF_DROP (pinned in the tests), so no
+# stored term passes unmatched and the search may count every term.
+_FIELD_REL = 1e-9
 _NO_CELLS = FinFunction.identity(EMPTY)
 
 
 def _search_rules(d: Decoration, e: Decoration):
     """The `compatible` rule and the leaf check (node bijection -> cell map
-    or None) of a search from d to e, or None when cell counts differ.  A
-    field has no cells; it is pruned by term co-occurrence and its leaf
-    check is `field_close`."""
-    shape = decoration_theory(d.kind).shape
-    if shape == "field":
-        return _pair_rule(lambda x, y: True, _field_pairs, d, e), lambda h: (
+    or None) of a search from d to e, or None when their cells' keys (for
+    fields, their term counts) differ.  A place maps only to a place of its
+    colour, and meets each assigned place in the same cells, by `_profiles`,
+    as its image meets that place's image.  The leaf check is `match_cells`,
+    or `field_close` for a field, which has no cells."""
+    colours: dict = {}
+    colour_d, rows_d, keys_d = _profiles(d, colours)
+    colour_e, rows_e, keys_e = _profiles(e, colours)
+    if keys_d != keys_e:
+        return None
+
+    def compatible(x: int, y: int, assignment: list[Optional[int]]) -> bool:
+        if colour_d[x] != colour_e[y]:
+            return False
+        row_d, row_e = rows_d[x], rows_e[y]
+        for x2, y2 in enumerate(assignment):
+            if y2 is not None and row_d.get(x2) != row_e.get(y2):
+                return False
+        return True
+
+    if decoration_theory(d.kind).shape == "field":
+        return compatible, lambda h: (
             _NO_CELLS if field_close(pushforward_field(h, d), e, _FIELD_REL) else None
         )
-    if cells_of(d).size != cells_of(e).size:
-        return None
-    return _PRUNING_RULES[shape](d, e), lambda h: match_cells(d, e, h)
+    return compatible, lambda h: match_cells(d, e, h)
 
 
 def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[IsoWitness]:
     """Decide whether two cospans over the same feet are isomorphic.
 
     Delegates the search for an apex bijection commuting with both pairs of
-    legs to `find_iso`, with this kind's pairwise pruning (adjacency counts
-    between assigned nodes for graph kinds; per-place profiles, then
-    transition co-occurrence with assigned places for Petri kinds; term
-    co-occurrence with assigned places for fields) as its `compatible`
-    rule, and the kind's leaf check (`match_cells`, or `field_close` for
-    fields); the cell part of the witness is the one the leaf check found
-    there.  Budget, node counting and witness order are those of
-    `find_iso`; the budget is resolved first, so a malformed
-    OPENCOSPAN_ISO_BUDGET is reported whatever the inputs.
+    legs to `find_iso`.  Every kind is pruned by one rule, on one reading of
+    its cells or terms as incidences (`_incidences`): a place maps only to a
+    place of the same colour, and meets each assigned place in the same
+    cells as its image meets that place's image.  The leaf check is
+    `match_cells`, or `field_close` for fields; the cell part of the
+    witness is the one the leaf check found there.  Budget, node counting
+    and witness order are those of `find_iso`; the budget is resolved
+    first, so a malformed OPENCOSPAN_ISO_BUDGET is reported whatever the
+    inputs.
     """
     budget = _iso_budget(budget)
     if m.representation != n.representation or m.kind != n.kind:

@@ -658,10 +658,10 @@ def poly_close(p: Poly, q: Poly, rel: float = 1e-9) -> bool:
     """Structural equality: identical exponent sets, coefficients within rel.
 
     A term unmatched on the other side passes only if its coefficient is at
-    most rel * 1e-3.  At the default rel that bound is COEFF_DROP, so no
-    stored term passes unmatched: one dropped at the storage threshold along
-    one route fails against the same term kept along another.  A non-finite
-    coefficient is close to nothing.
+    most rel / 1e3.  At the default rel that bound is exactly COEFF_DROP, so
+    no stored term passes unmatched: one dropped at the storage threshold
+    along one route fails against the same term kept along another.  A
+    non-finite coefficient is close to nothing.
     """
     if p.nvars != q.nvars:
         return False
@@ -672,7 +672,7 @@ def poly_close(p: Poly, q: Poly, rel: float = 1e-9) -> bool:
         # the difference is non-finite when either side is, and when two
         # finite coefficients of opposite sign are too far apart to compare
         difference = ca - cb
-        bound = rel * max(abs(ca), abs(cb), 1e-3)
+        bound = max(rel * max(abs(ca), abs(cb)), rel / 1e3)
         if not math.isfinite(difference) or abs(difference) > bound:
             return False
     return True
@@ -779,13 +779,15 @@ def _rate_faults(m: SystemMorphism, check_rates: bool) -> list[str]:
     return faults
 
 
-# shape: (move a column of ends, the column as hashable keys (a multiset by its
-#         pairs, which hash in C), build the unattributed system from parts,
-#         wording of a broken source/target end)
+# shape: (move a column of ends, the column as hashable supports (a multiset
+#         by its pairs, which hash in C; a node v as the one-point multiset
+#         ((v, 1),), so that every cell reads as consumed and produced
+#         supports), build the unattributed system from parts, wording of a
+#         broken source/target end)
 _SHAPES = {
     "graph": (
         _move_nodes,
-        tuple,
+        lambda column: [((v, 1),) for v in column],
         lambda nodes, cells, src, tgt: Graph(
             nodes, cells, FinFunction(cells, nodes, src), FinFunction(cells, nodes, tgt)
         ),
@@ -829,7 +831,7 @@ class DecorationTheory:
     The theory also holds the kind's rules that every system operation
     reads: `shape` ("graph", "petri", or "field" for dynam), and for the
     cell kinds `move(column, f)` for a column of cell ends,
-    `hashable(column)` (the ends as plain hashable values), `build` from
+    `hashable(column)` (the ends as hashable supports), `build` from
     parts, `end_faults` (the wording of a broken source or target end),
     `attribute_faults(m, check_rates)` and `glues_cells` (False where
     merged cells have no canonical attribute).

@@ -711,6 +711,18 @@ def test_a_map_that_is_not_a_list_of_ints_is_named_in_one_short_line(capsys):
         assert err.startswith("error: --map must be a comma-separated list of ints, got '0,")
 
 
+def test_a_cod_that_is_not_an_int_is_named_in_one_short_line(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for raw, shown in (("x", "'x'"), ("9" * 100_000, "'99999999999")):
+        with pytest.raises(SystemExit) as exit_:
+            main(["check", "--laws", "companion", "--map", "0", "--cod", raw])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2 and max(map(len, err.splitlines())) < 120, err[:200]
+        assert err.splitlines()[-1].startswith(
+            f"opencospan check: error: argument --cod: invalid int value: {shown}"
+        )
+
+
 def test_a_map_at_the_cap_is_accepted():
     f = _parse_map(str(MAX_MAP_SIZE - 1), None)
     assert (f.dom.size, f.cod.size) == (1, MAX_MAP_SIZE)

@@ -1,5 +1,6 @@
 """Cospan composition, tensoring, squares, companions, and iso search."""
 
+import math
 from collections import Counter
 from itertools import permutations
 from random import Random
@@ -48,9 +49,9 @@ from opencospan import (
     unit_cell,
     vcompose,
 )
-from opencospan.cospans import _present, _search_rules, _signature_rule
+from opencospan.cospans import _FIELD_REL, _present, _search_rules
 from opencospan.finset import ISO_BUDGET_ENV, compose, find_iso, pushout
-from opencospan.systems import cells_of, decoration_theory, interface_of
+from opencospan.systems import COEFF_DROP, decoration_theory, interface_of, poly_close
 from opencospan.laws import (
     intro_open_graph,
     random_composable,
@@ -742,6 +743,50 @@ def test_cospan_iso_node_budget_is_pinned(kind, other, least_budget, node_map):
         assert witness.cell_map.table == (1, 2, 3, 4, 5, 0)
 
 
+PATH = [(i, i + 1) for i in range(5)]
+
+
+def open_graph(arcs):
+    return build("graph", (6, (), (), [(s, t, None) for s, t in arcs]))
+
+
+def unit_terms(*placed):
+    """A field over 6 places with empty feet: a unit term in component x of
+    the monomial {variable: exponent}, for each (x, monomial) given."""
+    comps = [[] for _ in range(6)]
+    for x, monomial in placed:
+        comps[x].append((1.0, tuple(monomial.get(v, 0) for v in range(6))))
+    return build_field((6, (), (), comps))
+
+
+@pytest.mark.parametrize(
+    "m, n, least_budget, node_map",
+    [
+        # by their colours alone: no node has the path's first node's degrees
+        (open_graph(PATH), open_graph(cycle_arcs(range(5))), 6, None),
+        (open_graph(PATH), open_graph([(t, s) for s, t in PATH]), 21, (5, 4, 3, 2, 1, 0)),
+        (unit_terms((0, {1: 1, 2: 1})), unit_terms((5, {3: 1, 4: 1})), 17, (5, 3, 4, 0, 1, 2)),
+        # no place of the second field is read squared by its own component
+        (unit_terms((0, {0: 2}), (1, {1: 1})), unit_terms((4, {4: 1}), (5, {5: 1})), 6, None),
+    ],
+    ids=["path-cycle", "path-reversed", "term-pair", "square"],
+)
+def test_one_colouring_prunes_paths_and_terms(m, n, least_budget, node_map):
+    # least budgets with the per-shape rules: 81, 76, 42 and 1956
+    with pytest.raises(BudgetExceeded):
+        cospan_iso(m, n, budget=least_budget - 1)
+    witness = cospan_iso(m, n, budget=least_budget)
+    assert (witness if witness is None else witness.node_map.table) == node_map
+
+
+def test_the_search_tolerance_lets_no_stored_term_pass_unmatched():
+    # the search counts every term, which holds only while poly_close's floor
+    # at the search's tolerance is the storage threshold
+    assert _FIELD_REL / 1e3 == COEFF_DROP
+    least = Poly.from_terms(1, [(math.nextafter(COEFF_DROP, 1.0), (1,))])
+    assert least.sparse and not poly_close(least, Poly.zero(1), _FIELD_REL)
+
+
 @pytest.mark.parametrize("kind", [*CELL_KINDS, "dynam"])
 def test_pruning_returns_the_unpruned_witness_on_seven_rings(kind):
     ring = cycle_arcs(range(7))
@@ -847,17 +892,21 @@ def test_hcompose_of_rated_nets_pushes_each_end_forward_once(monkeypatch):
     assert len(calls) == 2 * cells
 
 
-def full_petri_profiles(system):
-    """Per place, the sorted (consumed, produced, rate key) of every transition."""
+def full_profiles(system):
+    """Per place, the sorted (consumed, produced, key) of every cell, an edge
+    read as a transition that consumes its source and produces its target."""
     src, tgt = system.ends
-    keys = [None] * len(src) if system.attrs is None else [(float, r) for r in system.attrs]
+    if system.kind in GRAPH_KINDS:
+        nodes = interface_of(system)
+        src, tgt = ([Multiset.from_dict(nodes, {v: 1}) for v in end] for end in (src, tgt))
+    keys = [None] * len(src) if system.attrs is None else [(type(a), a) for a in system.attrs]
     return [
         sorted((s.counts[p], t.counts[p], key) for s, t, key in zip(src, tgt, keys))
         for p in interface_of(system)
     ]
 
 
-@pytest.mark.parametrize("kind", ["petri", "petri_rates"])
+@pytest.mark.parametrize("kind", CELL_KINDS)
 def test_petri_pruning_agrees_with_full_per_place_profiles(kind):
     rng = Random(kind)
     for _ in range(200):
@@ -865,12 +914,12 @@ def test_petri_pruning_agrees_with_full_per_place_profiles(kind):
         d = random_system(rng, kind, nodes, max_cells=3)
         if rng.random() < 0.5:
             e = random_system(rng, kind, nodes, max_cells=3)
-        else:  # the same rates, so profiles decide
+        else:  # the same keys, so profiles decide
             e = relabel(FinFunction(nodes, nodes, tuple(rng.sample(range(nodes.size), nodes.size))), d)
-        if cells_of(d).size != cells_of(e).size:
-            continue
-        compatible = _signature_rule(d, e)
-        full_d, full_e = full_petri_profiles(d), full_petri_profiles(e)
+        rules = _search_rules(d, e)
+        full_d, full_e = full_profiles(d), full_profiles(e)
         for x in nodes:
             for y in nodes:
-                assert compatible(x, y, []) == (full_d[x] == full_e[y])
+                # keys that differ leave no two full profiles equal
+                allowed = rules is not None and rules[0](x, y, [])
+                assert allowed == (full_d[x] == full_e[y])
