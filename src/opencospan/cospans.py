@@ -12,8 +12,12 @@ once on that reading.  `_present(cospan, representation)` is the one
 switch between the presentations, through `to_structured` and
 `to_decorated`, which are mutually inverse; both translations preserve
 composition and tensor on the nose because both presentations choose the
-same colimits.  Only `hcompose` and `tensor` build each presentation their
-own way, the structured one by `system_pushout` and `system_coproduct`.
+same colimits.  So `hcompose` and `tensor` build the decorated result and
+present it as their inputs are: a discrete foot has no cells, so the
+pushout in X that a structured composite calls for glues no cells, and it
+lists x's cells before y's just as the decoration's union does
+(`laws.conversion_roundtrip` checks this against `systems.system_pushout`
+and `system_coproduct`).
 
 Conventions: `hcompose(m, n)` glues m's right foot to n's left foot, so
 composites read left to right.  `vcompose(a, b)` applies a first, then b.
@@ -60,15 +64,12 @@ from .systems import (
     System,
     SystemMorphism,
     cells_of,
-    compose_morphism,
     decoration_theory,
     discrete,
     field_close,
     interface_of,
     is_discrete,
     pushforward_field,
-    system_coproduct,
-    system_pushout,
     validate_morphism,
 )
 
@@ -186,53 +187,32 @@ def _check_pair(m: Cospan, n: Cospan, what: str) -> None:
 def hcompose(m: Cospan, n: Cospan) -> Cospan:
     """Glue m's right foot to n's left foot over the chosen pushout."""
     _check_pair(m, n, "compose")
-    if isinstance(m, DecoratedCospan):
-        assert isinstance(n, DecoratedCospan)
-        po = pushout(m.leg_right, n.leg_left)
-        # po.left and po.right are the quotient after the two injections, so
-        # this is reindex(po.quotient, laxator(d, e)) with each cell moved once
-        return DecoratedCospan(
-            m.foot_left,
-            n.foot_right,
-            compose(po.left, m.leg_left),
-            compose(po.right, n.leg_right),
-            decoration_theory(m.kind).union(m.decoration, po.left, n.decoration, po.right),
-        )
-    assert isinstance(n, StructuredCospan)
-    _, inj_m, inj_n = system_pushout(m.leg_right, n.leg_left)
-    return StructuredCospan(
-        compose_morphism(inj_m, m.leg_left), compose_morphism(inj_n, n.leg_right)
+    (m_left, m_right), (n_left, n_right) = m.leg_maps, n.leg_maps
+    po = pushout(m_right, n_left)
+    # po.left and po.right are the quotient after the two injections, so
+    # this is reindex(po.quotient, laxator(d, e)) with each cell moved once
+    composite = DecoratedCospan(
+        m.foot_left,
+        n.foot_right,
+        compose(po.left, m_left),
+        compose(po.right, n_right),
+        decoration_theory(m.kind).union(m.decoration, po.left, n.decoration, po.right),
     )
+    return _present(composite, m.representation)
 
 
 def tensor(m: Cospan, n: Cospan) -> Cospan:
     """Set two open systems side by side; feet and apexes become coproducts."""
     _check_pair(m, n, "tensor")
-    if isinstance(m, DecoratedCospan):
-        assert isinstance(n, DecoratedCospan)
-        theory = decoration_theory(m.kind)
-        return DecoratedCospan(
-            FinSet(m.foot_left.size + n.foot_left.size),
-            FinSet(m.foot_right.size + n.foot_right.size),
-            coproduct_map(m.leg_left, n.leg_left),
-            coproduct_map(m.leg_right, n.leg_right),
-            theory.laxator(m.decoration, n.decoration),
-        )
-    assert isinstance(n, StructuredCospan)
-    apex = system_coproduct(m.decoration, n.decoration)[0]
-
-    def side(leg_m: SystemMorphism, leg_n: SystemMorphism) -> SystemMorphism:
-        # the apex injections shift n's part past m's, just as coproduct_map does
-        return SystemMorphism(
-            system_coproduct(leg_m.dom, leg_n.dom)[0],
-            apex,
-            coproduct_map(leg_m.node_map, leg_n.node_map),
-            coproduct_map(leg_m.edge_map, leg_n.edge_map),
-        )
-
-    return StructuredCospan(
-        side(m.leg_left, n.leg_left), side(m.leg_right, n.leg_right)
+    (m_left, m_right), (n_left, n_right) = m.leg_maps, n.leg_maps
+    product = DecoratedCospan(
+        FinSet(m.foot_left.size + n.foot_left.size),
+        FinSet(m.foot_right.size + n.foot_right.size),
+        coproduct_map(m_left, n_left),
+        coproduct_map(m_right, n_right),
+        decoration_theory(m.kind).laxator(m.decoration, n.decoration),
     )
+    return _present(product, m.representation)
 
 
 def to_structured(cospan: DecoratedCospan) -> StructuredCospan:

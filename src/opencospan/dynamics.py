@@ -354,6 +354,29 @@ def open_rate_rhs(
     return rate_equation(system, schedule)(t, state)
 
 
+def _full_steps(t0: float, t1: float, dt: float, places: int) -> int:
+    """The number of full steps of size dt from t0 before the shortened last
+    one that lands on t1 (t1 > t0 and dt > 0).  A step count that is not
+    finite, or a trajectory of more than `MAX_TRAJECTORY_VALUES` values,
+    (steps + 1) * (places + 1), is refused with SimulationTooLarge."""
+    steps = (t1 - t0) / dt
+    if not math.isfinite(steps):
+        raise SimulationTooLarge(
+            f"[{t0}, {t1}] in steps of {dt} is {steps} steps, over the cap of "
+            f"{MAX_TRAJECTORY_VALUES} values, (steps + 1) * (places + 1)"
+        )
+    n_full = int(steps)
+    if t0 + n_full * dt >= t1:
+        n_full -= 1
+    values = (n_full + 2) * (places + 1)
+    if values > MAX_TRAJECTORY_VALUES:
+        raise SimulationTooLarge(
+            f"{n_full + 1} steps over {places} places make {values} values, over the cap of "
+            f"{MAX_TRAJECTORY_VALUES} values, (steps + 1) * (places + 1)"
+        )
+    return n_full
+
+
 def simulate(
     system: OpenDynam,
     schedule: FlowSchedule,
@@ -384,22 +407,7 @@ def simulate(
     if len(state) != n:
         raise DimensionError(f"initial state of length {len(state)} for {n} places")
     _check_schedule(system, schedule)
-    span = t1 - t0
-    steps = span / dt
-    if not math.isfinite(steps):
-        raise SimulationTooLarge(
-            f"[{t0}, {t1}] in steps of {dt} is {steps} steps, over the cap of "
-            f"{MAX_TRAJECTORY_VALUES} values, (steps + 1) * (places + 1)"
-        )
-    n_full = int(steps)
-    if t0 + n_full * dt >= t1:
-        n_full -= 1
-    values = (n_full + 2) * (n + 1)
-    if values > MAX_TRAJECTORY_VALUES:
-        raise SimulationTooLarge(
-            f"{n_full + 1} steps over {n} places make {values} values, over the cap of "
-            f"{MAX_TRAJECTORY_VALUES} values, (steps + 1) * (places + 1)"
-        )
+    n_full = _full_steps(t0, t1, dt, n)
     step, touched = _compile(system, rk4=True)
     flows_at = _flow_values(schedule)
 

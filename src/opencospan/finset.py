@@ -262,17 +262,24 @@ def find_iso(
                 return None
 
     free = [x for x in range(a.size) if assignment[x] is None]
+    # an explicit stack, so the depth is not bounded by Python's recursion
+    # limit: tried[i] is the last candidate tried for free[i], -1 for none
+    tried = [-1] * len(free)
     nodes = 0
-
-    def extend(i: int) -> Optional[FinFunction]:
-        nonlocal nodes
+    i = 0
+    while i >= 0:
         if i == len(free):
             h = FinFunction(a, b, tuple(assignment))  # type: ignore[arg-type]
             if predicate is None or predicate(h):
                 return h
-            return None
+            i -= 1
+            continue
         x = free[i]
-        for y in range(b.size):
+        y = tried[i]
+        if y >= 0:
+            assignment[x] = None
+            used[y] = False
+        for y in range(y + 1, b.size):
             if used[y]:
                 continue
             nodes += 1
@@ -280,15 +287,13 @@ def find_iso(
                 raise BudgetExceeded(
                     f"isomorphism search exceeded its budget of {max_nodes} nodes"
                 )
-            if compatible is not None and not compatible(x, y, assignment):
-                continue
-            assignment[x] = y
-            used[y] = True
-            found = extend(i + 1)
-            if found is not None:
-                return found
-            assignment[x] = None
-            used[y] = False
-        return None
-
-    return extend(0)
+            if compatible is None or compatible(x, y, assignment):
+                tried[i] = y
+                assignment[x] = y
+                used[y] = True
+                i += 1
+                break
+        else:
+            tried[i] = -1
+            i -= 1
+    return None

@@ -53,7 +53,7 @@ from .systems import (
     interface_of,
 )
 from .cospans import Cospan, DecoratedCospan, _present
-from .dynamics import FlowSchedule, OpenDynam, PiecewiseConstant, graybox
+from .dynamics import FlowSchedule, OpenDynam, PiecewiseConstant, _full_steps, graybox
 
 MODEL_VERSION = "1"
 
@@ -378,6 +378,8 @@ def _read_json(path: str) -> Any:
             return json.load(handle, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ModelFormatError(f"{path} is not valid JSON: nested too deeply") from None
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
 
@@ -480,6 +482,8 @@ def resolve_simulation(
         raise ModelValidationError(
             f"simulation needs a dynam or petri_rates model, got kind {model.kind!r}"
         )
+    # refuse an over-cap run before gray-boxing and naming every place
+    _full_steps(config.t0, config.t1, config.dt, model.payload.apex.size)
     system = graybox(model.payload) if model.kind == "petri_rates" else model.payload
     names = default_names(model)
     assert names.places is not None and names.foot_left is not None

@@ -545,6 +545,37 @@ def test_simulate_refuses_an_unbounded_run_with_one_error_line(tmp_path, capsys,
     assert "over the cap of 10000000 values" in err
 
 
+def test_simulate_refuses_a_wide_run_before_gray_boxing_or_naming(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the cap is checked first")
+
+    monkeypatch.setattr("opencospan.modelio.graybox", unreachable)
+    monkeypatch.setattr("opencospan.modelio.default_names", unreachable)
+    doc = {
+        "version": "1",
+        "kind": "petri_rates",
+        "representation": "decorated",
+        "payload": {
+            "footLeft": 0,
+            "footRight": 0,
+            "legLeft": [],
+            "legRight": [],
+            "system": {"places": 2_000_000, "transitions": []},
+            "representation": "decorated",
+        },
+    }
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps(doc))
+    config = write_sim_config(tmp_path, t0=0.0, t1=10.0, dt=1.0, initialState={})
+    csv_path = tmp_path / "x.csv"
+    code, out, err = run_cli(capsys, "simulate", str(model), "--config", config, "--out", str(csv_path))
+    assert (code, out) == (2, "") and not csv_path.exists()
+    assert err == (
+        "error: 10 steps over 2000000 places make 22000011 values, over the cap of "
+        "10000000 values, (steps + 1) * (places + 1)\n"
+    )
+
+
 # -- failure modes ------------------------------------------------------------------------
 
 
@@ -786,6 +817,27 @@ def test_iso_check_decides_a_ten_place_ring_against_two_five_cycles(tmp_path, ca
     assert (code, err) == (2, "") and out.startswith("FAIL iso")
 
 
+def test_iso_check_decides_free_places_past_the_recursion_limit(tmp_path, capsys):
+    # the search takes one level per free place, 2,000 levels here
+    doc = {
+        "version": "1",
+        "kind": "petri",
+        "representation": "decorated",
+        "payload": {
+            "footLeft": 0,
+            "footRight": 0,
+            "legLeft": [],
+            "legRight": [],
+            "system": {"places": 2000, "transitions": []},
+            "representation": "decorated",
+        },
+    }
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "check", str(path), str(path), "--laws", "iso")
+    assert (code, err) == (0, "") and out.startswith("PASS iso")
+
+
 def test_module_entrypoint_runs_standalone():
     # the child imports the same package as this test, installed or not
     package_root = str(pathlib.Path(opencospan.__file__).resolve().parent.parent)
@@ -935,6 +987,22 @@ def test_a_repeated_key_in_a_model_or_config_file_is_refused(tmp_path, capsys, m
     )
     assert code == 3 and not csv.exists()
     assert f"{config}: duplicate key 'dt' in one JSON object" in err
+
+
+def test_a_deeply_nested_model_or_config_file_is_refused_in_one_short_line(
+    tmp_path, capsys, models_dir
+):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    csv = tmp_path / "x.csv"
+    sir = str(models_dir / "sir.json")
+    for args in (
+        ("convert", str(deep), "--to", "structured", "--out", str(tmp_path / "x.json")),
+        ("simulate", sir, "--config", str(deep), "--out", str(csv)),
+    ):
+        code, _, err = run_cli(capsys, *args)
+        assert code == 3 and not csv.exists()
+        assert err == f"error: {deep} is not valid JSON: nested too deeply\n"
 
 
 # -- one parser per process ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Cospan composition, tensoring, squares, companions, and iso search."""
 
 import math
+import sys
 from collections import Counter
 from itertools import permutations
 from random import Random
@@ -51,7 +52,13 @@ from opencospan import (
 )
 from opencospan.cospans import _FIELD_REL, _present, _search_rules
 from opencospan.finset import ISO_BUDGET_ENV, compose, find_iso, pushout
-from opencospan.systems import COEFF_DROP, decoration_theory, interface_of, poly_close
+from opencospan.systems import (
+    COEFF_DROP,
+    decoration_theory,
+    interface_of,
+    poly_close,
+    validate_morphism,
+)
 from opencospan.laws import (
     intro_open_graph,
     random_composable,
@@ -890,6 +897,32 @@ def test_hcompose_of_rated_nets_pushes_each_end_forward_once(monkeypatch):
     assert cells == 2
     # one pushforward per consumed and per produced multiset of the composite
     assert len(calls) == 2 * cells
+
+
+def count_calls(monkeypatch, name, function):
+    """The arguments of each call of a package function while the test runs,
+    under every module name it is imported by."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("opencospan") and getattr(module, name, None) is function:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_structured_composite_is_one_pushout_of_finite_sets(monkeypatch):
+    halves = sir_halves()
+    left, right = map(to_structured, halves)
+    pushouts = count_calls(monkeypatch, "pushout", pushout)
+    validations = count_calls(monkeypatch, "validate_morphism", validate_morphism)
+    composite = hcompose(left, right)
+    # the feet are discrete, so there are no cells to push out or to check
+    assert (len(pushouts), len(validations)) == (1, 0)
+    assert composite == to_structured(hcompose(*halves))
 
 
 def full_profiles(system):

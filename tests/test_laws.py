@@ -6,6 +6,7 @@ normal development cycle, and the registry and report formatting are
 pinned down because the CLI `check` command builds its output from them.
 """
 
+from opencospan.systems import DecorationTheory, system_union
 from opencospan.laws import (
     LAW_SUITES,
     LawReport,
@@ -113,6 +114,19 @@ def test_companion_and_conjoint_smoke() -> None:
 
 def test_conversion_suite_smoke() -> None:
     assert conversion_roundtrip(cases=24, seed=4).passed
+
+
+def test_conversion_catches_a_union_that_lists_cells_out_of_order(monkeypatch) -> None:
+    # both presentations compose through the decoration's union, so the law
+    # must build the pushout in X itself to see a union that puts y's cells
+    # before x's
+    def swapped(theory, x, f, y, g):
+        return system_union(y, g, x, f)
+
+    monkeypatch.setattr(DecorationTheory, "union", swapped)
+    report = conversion_roundtrip(cases=40, seed=4)
+    assert not report.passed
+    assert "not preserved on the nose" in report.detail
 
 
 def test_graybox_suite_smoke() -> None:

@@ -1,10 +1,11 @@
 """The decorated or structured presentation is picked in one place.
 
 Both cospan classes share one reading (`representation`, the feet, `leg_maps`,
-`decoration`) and `cospans._present` switches between them, so no code needs
-to ask which class it holds.  Only `hcompose` and `tensor` build each
-presentation their own way, the structured one by `system_pushout` and
-`system_coproduct`, which the conversion law compares with the decorated one.
+`decoration`) and `cospans._present` switches between them by that
+`representation`, so no code asks which class it holds: `hcompose` and
+`tensor` build the decorated result and present it as their inputs are, and
+the conversion law compares that with the pushout in X.  The guard fails on
+any `isinstance` test against either cospan class anywhere in the package.
 """
 
 import ast
@@ -13,7 +14,6 @@ import pathlib
 import opencospan
 
 PRESENTATIONS = {"DecoratedCospan", "StructuredCospan"}
-ALLOWED = {("cospans", "hcompose"), ("cospans", "tensor")}
 
 
 def _names(node):
@@ -46,8 +46,7 @@ def test_presentation_is_tested_only_where_each_one_is_built():
     found = []
     for path in sorted(package.glob("*.py")):
         found += presentation_checks(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert found, "hcompose and tensor each branch on the presentation"
-    assert [site for site in found if site not in ALLOWED] == []
+    assert found == []
 
 
 def test_the_guard_sees_checks_outside_hcompose_and_tensor():
