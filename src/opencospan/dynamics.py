@@ -178,6 +178,14 @@ _CHUNK = 32
 # over an 18 MB baseline), so a run at the cap stays under about 1 GB.
 MAX_TRAJECTORY_VALUES = 10_000_000
 
+# the most exponents, places * terms, that the dense form of one field may
+# hold: a dynam file writes one exponent per place in each term, 2 bytes of
+# text each.  CLI `graybox` of 40-transition nets over 80,000 and 200,000
+# places (10.3 and 23.7 million exponents) peaked at about 4 bytes of resident
+# memory per exponent over its baseline, and `load_model` of the file it
+# wrote at about 10, so a file at the cap (100 MB) reads back in about 0.5 GB.
+MAX_FIELD_EXPONENTS = 50_000_000
+
 
 def _blew_up(at: float, last_good: float) -> DivergenceError:
     return DivergenceError(f"state blew up near t = {at}", last_good_time=last_good)

@@ -60,6 +60,11 @@ class SimulationTooLarge(OpenCospanError):
     one run may produce."""
 
 
+class FieldTooLarge(OpenCospanError):
+    """A field's dense form, one exponent per place in each term, holds more
+    exponents than one model file may."""
+
+
 class CoefficientOverflow(OpenCospanError):
     """A polynomial coefficient is not a finite float: a rate, or a sum or
     product of them, overflowed."""

@@ -25,6 +25,19 @@ characters, so a huge value still gives one short line.
 Canonical output sorts keys, drops insignificant whitespace, and prints
 floats as their shortest round-tripping decimal, so files written from
 equal models compare equal byte for byte.
+
+Dynam files keep their dense form, one exponent per place in each term,
+but the sparse field is never expanded into dense lists to write it.
+`save_model` writes the "field" value as text straight from the sparse
+terms, a slice of one "0,0,...,0" string per run of zeros, and joins it
+with the canonical JSON of the rest of the file: byte for byte what
+`canonical_json(model.to_json())` gives, at the cost of the terms plus the
+bytes of the text.  Reading parses the dense text, as any JSON reader must,
+and `system_from_json` then scans each exponent vector once into the
+(place, exponent) pairs the `Poly` keeps, with no copy.  A field whose
+dense form would hold more than `dynamics.MAX_FIELD_EXPONENTS` exponents
+is refused (`FieldTooLarge`, exit 2 on the command line) before any text
+is built.
 """
 
 from __future__ import annotations
@@ -35,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .errors import ModelFormatError, ModelValidationError, NotInImageOfL
+from .errors import FieldTooLarge, ModelFormatError, ModelValidationError, NotInImageOfL
 from .finset import FinFunction, FinSet, _short
 from .systems import (
     KINDS,
@@ -47,13 +60,20 @@ from .systems import (
     PetriNetWithRates,
     Poly,
     PolyVectorField,
-    _dense_of,
+    _sparse_terms,
     cells_of,
     decoration_theory,
     interface_of,
 )
 from .cospans import Cospan, DecoratedCospan, _present
-from .dynamics import FlowSchedule, OpenDynam, PiecewiseConstant, _full_steps, graybox
+from .dynamics import (
+    MAX_FIELD_EXPONENTS,
+    FlowSchedule,
+    OpenDynam,
+    PiecewiseConstant,
+    _full_steps,
+    graybox,
+)
 
 MODEL_VERSION = "1"
 
@@ -108,13 +128,10 @@ def system_to_json(system: Decoration) -> dict:
         raise ModelFormatError(f"cannot serialize {type(system).__name__}")
     shape = decoration_theory(system.kind).shape
     if shape == "field":
-        n = system.over.size
+        _check_dense_size(system)
         return {
-            "places": n,
-            "field": [
-                [[c, _dense_of(n, support)] for c, support in p.sparse]
-                for p in system.components
-            ],
+            "places": system.over.size,
+            "field": [[[c, list(e)] for c, e in p.terms] for p in system.components],
         }
     src, tgt = system.ends
     attrs = system.attrs
@@ -139,6 +156,60 @@ def system_to_json(system: Decoration) -> dict:
         for entry, rate in zip(transitions, attrs):
             entry["rate"] = rate
     return {"places": interface_of(system).size, "transitions": transitions}
+
+
+def _check_dense_size(field: PolyVectorField) -> None:
+    """Refuse a field whose dense form, one exponent per place in each term,
+    holds more than `MAX_FIELD_EXPONENTS` exponents."""
+    places = field.over.size
+    terms = sum([len(p.sparse) for p in field.components])
+    if places * terms > MAX_FIELD_EXPONENTS:
+        raise FieldTooLarge(
+            f"the dense form of a field of {places} places and {terms} terms holds "
+            f"{places * terms} exponents, over the cap of {MAX_FIELD_EXPONENTS} (places x terms)"
+        )
+
+
+def _field_pieces(field: PolyVectorField) -> list[str]:
+    """The canonical JSON of a field's dense "field" value, in pieces, written
+    from its sparse terms: each exponent vector is cut from one "0,0,...,0"
+    string, with a %d for each nonzero exponent, and each coefficient is
+    written as `json` writes it (its repr)."""
+    zeros = ",".join(["0"] * field.over.size)
+    pieces = ["["]
+    for i, p in enumerate(field.components):
+        pieces.append(",[" if i else "[")
+        for t, (c, support) in enumerate(p.sparse):
+            pieces.append((",[%r,[" if t else "[%r,[") % c)
+            start = 0
+            for j, k in support:
+                pieces.append(zeros[start : 2 * j])
+                pieces.append("%d" % k)
+                start = 2 * j + 1
+            pieces.append(zeros[start:])
+            pieces.append("]]")
+        pieces.append("]")
+    pieces.append("]")
+    return pieces
+
+
+def _spliced(obj: dict, path: tuple[str, ...], pieces: list[str]) -> list[str]:
+    """The canonical JSON of obj, in pieces, with the value at path (keys
+    into nested objects) given as the pieces of its canonical JSON: each
+    object on the path is written as its keys before the held-out one, that
+    key and its value, then its keys after it, as `sort_keys` orders them."""
+    key, rest = path[0], path[1:]
+    value = _spliced(obj[key], rest, pieces) if rest else pieces
+    before = canonical_json({k: v for k, v in obj.items() if k < key})[:-1]
+    after = canonical_json({k: v for k, v in obj.items() if k > key})[1:]
+    return [
+        before,
+        "," if before != "{" else "",
+        canonical_json(key) + ":",
+        *value,
+        "," if after != "}" else "",
+        after,
+    ]
 
 
 def _multiset_from_json(value: Any, places: FinSet, where: str) -> Multiset:
@@ -218,19 +289,28 @@ def system_from_json(kind: str, value: Any) -> Decoration:
                     )
                 coefficient = _as_finite(term[0], f"field component {i} term {j} coefficient")
                 terms.append((coefficient, term[1]))
-            components.append(_built(f"field component {i}", Poly, places.size, terms))
+            # each dense vector is read once, into the pairs the Poly keeps
+            sparse = _built(f"field component {i}", _sparse_terms, places.size, terms)
+            components.append(
+                _built(f"field component {i}", Poly._from_sparse, places.size, sparse)
+            )
         return _built("field", PolyVectorField, places, tuple(components))
     raise ModelFormatError(f"unknown kind {_short(kind)}")
 
 
 def cospan_to_json(cospan: Cospan) -> dict:
+    return _cospan_json(cospan, system_to_json(cospan.decoration))
+
+
+def _cospan_json(cospan: Cospan, system: dict) -> dict:
+    """cospan_to_json(cospan), with system as its system object."""
     leg_left, leg_right = cospan.leg_maps
     return {
         "footLeft": cospan.foot_left.size,
         "footRight": cospan.foot_right.size,
         "legLeft": list(leg_left.table),
         "legRight": list(leg_right.table),
-        "system": system_to_json(cospan.decoration),
+        "system": system,
         "representation": cospan.representation,
     }
 
@@ -321,11 +401,15 @@ class ModelFile:
         return self.payload.representation
 
     def to_json(self) -> dict:
+        return self._json(system_to_json(self.payload.decoration))
+
+    def _json(self, system: dict) -> dict:
+        """to_json(), with system as the payload's system object."""
         out = {
             "version": self.version,
             "kind": self.kind,
             "representation": self.representation,
-            "payload": cospan_to_json(self.payload),
+            "payload": _cospan_json(self.payload, system),
         }
         if self.names is not None and self.names.to_json():
             out["names"] = self.names.to_json()
@@ -388,10 +472,28 @@ def load_model(path: str) -> ModelFile:
     return model_from_json(_read_json(path))
 
 
+def _model_text(model: ModelFile) -> str:
+    """The text of a model file: canonical_json(model.to_json()) + "\n".
+
+    A dynam field is not built as dense lists: its "field" value is written
+    from the sparse terms (`_field_pieces`), at the cost of the text, and
+    joined with the canonical JSON of the rest of the file, which is
+    serialized with "field" held out.  A field over `MAX_FIELD_EXPONENTS`
+    is refused before any text is built."""
+    system = model.payload.decoration
+    if getattr(system, "kind", None) != "dynam":
+        return canonical_json(model.to_json()) + "\n"
+    _check_dense_size(system)
+    document = model._json({"places": system.over.size})
+    pieces = _spliced(document, ("payload", "system", "field"), _field_pieces(system))
+    pieces.append("\n")
+    return "".join(pieces)
+
+
 def save_model(path: str, model: ModelFile) -> None:
     """Write a model as canonical JSON.  It is serialized before the file is
     opened, so a model that cannot be written leaves the file as it was."""
-    text = canonical_json(model.to_json()) + "\n"
+    text = _model_text(model)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 

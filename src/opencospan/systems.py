@@ -531,11 +531,20 @@ def _dense_order(support: Support) -> Support:
 
 
 def _support_of(nvars: int, exps: Sequence[int]) -> Support:
-    """The nonzero (variable, exponent) pairs of a dense exponent vector."""
-    exps = tuple(exps)
+    """The nonzero (variable, exponent) pairs of a dense exponent vector, in
+    one scan; a list or tuple is read as it is, not copied."""
+    if not isinstance(exps, (list, tuple)):
+        exps = tuple(exps)
     if len(exps) != nvars:
         raise ValueError(f"exponent vector has {len(exps)} entries, not {nvars}")
     return _nonzero_pairs(exps, _EXPONENT_FAULT)
+
+
+def _sparse_terms(
+    nvars: int, terms: Sequence[tuple[float, Sequence[int]]]
+) -> tuple[tuple[float, Support], ...]:
+    """Dense (coefficient, exponents) terms as (coefficient, support) terms."""
+    return tuple([(float(c), _support_of(nvars, e)) for c, e in terms])
 
 
 def _dense_of(nvars: int, support: Support) -> list[int]:
@@ -563,7 +572,7 @@ class Poly:
     sparse: tuple[tuple[float, Support], ...]
 
     def __init__(self, nvars: int, terms: Sequence[tuple[float, Sequence[int]]]) -> None:
-        self.__post_init__(nvars, tuple([(float(c), _support_of(nvars, e)) for c, e in terms]))
+        self.__post_init__(nvars, _sparse_terms(nvars, terms))
 
     def __post_init__(self, nvars: int, sparse: tuple[tuple[float, Support], ...]) -> None:
         """Check the terms, in O(their total support), and set the fields."""
@@ -616,7 +625,7 @@ class Poly:
     @staticmethod
     def from_terms(nvars: int, raw: Sequence[tuple[float, Sequence[int]]]) -> Poly:
         """Canonicalize raw dense terms: combine, drop near-zeros, sort."""
-        return Poly._canonical(nvars, [(float(c), _support_of(nvars, e)) for c, e in raw])
+        return Poly._canonical(nvars, _sparse_terms(nvars, raw))
 
     def evaluate(self, point: Sequence[float]) -> float:
         if len(point) != self.nvars:

@@ -29,6 +29,7 @@ from opencospan import (
 )
 from opencospan import cli
 from opencospan.cli import MAX_MAP_SIZE, _pairwise_fold, _parse_map, main
+from opencospan.dynamics import MAX_FIELD_EXPONENTS
 from opencospan.errors import OpenCospanError
 from opencospan.finset import ISO_BUDGET_ENV
 from opencospan.laws import random_composable, random_cospan, sir_open_net
@@ -629,6 +630,40 @@ def test_an_overflowing_graybox_is_a_domain_error_and_keeps_the_output_file(tmp_
     code, stdout, err = run_cli(capsys, "graybox", str(model), "--out", str(out))
     assert (code, stdout) == (2, "")
     assert err == "error: coefficient overflow: inf is not a finite float\n"
+    assert out.read_bytes() == b"previous contents\n"
+
+
+def test_a_graybox_over_the_dense_size_cap_exits_2_and_keeps_the_output_file(tmp_path, capsys):
+    # 50 transitions make 100 terms; the places bring places x terms just over the cap
+    places = MAX_FIELD_EXPONENTS // 100 + 1
+    net = {
+        "version": "1",
+        "kind": "petri_rates",
+        "representation": "decorated",
+        "payload": {
+            "footLeft": 0,
+            "footRight": 0,
+            "legLeft": [],
+            "legRight": [],
+            "representation": "decorated",
+            "system": {
+                "places": places,
+                "transitions": [
+                    {"src": {str(places - 1 - t): 1}, "tgt": {str(t): 2}, "rate": 1.0}
+                    for t in range(50)
+                ],
+            },
+        },
+    }
+    model, out = tmp_path / "net.json", tmp_path / "out.json"
+    model.write_text(json.dumps(net))
+    out.write_bytes(b"previous contents\n")
+    code, stdout, err = run_cli(capsys, "graybox", str(model), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == (
+        f"error: the dense form of a field of {places} places and 100 terms holds "
+        f"{places * 100} exponents, over the cap of {MAX_FIELD_EXPONENTS} (places x terms)\n"
+    )
     assert out.read_bytes() == b"previous contents\n"
 
 

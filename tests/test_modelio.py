@@ -5,14 +5,16 @@ import csv
 import io
 import json
 import math
+import sys
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opencospan import (
     EMPTY,
     DecoratedCospan,
+    FieldTooLarge,
     FinFunction,
     FinSet,
     Graph,
@@ -25,6 +27,8 @@ from opencospan import (
     NotInImageOfL,
     OpenDynam,
     PiecewiseConstant,
+    Poly,
+    PolyVectorField,
     StructuredCospan,
     canonical_json,
     default_names,
@@ -37,8 +41,10 @@ from opencospan import (
     to_structured,
     trajectory_to_csv,
 )
-from opencospan import systems
+from opencospan import modelio, systems
+from opencospan.dynamics import MAX_FIELD_EXPONENTS
 from opencospan.laws import intro_open_graph, random_cospan, sir_open_net
+from opencospan.systems import COEFF_DROP
 
 
 def fn(table, cod):
@@ -104,6 +110,140 @@ def test_a_model_that_cannot_be_serialized_leaves_the_file_as_it_was(tmp_path):
     with pytest.raises(ModelFormatError, match="not serializable canonically"):
         save_model(str(out), bad)
     assert out.read_bytes() == b"previous contents\n"
+
+
+# dynam models only have a decorated representation
+PRESENTED_KINDS = [
+    (kind, representation)
+    for kind in ("graph", "lgraph", "petri", "petri_rates", "dynam")
+    for representation in ("decorated", "structured")
+    if kind != "dynam" or representation == "decorated"
+]
+
+
+@pytest.mark.parametrize("kind, representation", PRESENTED_KINDS)
+@pytest.mark.parametrize("named", [False, True], ids=["no names", "names"])
+def test_a_saved_file_is_the_canonical_json_of_its_model(tmp_path, kind, representation, named):
+    rng = Random(f"saved bytes {kind} {representation} {named}")
+    for case in range(12):
+        base = "petri_rates" if kind == "dynam" else kind
+        payload = random_cospan(rng, base, max_apex=12, max_cells=8)
+        if kind == "dynam":
+            payload = graybox(payload)
+        if representation == "structured":
+            payload = to_structured(payload)
+        model = ModelFile(kind, payload)
+        if named:
+            model = ModelFile(kind, model.payload, default_names(model))
+        out = tmp_path / f"{case}.json"
+        save_model(str(out), model)
+        assert out.read_text() == canonical_json(model.to_json()) + "\n"
+
+
+def test_saving_a_grayboxed_net_builds_no_dense_exponent_list(tmp_path, monkeypatch):
+    net = random_cospan(Random("no dense save"), "petri_rates", 2, 2, max_apex=9, max_cells=9)
+    model = ModelFile("dynam", graybox(net), Names(places=tuple(f"s{i}" for i in range(9))))
+    want = canonical_json(model.to_json()) + "\n"
+
+    def dense_of(*args):
+        raise AssertionError("a dense exponent list was built")
+
+    monkeypatch.setattr(systems, "_dense_of", dense_of)
+    # the patch reaches the dense path: to_json goes through it
+    with pytest.raises(AssertionError, match="dense exponent list"):
+        model.to_json()
+    out = tmp_path / "dynam.json"
+    save_model(str(out), model)
+    assert out.read_text() == want
+
+
+def test_a_field_over_the_dense_size_cap_is_refused_before_any_text(tmp_path, monkeypatch):
+    # 50 transitions make 100 terms; the places bring places x terms just over the cap
+    places = MAX_FIELD_EXPONENTS // 100 + 1
+    net = {
+        "places": places,
+        "transitions": [
+            {"src": {str(2 * t): 1}, "tgt": {str(2 * t + 1): 1}, "rate": 0.5} for t in range(50)
+        ],
+    }
+    system = modelio.system_from_json("petri_rates", net)
+    open_net = DecoratedCospan(EMPTY, EMPTY, fn([], places), fn([], places), system)
+    model = ModelFile("dynam", graybox(open_net))
+
+    def field_pieces(field):
+        raise AssertionError("field text was built")
+
+    monkeypatch.setattr(modelio, "_field_pieces", field_pieces)
+    out = tmp_path / "out.json"
+    out.write_bytes(b"previous contents\n")
+    message = (
+        f"the dense form of a field of {places} places and 100 terms holds {places * 100} "
+        f"exponents, over the cap of {MAX_FIELD_EXPONENTS} (places x terms)"
+    )
+    for write in (lambda: save_model(str(out), model), model.to_json):
+        with pytest.raises(FieldTooLarge) as caught:
+            write()
+        assert str(caught.value) == message
+    assert out.read_bytes() == b"previous contents\n"
+
+
+def dense_field(field):
+    """A field's "field" value as the dense lists `json` is given."""
+    return [[[c, list(e)] for c, e in p.terms] for p in field.components]
+
+
+JUST_ABOVE_DROP = math.nextafter(COEFF_DROP, 1.0)
+SPECIAL_COEFFICIENTS = (
+    1e-05, 1.5e300, -2.5e-07, sys.float_info.max, -sys.float_info.max,
+    JUST_ABOVE_DROP, -JUST_ABOVE_DROP, 1.0, -3.0, 0.1, 123456789.0, 1e16,
+)
+COEFFICIENTS = st.one_of(
+    st.sampled_from(SPECIAL_COEFFICIENTS),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda c: abs(c) > COEFF_DROP),
+)
+
+
+@st.composite
+def sparse_fields(draw):
+    n = draw(st.integers(0, 13))
+    if n == 0:
+        return PolyVectorField(FinSet(0), ())
+    # (component, coefficient, nonzero exponents by place), some of 10 or more
+    terms = draw(st.lists(st.tuples(
+        st.integers(0, n - 1),
+        COEFFICIENTS,
+        st.dictionaries(st.integers(0, n - 1), st.sampled_from((1, 2, 3, 9, 10, 12)), max_size=3),
+    ), max_size=12))
+    raw = [{} for _ in range(n)]
+    for i, c, exponents in terms:
+        raw[i][tuple(exponents.get(j, 0) for j in range(n))] = c
+    components = [Poly.from_terms(n, [(c, e) for e, c in r.items()]) for r in raw]
+    return PolyVectorField(FinSet(n), tuple(components))
+
+
+def edge_field():
+    """12 places; nonzero exponents of 10 or more at the first and last place;
+    an empty component; coefficients whose reprs are in exponent form."""
+    n = 12
+    first, last = [10] + [0] * (n - 1), [0] * (n - 1) + [11]
+    both, constant = [1] + [0] * (n - 2) + [12], [0] * n
+    terms = [
+        [(1e-05, first), (-sys.float_info.max, last)],
+        [],
+        [(1.5e300, both), (JUST_ABOVE_DROP, constant), (-JUST_ABOVE_DROP, last)],
+    ]
+    components = [Poly.from_terms(n, t) for t in terms] + [Poly.zero(n)] * (n - 3)
+    return PolyVectorField(FinSet(n), tuple(components))
+
+
+@settings(max_examples=200, deadline=None)
+@example(field=PolyVectorField(FinSet(0), ()))
+@example(field=PolyVectorField.zero(FinSet(3)))
+@example(field=edge_field())
+@given(field=sparse_fields())
+def test_the_field_writer_writes_what_json_writes_of_the_dense_lists(field):
+    want = json.dumps(dense_field(field), separators=(",", ":"))
+    assert "".join(modelio._field_pieces(field)) == want
 
 
 def test_float_rates_survive_the_roundtrip_exactly():
@@ -261,7 +401,9 @@ def test_loading_checks_each_stored_pair_once(monkeypatch):
     field = graybox(net)
     raws = [ModelFile("petri_rates", net).to_json(), ModelFile("dynam", field).to_json()]
     checks = counted(monkeypatch, systems, "_check_pairs")
+    scans = counted(monkeypatch, systems, "_nonzero_pairs")
     dense = counted(monkeypatch, Multiset, "__init__")
+    dense_polys = counted(monkeypatch, Poly, "__init__")
     model_from_json(raws[0])
     transitions = net.decoration.transitions.size
     assert transitions >= 5 and len(checks) == 2 * transitions
@@ -269,7 +411,9 @@ def test_loading_checks_each_stored_pair_once(monkeypatch):
     model_from_json(raws[1])
     terms = sum(len(p.sparse) for p in field.decoration.components)
     assert terms >= 5 and len(checks) == terms
-    assert dense == []
+    # each dense exponent vector is scanned once, and the Poly is built from its pairs
+    assert len(scans) == terms and all(type(vector) is list for vector, _ in scans)
+    assert dense == [] and dense_polys == []
 
 
 def test_names_must_fit_and_not_repeat():
