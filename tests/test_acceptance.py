@@ -3,7 +3,8 @@
 `pytest -v tests/test_acceptance.py` prints one PASS/FAIL line per
 criterion; run with -s to also see each law suite's own report line.
 Every criterion carries a wall-clock budget enforced with perf_counter,
-sized for an unremarkable laptop.
+sized for an unremarkable laptop.  Each also pins its suites' exact report
+lines, the twelve lines that `opencospan check --laws all` prints.
 """
 
 from __future__ import annotations
@@ -79,40 +80,56 @@ def test_criterion_1_epidemic_graybox_is_symbolically_exact() -> None:
 def test_criterion_2_graybox_commutes_with_composition() -> None:
     (report,) = _within(10.0, graybox_functoriality)
     assert report.cases >= 200
+    assert report.line() == "PASS graybox (200 cases)"
 
 
 def test_criterion_3_conversion_is_a_strict_roundtrip() -> None:
     (report,) = _within(10.0, conversion_roundtrip)
     assert report.cases >= 200
+    assert report.line() == "PASS conversion (200 cases)"
 
 
 def test_criterion_4_pushouts_match_the_brute_force_oracle() -> None:
     matches, universal = _within(30.0, pushout_matches_oracle, pushout_universal_property)
     assert matches.cases >= 500
     assert universal.cases > 0  # counts commuting cocones, not spans
+    assert matches.line() == "PASS pushout (500 cases)"
+    assert universal.line() == "PASS universal (12888 cases)"
 
 
 def test_criterion_5_unit_associativity_interchange_up_to_iso() -> None:
     reports = _within(60.0, unitor_laws, associator_law, interchange_law)
     assert all(report.cases >= 100 for report in reports)
+    assert [report.line() for report in reports] == [
+        "PASS unitors (100 cases)",
+        "PASS associativity (100 cases)",
+        "PASS interchange (100 cases)",
+    ]
 
 
 def test_criterion_6_companion_and_conjoint_equations_exhaustively() -> None:
     reports = _within(10.0, companion_laws, conjoint_laws)
     # 499 functions with dom, cod <= 4, over two system kinds
     assert all(report.cases == 2 * 499 for report in reports)
+    assert [report.line() for report in reports] == [
+        "PASS companion (998 cases)",
+        "PASS conjoint (998 cases)",
+    ]
 
 
 def test_criterion_7_simulation_tracks_closed_forms() -> None:
-    _within(5.0, simulation_fidelity)
+    (report,) = _within(5.0, simulation_fidelity)
+    assert report.line() == "PASS simulation (2 cases)"
 
 
 def test_criterion_8_only_the_zero_field_admits_an_empty_morphism() -> None:
     (report,) = _within(5.0, no_left_adjoint_witness)
     # exhaustive: all fields on <= 2 places, degree <= 2, coefficients in {-1, 0, 1}
     assert report.cases == 1 + 27 + 729**2
+    assert report.line() == "PASS noleftadjoint (531469 cases)"
 
 
 def test_criterion_9_rate_sums_validate_exactly_the_fiber_condition() -> None:
     (report,) = _within(5.0, rate_sum_validation)
     assert report.cases >= 200
+    assert report.line() == "PASS rates (200 cases)"
