@@ -53,6 +53,8 @@ def _fold_command(args: argparse.Namespace, op, op_name: str) -> int:
         raise ModelValidationError(f"{op_name} needs at least two model files")
     models = [load_model(path) for path in args.files]
     payloads = [m.payload for m in models]
+    # every composite the fold builds has at most the apexes' sum of places
+    _check_apex("summed apex", sum(m.apex.size for m in payloads))
     # the left fold would meet the first bad adjacent pair first; so does this
     for m, n in zip(payloads, payloads[1:]):
         _check_pair(m, n, op_name)
@@ -80,6 +82,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_graybox(args: argparse.Namespace) -> int:
     model = load_model(args.file)
+    _check_apex("apex", model.payload.apex.size)
     system = graybox(model.payload)
     save_model(args.out, ModelFile("dynam", system, model.names))
     return 0
@@ -102,6 +105,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # check_companion grows linearly with the size of either set: a map of
 # 10**5 elements into 10**5 takes about 1.6 s and 70 MB (2 cores, Python 3.11)
 MAX_MAP_SIZE = 100_000
+# compose, tensor and graybox of cell-free files grow linearly with the apex:
+# 4 * 10**6 apex elements take at most 1.2-2.3 s and 216-284 MB, so a run at
+# the cap stays under about 0.7 GB (2 cores, Python 3.11)
+MAX_APEX_SIZE = 10_000_000
+
+
+def _check_apex(what: str, size: int) -> None:
+    if size > MAX_APEX_SIZE:
+        raise ModelValidationError(
+            f"{what} of size {_short(size)} is over the cap of {MAX_APEX_SIZE}"
+        )
 
 
 def _int(raw: str) -> int:
@@ -136,6 +150,8 @@ def _check_iso(args: argparse.Namespace) -> LawReport:
     if len(args.files) != 2:
         raise ModelValidationError("the iso check needs exactly two model files")
     a, b = (_present(load_model(path).payload, "decorated") for path in args.files)
+    for cospan in (a, b):
+        _check_apex("apex", cospan.apex.size)
     found = cospan_iso(a, b) is not None
     return LawReport(
         "iso", found, 1, "" if found else "no isomorphism over the shared feet"

@@ -24,7 +24,10 @@ composites read left to right.  `vcompose(a, b)` applies a first, then b.
 Both presentations number pushout classes by their least member and
 concatenate cells, so `hcompose` and `tensor` are associative on the nose
 (`==`) but unital only up to isomorphism; `cospan_iso` decides that
-equivalence and returns an explicit witness.
+equivalence and returns an explicit witness.  A square out of a composite
+takes its apex map from the chosen pushout's universal property
+(`finset.induced`): `hcompose_cells` induces it from the two squares' apex
+maps, and each unitor from m's leg and the identity on m's apex.
 
 Open dynamical systems are the fifth decorated kind ("dynam"): the
 decoration is a polynomial vector field, and the union of two decorations
@@ -56,6 +59,7 @@ from .finset import (
     compose,
     coproduct_map,
     find_iso,
+    induced,
     pushout,
     _iso_budget,
 )
@@ -322,9 +326,9 @@ def vcompose(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
 def hcompose_cells(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
     """Paste two squares side by side over the composed cospans.
 
-    The composite apex map is the one induced between the two chosen
-    pushouts; it is computed on representatives and checked for
-    consistency, so pasting invalid squares fails loudly.
+    The composite apex map is the one the source pushout's universal
+    property induces from the two apex maps followed into the target
+    pushout; squares that do not agree on a glued class fail loudly.
     """
     if a.right != b.left:
         raise BoundaryError("horizontal pasting needs a.right == b.left")
@@ -332,62 +336,33 @@ def hcompose_cells(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
     tgt = hcompose(a.tgt, b.tgt)
     src_po = pushout(a.src.leg_maps[1], b.src.leg_maps[0])
     tgt_po = pushout(a.tgt.leg_maps[1], b.tgt.leg_maps[0])
-
-    m_size = a.src.apex.size
-    apex_table = [-1] * src_po.apex.size
-    for z, cls in enumerate(src_po.quotient.table):
-        if z < m_size:
-            image = tgt_po.left.table[a.apex_map.table[z]]
-        else:
-            image = tgt_po.right.table[b.apex_map.table[z - m_size]]
-        if apex_table[cls] < 0:
-            apex_table[cls] = image
-        elif apex_table[cls] != image:
-            raise BoundaryError(
-                "squares do not agree on the glued apex; are both valid 2-morphisms?"
-            )
-    apex_map = FinFunction(src_po.apex, tgt_po.apex, tuple(apex_table))
-
-    a_cells = cells_of(a.src.decoration).size
-    tgt_a_cells = cells_of(a.tgt.decoration).size
-    cell_table = tuple(a.cell_map.table) + tuple(
-        tgt_a_cells + y for y in b.cell_map.table
+    apex_map = induced(
+        src_po, compose(tgt_po.left, a.apex_map), compose(tgt_po.right, b.apex_map)
     )
-    cell_map = FinFunction(
-        FinSet(a_cells + cells_of(b.src.decoration).size),
-        FinSet(tgt_a_cells + cells_of(b.tgt.decoration).size),
-        cell_table,
-    )
+    if apex_map is None:
+        raise BoundaryError(
+            "squares do not agree on the glued apex; are both valid 2-morphisms?"
+        )
+    cell_map = coproduct_map(a.cell_map, b.cell_map)
     return TwoMorphism(src, tgt, a.left, b.right, apex_map, cell_map)
 
 
 def _unitor(cospan: Cospan, on_left: bool) -> TwoMorphism:
-    """The square from (unit ; m) or (m ; unit) down to m itself."""
-    representation = cospan.representation
-    kind = cospan.kind
+    """The square from (unit ; m) or (m ; unit) down to m itself: its apex
+    map is induced by m's leg on the unit's side and the identity on m."""
+    foot = cospan.foot_left if on_left else cospan.foot_right
+    unit = identity_cospan(cospan.kind, foot, cospan.representation)
+    first, second = (unit, cospan) if on_left else (cospan, unit)
+    po = pushout(first.leg_maps[1], second.leg_maps[0])
+    ident = FinFunction.identity(cospan.apex)
     leg_l, leg_r = cospan.leg_maps
-    if on_left:
-        unit = identity_cospan(kind, cospan.foot_left, representation)
-        composite = hcompose(unit, cospan)
-        po = pushout(unit.leg_maps[1], leg_l)
-        foot = cospan.foot_left
-        apex_table = [-1] * po.apex.size
-        for z, cls in enumerate(po.quotient.table):
-            apex_table[cls] = leg_l.table[z] if z < foot.size else z - foot.size
-    else:
-        unit = identity_cospan(kind, cospan.foot_right, representation)
-        composite = hcompose(cospan, unit)
-        po = pushout(leg_r, unit.leg_maps[0])
-        apex_size = cospan.apex.size
-        apex_table = [-1] * po.apex.size
-        for z, cls in enumerate(po.quotient.table):
-            apex_table[cls] = z if z < apex_size else leg_r.table[z - apex_size]
+    apex_map = induced(po, leg_l, ident) if on_left else induced(po, ident, leg_r)
     return TwoMorphism(
-        composite,
+        hcompose(first, second),
         cospan,
         FinFunction.identity(cospan.foot_left),
         FinFunction.identity(cospan.foot_right),
-        FinFunction(po.apex, cospan.apex, tuple(apex_table)),
+        apex_map,  # type: ignore[arg-type]  # a cocone by construction
         FinFunction.identity(cells_of(cospan.decoration)),
     )
 

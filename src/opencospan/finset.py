@@ -4,7 +4,12 @@ Objects are sizes: the set of size n has elements 0..n-1.  Working in the
 skeleton makes every colimit a deterministic computation, so composites of
 open systems come out bit-for-bit reproducible.  The chosen coproduct puts
 the left summand at offset 0 and the right summand at offset left.size; the
-chosen pushout quotient numbers equivalence classes by their least member.
+chosen pushout numbers the classes of B + C by their least member.  It glues
+with a union-find whose links always point to a smaller member, so a class's
+root is its least member and one pass in ascending order numbers every
+class: a root opens the next number, any other member takes the number
+already given to its parent.  `induced` is the pushout's universal property:
+the one map out of the apex that a cocone on the span factors through.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import os
 import reprlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -133,40 +139,18 @@ def copair(f: FinFunction, g: FinFunction) -> FinFunction:
 class PushoutResult:
     """Chosen pushout of a span f: A -> B, g: A -> C.
 
-    `quotient` maps the coproduct B + C onto the apex; `left` and `right`
-    are its restrictions to the two summands.  Classes are numbered densely
-    in ascending order of their least member of B + C.
+    `left` and `right` map B and C onto the apex; `quotient`, their copairing
+    B + C -> apex, is built on first use.  Classes are numbered densely in
+    ascending order of their least member of B + C.
     """
 
     apex: FinSet
     left: FinFunction
     right: FinFunction
-    quotient: FinFunction
 
-
-class _UnionFind:
-    """Union-find over 0..n-1 whose class root is always the least member."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # rooting at the minimum keeps the canonical numbering cheap
-            if rx < ry:
-                self.parent[ry] = rx
-            else:
-                self.parent[rx] = ry
+    @cached_property
+    def quotient(self) -> FinFunction:
+        return copair(self.left, self.right)
 
 
 def pushout(f: FinFunction, g: FinFunction) -> PushoutResult:
@@ -175,22 +159,57 @@ def pushout(f: FinFunction, g: FinFunction) -> PushoutResult:
         raise SpanError(
             f"span legs must share a domain, got sizes {f.dom.size} and {g.dom.size}"
         )
-    b, c = f.cod, g.cod
-    uf = _UnionFind(b.size + c.size)
-    for x in f.dom:
-        uf.union(f.table[x], b.size + g.table[x])
-    labels: dict[int, int] = {}
-    qtable = []
-    for z in range(b.size + c.size):
-        root = uf.find(z)
-        if root not in labels:
-            labels[root] = len(labels)
-        qtable.append(labels[root])
-    apex = FinSet(len(labels))
-    quotient = FinFunction(FinSet(b.size + c.size), apex, tuple(qtable))
-    left = FinFunction(b, apex, tuple(qtable[: b.size]))
-    right = FinFunction(c, apex, tuple(qtable[b.size :]))
-    return PushoutResult(apex, left, right, quotient)
+    b, c = f.cod.size, g.cod.size
+    # a union-find over B + C whose links always point to a smaller member,
+    # so each class's root is its least member
+    parent = list(range(b + c))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in zip(f.table, g.table):
+        x, y = root(x), root(b + y)
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+    # number the classes in place: a root opens the next class, any other
+    # member takes the number already written at its smaller parent
+    count = 0
+    for z, p in enumerate(parent):
+        if p == z:
+            parent[z] = count
+            count += 1
+        else:
+            parent[z] = parent[p]
+    apex = FinSet(count)
+    return PushoutResult(
+        apex, FinFunction(f.cod, apex, parent[:b]), FinFunction(g.cod, apex, parent[b:])
+    )
+
+
+def induced(po: PushoutResult, u: FinFunction, w: FinFunction) -> Optional[FinFunction]:
+    """The map h out of the chosen pushout that the cocone u: B -> T,
+    w: C -> T induces, the one with h . po.left == u and h . po.right == w;
+    None when u and w send two members of one class to different places."""
+    if u.dom != po.left.dom or w.dom != po.right.dom:
+        raise CompositionError(
+            f"cannot induce a map out of a pushout of {po.left.dom.size} and "
+            f"{po.right.dom.size} from maps out of {u.dom.size} and {w.dom.size}"
+        )
+    if u.cod != w.cod:
+        raise CompositionError("an induced map needs a cocone with a shared codomain")
+    table = [-1] * po.apex.size
+    for classes, images in ((po.left.table, u.table), (po.right.table, w.table)):
+        for cls, image in zip(classes, images):
+            if table[cls] < 0:
+                table[cls] = image
+            elif table[cls] != image:
+                return None
+    return FinFunction(po.apex, u.cod, table)
 
 
 def _iso_budget(budget: Optional[int]) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Optional
 
-from .finset import FinFunction, FinSet, compose, copair, pushout
+from .finset import FinFunction, FinSet, compose, copair, induced, pushout
 from .systems import (
     Graph,
     Multiset,
@@ -335,8 +335,9 @@ def pushout_universal_property(
 
     Cocones are enumerated exhaustively for each target size up to
     max_target (skipping targets whose cocone count exceeds work_cap); the
-    mediating map is forced on classes, and for small instances uniqueness
-    is double-checked by enumerating all maps out of the apex.
+    mediating map is forced on classes, `finset.induced` must return that
+    same map, and for small instances uniqueness is double-checked by
+    enumerating all maps out of the apex.
     """
     rng = Random(seed)
     checked = 0
@@ -366,6 +367,16 @@ def pushout_universal_property(
                         return LawReport(
                             "universal", False, checked,
                             f"no mediating map for f={list(f.table)}, g={list(g.table)}, "
+                            f"u={list(u_table)}, w={list(w_table)}",
+                        )
+                    target = FinSet(k)
+                    h = induced(
+                        po, FinFunction(f.cod, target, u_table), FinFunction(g.cod, target, w_table)
+                    )
+                    if h is None or h.table != tuple(mediating):
+                        return LawReport(
+                            "universal", False, checked,
+                            f"induced map differs for f={list(f.table)}, g={list(g.table)}, "
                             f"u={list(u_table)}, w={list(w_table)}",
                         )
                     if k ** po.apex.size <= 1000:

@@ -298,23 +298,6 @@ def system_from_json(kind: str, value: Any) -> Decoration:
     raise ModelFormatError(f"unknown kind {_short(kind)}")
 
 
-def cospan_to_json(cospan: Cospan) -> dict:
-    return _cospan_json(cospan, system_to_json(cospan.decoration))
-
-
-def _cospan_json(cospan: Cospan, system: dict) -> dict:
-    """cospan_to_json(cospan), with system as its system object."""
-    leg_left, leg_right = cospan.leg_maps
-    return {
-        "footLeft": cospan.foot_left.size,
-        "footRight": cospan.foot_right.size,
-        "legLeft": list(leg_left.table),
-        "legRight": list(leg_right.table),
-        "system": system,
-        "representation": cospan.representation,
-    }
-
-
 def _foot(kind: str, representation: str, value: Any, where: str) -> tuple[FinSet, int]:
     """A foot's node set and the number of cells it carries.  Structured
     files may spell a foot as a system object instead of a size."""
@@ -405,14 +388,24 @@ class ModelFile:
 
     def _json(self, system: dict) -> dict:
         """to_json(), with system as the payload's system object."""
+        cospan = self.payload
+        leg_left, leg_right = cospan.leg_maps
         out = {
             "version": self.version,
             "kind": self.kind,
             "representation": self.representation,
-            "payload": _cospan_json(self.payload, system),
+            "payload": {
+                "footLeft": cospan.foot_left.size,
+                "footRight": cospan.foot_right.size,
+                "legLeft": list(leg_left.table),
+                "legRight": list(leg_right.table),
+                "system": system,
+                "representation": cospan.representation,
+            },
         }
-        if self.names is not None and self.names.to_json():
-            out["names"] = self.names.to_json()
+        names = self.names.to_json() if self.names is not None else {}
+        if names:
+            out["names"] = names
         return out
 
 

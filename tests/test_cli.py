@@ -28,7 +28,7 @@ from opencospan import (
     to_structured,
 )
 from opencospan import cli
-from opencospan.cli import MAX_MAP_SIZE, _pairwise_fold, _parse_map, main
+from opencospan.cli import MAX_APEX_SIZE, MAX_MAP_SIZE, _pairwise_fold, _parse_map, main
 from opencospan.dynamics import MAX_FIELD_EXPONENTS
 from opencospan.errors import OpenCospanError
 from opencospan.finset import ISO_BUDGET_ENV
@@ -665,6 +665,79 @@ def test_a_graybox_over_the_dense_size_cap_exits_2_and_keeps_the_output_file(tmp
         f"{places * 100} exponents, over the cap of {MAX_FIELD_EXPONENTS} (places x terms)\n"
     )
     assert out.read_bytes() == b"previous contents\n"
+
+
+def write_cell_free_net(path, places):
+    """A rated net with empty feet, no transitions and `places` places."""
+    path.write_text(json.dumps({
+        "version": "1",
+        "kind": "petri_rates",
+        "representation": "decorated",
+        "payload": {
+            "footLeft": 0,
+            "footRight": 0,
+            "legLeft": [],
+            "legRight": [],
+            "representation": "decorated",
+            "system": {"places": places, "transitions": []},
+        },
+    }))
+    return str(path)
+
+
+def run_on_cell_free_nets(tmp_path, capsys, command, sizes):
+    """Run `command` on cell-free nets of the given sizes (two for compose,
+    tensor and iso, one for graybox) over an existing output file."""
+    paths = [write_cell_free_net(tmp_path / f"net{i}.json", n) for i, n in enumerate(sizes)]
+    out = tmp_path / "out.json"
+    out.write_bytes(b"previous contents\n")
+    if command == "iso":
+        argv = ["check", *paths, "--laws", "iso"]
+    else:
+        argv = [command, *paths, "--out", str(out)]
+    code, stdout, err = run_cli(capsys, *argv)
+    return code, stdout, err, out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, sizes, what",
+    [
+        ("compose", (MAX_APEX_SIZE * 10, MAX_APEX_SIZE * 10), "summed apex"),
+        ("tensor", (MAX_APEX_SIZE // 2, MAX_APEX_SIZE // 2 + 1), "summed apex"),
+        ("graybox", (MAX_APEX_SIZE * 10,), "apex"),
+        ("iso", (3, MAX_APEX_SIZE * 10), "apex"),
+    ],
+)
+def test_an_apex_over_the_cap_exits_2_and_keeps_the_output_file(
+    tmp_path, capsys, command, sizes, what
+):
+    size = sum(sizes) if what == "summed apex" else max(sizes)
+    assert run_on_cell_free_nets(tmp_path, capsys, command, sizes) == (
+        2,
+        "",
+        f"error: {what} of size {size} is over the cap of {MAX_APEX_SIZE}\n",
+        b"previous contents\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "command, at_cap, over",
+    [
+        ("compose", (3, 3), (3, 4)),
+        ("tensor", (3, 3), (3, 4)),
+        ("graybox", (6,), (7,)),
+        ("iso", (6, 6), (7, 7)),
+    ],
+)
+def test_the_apex_cap_admits_its_own_size(tmp_path, capsys, monkeypatch, command, at_cap, over):
+    monkeypatch.setattr(cli, "MAX_APEX_SIZE", 6)
+    code, stdout, err, _ = run_on_cell_free_nets(tmp_path, capsys, command, at_cap)
+    assert (code, err) == (0, "")
+    assert stdout == ("PASS iso (1 cases)\n" if command == "iso" else "")
+    code, stdout, err, written = run_on_cell_free_nets(tmp_path, capsys, command, over)
+    assert (code, stdout, written) == (2, "", b"previous contents\n")
+    assert err.startswith("error: ") and err.endswith(" is over the cap of 6\n")
+    assert err.count("\n") == 1
 
 
 def test_a_nan_initial_state_is_refused_at_load_time(tmp_path, capsys, models_dir):

@@ -153,6 +153,45 @@ def test_unitor_cells_are_iso_squares():
         assert cell.apex_map.is_bijection()
 
 
+def unitor_apex_oracle(cospan, on_left):
+    """The unitor's apex table worked out class by class on the quotient of
+    the chosen pushout, apart from `finset.induced`: a class holding foot
+    element z goes where the leg sends z, one holding apex element x to x."""
+    representation, kind = cospan.representation, cospan.kind
+    leg_l, leg_r = cospan.leg_maps
+    if on_left:
+        unit = identity_cospan(kind, cospan.foot_left, representation)
+        po = pushout(unit.leg_maps[1], leg_l)
+        foot = cospan.foot_left
+        apex_table = [-1] * po.apex.size
+        for z, cls in enumerate(po.quotient.table):
+            apex_table[cls] = leg_l.table[z] if z < foot.size else z - foot.size
+    else:
+        unit = identity_cospan(kind, cospan.foot_right, representation)
+        po = pushout(leg_r, unit.leg_maps[0])
+        apex_size = cospan.apex.size
+        apex_table = [-1] * po.apex.size
+        for z, cls in enumerate(po.quotient.table):
+            apex_table[cls] = z if z < apex_size else leg_r.table[z - apex_size]
+    return tuple(apex_table)
+
+
+@pytest.mark.parametrize("representation", ["decorated", "structured"])
+@pytest.mark.parametrize("kind", ["graph", "lgraph", "petri", "petri_rates"])
+def test_unitors_match_the_class_by_class_oracle(kind, representation):
+    rng = Random(f"unitors-{kind}")
+    for _ in range(25):
+        m = _present(random_cospan(rng, kind), representation)
+        for on_left, unitor in ((True, left_unitor), (False, right_unitor)):
+            unit = identity_cospan(kind, m.foot_left if on_left else m.foot_right, representation)
+            cell = unitor(m)
+            assert cell.src == (hcompose(unit, m) if on_left else hcompose(m, unit))
+            assert cell.tgt == m
+            assert cell.apex_map.table == unitor_apex_oracle(m, on_left)
+            assert cell.apex_map.is_bijection()
+            assert cell.violations() == []
+
+
 def test_associativity_holds_up_to_iso():
     a, b, c = open_edge(), open_edge(), open_edge()
     lhs = hcompose(hcompose(a, b), c)
@@ -233,6 +272,35 @@ def test_pasting_inconsistent_squares_fails_loudly():
         hcompose_cells(good, wide)  # foot maps do not meet
     with pytest.raises(BoundaryError):
         vcompose(good, wide)
+
+
+def test_pasting_refuses_in_a_fixed_order():
+    """Foot maps that do not meet come first, then feet that do not compose,
+    then squares that disagree on the glued apex."""
+    one, two = FinSet(1), FinSet(2)
+    m = DecoratedCospan(one, one, fn([0], 2), fn([1], 2), discrete("graph", two))
+    wide = DecoratedCospan(two, one, fn([0, 1], 2), fn([1], 2), discrete("graph", two))
+    good = TwoMorphism.identity(m)
+    # foot maps that meet, but over cospans whose feet do not: an ill-formed b
+    misfit = TwoMorphism(
+        wide, wide, FinFunction.identity(one), FinFunction.identity(one),
+        fn([1, 0], 2), FinFunction.identity(EMPTY),
+    )
+    twisted = TwoMorphism(
+        m, m, FinFunction.identity(one), FinFunction.identity(one),
+        fn([1, 0], 2), FinFunction.identity(EMPTY),
+    )
+    with pytest.raises(BoundaryError, match=r"^horizontal pasting needs a\.right == b\.left$"):
+        hcompose_cells(good, TwoMorphism.identity(wide))
+    with pytest.raises(
+        ComposabilityError, match="^feet disagree: right foot has size 1, left foot has size 2$"
+    ):
+        hcompose_cells(good, misfit)
+    with pytest.raises(
+        BoundaryError,
+        match=r"^squares do not agree on the glued apex; are both valid 2-morphisms\?$",
+    ):
+        hcompose_cells(good, twisted)
 
 
 @pytest.mark.parametrize("apex_map", [fn([0, 1, 2], 3), fn([0, 1, 2, 3], 5)])

@@ -5,6 +5,7 @@ naively, and the iso search against exhaustive permutation enumeration.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from opencospan import (
     find_iso,
     pushout,
 )
-from opencospan.finset import ISO_BUDGET_ENV
+from opencospan.finset import ISO_BUDGET_ENV, induced
 from opencospan.laws import brute_quotient_blocks
 
 
@@ -251,6 +252,71 @@ def test_pushout_mediates_uniquely_small_case():
                     and all(h[po.right(z)] == w[z] for z in range(2))
                 ]
                 assert len(mediators) == 1
+
+
+def all_functions(dom, cod):
+    return [fn(table, cod) for table in itertools.product(range(cod), repeat=dom)]
+
+
+def test_induced_is_the_brute_force_mediating_map():
+    """Every span with |A| <= 2 and |B|, |C| <= 3, every (u, w) into a target
+    of size <= 2: `induced` is the one h with h.left == u and h.right == w,
+    and None when no such h exists."""
+    cocones = non_cocones = 0
+    for a, b, c in itertools.product(range(3), range(4), range(4)):
+        for f, g in itertools.product(all_functions(a, b), all_functions(a, c)):
+            po = pushout(f, g)
+            for k in range(3):
+                for u, w in itertools.product(all_functions(b, k), all_functions(c, k)):
+                    mediators = [
+                        h
+                        for h in all_functions(po.apex.size, k)
+                        if compose(h, po.left) == u and compose(h, po.right) == w
+                    ]
+                    got = induced(po, u, w)
+                    if compose(u, f) == compose(w, g):
+                        cocones += 1
+                        assert mediators == [got]
+                    else:
+                        non_cocones += 1
+                        assert mediators == [] and got is None
+    assert cocones > 0 and non_cocones > 0
+
+
+def test_induced_refuses_maps_that_are_not_out_of_the_pushout():
+    po = pushout(fn([0], 2), fn([0], 1))  # B = 2, C = 1
+    u, w = fn([0, 0], 1), fn([0], 1)
+    assert induced(po, u, w) == fn([0, 0], 1)
+    for bad_u, bad_w in (
+        (fn([0], 1), w),  # u does not start at B
+        (u, fn([0, 0], 1)),  # w does not start at C
+        (u, fn([0], 2)),  # no shared codomain
+    ):
+        with pytest.raises(CompositionError):
+            induced(po, bad_u, bad_w)
+
+
+def test_the_quotient_is_the_copaired_legs_built_once_on_demand():
+    po = pushout(fn([0, 2], 3), fn([1, 0], 2))
+    assert "quotient" not in vars(po)
+    assert po.quotient.table == po.left.table + po.right.table
+    assert po.quotient.dom == FinSet(5) and po.quotient.cod == po.apex
+    assert po.quotient is po.quotient
+
+
+def test_a_pushout_along_the_empty_span_costs_few_bytes_per_element():
+    """Peak traced memory of a pushout over 400,000 elements: one parent list
+    and the two leg tables, not a dict, a label list and a third table."""
+    n = 200_000
+    f, g = FinFunction.from_empty(FinSet(n)), FinFunction.from_empty(FinSet(n))
+    tracemalloc.start()
+    try:
+        po = pushout(f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert po.apex == FinSet(2 * n)
+    assert peak / (2 * n) <= 120, f"{peak / (2 * n):.0f} bytes per element"
 
 
 # -- isomorphism search --------------------------------------------------------
