@@ -494,3 +494,58 @@ def test_the_ledger_matches_its_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.delenv(ISO_BUDGET_ENV, raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     assert ledger(str(tmp_path)) == PINNED
+
+
+# -- a deep chain ----------------------------------------------------------------------
+#
+# The corpus above composes chains of two or three files, so the balanced
+# fold of `compose` never nests deeper than two levels.  A 32-net chain is
+# folded five levels deep; the composite and its gray box are pinned by digest.
+
+# (composed file, gray-boxed dynam file)
+DEEP_CHAIN = (
+    "acc01f4b6f4e07bf308f4c00d9ed8049d12f2a200e57ef6c8a21a179fe129b4c",
+    "247bf976c4969c70595bae8a2c18a3771e23cba585101e320d57e5c7b41ca179",
+)
+
+
+def deep_chain(rng, length):
+    """`length` composable rated nets: apexes of 2-6 places, feet of 1-3."""
+    feet = [rng.randint(1, 3) for _ in range(length + 1)]
+    docs = []
+    for left, right in zip(feet, feet[1:]):
+        places = rng.randint(2, 6)
+        transitions = [
+            {
+                "src": draw_multiset(rng, places),
+                "tgt": draw_multiset(rng, places),
+                "rate": rng.choice((0.25, 0.5, 1.25, 2.0, 3)),
+            }
+            for _ in range(rng.randint(1, 3))
+        ]
+        docs.append({
+            "version": "1",
+            "kind": "petri_rates",
+            "representation": "decorated",
+            "payload": {
+                "footLeft": left,
+                "footRight": right,
+                "legLeft": [rng.randrange(places) for _ in range(left)],
+                "legRight": [rng.randrange(places) for _ in range(right)],
+                "system": {"places": places, "transitions": transitions},
+                "representation": "decorated",
+            },
+        })
+    return docs
+
+
+def test_a_deep_chain_composes_and_grayboxes_to_pinned_bytes(tmp_path):
+    corpus = Corpus(str(tmp_path))
+    paths = [corpus.write(doc) for doc in deep_chain(Random("ledger-deep-chain"), 32)]
+    composed, dynam = corpus.path(), corpus.path()
+    digests = []
+    for argv, out in ((["compose", *paths], composed), (["graybox", composed], dynam)):
+        assert corpus.run(argv + ["--out", out], out=False)[:2] == (0, "")
+        with open(out, "rb") as handle:
+            digests.append(hashlib.sha256(handle.read()).hexdigest())
+    assert tuple(digests) == DEEP_CHAIN
