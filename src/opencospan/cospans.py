@@ -27,7 +27,9 @@ concatenate cells, so `hcompose` and `tensor` are associative on the nose
 equivalence and returns an explicit witness.  A square out of a composite
 takes its apex map from the chosen pushout's universal property
 (`finset.induced`): `hcompose_cells` induces it from the two squares' apex
-maps, and each unitor from m's leg and the identity on m's apex.
+maps, and each unitor from m's leg and the identity on m's apex.  Both
+reuse the pushout their composite was glued along (`_glue`), so a square
+costs no pushout beyond its composites'.
 
 Open dynamical systems are the fifth decorated kind ("dynam"): the
 decoration is a polynomial vector field, and the union of two decorations
@@ -56,6 +58,7 @@ from .finset import (
     EMPTY,
     FinFunction,
     FinSet,
+    PushoutResult,
     compose,
     coproduct_map,
     find_iso,
@@ -190,6 +193,12 @@ def _check_pair(m: Cospan, n: Cospan, what: str) -> None:
 
 def hcompose(m: Cospan, n: Cospan) -> Cospan:
     """Glue m's right foot to n's left foot over the chosen pushout."""
+    return _glue(m, n)[0]
+
+
+def _glue(m: Cospan, n: Cospan) -> tuple[Cospan, PushoutResult]:
+    """`hcompose(m, n)` and the pushout of m's right leg and n's left leg
+    that it glued along, which a square out of the composite needs too."""
     _check_pair(m, n, "compose")
     (m_left, m_right), (n_left, n_right) = m.leg_maps, n.leg_maps
     po = pushout(m_right, n_left)
@@ -202,7 +211,7 @@ def hcompose(m: Cospan, n: Cospan) -> Cospan:
         compose(po.right, n_right),
         decoration_theory(m.kind).union(m.decoration, po.left, n.decoration, po.right),
     )
-    return _present(composite, m.representation)
+    return _present(composite, m.representation), po
 
 
 def tensor(m: Cospan, n: Cospan) -> Cospan:
@@ -332,10 +341,8 @@ def hcompose_cells(a: TwoMorphism, b: TwoMorphism) -> TwoMorphism:
     """
     if a.right != b.left:
         raise BoundaryError("horizontal pasting needs a.right == b.left")
-    src = hcompose(a.src, b.src)
-    tgt = hcompose(a.tgt, b.tgt)
-    src_po = pushout(a.src.leg_maps[1], b.src.leg_maps[0])
-    tgt_po = pushout(a.tgt.leg_maps[1], b.tgt.leg_maps[0])
+    src, src_po = _glue(a.src, b.src)
+    tgt, tgt_po = _glue(a.tgt, b.tgt)
     apex_map = induced(
         src_po, compose(tgt_po.left, a.apex_map), compose(tgt_po.right, b.apex_map)
     )
@@ -353,12 +360,12 @@ def _unitor(cospan: Cospan, on_left: bool) -> TwoMorphism:
     foot = cospan.foot_left if on_left else cospan.foot_right
     unit = identity_cospan(cospan.kind, foot, cospan.representation)
     first, second = (unit, cospan) if on_left else (cospan, unit)
-    po = pushout(first.leg_maps[1], second.leg_maps[0])
+    composite, po = _glue(first, second)
     ident = FinFunction.identity(cospan.apex)
     leg_l, leg_r = cospan.leg_maps
     apex_map = induced(po, leg_l, ident) if on_left else induced(po, ident, leg_r)
     return TwoMorphism(
-        hcompose(first, second),
+        composite,
         cospan,
         FinFunction.identity(cospan.foot_left),
         FinFunction.identity(cospan.foot_right),

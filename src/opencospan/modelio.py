@@ -215,7 +215,9 @@ def _spliced(obj: dict, path: tuple[str, ...], pieces: list[str]) -> list[str]:
 def _multiset_from_json(value: Any, places: FinSet, where: str) -> Multiset:
     if not isinstance(value, dict):
         raise ModelFormatError(f"{where} must be an object of place -> count")
-    entries = {}
+    # the pairs are built in the pass that checks the keys; canonical keys
+    # are distinct, so are their places, and the sort compares no counts
+    pairs = []
     for key, count in value.items():
         try:
             place = int(key)
@@ -225,8 +227,14 @@ def _multiset_from_json(value: Any, places: FinSet, where: str) -> Multiset:
             raise ModelFormatError(
                 f"{where} has place key {_short(key)}, expected {_short(str(place))}"
             )
-        entries[place] = count
-    return _built(where, Multiset.from_dict, places, entries)
+        if count:
+            pairs.append((place, count))
+    if len(pairs) < len(value):
+        # a zero count is dropped unseen by the pair check: from_dict checks it
+        entries = {int(key): count for key, count in value.items()}
+        return _built(where, Multiset.from_dict, places, entries)
+    pairs.sort()
+    return _built(where, Multiset._from_pairs, places, tuple(pairs))
 
 
 def system_from_json(kind: str, value: Any) -> Decoration:

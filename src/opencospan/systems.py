@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from operator import attrgetter
 from typing import Optional, Sequence, Union
 
@@ -115,7 +116,12 @@ def _push_pairs(pairs: Support, table: Sequence[int]) -> Support:
 class Multiset:
     """A finite multiset over {0..n-1}, stored sparsely as its nonzero
     (place, count) `pairs` in place order; built from and read back as one
-    count per place (`counts`)."""
+    count per place (`counts`).
+
+    Every stored pair passes `_check_pairs` once.  `pushforward` runs that
+    check on the moved pairs itself and stores them directly, and it (like
+    `PetriNet`) compares place sets by identity before equality: the set a
+    multiset lives over is most often the very object a map starts from."""
 
     over: FinSet
     pairs: tuple[tuple[int, int], ...]
@@ -169,10 +175,18 @@ class Multiset:
         return Multiset._from_pairs(over, tuple(pairs))
 
     def pushforward(self, f: FinFunction) -> Multiset:
-        """Transport counts along f, summing over merged elements."""
-        if f.dom != self.over:
+        """Transport counts along f, summing over merged elements.  The moved
+        pairs get the one pair check and are stored without another call."""
+        over = self.over
+        if f.dom is not over and f.dom != over:
             raise MorphismShapeError("multiset pushforward along a map with the wrong domain")
-        return Multiset._from_pairs(f.cod, _push_pairs(self.pairs, f.table))
+        cod = f.cod
+        pairs = _push_pairs(self.pairs, f.table)
+        _check_pairs(pairs, cod.size)
+        ms = object.__new__(Multiset)
+        object.__setattr__(ms, "over", cod)
+        object.__setattr__(ms, "pairs", pairs)
+        return ms
 
     def total(self) -> int:
         return sum(k for _, k in self.pairs)
@@ -215,13 +229,14 @@ class PetriNet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "src", tuple(self.src))
         object.__setattr__(self, "tgt", tuple(self.tgt))
+        places = self.places
         for name, side in (("src", self.src), ("tgt", self.tgt)):
             if len(side) != self.transitions.size:
                 raise ValueError(
                     f"{len(side)} {name} multisets for {self.transitions.size} transitions"
                 )
             for i, ms in enumerate(side):
-                if ms.over != self.places:
+                if ms.over is not places and ms.over != places:
                     raise ValueError(f"{name}[{i}] is a multiset over the wrong place set")
 
     interface = property(attrgetter("places"))
@@ -474,9 +489,10 @@ def system_pushout(
     edge_po = pushout(f.edge_map, g.edge_map)
 
     # each class is represented by its least member, and classes are numbered
-    # in that order: the representatives from x come first, then those from y
+    # in that order: the representatives from x come first, then those from
+    # y.  Scanning x's cells, then y's, a class is first met at its least member
     reps: list[int] = []
-    for z, cls in enumerate(edge_po.quotient.table):
+    for z, cls in enumerate(chain(edge_po.left.table, edge_po.right.table)):
         if cls == len(reps):
             reps.append(z)
     x_cells = cells_of(x).size

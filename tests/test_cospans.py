@@ -1024,3 +1024,26 @@ def test_petri_pruning_agrees_with_full_per_place_profiles(kind):
                 # keys that differ leave no two full profiles equal
                 allowed = rules is not None and rules[0](x, y, [])
                 assert allowed == (full_d[x] == full_e[y])
+
+
+def test_squares_reuse_the_pushouts_their_composites_were_glued_along(monkeypatch):
+    m = open_edge()
+    ident = TwoMorphism.identity(m)
+    f = fn([0, 1, 1], 2)
+    want = {
+        # one pushout per composite: the source's and the target's
+        "hcompose_cells": (lambda: hcompose_cells(ident, ident), 2),
+        "left_unitor": (lambda: left_unitor(m), 1),
+        "right_unitor": (lambda: right_unitor(m), 1),
+        # the pasted squares and the two unitors
+        "check_companion": (lambda: check_companion(f, "graph"), 4),
+    }
+    for name, (call, count) in want.items():
+        pushouts = count_calls(monkeypatch, "pushout", pushout)
+        result = call()
+        assert (name, len(pushouts)) == (name, count)
+        monkeypatch.undo()
+        if name == "check_companion":
+            assert result == (True, "")
+        else:
+            assert result.violations() == []

@@ -43,6 +43,7 @@ from opencospan import (
 )
 from opencospan import modelio, systems
 from opencospan.dynamics import MAX_FIELD_EXPONENTS
+from opencospan.finset import _short
 from opencospan.laws import intro_open_graph, random_cospan, sir_open_net
 from opencospan.systems import COEFF_DROP
 
@@ -414,6 +415,59 @@ def test_loading_checks_each_stored_pair_once(monkeypatch):
     # each dense exponent vector is scanned once, and the Poly is built from its pairs
     assert len(scans) == terms and all(type(vector) is list for vector, _ in scans)
     assert dense == [] and dense_polys == []
+
+
+def parsed_then_from_dict(value, places, where):
+    """A multiset object read key by key into a dict, then built by
+    `Multiset.from_dict`: the reading the loader's single pass must match."""
+    entries = {}
+    for key, count in value.items():
+        try:
+            place = int(key)
+        except ValueError:
+            raise ModelFormatError(f"{where} has non-numeric place key {_short(key)}") from None
+        if key != str(place):
+            raise ModelFormatError(
+                f"{where} has place key {_short(key)}, expected {_short(str(place))}"
+            )
+        entries[place] = count
+    try:
+        return Multiset.from_dict(places, entries)
+    except ValueError as exc:
+        raise ModelFormatError(f"{where}: {exc}") from exc
+
+
+MULTISET_KEYS = st.one_of(
+    st.integers(-2, 6).map(str), st.sampled_from(["01", "a", "+1", " 2", "1.0", ""])
+)
+MULTISET_COUNTS = st.one_of(
+    st.integers(1, 3),
+    st.sampled_from([0, 0.0, False, [], True, -1, 1.5, None, "1"]),
+)
+
+
+def outcome(read, value, places):
+    try:
+        ms = read(value, places, "transition 0 src")
+    except ModelFormatError as exc:
+        return "refused", str(exc)
+    return "read", ms, [type(k) for _, k in ms.pairs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    value=st.dictionaries(MULTISET_KEYS, MULTISET_COUNTS, max_size=6),
+    size=st.integers(0, 5),
+)
+@example(value={"a": 0, "9": 1}, size=3)
+@example(value={"1": [], "0": False, "4": 0}, size=3)
+@example(value={"2": 2, "0": True, "1": 0.0}, size=3)
+@example(value={"2": -1, "0": 1.5}, size=3)
+def test_reading_a_multiset_matches_parsing_then_from_dict(value, size):
+    places = FinSet(size)
+    assert outcome(modelio._multiset_from_json, value, places) == outcome(
+        parsed_then_from_dict, value, places
+    )
 
 
 def test_names_must_fit_and_not_repeat():

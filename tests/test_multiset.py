@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opencospan import FinFunction, FinSet, Multiset, compose
+from opencospan import FinFunction, FinSet, MorphismShapeError, Multiset, compose
 
 
 def oracle(counts):
@@ -116,3 +116,17 @@ def test_a_multiset_is_frozen():
     ms = Multiset(FinSet(2), (1, 0))
     with pytest.raises(AttributeError):
         ms.pairs = ()
+
+
+def test_pushforward_compares_domains_by_value_not_identity():
+    over = FinSet(3)
+    ms = Multiset(over, (1, 0, 2))
+    same = FinFunction(over, FinSet(2), (0, 1, 1))
+    # an equal but distinct domain object takes the equality path
+    equal = FinFunction(FinSet(3), FinSet(2), (0, 1, 1))
+    assert equal.dom is not over
+    assert ms.pushforward(equal) == ms.pushforward(same) == Multiset(FinSet(2), (1, 2))
+    for dom in (FinSet(2), FinSet(4)):
+        with pytest.raises(MorphismShapeError) as caught:
+            ms.pushforward(FinFunction(dom, FinSet(1), (0,) * dom.size))
+        assert str(caught.value) == "multiset pushforward along a map with the wrong domain"

@@ -12,6 +12,7 @@ from opencospan import (
     Graph,
     KindError,
     LabeledGraph,
+    ModelFile,
     MorphismShapeError,
     Multiset,
     PetriNet,
@@ -27,11 +28,14 @@ from opencospan import (
     is_discrete,
     match_cells,
     relabel,
+    save_model,
     system_coproduct,
     system_pushout,
     validate_morphism,
 )
-from opencospan.laws import random_function, random_system, water_net
+from opencospan import systems
+from opencospan.cli import main
+from opencospan.laws import random_composable, random_function, random_system, water_net
 
 
 def fn(table, cod):
@@ -84,6 +88,53 @@ def test_multiset_pushforward_sums_merged_places():
 
 
 # -- construction sanity --------------------------------------------------------
+
+
+def test_a_net_compares_place_sets_by_value_not_identity():
+    places = FinSet(2)
+    # multisets over an equal but distinct place set are accepted
+    ms = Multiset(FinSet(2), (1, 0))
+    assert ms.over is not places
+    assert PetriNet(places, FinSet(1), (ms,), (ms,)) == PetriNet(
+        places, FinSet(1), (Multiset(places, (1, 0)),), (Multiset(places, (1, 0)),)
+    )
+    wide = Multiset(FinSet(3), (1, 0, 0))
+    for src, tgt, message in (
+        ((wide,), (ms,), "src[0] is a multiset over the wrong place set"),
+        ((ms,), (wide,), "tgt[0] is a multiset over the wrong place set"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            PetriNet(places, FinSet(1), src, tgt)
+        assert str(caught.value) == message
+
+
+def test_cli_compose_checks_every_moved_multiset_once(tmp_path, monkeypatch):
+    chain = random_composable(Random("moved pairs"), "petri_rates", 4, max_cells=4)
+    cells = sum(c.decoration.transitions.size for c in chain)
+    paths = []
+    for i, cospan in enumerate(chain):
+        paths.append(str(tmp_path / f"net{i}.json"))
+        save_model(paths[-1], ModelFile("petri_rates", cospan))
+    checked, moves = [], []
+    check_pairs, pushforward = systems._check_pairs, Multiset.pushforward
+
+    def checking(pairs, *args):
+        checked.append(pairs)
+        return check_pairs(pairs, *args)
+
+    def moving(ms, f):
+        start = len(checked)
+        moved = pushforward(ms, f)
+        moves.append((checked[start:], moved.pairs))
+        return moved
+
+    monkeypatch.setattr(systems, "_check_pairs", checking)
+    monkeypatch.setattr(Multiset, "pushforward", moving)
+    assert main(["compose", *paths, "--out", str(tmp_path / "out.json")]) == 0
+    # both ends of every cell are moved once on each of the fold's two levels
+    assert cells == 11 and len(moves) == 2 * 2 * cells
+    # each move checks exactly the pairs it stores, once
+    assert all(len(during) == 1 and during[0] is stored for during, stored in moves)
 
 
 def test_discrete_systems_have_no_cells():
