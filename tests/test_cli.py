@@ -546,6 +546,39 @@ def test_simulate_refuses_an_unbounded_run_with_one_error_line(tmp_path, capsys,
     assert "over the cap of 10000000 values" in err
 
 
+def one_place_net(src, tgt, rate):
+    """A rated net on one place with the transition src X -> tgt X."""
+    return open_system("petri_rates", {
+        "places": 1, "transitions": [{"src": {"0": src}, "tgt": {"0": tgt}, "rate": rate}],
+    })
+
+
+# one place, x' = rate * (tgt - src) * x ** src, and where the run fails
+DIVERGING_RUNS = {
+    # x ** 2 overflows in the second stage of the first step
+    "first step": ((2, 3, 1.0), 1e100, 1.0, 0.1, "state blew up near t = 0.05"),
+    # twelve rows are good before the blow-up near t = 1
+    "after twelve rows": ((2, 3, 1.0), 1.0, 2.0, 0.1, "state blew up near t = 1.2000000000000002"),
+    # the product overflows to inf without raising
+    "non-finite state": ((1, 2, 1e308), 10.0, 1.0, 0.25, "state became non-finite at t = 0.25"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(DIVERGING_RUNS))
+def test_a_diverging_run_writes_no_csv_and_keeps_an_existing_one(tmp_path, capsys, run):
+    net, x0, t1, dt, message = DIVERGING_RUNS[run]
+    model = tmp_path / "net.json"
+    model.write_text(json.dumps(one_place_net(*net)))
+    config = write_sim_config(tmp_path, t1=t1, dt=dt, initialState={"p0": x0})
+    csv_path = tmp_path / "x.csv"
+    argv = ("simulate", str(model), "--config", config, "--out", str(csv_path))
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not csv_path.exists()
+    csv_path.write_bytes(b"previous contents\n")
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert csv_path.read_bytes() == b"previous contents\n"
+
+
 def test_simulate_refuses_a_wide_run_before_gray_boxing_or_naming(tmp_path, capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("the cap is checked first")
