@@ -26,15 +26,15 @@ from .cospans import (
     hcompose,
     tensor,
 )
-from .dynamics import graybox, simulate
+from .dynamics import graybox, simulate_rows
 from .laws import LAW_SUITES, LawReport
 from .modelio import (
     ModelFile,
+    csv_lines,
     load_model,
     load_sim_config,
     resolve_simulation,
     save_model,
-    trajectory_to_csv,
 )
 
 
@@ -93,12 +93,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_sim_config(args.config)
     system, schedule, initial, names = resolve_simulation(model, config)
     assert names.places is not None
-    # the trajectory is freed once formatted, before the text is encoded
-    text = trajectory_to_csv(
-        simulate(system, schedule, initial, config.t0, config.t1, config.dt), names.places
-    )
+    # each row is formatted as it is integrated, so only the lines are held;
+    # the file is opened once the whole run has succeeded, so a run that
+    # diverges leaves it as it was
+    rows = simulate_rows(system, schedule, initial, config.t0, config.t1, config.dt)
+    lines = list(csv_lines(rows, names.places))
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.writelines(lines)
     return 0
 
 

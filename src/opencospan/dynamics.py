@@ -17,12 +17,14 @@ field admits a map from the empty system exactly when it is zero, so
 nonzero fields witness that gray-boxing has no left adjoint.
 
 `simulate` integrates the open rate equation (field plus boundary flows)
-with RK4.  It compiles one whole RK4 step once per run into one flat
-generated function: four stages of the field and the final combination,
-inlined, doing exactly the float operations of the stage-by-stage loop
-over `Poly.evaluate`.  `rate_equation` compiles the same generated field
-code alone, as one stage.  The interpreted `evaluate` methods stay as
-public API and as the reference the compiled code is tested against.
+with RK4; `simulate_rows` yields the same trajectory a row at a time, so a
+caller can consume each row as it is made.  It compiles one whole RK4 step
+once per run into one flat generated function: four stages of the field
+and the final combination, inlined, doing exactly the float operations of
+the stage-by-stage loop over `Poly.evaluate`.  `rate_equation` compiles
+the same generated field code alone, as one stage.  The interpreted
+`evaluate` methods stay as public API and as the reference the compiled
+code is tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, DivergenceError, KindError, SimulationTooLarge
 from .finset import EMPTY, FinFunction, FinSet
@@ -172,10 +174,13 @@ class FlowSchedule:
 _CHUNK = 32
 
 # the most trajectory values, (steps + 1) * (places + 1) with the time column,
-# that one `simulate` run may produce.  CLI `simulate` peaked at 89.7 bytes
-# of resident memory per value with every value a distinct float printed in
-# 24 characters, and at 78.6 with 19 (1,000 places by 1,000 and 3,000 steps,
-# over an 18 MB baseline), so a run at the cap stays under about 1 GB.
+# that one `simulate` run may produce.  CLI `simulate` holds the CSV line of
+# every row until the run has succeeded: it peaked at 27.5 bytes of resident
+# memory per value with every value a distinct float printed in 24
+# characters, and at 22.5 with 19 (1,000 places by 3,000 steps, over an 18 MB
+# baseline), so the lines of a run at the cap take under about 0.3 GB.  At
+# 1,000 steps both read 32.6: there compiling the step, about 30 MB for 1,000
+# dense places, set the peak.
 MAX_TRAJECTORY_VALUES = 10_000_000
 
 # the most exponents, places * terms, that the dense form of one field may
@@ -385,26 +390,21 @@ def _full_steps(t0: float, t1: float, dt: float, places: int) -> int:
     return n_full
 
 
-def simulate(
+def simulate_rows(
     system: OpenDynam,
     schedule: FlowSchedule,
     initial: Sequence[float],
     t0: float,
     t1: float,
     dt: float,
-) -> list[tuple[float, tuple[float, ...]]]:
-    """Integrate the open rate equation with fixed-step classical RK4.
+) -> Iterator[tuple[float, list[float]]]:
+    """The rows of `simulate`, as (t, state) one at a time, state a list.
 
-    Steps are laid out from t0 with a shortened final step landing exactly
-    on t1; the trajectory includes both endpoints.  A run whose step count
-    is not finite, or whose (steps + 1) * (places + 1) values exceed
-    `MAX_TRAJECTORY_VALUES`, is refused with SimulationTooLarge before the
-    first step.  A non-finite state raises DivergenceError carrying the
-    last good time.
-
-    One whole RK4 step, all four stages and the final combination, is
-    compiled once per run (`_compile`), so the trajectory is bit for bit
-    that of the stage-by-stage loop over `rate_equation`.
+    Every check runs, and the step is compiled, at the call, before the
+    first row: a run that is refused raises here, not on the first `next`.
+    Integration then goes one step per row.  A divergence raises the same
+    DivergenceError as `simulate`, after the rows before it were yielded.
+    A yielded state is never changed afterwards, so a caller may keep it.
     """
     if not (dt > 0.0):
         raise ValueError(f"step size must be positive, got {dt}")
@@ -419,20 +419,53 @@ def simulate(
     step, touched = _compile(system, rk4=True)
     flows_at = _flow_values(schedule)
 
-    trajectory = [(t0, tuple(state))]
-    # the step copies the places it does not touch; their value after any
-    # step is x + 0.0, which differs from x only for -0.0, so it is set once
-    for j in set(range(n)).difference(touched):
-        state[j] += 0.0
-    isfinite = math.isfinite
-    t = t0
-    for k in range(n_full + 1):
-        h = dt if k < n_full else t1 - t
-        state = step(state, t, h, flows_at(t), flows_at(t + h / 2), flows_at(t + h))
-        t = t0 + (k + 1) * dt if k < n_full else t1
-        if not all(map(isfinite, state)):
-            raise DivergenceError(
-                f"state became non-finite at t = {t}", last_good_time=trajectory[-1][0]
-            )
-        trajectory.append((t, tuple(state)))
-    return trajectory
+    def rows(state: list[float]) -> Iterator[tuple[float, list[float]]]:
+        yield t0, state.copy()
+        # the step copies the places it does not touch; their value after
+        # any step is x + 0.0, which differs from x only for -0.0, so it is
+        # set once, after row 0 was copied as given
+        for j in set(range(n)).difference(touched):
+            state[j] += 0.0
+        isfinite = math.isfinite
+        t = t0
+        for k in range(n_full + 1):
+            h = dt if k < n_full else t1 - t
+            state = step(state, t, h, flows_at(t), flows_at(t + h / 2), flows_at(t + h))
+            last_good = t
+            t = t0 + (k + 1) * dt if k < n_full else t1
+            if not all(map(isfinite, state)):
+                raise DivergenceError(
+                    f"state became non-finite at t = {t}", last_good_time=last_good
+                )
+            yield t, state
+
+    return rows(state)
+
+
+def simulate(
+    system: OpenDynam,
+    schedule: FlowSchedule,
+    initial: Sequence[float],
+    t0: float,
+    t1: float,
+    dt: float,
+) -> list[tuple[float, tuple[float, ...]]]:
+    """Integrate the open rate equation with fixed-step classical RK4.
+
+    Steps are laid out from t0 with a shortened final step landing exactly
+    on t1; the trajectory includes both endpoints.  A run whose step count
+    is not finite, or whose (steps + 1) * (places + 1) values exceed
+    `MAX_TRAJECTORY_VALUES`, is refused with SimulationTooLarge before the
+    first step.  A non-finite state, or an overflow in a stage, raises
+    DivergenceError carrying the last good time; an overflow's message
+    names the time of its stage.
+
+    One whole RK4 step, all four stages and the final combination, is
+    compiled once per run (`_compile`), so the trajectory is bit for bit
+    that of the stage-by-stage loop over `rate_equation`.  The trajectory
+    is the rows `simulate_rows` yields, each state made a tuple; a caller
+    that consumes each row as it comes, as CLI `simulate` does, iterates
+    `simulate_rows` and never holds the whole trajectory.
+    """
+    rows = simulate_rows(system, schedule, initial, t0, t1, dt)
+    return [(t, tuple(state)) for t, state in rows]

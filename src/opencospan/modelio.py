@@ -46,7 +46,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import FieldTooLarge, ModelFormatError, ModelValidationError, NotInImageOfL
 from .finset import FinFunction, FinSet, _short
@@ -114,6 +114,12 @@ def _as_finite(value: Any, where: str) -> float:
         if math.isfinite(number):
             return number
     raise ModelFormatError(f"{where} must be a finite number")
+
+
+def _entry(block: str, name: str) -> str:
+    """Where a config entry sits, `block[name]`, for a message: a name
+    over 40 characters is cut to 40."""
+    return f"{block}[{name if len(name) <= 40 else name[:37] + '...'}]"
 
 
 def _finfunction(value: Any, dom: FinSet, cod: FinSet, where: str) -> FinFunction:
@@ -554,14 +560,14 @@ def sim_config_from_json(value: Any) -> SimConfig:
     initial = value["initialState"]
     if not isinstance(initial, dict):
         raise ModelFormatError("initialState must map place names to numbers")
-    initial = {name: _as_finite(v, f"initialState[{name}]") for name, v in initial.items()}
+    initial = {name: _as_finite(v, _entry("initialState", name)) for name, v in initial.items()}
     flows = {}
     for key in ("inflows", "outflows"):
         block = value.get(key, {})
         if not isinstance(block, dict):
             raise ModelFormatError(f"{key} must be an object")
         flows[key] = {
-            name: _flow_from_json(raw, f"{key}[{name}]") for name, raw in block.items()
+            name: _flow_from_json(raw, _entry(key, name)) for name, raw in block.items()
         }
     return SimConfig(
         numbers["t0"],
@@ -624,14 +630,21 @@ def _csv_field(name: str) -> str:
     return name
 
 
+def csv_lines(
+    rows: Iterable[tuple[float, Sequence[float]]], place_names: tuple[str, ...]
+) -> Iterator[str]:
+    """The lines of a trajectory's CSV text, each with its newline: the
+    header, then one line per row as the row arrives.  Rows are t plus one
+    column per place, 17 significant digits; a place name that needs it is
+    quoted in the header (`_csv_field`)."""
+    row = ",".join(["%.17g"] * (len(place_names) + 1)) + "\n"
+    yield "t," + ",".join(map(_csv_field, place_names)) + "\n"
+    for t, state in rows:
+        yield row % (t, *state)
+
+
 def trajectory_to_csv(
     trajectory: list[tuple[float, tuple[float, ...]]], place_names: tuple[str, ...]
 ) -> str:
-    """Rows of t plus one column per place, 17 significant digits; a place
-    name that needs it is quoted in the header (`_csv_field`)."""
-    row = ",".join(["%.17g"] * (len(place_names) + 1))
-    lines = ["t," + ",".join(map(_csv_field, place_names))]
-    lines.extend([row % (t, *state) for t, state in trajectory])
-    # the empty last line gives the final newline without copying the text
-    lines.append("")
-    return "\n".join(lines)
+    """The CSV text of a whole trajectory: its `csv_lines`, joined."""
+    return "".join(csv_lines(trajectory, place_names))

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 from random import Random
 
@@ -579,6 +580,45 @@ def test_a_diverging_run_writes_no_csv_and_keeps_an_existing_one(tmp_path, capsy
     assert csv_path.read_bytes() == b"previous contents\n"
 
 
+def test_simulate_holds_about_one_line_of_text_per_row(tmp_path, capsys, models_dir):
+    config = json.loads((models_dir / "sir_sim.json").read_text())
+    config["dt"] = 1e-4
+    config_path = tmp_path / "fine.json"
+    config_path.write_text(json.dumps(config))
+    csv_path = tmp_path / "fine.csv"
+    argv = ("simulate", str(models_dir / "sir.json"), "--config", str(config_path), "--out", str(csv_path))
+    # traced right after other tests, the run took about five times as long
+    # as it does after an untraced one
+    assert run_cli(capsys, *argv)[0] == 0
+    tracemalloc.start()
+    try:
+        code = run_cli(capsys, *argv)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    values = 100_001 * 4
+    assert csv_path.read_bytes().count(b"\n") == 100_002
+    # 34 bytes per value, its line of text; holding the trajectory, the
+    # joined text and its encoded copy as well peaked at 109
+    assert peak / values <= 60, peak / values
+
+
+def test_simulate_prints_a_negative_zero_as_given_then_as_x_plus_zero(tmp_path, capsys):
+    # place 1 is untouched, so the first step makes its -0.0 into 0.0
+    doc = open_system("petri_rates", {
+        "places": 2, "transitions": [{"src": {"0": 1}, "tgt": {}, "rate": 0.5}],
+    })
+    model = tmp_path / "net.json"
+    model.write_text(json.dumps(doc))
+    config = write_sim_config(tmp_path, t1=0.5, dt=0.25, initialState={"p0": 1.0, "p1": -0.0})
+    csv_path = tmp_path / "x.csv"
+    argv = ("simulate", str(model), "--config", config, "--out", str(csv_path))
+    assert run_cli(capsys, *argv) == (0, "", "")
+    lines = csv_path.read_text().splitlines()
+    assert [line.rsplit(",", 1)[1] for line in lines] == ["p1", "-0", "0", "0"]
+
+
 def test_simulate_refuses_a_wide_run_before_gray_boxing_or_naming(tmp_path, capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("the cap is checked first")
@@ -1111,6 +1151,23 @@ def test_a_long_unknown_name_in_a_config_is_named_in_one_short_line(
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2 and err.count("\n") == 1 and len(err) < 120, err[:200]
+
+
+@pytest.mark.parametrize(
+    "block, entry, message",
+    [
+        ("initialState", math.nan, "must be a finite number"),
+        ("inflows", {"breakpoints": [2.0, 1.0], "values": [0.0, 1.0, 2.0]},
+         "breakpoints must be strictly increasing"),
+    ],
+)
+def test_a_long_name_in_a_bad_config_entry_is_cut_to_40_characters(
+    tmp_path, capsys, models_dir, block, entry, message
+):
+    config = write_sim_config(tmp_path, **{block: {LONG_KEY: entry}})
+    err = simulate_expecting_a_format_error(tmp_path, capsys, models_dir / "sir.json", config)
+    assert err.startswith(f"error: {block}[{'k' * 37}...]") and message in err
+    assert err.count("\n") == 1 and len(err) < 120, err[:200]
 
 
 def test_a_repeated_key_in_a_model_or_config_file_is_refused(tmp_path, capsys, models_dir):

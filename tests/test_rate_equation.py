@@ -36,9 +36,11 @@ from opencospan import (
     PiecewiseConstant,
     Poly,
     PolyVectorField,
+    SimulationTooLarge,
     graybox,
     rate_equation,
     simulate,
+    simulate_rows,
 )
 from opencospan.dynamics import _source
 
@@ -365,6 +367,58 @@ def simulations(draw):
 @given(simulations())
 def test_the_compiled_step_integrates_like_the_stage_by_stage_loop(case):
     assert_integrates_like_the_oracle(*case)
+
+
+def collected_rows(system, schedule, initial, t0, t1, dt):
+    """The rows `simulate_rows` yields, states as tuples, or the divergence
+    and the rows yielded before it."""
+    rows = []
+    try:
+        for t, state in simulate_rows(system, schedule, initial, t0, t1, dt):
+            rows.append((t, tuple(state)))
+    except DivergenceError as exc:
+        return rows, (str(exc), exc.last_good_time)
+    return rows, None
+
+
+@settings(max_examples=100, deadline=None)
+@given(simulations())
+def test_the_row_iterator_yields_the_trajectory_simulate_returns(case):
+    rows, divergence = collected_rows(*case)
+    want = run(simulate, *case)
+    if divergence is not None:
+        assert divergence == want
+        # every row before the divergence was good, the last at its last good time
+        assert rows and rows[-1][0] == divergence[1]
+        assert all(all(map(math.isfinite, state)) for _, state in rows[1:])
+        return
+    assert len(rows) == len(want)
+    for (t, state), (t_want, state_want) in zip(rows, want):
+        assert t == t_want and all(same_bits(a, b) for a, b in zip(state, state_want))
+
+
+def test_the_row_iterator_refuses_a_run_before_the_first_row():
+    system = open_system(PolyVectorField(FinSet(1), (Poly(1, ((1.0, (1,)),)),)))
+    zero = FlowSchedule.zero(0, 0)
+    for args, error in (
+        ((zero, [1.0], 0.0, 1.0, 0.0), ValueError),
+        ((zero, [1.0], 1.0, 1.0, 0.1), ValueError),
+        ((zero, [1.0, 2.0], 0.0, 1.0, 0.1), DimensionError),
+        ((FlowSchedule.zero(1, 0), [1.0], 0.0, 1.0, 0.1), DimensionError),
+        ((zero, [1.0], 0.0, 1e9, 1e-9), SimulationTooLarge),
+    ):
+        with pytest.raises(error):
+            simulate_rows(system, *args)
+
+
+def test_row_zero_keeps_a_negative_zero_the_rows_after_it_do_not():
+    # place 1 is untouched: row 0 is the state as given, later rows x + 0.0;
+    # the rows are all held before they are read, so none may be changed
+    # by a later step
+    field = PolyVectorField(FinSet(2), (Poly(2, ((-0.5, (1, 0)),)), Poly.zero(2)))
+    schedule = FlowSchedule.zero(0, 0)
+    rows = list(simulate_rows(open_system(field), schedule, [1.0, -0.0], 0.0, 0.5, 0.25))
+    assert [math.copysign(1.0, state[1]) for _, state in rows] == [-1.0, 1.0, 1.0]
 
 
 # x0' = x0 ** 2 - outflow, x1' = 0.25 * x1 + two inflows, x2 untouched; from
