@@ -551,10 +551,6 @@ def _profiles(decoration: Decoration, colours: dict):
     return [colours.setdefault(frozenset(bag.items()), len(colours)) for bag in bags], rows, keys
 
 
-# field_close's tolerance.  poly_close lets an unmatched term pass only up to
-# rel / 1e3, which at this rel is COEFF_DROP (pinned in the tests), so no
-# stored term passes unmatched and the search may count every term.
-_FIELD_REL = 1e-9
 _NO_CELLS = FinFunction.identity(EMPTY)
 
 
@@ -582,7 +578,7 @@ def _search_rules(d: Decoration, e: Decoration):
 
     if decoration_theory(d.kind).shape == "field":
         return compatible, lambda h: (
-            _NO_CELLS if field_close(pushforward_field(h, d), e, _FIELD_REL) else None
+            _NO_CELLS if field_close(pushforward_field(h, d), e) else None
         )
     return compatible, lambda h: match_cells(d, e, h)
 

@@ -48,7 +48,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import FieldTooLarge, ModelFormatError, ModelValidationError, NotInImageOfL
+from .errors import (
+    FieldTooLarge,
+    KindError,
+    ModelFormatError,
+    ModelValidationError,
+    NotInImageOfL,
+)
 from .finset import FinFunction, FinSet, _short
 from .systems import (
     KINDS,
@@ -386,12 +392,15 @@ class Names:
 
 @dataclass(frozen=True)
 class ModelFile:
-    """One model as stored on disk: a cospan plus bookkeeping."""
+    """One model as stored on disk: a cospan of its kind plus bookkeeping."""
 
     kind: str
     payload: Cospan
     names: Optional[Names] = None
-    version: str = MODEL_VERSION
+
+    def __post_init__(self) -> None:
+        if self.payload.kind != self.kind:
+            raise KindError(f"a {self.kind} model file cannot hold a {self.payload.kind} cospan")
 
     @property
     def representation(self) -> str:
@@ -405,7 +414,7 @@ class ModelFile:
         cospan = self.payload
         leg_left, leg_right = cospan.leg_maps
         out = {
-            "version": self.version,
+            "version": MODEL_VERSION,
             "kind": self.kind,
             "representation": self.representation,
             "payload": {

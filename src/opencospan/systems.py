@@ -537,6 +537,10 @@ def relabel(f: FinFunction, system: System) -> System:
 
 
 COEFF_DROP = 1e-12
+# poly_close's relative tolerance.  An unmatched term passes only up to
+# _CLOSE_REL / 1e3, which is COEFF_DROP (pinned in the tests), so no stored
+# term passes unmatched and the iso search may count every term.
+_CLOSE_REL = 1e-9
 
 
 def _dense_order(support: Support) -> Support:
@@ -679,14 +683,15 @@ def poly_add(*polys: Poly) -> Poly:
     return Poly._canonical(nvars, raw)
 
 
-def poly_close(p: Poly, q: Poly, rel: float = 1e-9) -> bool:
-    """Structural equality: identical exponent sets, coefficients within rel.
+def poly_close(p: Poly, q: Poly) -> bool:
+    """Structural equality: identical exponent sets, coefficients within
+    1e-9 relative.
 
     A term unmatched on the other side passes only if its coefficient is at
-    most rel / 1e3.  At the default rel that bound is exactly COEFF_DROP, so
-    no stored term passes unmatched: one dropped at the storage threshold
-    along one route fails against the same term kept along another.  A
-    non-finite coefficient is close to nothing.
+    most 1e-12, which is COEFF_DROP, so no stored term passes unmatched:
+    one dropped at the storage threshold along one route fails against the
+    same term kept along another.  A non-finite coefficient is close to
+    nothing.
     """
     if p.nvars != q.nvars:
         return False
@@ -697,7 +702,7 @@ def poly_close(p: Poly, q: Poly, rel: float = 1e-9) -> bool:
         # the difference is non-finite when either side is, and when two
         # finite coefficients of opposite sign are too far apart to compare
         difference = ca - cb
-        bound = max(rel * max(abs(ca), abs(cb)), rel / 1e3)
+        bound = max(_CLOSE_REL * max(abs(ca), abs(cb)), _CLOSE_REL / 1e3)
         if not math.isfinite(difference) or abs(difference) > bound:
             return False
     return True
@@ -735,11 +740,8 @@ class PolyVectorField:
         return [p.evaluate(point) for p in self.components]
 
 
-def field_close(u: PolyVectorField, v: PolyVectorField, rel: float = 1e-9) -> bool:
-    return (
-        u.over == v.over
-        and all(poly_close(p, q, rel) for p, q in zip(u.components, v.components))
-    )
+def field_close(u: PolyVectorField, v: PolyVectorField) -> bool:
+    return u.over == v.over and all(map(poly_close, u.components, v.components))
 
 
 def pushforward_field(f: FinFunction, v: PolyVectorField) -> PolyVectorField:

@@ -50,10 +50,11 @@ from opencospan import (
     unit_cell,
     vcompose,
 )
-from opencospan.cospans import _FIELD_REL, _present, _search_rules
+from opencospan.cospans import _present, _search_rules
 from opencospan.finset import ISO_BUDGET_ENV, compose, find_iso, pushout
 from opencospan.systems import (
     COEFF_DROP,
+    _CLOSE_REL,
     decoration_theory,
     interface_of,
     poly_close,
@@ -856,10 +857,10 @@ def test_one_colouring_prunes_paths_and_terms(m, n, least_budget, node_map):
 
 def test_the_search_tolerance_lets_no_stored_term_pass_unmatched():
     # the search counts every term, which holds only while poly_close's floor
-    # at the search's tolerance is the storage threshold
-    assert _FIELD_REL / 1e3 == COEFF_DROP
+    # is the storage threshold
+    assert _CLOSE_REL / 1e3 == COEFF_DROP
     least = Poly.from_terms(1, [(math.nextafter(COEFF_DROP, 1.0), (1,))])
-    assert least.sparse and not poly_close(least, Poly.zero(1), _FIELD_REL)
+    assert least.sparse and not poly_close(least, Poly.zero(1))
 
 
 @pytest.mark.parametrize("kind", [*CELL_KINDS, "dynam"])

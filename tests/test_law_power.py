@@ -13,10 +13,12 @@ up-to-iso suites use the library's own search as their oracle; ROADMAP's
 "Law suites that can fail" plans the certificate check that would.
 """
 
+import functools
+
 import pytest
 
 from opencospan import cospans, finset, laws, systems
-from opencospan.errors import OpenCospanError
+from opencospan.cli import main
 from opencospan.finset import FinFunction, FinSet
 from opencospan.laws import LAW_SUITES
 from opencospan.systems import DecorationTheory, system_union
@@ -106,14 +108,15 @@ MUTANTS = {
             "unitors": "FAIL unitors (1 cases): left unit composite not isomorphic",
             "interchange": "FAIL interchange (9 cases): "
             "tensor and composition do not interchange at case 8",
-            "companion": f"raises BoundaryError: {SQUARES}",
-            "conjoint": f"raises BoundaryError: {SQUARES}",
+            # a suite whose case raises reports the error as that case's verdict
+            "companion": f"FAIL companion (7 cases): BoundaryError: {SQUARES}",
+            "conjoint": f"FAIL conjoint (7 cases): BoundaryError: {SQUARES}",
         },
     ),
     "simulation leaks a thousandth": (
         [(laws, "simulate", _leaking_simulate)],
         {
-            "simulation": "FAIL simulation (10001 cases): "
+            "simulation": "FAIL simulation (1 cases): "
             "decay differs from the closed form by 1.000e-03",
         },
     ),
@@ -122,15 +125,8 @@ MUTANTS = {
 
 def _failures() -> dict[str, str]:
     """The line of every suite, run small, that does not pass."""
-    lines = {}
-    for name, suite in LAW_SUITES.items():
-        try:
-            line = suite(**SMALL[name]).line()
-        except OpenCospanError as exc:
-            line = f"raises {type(exc).__name__}: {exc}"
-        if not line.startswith("PASS"):
-            lines[name] = line
-    return lines
+    reports = [suite(**SMALL[name]) for name, suite in LAW_SUITES.items()]
+    return {report.law: report.line() for report in reports if not report.passed}
 
 
 def test_every_suite_passes_small_without_a_mutant() -> None:
@@ -144,3 +140,16 @@ def test_each_mutant_fails_exactly_its_suites(monkeypatch, mutant) -> None:
     for owner, attribute, replacement in patches:
         monkeypatch.setattr(owner, attribute, replacement)
     assert _failures() == expected
+
+
+def test_check_all_prints_every_verdict_when_a_suite_raises(monkeypatch, capsys) -> None:
+    patches, expected = MUTANTS["pushout skips its last glue pair"]
+    for owner, attribute, replacement in patches:
+        monkeypatch.setattr(owner, attribute, replacement)
+    for name, suite in list(LAW_SUITES.items()):
+        monkeypatch.setitem(LAW_SUITES, name, functools.partial(suite, **SMALL[name]))
+    assert main(["check", "--laws", "all"]) == 2
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == len(LAW_SUITES) and err == ""
+    assert [line for line in lines if not line.startswith("PASS")] == list(expected.values())

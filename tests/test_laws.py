@@ -6,6 +6,12 @@ normal development cycle, and the registry and report formatting are
 pinned down because the CLI `check` command builds its output from them.
 """
 
+import ast
+import pathlib
+
+import pytest
+
+import opencospan
 from opencospan.systems import DecorationTheory, system_union
 from opencospan.laws import (
     LAW_SUITES,
@@ -148,3 +154,49 @@ def test_simulation_suite_runs() -> None:
     report = simulation_fidelity()
     assert report.passed
     assert report.line() == "PASS simulation (2 cases)"
+
+
+def test_a_suite_reports_a_package_error_and_lets_others_through(monkeypatch) -> None:
+    def refused(f, kind):
+        raise opencospan.BoundaryError("squares do not agree")
+
+    monkeypatch.setattr(opencospan.laws, "check_companion", refused)
+    report = companion_laws(max_size=2, kinds=("graph",))
+    assert report.line() == "FAIL companion (1 cases): BoundaryError: squares do not agree"
+    # only the package's own errors are verdicts: a bad argument still raises
+    with pytest.raises(ValueError, match="no random systems of kind 'dynam'"):
+        unitor_laws(cases=1, kind="dynam")
+
+
+def report_builders(tree, module):
+    """(module, enclosing top-level name) of each `LawReport(...)` call."""
+    return [
+        (module, getattr(top, "name", None))
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "LawReport"
+    ]
+
+
+def test_only_the_report_rule_and_the_cli_build_reports() -> None:
+    # every suite's verdicts become a report in `_suite`; the CLI builds the
+    # reports of the iso check and of companion/conjoint with --map
+    package = pathlib.Path(opencospan.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        found.update(report_builders(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert found == {("laws", "_suite"), ("cli", "_check_iso"), ("cli", "_cmd_check")}
+
+
+def test_the_guard_sees_reports_built_in_a_suite() -> None:
+    source = (
+        "def unitor_laws(cases):\n"
+        "    return laws.LawReport('unitors', False, 1, 'broken')\n"
+        "def _suite(law):\n"
+        "    return LawReport(law, True, 0)\n"
+    )
+    assert report_builders(ast.parse(source), "laws") == [
+        ("laws", "unitor_laws"),
+        ("laws", "_suite"),
+    ]

@@ -18,6 +18,7 @@ from opencospan import (
     FinFunction,
     FinSet,
     Graph,
+    KindError,
     LabeledGraph,
     ModelFile,
     ModelFormatError,
@@ -112,6 +113,16 @@ def test_a_model_that_cannot_be_serialized_leaves_the_file_as_it_was(tmp_path):
         save_model(str(out), bad)
     assert out.read_bytes() == b"previous contents\n"
 
+
+
+def test_a_model_file_refuses_a_payload_of_another_kind(tmp_path):
+    # such a file would be written, then refused when it is loaded
+    out = tmp_path / "out.json"
+    with pytest.raises(KindError, match="a graph model file cannot hold a petri_rates cospan"):
+        save_model(str(out), ModelFile("graph", sir_open_net()))
+    assert not out.exists()
+    with pytest.raises(KindError, match="dynam.*petri_rates"):
+        ModelFile("dynam", to_structured(sir_open_net()))
 
 # dynam models only have a decorated representation
 PRESENTED_KINDS = [
