@@ -1,13 +1,11 @@
 """Executable laws with independent oracles, shared by tests and the CLI.
 
-Each suite is written as one generator of per-case verdicts: "" where the
-law holds, or else what broke.  `_suite` is the one report rule that turns
-such a generator into a checker returning a `LawReport`: it counts the
-cases and reports the first broken one, or PASS with the count.  The CLI
-`check` command and the acceptance test suite both run these checkers, so
-there is exactly one oracle path.  Randomized suites use a seeded
-generator and report the first counterexample with enough coordinates to
-replay it.
+Each suite is one generator of per-case verdicts ("" where the law holds,
+else what broke), and `_suite` is the one report rule that turns it into a
+`LawReport`.  The CLI `check` command and the acceptance tests both run
+these suites, so there is exactly one oracle path.  Randomized suites use a
+seeded generator and report the first counterexample with enough
+coordinates to replay it.
 """
 
 from __future__ import annotations
@@ -221,14 +219,10 @@ LAW_SUITES: dict[str, Callable[[], LawReport]] = {}
 
 
 def _suite(law: str) -> Callable[[Callable[..., Iterator[str]]], Callable[..., LawReport]]:
-    """Make a suite of a generator of per-case verdicts, registered in
-    `LAW_SUITES` as law.
-
-    A verdict is "" where the law holds, or else what broke.  The suite
-    counts the cases and reports the first broken one, or PASS with the
-    count.  A case that raises a package error is broken by it, so one
-    suite's error does not hide the others' verdicts.
-    """
+    """Make a suite, registered in `LAW_SUITES` as law, of a generator of
+    per-case verdicts: it counts the cases and reports the first broken one,
+    or PASS with the count.  A case that raises a package error is broken by
+    it, so one suite's error does not hide the others' verdicts."""
 
     def wrap(cases_of: Callable[..., Iterator[str]]) -> Callable[..., LawReport]:
         @functools.wraps(cases_of)
@@ -312,7 +306,6 @@ def _cocone_broken(
     po: PushoutResult, f: FinFunction, g: FinFunction, k: int, u_table: tuple, w_table: tuple
 ) -> str:
     """What breaks at one commuting cocone u, w into a set of size k."""
-    cocone = f"f={list(f.table)}, g={list(g.table)}, u={list(u_table)}, w={list(w_table)}"
     # the cocone's value at each element of B + C
     values = u_table + w_table
     mediating = [-1] * po.apex.size
@@ -320,11 +313,17 @@ def _cocone_broken(
         if mediating[cls] < 0:
             mediating[cls] = value
         elif mediating[cls] != value:
-            return f"no mediating map for {cocone}"
+            return (
+                f"no mediating map for f={list(f.table)}, g={list(g.table)}, "
+                f"u={list(u_table)}, w={list(w_table)}"
+            )
     target = FinSet(k)
     h = induced(po, FinFunction(f.cod, target, u_table), FinFunction(g.cod, target, w_table))
     if h is None or h.table != tuple(mediating):
-        return f"induced map differs for {cocone}"
+        return (
+            f"induced map differs for f={list(f.table)}, g={list(g.table)}, "
+            f"u={list(u_table)}, w={list(w_table)}"
+        )
     if k ** po.apex.size <= 1000:
         hits = sum(
             1
@@ -425,9 +424,7 @@ def _all_functions(max_size: int) -> Iterable[FinFunction]:
                 yield FinFunction(FinSet(a), FinSet(b), table)
 
 
-def _adjoint_broken(
-    check: Callable[[FinFunction, str], tuple[bool, str]], f: FinFunction, kind: str
-) -> str:
+def _adjoint_broken(check: Callable, f: FinFunction, kind: str) -> str:
     ok, why = check(f, kind)
     return "" if ok else f"f={list(f.table)}:{f.dom.size}->{f.cod.size} ({kind}): {why}"
 
