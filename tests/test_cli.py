@@ -1203,6 +1203,38 @@ def test_a_deeply_nested_model_or_config_file_is_refused_in_one_short_line(
         assert err == f"error: {deep} is not valid JSON: nested too deeply\n"
 
 
+# a model or config file is read as text-mode reading gives it: CR LF and a
+# lone CR count as one newline, and a UTF-8 byte order mark is kept, then refused
+UNREADABLE_FILES = [
+    ("crlf", b'{\r\n"a": 1,\r\n"bc" 2\r\n}',
+     "is not valid JSON: Expecting ':' delimiter: line 3 column 6 (char 15)"),
+    ("cr", b'{\r"a": 1,\r"bc" 2\r}',
+     "is not valid JSON: Expecting ':' delimiter: line 3 column 6 (char 15)"),
+    ("bom", b"\xef\xbb\xbf{}",
+     "is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("deep", b"[" * 100_000 + b"]" * 100_000, "is not valid JSON: nested too deeply"),
+]
+
+
+@pytest.mark.parametrize(
+    "data, message", [pytest.param(*case[1:], id=case[0]) for case in UNREADABLE_FILES]
+)
+def test_an_unreadable_model_or_config_file_is_refused_in_one_line(
+    tmp_path, capsys, models_dir, data, message
+):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    csv = tmp_path / "x.csv"
+    sir = str(models_dir / "sir.json")
+    for args in (
+        ("convert", str(bad), "--to", "structured", "--out", str(tmp_path / "x.json")),
+        ("simulate", sir, "--config", str(bad), "--out", str(csv)),
+    ):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out, err) == (3, "", f"error: {bad} {message}\n")
+        assert not csv.exists()
+
+
 # -- one parser per process ------------------------------------------------------
 
 
