@@ -7,37 +7,32 @@ A model file looks like
 
 where the payload is a cospan object: footLeft/footRight (sizes, or, in
 structured files, system objects with no cells), legLeft/legRight (tables
-into the apex), a system object, and a representation tag matching the top
-level.  Both presentations are read the same way and written the same way.
-Unknown fields are rejected everywhere.  The optional names block carries
-presentation-only labels for places and boundary elements; it never
+into the apex), a system object laid out by its kind's shape (`_LAYOUTS`),
+and a representation tag matching the top level.  Both presentations are
+read and written the same way.  Unknown fields are rejected everywhere.
+The optional names block labels places and boundary elements; it never
 affects composition or conversion.
 
 Each value check has one owner.  The constructors check sizes, ranges,
-counts, exponents, table entries and lengths (`FinSet`, `FinFunction`,
-`Multiset.from_dict`, `Poly` and the system classes); `_built` reports a
+counts, exponents, table entries and lengths; a reader reports their
 refusal as a `ModelFormatError` at its place in the file.  This module
-checks only what they cannot see: the JSON shape (objects, arrays, fields,
-repeated keys), the plain spelling of place keys, and finite numbers.  Its
-messages, like the constructors', cut any value from the file to 40
-characters, so a huge value still gives one short line.
+checks only the JSON shape (objects, arrays, fields, repeated keys), the
+plain spelling of place keys, and finite numbers, and cuts any value from
+the file in a message to 40 characters.
+
+A file is read in one pass: its bytes are decoded once as UTF-8, as
+text-mode reading would, and parsed by one decoder; then the reader of the
+kind's shape, looked up once per file, builds each cell as it checks it.
+The text that places a fault in the file is built only when a check fails.
 
 Canonical output sorts keys, drops insignificant whitespace, and prints
-floats as their shortest round-tripping decimal, so files written from
-equal models compare equal byte for byte.
-
-Dynam files keep their dense form, one exponent per place in each term,
-but the sparse field is never expanded into dense lists to write it.
-`save_model` writes the "field" value as text straight from the sparse
-terms, a slice of one "0,0,...,0" string per run of zeros, and joins it
-with the canonical JSON of the rest of the file: byte for byte what
-`canonical_json(model.to_json())` gives, at the cost of the terms plus the
-bytes of the text.  Reading parses the dense text, as any JSON reader must,
-and `system_from_json` then scans each exponent vector once into the
-(place, exponent) pairs the `Poly` keeps, with no copy.  A field whose
-dense form would hold more than `dynamics.MAX_FIELD_EXPONENTS` exponents
-is refused (`FieldTooLarge`, exit 2 on the command line) before any text
-is built.
+floats as their shortest round-tripping decimal, so equal models give
+equal bytes.  A dynam file keeps its dense form, one exponent per place in
+each term, but `save_model` writes the "field" text straight from the
+sparse terms (`_field_pieces`) and refuses a field over
+`dynamics.MAX_FIELD_EXPONENTS` exponents (`FieldTooLarge`, exit 2) before
+building any; reading scans each exponent vector once into the pairs a
+`Poly` keeps.
 """
 
 from __future__ import annotations
@@ -46,26 +41,19 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import (
-    FieldTooLarge,
-    KindError,
-    ModelFormatError,
-    ModelValidationError,
-    NotInImageOfL,
-)
+from .errors import FieldTooLarge, KindError, ModelFormatError, ModelValidationError, NotInImageOfL
 from .finset import FinFunction, FinSet, _short
 from .systems import (
     KINDS,
     Decoration,
+    DecorationTheory,
     Graph,
-    LabeledGraph,
     Multiset,
-    PetriNet,
-    PetriNetWithRates,
     Poly,
     PolyVectorField,
+    System,
     _sparse_terms,
     cells_of,
     decoration_theory,
@@ -91,15 +79,16 @@ def canonical_json(value: Any) -> str:
         raise ModelFormatError(f"value not serializable canonically: {exc}") from exc
 
 
-def _require_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], where: str) -> None:
+def _require_keys(obj: Any, required: tuple, optional: tuple, where: str) -> None:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where} must be an object")
-    for key in required:
-        if key not in obj:
-            raise ModelFormatError(f"{where} is missing required field {_short(key)}")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ModelFormatError(f"{where} has unknown field {_short(key)}")
+    if len(obj.keys() & required) < len(required):
+        key = next(key for key in required if key not in obj)
+        raise ModelFormatError(f"{where} is missing required field {_short(key)}")
+    if len(obj) > len(required):  # every required field is there: one more is another
+        for key in obj:
+            if key not in required and key not in optional:
+                raise ModelFormatError(f"{where} has unknown field {_short(key)}")
 
 
 def _built(where: str, build: Callable[..., Any], *args: Any) -> Any:
@@ -134,29 +123,17 @@ def _finfunction(value: Any, dom: FinSet, cod: FinSet, where: str) -> FinFunctio
     return _built(where, FinFunction, dom, cod, value)
 
 
-def system_to_json(system: Decoration) -> dict:
-    """The kind's base shape, plus its attribute column when it has one."""
-    if getattr(system, "kind", None) not in KINDS:
-        raise ModelFormatError(f"cannot serialize {type(system).__name__}")
-    shape = decoration_theory(system.kind).shape
-    if shape == "field":
-        _check_dense_size(system)
-        return {
-            "places": system.over.size,
-            "field": [[[c, list(e)] for c, e in p.terms] for p in system.components],
-        }
+def _write_graph(system: System) -> dict:
     src, tgt = system.ends
-    attrs = system.attrs
-    if shape == "graph":
-        out: dict = {
-            "nodes": interface_of(system).size,
-            "edges": cells_of(system).size,
-            "src": list(src),
-            "tgt": list(tgt),
-        }
-        if attrs is not None:
-            out["labels"] = list(attrs)
-        return out
+    out = {"nodes": interface_of(system).size, "edges": cells_of(system).size,
+           "src": list(src), "tgt": list(tgt)}
+    if system.attrs is not None:
+        out["labels"] = list(system.attrs)
+    return out
+
+
+def _write_petri(system: System) -> dict:
+    src, tgt = system.ends
     transitions = [
         {
             "src": {str(p): k for p, k in consumed.pairs},
@@ -164,10 +141,22 @@ def system_to_json(system: Decoration) -> dict:
         }
         for consumed, produced in zip(src, tgt)
     ]
-    if attrs is not None:
-        for entry, rate in zip(transitions, attrs):
-            entry["rate"] = rate
+    for entry, rate in zip(transitions, system.attrs or ()):
+        entry["rate"] = rate
     return {"places": interface_of(system).size, "transitions": transitions}
+
+
+def _write_field(field: PolyVectorField) -> dict:
+    _check_dense_size(field)
+    dense = [[[c, list(e)] for c, e in p.terms] for p in field.components]
+    return {"places": field.over.size, "field": dense}
+
+
+def _field_text(field: PolyVectorField) -> tuple[dict, str, list[str]]:
+    """`_write_field` with "field" held out as its text, which is built
+    only once the size check has passed."""
+    _check_dense_size(field)
+    return {"places": field.over.size}, "field", _field_pieces(field)
 
 
 def _check_dense_size(field: PolyVectorField) -> None:
@@ -214,145 +203,157 @@ def _spliced(obj: dict, path: tuple[str, ...], pieces: list[str]) -> list[str]:
     value = _spliced(obj[key], rest, pieces) if rest else pieces
     before = canonical_json({k: v for k, v in obj.items() if k < key})[:-1]
     after = canonical_json({k: v for k, v in obj.items() if k > key})[1:]
-    return [
-        before,
-        "," if before != "{" else "",
-        canonical_json(key) + ":",
-        *value,
-        "," if after != "}" else "",
-        after,
-    ]
+    head = [before, "," if before != "{" else "", canonical_json(key) + ":"]
+    return [*head, *value, "," if after != "}" else "", after]
 
 
-def _multiset_from_json(value: Any, places: FinSet, where: str) -> Multiset:
+def _read_graph(value: Any, theory: DecorationTheory) -> System:
+    attributed = theory._attributed
+    required = ("nodes", "edges", "src", "tgt") + (("labels",) if attributed else ())
+    _require_keys(value, required, (), f"{theory.kind} system")
+    nodes = _built("nodes", FinSet, value["nodes"])
+    edges = _built("edges", FinSet, value["edges"])
+    src = _finfunction(value["src"], edges, nodes, "src")
+    graph = Graph(nodes, edges, src, _finfunction(value["tgt"], edges, nodes, "tgt"))
+    if attributed is None:
+        return graph
+    labels = value["labels"]
+    scalars = (str, int, float, bool)
+    if not isinstance(labels, list) or not all([isinstance(x, scalars) for x in labels]):
+        raise ModelFormatError("labels must be an array of scalars")
+    for i, label in enumerate(labels):
+        if isinstance(label, float) and not math.isfinite(label):
+            raise ModelFormatError(f"edge {i} label must be finite, got {label!r}")
+    return _built("labels", attributed, graph, tuple(labels))
+
+
+# the plain keys of the first places, each with its place: a key found here is not parsed
+_PLACE_KEYS = {str(p): p for p in range(256)}
+
+
+def _multiset_from_json(value: Any, places: FinSet, i: int, side: str) -> Multiset:
+    """Transition i's "src" or "tgt" (side): an object of place key -> count."""
     if not isinstance(value, dict):
-        raise ModelFormatError(f"{where} must be an object of place -> count")
+        raise ModelFormatError(f"transition {i} {side} must be an object of place -> count")
     # the pairs are built in the pass that checks the keys; canonical keys
     # are distinct, so are their places, and the sort compares no counts
     pairs = []
     for key, count in value.items():
-        try:
-            place = int(key)
-        except (TypeError, ValueError):
-            raise ModelFormatError(f"{where} has non-numeric place key {_short(key)}") from None
-        if key != str(place):
-            raise ModelFormatError(
-                f"{where} has place key {_short(key)}, expected {_short(str(place))}"
-            )
+        place = _PLACE_KEYS.get(key)
+        if place is None:
+            where = f"transition {i} {side}"
+            try:
+                place = int(key)
+            except (TypeError, ValueError):
+                raise ModelFormatError(f"{where} has non-numeric place key {_short(key)}") from None
+            if key != str(place):
+                expected = _short(str(place))
+                raise ModelFormatError(f"{where} has place key {_short(key)}, expected {expected}")
         if count:
             pairs.append((place, count))
-    if len(pairs) < len(value):
-        # a zero count is dropped unseen by the pair check: from_dict checks it
-        entries = {int(key): count for key, count in value.items()}
-        return _built(where, Multiset.from_dict, places, entries)
-    pairs.sort()
-    return _built(where, Multiset._from_pairs, places, tuple(pairs))
+    try:
+        if len(pairs) < len(value):
+            # a zero count is dropped unseen by the pair check: from_dict checks it
+            return Multiset.from_dict(places, {int(key): count for key, count in value.items()})
+        pairs.sort()
+        return Multiset._from_pairs(places, tuple(pairs))
+    except ValueError as exc:
+        raise ModelFormatError(f"transition {i} {side}: {exc}") from exc
+
+
+def _read_petri(value: Any, theory: DecorationTheory) -> System:
+    _require_keys(value, ("places", "transitions"), (), f"{theory.kind} system")
+    places = _built("places", FinSet, value["places"])
+    raw = value["transitions"]
+    if not isinstance(raw, list):
+        raise ModelFormatError("transitions must be an array")
+    rated = theory._attributed is not None
+    fields = ("src", "tgt", "rate") if rated else ("src", "tgt")
+    exact = frozenset(fields)
+    src, tgt, rates = [], [], []
+    for i, entry in enumerate(raw):
+        if entry.__class__ is not dict or entry.keys() != exact:
+            _require_keys(entry, fields, (), f"transition {i}")
+        src.append(_multiset_from_json(entry["src"], places, i, "src"))
+        tgt.append(_multiset_from_json(entry["tgt"], places, i, "tgt"))
+        if rated:
+            rate = entry["rate"]
+            if rate.__class__ is not float or rate - rate:  # not a finite float
+                rate = _as_finite(rate, f"transition {i} rate")
+            rates.append(rate)
+    cells = FinSet(len(raw))
+    return _built("transitions", theory.build, places, cells, tuple(src), tuple(tgt), tuple(rates))
+
+
+def _read_field(value: Any, theory: DecorationTheory) -> PolyVectorField:
+    _require_keys(value, ("places", "field"), (), f"{theory.kind} system")
+    places = _built("places", FinSet, value["places"])
+    raw = value["field"]
+    if not isinstance(raw, list):
+        raise ModelFormatError(f"field must be an array of {places.size} components")
+    components = []
+    for i, comp in enumerate(raw):
+        if not isinstance(comp, list):
+            raise ModelFormatError(f"field component {i} must be an array of terms")
+        sparse = []
+        for j, term in enumerate(comp):
+            if not isinstance(term, list) or len(term) != 2 or not isinstance(term[1], list):
+                raise ModelFormatError(
+                    f"field component {i} terms must look like [coefficient, [exponents]]"
+                )
+            c = term[0]
+            # a float is finite when c - c is 0.0, not NaN
+            if c.__class__ is not float or c - c:
+                c = _as_finite(c, f"field component {i} term {j} coefficient")
+            sparse.append((c, term[1]))
+        # each dense vector is read once, into the pairs the Poly keeps
+        try:
+            components.append(Poly._from_sparse(places.size, _sparse_terms(places.size, sparse)))
+        except ValueError as exc:
+            raise ModelFormatError(f"field component {i}: {exc}") from exc
+    return _built("field", PolyVectorField, places, tuple(components))
+
+
+class _Layout(NamedTuple):
+    """How a shape's system objects sit in a file.  `text`, if not None,
+    writes one with a value held out as its text (`_field_text`)."""
+
+    read: Callable[[Any, DecorationTheory], Decoration]
+    write: Callable[[Decoration], dict]
+    text: Optional[Callable[[Decoration], tuple[dict, str, list[str]]]]
+    structured: bool  # whether a cospan of the shape has a structured presentation
+
+
+_LAYOUTS = {
+    "graph": _Layout(_read_graph, _write_graph, None, True),
+    "petri": _Layout(_read_petri, _write_petri, None, True),
+    "field": _Layout(_read_field, _write_field, _field_text, False),
+}
+_KIND_LAYOUTS = {k: (decoration_theory(k), _LAYOUTS[decoration_theory(k).shape]) for k in KINDS}
+
+
+def _layout(kind: Any, refusal: Optional[str] = None) -> tuple[DecorationTheory, _Layout]:
+    """The kind's theory and its shape's layout; any other value is refused,
+    by default as an unknown kind."""
+    try:
+        return _KIND_LAYOUTS[kind]
+    except (KeyError, TypeError):
+        raise ModelFormatError(refusal or f"unknown kind {_short(kind)}") from None
+
+
+def system_to_json(system: Decoration) -> dict:
+    """The kind's base shape, plus its attribute column when it has one."""
+    _, layout = _layout(getattr(system, "kind", None), f"cannot serialize {type(system).__name__}")
+    return layout.write(system)
 
 
 def system_from_json(kind: str, value: Any) -> Decoration:
-    where = f"{kind} system"
-    if kind in ("graph", "lgraph"):
-        required = ("nodes", "edges", "src", "tgt") + (("labels",) if kind == "lgraph" else ())
-        _require_keys(value, required, (), where)
-        nodes = _built("nodes", FinSet, value["nodes"])
-        edges = _built("edges", FinSet, value["edges"])
-        graph = Graph(
-            nodes,
-            edges,
-            _finfunction(value["src"], edges, nodes, "src"),
-            _finfunction(value["tgt"], edges, nodes, "tgt"),
-        )
-        if kind == "graph":
-            return graph
-        labels = value["labels"]
-        if not isinstance(labels, list) or not all(
-            isinstance(l, (str, int, float, bool)) for l in labels
-        ):
-            raise ModelFormatError("labels must be an array of scalars")
-        for i, label in enumerate(labels):
-            if isinstance(label, float) and not math.isfinite(label):
-                raise ModelFormatError(f"edge {i} label must be finite, got {label!r}")
-        return _built("labels", LabeledGraph, graph, tuple(labels))
-    if kind in ("petri", "petri_rates"):
-        _require_keys(value, ("places", "transitions"), (), where)
-        places = _built("places", FinSet, value["places"])
-        raw = value["transitions"]
-        if not isinstance(raw, list):
-            raise ModelFormatError("transitions must be an array")
-        src, tgt, rates = [], [], []
-        per_transition = ("src", "tgt") + (("rate",) if kind == "petri_rates" else ())
-        for i, entry in enumerate(raw):
-            _require_keys(entry, per_transition, (), f"transition {i}")
-            src.append(_multiset_from_json(entry["src"], places, f"transition {i} src"))
-            tgt.append(_multiset_from_json(entry["tgt"], places, f"transition {i} tgt"))
-            if kind == "petri_rates":
-                rates.append(_as_finite(entry["rate"], f"transition {i} rate"))
-        net = PetriNet(places, FinSet(len(raw)), tuple(src), tuple(tgt))
-        if kind == "petri":
-            return net
-        return _built("transitions", PetriNetWithRates, net, tuple(rates))
-    if kind == "dynam":
-        _require_keys(value, ("places", "field"), (), where)
-        places = _built("places", FinSet, value["places"])
-        raw = value["field"]
-        if not isinstance(raw, list):
-            raise ModelFormatError(f"field must be an array of {places.size} components")
-        components = []
-        for i, comp in enumerate(raw):
-            if not isinstance(comp, list):
-                raise ModelFormatError(f"field component {i} must be an array of terms")
-            terms = []
-            for j, term in enumerate(comp):
-                if not isinstance(term, list) or len(term) != 2 or not isinstance(term[1], list):
-                    raise ModelFormatError(
-                        f"field component {i} terms must look like [coefficient, [exponents]]"
-                    )
-                coefficient = _as_finite(term[0], f"field component {i} term {j} coefficient")
-                terms.append((coefficient, term[1]))
-            # each dense vector is read once, into the pairs the Poly keeps
-            sparse = _built(f"field component {i}", _sparse_terms, places.size, terms)
-            components.append(
-                _built(f"field component {i}", Poly._from_sparse, places.size, sparse)
-            )
-        return _built("field", PolyVectorField, places, tuple(components))
-    raise ModelFormatError(f"unknown kind {_short(kind)}")
+    theory, layout = _layout(kind)
+    return layout.read(value, theory)
 
 
-def _foot(kind: str, representation: str, value: Any, where: str) -> tuple[FinSet, int]:
-    """A foot's node set and the number of cells it carries.  Structured
-    files may spell a foot as a system object instead of a size."""
-    if representation == "structured" and (not isinstance(value, int) or isinstance(value, bool)):
-        foot = system_from_json(kind, value)
-        return interface_of(foot), cells_of(foot).size
-    return _built(where, FinSet, value), 0
-
-
-def cospan_from_json(kind: str, representation: str, value: Any) -> Cospan:
-    """Both presentations are read as a decorated cospan, then presented."""
-    _require_keys(
-        value,
-        ("footLeft", "footRight", "legLeft", "legRight", "system", "representation"),
-        (),
-        "payload",
-    )
-    if value["representation"] != representation:
-        raise ModelFormatError(
-            "payload representation does not match the file's representation field"
-        )
-    system = system_from_json(kind, value["system"])
-    apex = interface_of(system)
-    if kind == "dynam" and representation != "decorated":
-        raise ModelFormatError("dynam models only have a decorated representation")
-    feet = [_foot(kind, representation, value[key], key) for key in ("footLeft", "footRight")]
-    legs = []
-    for (foot, cells), where in zip(feet, ("legLeft", "legRight")):
-        legs.append(_finfunction(value[where], foot, apex, where))
-        if cells:
-            raise NotInImageOfL(
-                f"{where}: foot carries {cells} cells and is not the image of a finite set"
-            )
-    (foot_left, _), (foot_right, _) = feet
-    return _present(DecoratedCospan(foot_left, foot_right, *legs, system), representation)
+# the keys of a names block: labels of places, of the left and of the right foot
+_NAME_KEYS = ("places", "footLeft", "footRight")
 
 
 @dataclass(frozen=True)
@@ -365,42 +366,40 @@ class Names:
 
     @staticmethod
     def from_json(value: Any) -> Names:
-        _require_keys(value, (), ("places", "footLeft", "footRight"), "names")
-
-        def str_list(key: str) -> Optional[tuple[str, ...]]:
-            if key not in value:
-                return None
-            raw = value[key]
+        _require_keys(value, (), _NAME_KEYS, "names")
+        for key in _NAME_KEYS:
+            raw = value.get(key, [])
             if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
                 raise ModelFormatError(f"names.{key} must be an array of strings")
             if len(set(raw)) != len(raw):
                 raise ModelFormatError(f"names.{key} must not repeat names")
-            return tuple(raw)
-
-        return Names(str_list("places"), str_list("footLeft"), str_list("footRight"))
+        return Names(*(tuple(value[key]) if key in value else None for key in _NAME_KEYS))
 
     def to_json(self) -> dict:
-        out: dict = {}
-        if self.places is not None:
-            out["places"] = list(self.places)
-        if self.foot_left is not None:
-            out["footLeft"] = list(self.foot_left)
-        if self.foot_right is not None:
-            out["footRight"] = list(self.foot_right)
-        return out
+        lists = zip(_NAME_KEYS, (self.places, self.foot_left, self.foot_right))
+        return {key: list(names) for key, names in lists if names is not None}
 
 
 @dataclass(frozen=True)
 class ModelFile:
-    """One model as stored on disk: a cospan of its kind plus bookkeeping."""
+    """One model as stored on disk: a cospan of its kind plus bookkeeping.
+    Each list of names it carries has one name per apex place or foot element."""
 
     kind: str
     payload: Cospan
     names: Optional[Names] = None
 
     def __post_init__(self) -> None:
-        if self.payload.kind != self.kind:
-            raise KindError(f"a {self.kind} model file cannot hold a {self.payload.kind} cospan")
+        payload, names = self.payload, self.names
+        if payload.kind != self.kind:
+            raise KindError(f"a {self.kind} model file cannot hold a {payload.kind} cospan")
+        if names is None:
+            return
+        lists = (names.places, names.foot_left, names.foot_right)
+        sizes = (payload.apex.size, payload.foot_left.size, payload.foot_right.size)
+        for label, got, want in zip(_NAME_KEYS, lists, sizes):
+            if got is not None and len(got) != want:
+                raise ModelFormatError(f"names.{label} has {len(got)} entries, expected {want}")
 
     @property
     def representation(self) -> str:
@@ -433,34 +432,44 @@ class ModelFile:
 
 
 def model_from_json(value: Any) -> ModelFile:
-    _require_keys(
-        value, ("version", "kind", "representation", "payload"), ("names",), "model file"
-    )
+    """Both presentations are read as a decorated cospan, then presented."""
+    _require_keys(value, ("version", "kind", "representation", "payload"), ("names",), "model file")
     if value["version"] != MODEL_VERSION:
         raise ModelFormatError(f"unsupported version {_short(value['version'])}")
-    kind = value["kind"]
-    if kind not in KINDS:
-        raise ModelFormatError(f"unknown kind {_short(kind)}")
+    theory, layout = _layout(value["kind"])
     representation = value["representation"]
     if representation not in ("structured", "decorated"):
         raise ModelFormatError(f"unknown representation {_short(representation)}")
-    payload = cospan_from_json(kind, representation, value["payload"])
+    payload = value["payload"]
+    fields = ("footLeft", "footRight", "legLeft", "legRight", "system", "representation")
+    _require_keys(payload, fields, (), "payload")
+    if payload["representation"] != representation:
+        raise ModelFormatError(
+            "payload representation does not match the file's representation field"
+        )
+    system = layout.read(payload["system"], theory)
+    apex = interface_of(system)
+    if representation != "decorated" and not layout.structured:
+        raise ModelFormatError(f"{theory.kind} models only have a decorated representation")
+    feet = []
+    for where in ("footLeft", "footRight"):
+        foot = payload[where]
+        if representation == "structured" and (not isinstance(foot, int) or isinstance(foot, bool)):
+            foot = layout.read(foot, theory)
+            feet.append((interface_of(foot), cells_of(foot).size))
+        else:
+            feet.append((_built(where, FinSet, foot), 0))
+    legs = []
+    for (foot, cells), where in zip(feet, ("legLeft", "legRight")):
+        legs.append(_finfunction(payload[where], foot, apex, where))
+        if cells:
+            raise NotInImageOfL(
+                f"{where}: foot carries {cells} cells and is not the image of a finite set"
+            )
+    (foot_left, _), (foot_right, _) = feet
+    cospan = _present(DecoratedCospan(foot_left, foot_right, *legs, system), representation)
     names = Names.from_json(value["names"]) if "names" in value else None
-    if names is not None:
-        _check_name_lengths(names, payload)
-    return ModelFile(kind, payload, names)
-
-
-def _check_name_lengths(names: Names, payload: Cospan) -> None:
-    apex = payload.apex.size
-    checks = (
-        ("places", names.places, apex),
-        ("footLeft", names.foot_left, payload.foot_left.size),
-        ("footRight", names.foot_right, payload.foot_right.size),
-    )
-    for label, got, want in checks:
-        if got is not None and len(got) != want:
-            raise ModelFormatError(f"names.{label} has {len(got)} entries, expected {want}")
+    return ModelFile(value["kind"], cospan, names)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -471,11 +480,26 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+# `json.load` builds a decoder on every call that passes a hook; this one serves every file
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _read_json(path: str) -> Any:
-    """A JSON file's value; invalid JSON and repeated keys in an object are refused."""
+    """A JSON file's value, decoded as text-mode reading would: universal
+    newlines, and a byte order mark refused.  Invalid UTF-8 or JSON and
+    repeated keys are refused."""
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.read()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, object_pairs_hook=_unique_keys)
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
+    except UnicodeDecodeError as exc:
+        where = f"{exc.reason} at byte {exc.start}"
+        raise ModelFormatError(f"{path} is not valid UTF-8: {where}") from exc
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError:
@@ -489,19 +513,14 @@ def load_model(path: str) -> ModelFile:
 
 
 def _model_text(model: ModelFile) -> str:
-    """The text of a model file: canonical_json(model.to_json()) + "\n".
-
-    A dynam field is not built as dense lists: its "field" value is written
-    from the sparse terms (`_field_pieces`), at the cost of the text, and
-    joined with the canonical JSON of the rest of the file, which is
-    serialized with "field" held out.  A field over `MAX_FIELD_EXPONENTS`
-    is refused before any text is built."""
-    system = model.payload.decoration
-    if getattr(system, "kind", None) != "dynam":
+    """The text of a model file: canonical_json(model.to_json()) + "\n".  A
+    value the layout holds out as text (the dynam field) is joined with the
+    canonical JSON of the rest of the file, not built as lists."""
+    _, layout = _layout(model.kind)
+    if layout.text is None:
         return canonical_json(model.to_json()) + "\n"
-    _check_dense_size(system)
-    document = model._json({"places": system.over.size})
-    pieces = _spliced(document, ("payload", "system", "field"), _field_pieces(system))
+    system, key, value = layout.text(model.payload.decoration)
+    pieces = _spliced(model._json(system), ("payload", "system", key), value)
     pieces.append("\n")
     return "".join(pieces)
 
@@ -545,90 +564,69 @@ def _flow_from_json(value: Any, where: str) -> PiecewiseConstant:
     values = value["values"]
     if not isinstance(breakpoints, list) or not isinstance(values, list):
         raise ModelFormatError(f"{where} breakpoints and values must be arrays")
-    return _built(
-        where,
-        PiecewiseConstant,
-        tuple(_as_finite(x, f"{where} breakpoints") for x in breakpoints),
-        tuple(_as_finite(x, f"{where} values") for x in values),
-    )
+    breakpoints = tuple(_as_finite(x, f"{where} breakpoints") for x in breakpoints)
+    values = tuple(_as_finite(x, f"{where} values") for x in values)
+    return _built(where, PiecewiseConstant, breakpoints, values)
 
 
 def sim_config_from_json(value: Any) -> SimConfig:
-    _require_keys(
-        value, ("t0", "t1", "dt", "initialState"), ("inflows", "outflows"), "sim config"
-    )
-    numbers = {}
-    for key in ("t0", "t1", "dt"):
-        numbers[key] = _as_finite(value[key], key)
-    if not numbers["dt"] > 0.0:
-        raise ModelValidationError(f"dt must be positive, got {numbers['dt']}")
-    if not numbers["t1"] > numbers["t0"]:
-        raise ModelValidationError(
-            f"need t1 > t0, got [{numbers['t0']}, {numbers['t1']}]"
-        )
+    _require_keys(value, ("t0", "t1", "dt", "initialState"), ("inflows", "outflows"), "sim config")
+    t0, t1, dt = [_as_finite(value[key], key) for key in ("t0", "t1", "dt")]
+    if not dt > 0.0:
+        raise ModelValidationError(f"dt must be positive, got {dt}")
+    if not t1 > t0:
+        raise ModelValidationError(f"need t1 > t0, got [{t0}, {t1}]")
     initial = value["initialState"]
     if not isinstance(initial, dict):
         raise ModelFormatError("initialState must map place names to numbers")
     initial = {name: _as_finite(v, _entry("initialState", name)) for name, v in initial.items()}
-    flows = {}
+    flows = []
     for key in ("inflows", "outflows"):
         block = value.get(key, {})
         if not isinstance(block, dict):
             raise ModelFormatError(f"{key} must be an object")
-        flows[key] = {
-            name: _flow_from_json(raw, _entry(key, name)) for name, raw in block.items()
-        }
-    return SimConfig(
-        numbers["t0"],
-        numbers["t1"],
-        numbers["dt"],
-        initial,
-        flows["inflows"],
-        flows["outflows"],
-    )
+        flows.append({name: _flow_from_json(raw, _entry(key, name)) for name, raw in block.items()})
+    return SimConfig(t0, t1, dt, initial, *flows)
 
 
 def load_sim_config(path: str) -> SimConfig:
     return sim_config_from_json(_read_json(path))
 
 
+# the kinds a simulation runs, each with whether it is gray-boxed first
+_SIMULATED = {"dynam": False, "petri_rates": True}
+
+
 def resolve_simulation(
     model: ModelFile, config: SimConfig
 ) -> tuple[OpenDynam, FlowSchedule, list[float], Names]:
     """Turn named config entries into positional state and flow schedules."""
-    if model.kind not in ("dynam", "petri_rates"):
+    grayboxed = _SIMULATED.get(model.kind)
+    if grayboxed is None:
         raise ModelValidationError(
             f"simulation needs a dynam or petri_rates model, got kind {model.kind!r}"
         )
     # refuse an over-cap run before gray-boxing and naming every place
     _full_steps(config.t0, config.t1, config.dt, model.payload.apex.size)
-    system = graybox(model.payload) if model.kind == "petri_rates" else model.payload
+    system = graybox(model.payload) if grayboxed else model.payload
     names = default_names(model)
     assert names.places is not None and names.foot_left is not None
     assert names.foot_right is not None
-    place_index = {name: i for i, name in enumerate(names.places)}
-    state = [0.0] * len(names.places)
-    for name, val in config.initial.items():
-        if name not in place_index:
-            raise ModelValidationError(f"initialState names unknown place {_short(name)}")
-        state[place_index[name]] = val
 
-    def resolve(block: dict[str, PiecewiseConstant], known: tuple[str, ...], label: str):
+    def resolve(block: dict, known: tuple[str, ...], zero: Any, unknown: str) -> list:
         index = {name: i for i, name in enumerate(known)}
-        out = [PiecewiseConstant.ZERO] * len(known)
-        for name, flow in block.items():
+        out = [zero] * len(known)
+        for name, value in block.items():
             if name not in index:
-                raise ModelValidationError(
-                    f"{label} names unknown boundary element {_short(name)}"
-                )
-            out[index[name]] = flow
-        return tuple(out)
+                raise ModelValidationError(f"{unknown} {_short(name)}")
+            out[index[name]] = value
+        return out
 
-    schedule = FlowSchedule(
-        resolve(config.inflows, names.foot_left, "inflows"),
-        resolve(config.outflows, names.foot_right, "outflows"),
-    )
-    return system, schedule, state, names
+    state = resolve(config.initial, names.places, 0.0, "initialState names unknown place")
+    zero, unknown = PiecewiseConstant.ZERO, "names unknown boundary element"
+    inflows = resolve(config.inflows, names.foot_left, zero, f"inflows {unknown}")
+    outflows = resolve(config.outflows, names.foot_right, zero, f"outflows {unknown}")
+    return system, FlowSchedule(tuple(inflows), tuple(outflows)), state, names
 
 
 def _csv_field(name: str) -> str:

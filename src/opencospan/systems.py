@@ -135,8 +135,9 @@ class Multiset:
     def __post_init__(self, over: FinSet, pairs: tuple[tuple[int, int], ...]) -> None:
         """Check the pairs, in O(len(pairs)), and set the fields."""
         _check_pairs(pairs, over.size)
-        object.__setattr__(self, "over", over)
-        object.__setattr__(self, "pairs", pairs)
+        # the frozen fields, set in the __dict__ where object.__setattr__ sets them
+        fields = self.__dict__
+        fields["over"], fields["pairs"] = over, pairs
 
     @classmethod
     def _from_pairs(cls, over: FinSet, pairs: tuple[tuple[int, int], ...]) -> Multiset:
@@ -184,8 +185,8 @@ class Multiset:
         pairs = _push_pairs(self.pairs, f.table)
         _check_pairs(pairs, cod.size)
         ms = object.__new__(Multiset)
-        object.__setattr__(ms, "over", cod)
-        object.__setattr__(ms, "pairs", pairs)
+        fields = ms.__dict__
+        fields["over"], fields["pairs"] = cod, pairs
         return ms
 
     def total(self) -> int:
@@ -299,7 +300,7 @@ class PetriNetWithRates(_Attributed):
     attrs = property(attrgetter("rates"))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
+        object.__setattr__(self, "rates", tuple(map(float, self.rates)))
         if len(self.rates) != self.net.transitions.size:
             raise ValueError(
                 f"{len(self.rates)} rates for {self.net.transitions.size} transitions"
@@ -607,8 +608,8 @@ class Poly:
             if last is not None and not last < key:
                 raise ValueError("terms must be sorted by distinct exponent vectors")
             last = key
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "sparse", sparse)
+        fields = self.__dict__
+        fields["nvars"], fields["sparse"] = nvars, sparse
 
     @classmethod
     def _from_sparse(cls, nvars: int, sparse: tuple[tuple[float, Support], ...]) -> Poly:

@@ -1213,6 +1213,8 @@ UNREADABLE_FILES = [
     ("bom", b"\xef\xbb\xbf{}",
      "is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
     ("deep", b"[" * 100_000 + b"]" * 100_000, "is not valid JSON: nested too deeply"),
+    ("utf-16", b"\xff\xfe{}", "is not valid UTF-8: invalid start byte at byte 0"),
+    ("cut", b'{"\xe2\x82', "is not valid UTF-8: unexpected end of data at byte 2"),
 ]
 
 

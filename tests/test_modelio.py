@@ -124,6 +124,26 @@ def test_a_model_file_refuses_a_payload_of_another_kind(tmp_path):
     with pytest.raises(KindError, match="dynam.*petri_rates"):
         ModelFile("dynam", to_structured(sir_open_net()))
 
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (Names(("S",), None, None), "names.places has 1 entries, expected 3"),
+        (Names(None, ("i1",), None), "names.footLeft has 1 entries, expected 3"),
+        (Names(("S", "I", "R"), None, ("o1", "o2")), "names.footRight has 2 entries, expected 1"),
+    ],
+)
+def test_a_model_file_refuses_names_that_do_not_fit_as_loading_does(tmp_path, names, message):
+    out = tmp_path / "out.json"
+    with pytest.raises(ModelFormatError) as built:
+        save_model(str(out), ModelFile("petri_rates", sir_open_net(), names))
+    assert str(built.value) == message and not out.exists()
+    raw = ModelFile("petri_rates", sir_open_net()).to_json()
+    raw["names"] = names.to_json()
+    with pytest.raises(ModelFormatError) as loaded:
+        model_from_json(raw)
+    assert str(loaded.value) == message
+
 # dynam models only have a decorated representation
 PRESENTED_KINDS = [
     (kind, representation)
@@ -154,7 +174,8 @@ def test_a_saved_file_is_the_canonical_json_of_its_model(tmp_path, kind, represe
 
 def test_saving_a_grayboxed_net_builds_no_dense_exponent_list(tmp_path, monkeypatch):
     net = random_cospan(Random("no dense save"), "petri_rates", 2, 2, max_apex=9, max_cells=9)
-    model = ModelFile("dynam", graybox(net), Names(places=tuple(f"s{i}" for i in range(9))))
+    names = Names(places=tuple(f"s{i}" for i in range(net.apex.size)))
+    model = ModelFile("dynam", graybox(net), names)
     want = canonical_json(model.to_json()) + "\n"
 
     def dense_of(*args):
@@ -457,6 +478,12 @@ MULTISET_COUNTS = st.one_of(
 )
 
 
+def read_in_a_net(value, places, where):
+    """The multiset as the loader reads it: transition 0's src in a net."""
+    net = {"places": places.size, "transitions": [{"src": value, "tgt": {}}]}
+    return modelio.system_from_json("petri", net).src[0]
+
+
 def outcome(read, value, places):
     try:
         ms = read(value, places, "transition 0 src")
@@ -476,9 +503,7 @@ def outcome(read, value, places):
 @example(value={"2": -1, "0": 1.5}, size=3)
 def test_reading_a_multiset_matches_parsing_then_from_dict(value, size):
     places = FinSet(size)
-    assert outcome(modelio._multiset_from_json, value, places) == outcome(
-        parsed_then_from_dict, value, places
-    )
+    assert outcome(read_in_a_net, value, places) == outcome(parsed_then_from_dict, value, places)
 
 
 def test_names_must_fit_and_not_repeat():
