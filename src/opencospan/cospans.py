@@ -95,10 +95,12 @@ class DecoratedCospan:
 
     def __post_init__(self) -> None:
         apex = interface_of(self.decoration)
-        if self.leg_left.dom != self.foot_left or self.leg_left.cod != apex:
-            raise ValueError("left leg must map the left foot into the apex")
-        if self.leg_right.dom != self.foot_right or self.leg_right.cod != apex:
-            raise ValueError("right leg must map the right foot into the apex")
+        # sets are compared by identity before equality: a leg most often
+        # starts at the very foot object and ends at the apex object
+        legs = (("left", self.leg_left, self.foot_left), ("right", self.leg_right, self.foot_right))
+        for side, leg, foot in legs:
+            if leg.dom is not foot and leg.dom != foot or leg.cod is not apex and leg.cod != apex:
+                raise ValueError(f"{side} leg must map the {side} foot into the apex")
 
     @property
     def apex(self) -> FinSet:
@@ -472,7 +474,7 @@ def _cell_keys(system: System, h: Optional[FinFunction] = None):
     """Each cell's key (consumed support, produced support,
     label_key(attribute)), in cell order; the ends move along h if given."""
     theory = decoration_theory(system.kind)
-    src, tgt = system.ends
+    src, tgt = system.src, system.tgt
     if h is not None:
         src, tgt = theory.move(src, h), theory.move(tgt, h)
     attrs = system.attrs

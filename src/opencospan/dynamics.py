@@ -40,10 +40,10 @@ from .finset import EMPTY, FinFunction, FinSet
 # the field algebra is imported back so that every dynamics.X name still resolves
 from .systems import (  # noqa: F401
     COEFF_DROP,
-    PetriNetWithRates,
     Poly,
     PolyVectorField,
     Support,
+    System,
     field_close,
     poly_add,
     poly_close,
@@ -52,7 +52,7 @@ from .systems import (  # noqa: F401
 from .cospans import Cospan, DecoratedCospan, _present, cospan_iso, hcompose
 
 
-def mass_action(net: PetriNetWithRates) -> PolyVectorField:
+def mass_action(net: System) -> PolyVectorField:
     """The mass-action field of a rated net.
 
     Each transition fires at its rate times the product of its input
@@ -62,9 +62,9 @@ def mass_action(net: PetriNetWithRates) -> PolyVectorField:
     transition changes share one zero component: the cost is the size of
     the net, not places times terms.
     """
-    n = net.places.size
+    n = net.interface.size
     raw: dict[int, list[tuple[float, Support]]] = {}
-    for consumed, produced, rate in zip(net.net.src, net.net.tgt, net.rates):
+    for consumed, produced, rate in zip(net.src, net.tgt, net.attrs):
         support = consumed.pairs
         deltas = dict(produced.pairs)
         for p, k in support:
@@ -74,7 +74,7 @@ def mass_action(net: PetriNetWithRates) -> PolyVectorField:
                 raw.setdefault(p, []).append((rate * delta, support))
     zero = Poly.zero(n)
     return PolyVectorField(
-        net.places, tuple([Poly._canonical(n, raw[p]) if p in raw else zero for p in range(n)])
+        net.interface, tuple([Poly._canonical(n, raw[p]) if p in raw else zero for p in range(n)])
     )
 
 

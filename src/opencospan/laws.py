@@ -20,10 +20,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .errors import OpenCospanError
 from .finset import FinFunction, FinSet, PushoutResult, compose, copair, induced, pushout
 from .systems import (
-    Graph,
     Multiset,
-    PetriNet,
-    PetriNetWithRates,
     System,
     SystemMorphism,
     compose_morphism,
@@ -90,13 +87,13 @@ def _open(left_legs: Sequence[int], right_legs: Sequence[int], system: System) -
 
 def _rated(
     places: int, transitions: Sequence[tuple[Sequence[int], Sequence[int], float]]
-) -> PetriNetWithRates:
+) -> System:
     """A rated net, one transition per (consumed counts, produced counts, rate)."""
     p = FinSet(places)
     src = tuple(Multiset(p, tuple(consumed)) for consumed, _, _ in transitions)
     tgt = tuple(Multiset(p, tuple(produced)) for _, produced, _ in transitions)
-    net = PetriNet(p, FinSet(len(transitions)), src, tgt)
-    return PetriNetWithRates(net, tuple(rate for _, _, rate in transitions))
+    rates = tuple(rate for _, _, rate in transitions)
+    return System("petri_rates", p, FinSet(len(transitions)), src, tgt, rates)
 
 
 def sir_open_net() -> DecoratedCospan:
@@ -116,7 +113,7 @@ def sir_halves() -> tuple[DecoratedCospan, DecoratedCospan]:
     return left, right
 
 
-def water_net() -> PetriNetWithRates:
+def water_net() -> System:
     """One reaction turning two units of the first species and one of the
     second into one of the third."""
     return _rated(3, [((2, 1, 0), (0, 0, 1), 1.0)])
@@ -130,10 +127,8 @@ def decay_open_net(rate: float = 0.5) -> DecoratedCospan:
 def intro_open_graph() -> DecoratedCospan:
     """A four-node, five-edge graph exposing its first node on the left and
     its last node on the right."""
-    nodes, edges = FinSet(4), FinSet(5)
-    src = FinFunction(edges, nodes, (0, 0, 1, 2, 1))
-    tgt = FinFunction(edges, nodes, (1, 2, 3, 3, 2))
-    return _open((0,), (3,), Graph(nodes, edges, src, tgt))
+    graph = System("graph", FinSet(4), FinSet(5), (0, 0, 1, 2, 1), (1, 2, 3, 3, 2))
+    return _open((0,), (3,), graph)
 
 
 # ---------------------------------------------------------------------------
@@ -544,21 +539,21 @@ def _random_rated_candidate(rng: Random) -> tuple[SystemMorphism, bool]:
     dom = random_system(rng, "petri_rates", places, max_cells=n_trans)
     cod_places = FinSet(rng.randint(1, 4))
     f = random_function(rng, places, cod_places)
-    n_out = rng.randint(0 if dom.transitions.size == 0 else 1, 3)
+    n_out = rng.randint(0 if dom.cells.size == 0 else 1, 3)
     cod_trans = FinSet(n_out)
-    g = random_function(rng, dom.transitions, cod_trans)
+    g = random_function(rng, dom.cells, cod_trans)
 
     src = [Multiset.zero(cod_places)] * n_out
     tgt = [Multiset.zero(cod_places)] * n_out
     rates = [0.0] * n_out
     hit = [False] * n_out
-    for t in dom.transitions:
+    for t in dom.cells:
         image = g.table[t]
-        pushed_src = dom.net.src[t].pushforward(f)
-        pushed_tgt = dom.net.tgt[t].pushforward(f)
+        pushed_src = dom.src[t].pushforward(f)
+        pushed_tgt = dom.tgt[t].pushforward(f)
         if not hit[image]:
             src[image], tgt[image], hit[image] = pushed_src, pushed_tgt, True
-        rates[image] += dom.rates[t]
+        rates[image] += dom.attrs[t]
     for t_out in range(n_out):
         if not hit[t_out]:
             src[t_out] = Multiset(
@@ -573,22 +568,21 @@ def _random_rated_candidate(rng: Random) -> tuple[SystemMorphism, bool]:
         bumped = list(src[victim].counts)
         bumped[rng.randrange(cod_places.size)] += 1
         src[victim] = Multiset(cod_places, tuple(bumped))
-    cod = PetriNetWithRates(
-        PetriNet(cod_places, cod_trans, tuple(src), tuple(tgt)),
-        tuple(max(r, 0.0) for r in rates),
+    cod = System(
+        "petri_rates", cod_places, cod_trans, src, tgt, tuple(max(r, 0.0) for r in rates)
     )
     candidate = SystemMorphism(dom, cod, f, g)
 
     # independent verdict, recomputed from the definition
     valid = True
-    for t in dom.transitions:
-        if dom.net.src[t].pushforward(f) != cod.net.src[g.table[t]]:
+    for t in dom.cells:
+        if dom.src[t].pushforward(f) != cod.src[g.table[t]]:
             valid = False
-        if dom.net.tgt[t].pushforward(f) != cod.net.tgt[g.table[t]]:
+        if dom.tgt[t].pushforward(f) != cod.tgt[g.table[t]]:
             valid = False
-    for t_out in cod.transitions:
-        fiber = [dom.rates[t] for t in dom.transitions if g.table[t] == t_out]
-        if sum(fiber) != cod.rates[t_out]:
+    for t_out in cod.cells:
+        fiber = [dom.attrs[t] for t in dom.cells if g.table[t] == t_out]
+        if sum(fiber) != cod.attrs[t_out]:
             valid = False
     return candidate, valid
 

@@ -49,7 +49,6 @@ from .systems import (
     KINDS,
     Decoration,
     DecorationTheory,
-    Graph,
     Multiset,
     Poly,
     PolyVectorField,
@@ -124,22 +123,20 @@ def _finfunction(value: Any, dom: FinSet, cod: FinSet, where: str) -> FinFunctio
 
 
 def _write_graph(system: System) -> dict:
-    src, tgt = system.ends
     out = {"nodes": interface_of(system).size, "edges": cells_of(system).size,
-           "src": list(src), "tgt": list(tgt)}
+           "src": list(system.src), "tgt": list(system.tgt)}
     if system.attrs is not None:
         out["labels"] = list(system.attrs)
     return out
 
 
 def _write_petri(system: System) -> dict:
-    src, tgt = system.ends
     transitions = [
         {
             "src": {str(p): k for p, k in consumed.pairs},
             "tgt": {str(p): k for p, k in produced.pairs},
         }
-        for consumed, produced in zip(src, tgt)
+        for consumed, produced in zip(system.src, system.tgt)
     ]
     for entry, rate in zip(transitions, system.attrs or ()):
         entry["rate"] = rate
@@ -208,15 +205,15 @@ def _spliced(obj: dict, path: tuple[str, ...], pieces: list[str]) -> list[str]:
 
 
 def _read_graph(value: Any, theory: DecorationTheory) -> System:
-    attributed = theory._attributed
+    attributed = theory.attributed
     required = ("nodes", "edges", "src", "tgt") + (("labels",) if attributed else ())
     _require_keys(value, required, (), f"{theory.kind} system")
     nodes = _built("nodes", FinSet, value["nodes"])
     edges = _built("edges", FinSet, value["edges"])
-    src = _finfunction(value["src"], edges, nodes, "src")
-    graph = Graph(nodes, edges, src, _finfunction(value["tgt"], edges, nodes, "tgt"))
-    if attributed is None:
-        return graph
+    src = _finfunction(value["src"], edges, nodes, "src").table
+    tgt = _finfunction(value["tgt"], edges, nodes, "tgt").table
+    if not attributed:
+        return theory.build(nodes, edges, src, tgt, None)
     labels = value["labels"]
     scalars = (str, int, float, bool)
     if not isinstance(labels, list) or not all([isinstance(x, scalars) for x in labels]):
@@ -224,7 +221,7 @@ def _read_graph(value: Any, theory: DecorationTheory) -> System:
     for i, label in enumerate(labels):
         if isinstance(label, float) and not math.isfinite(label):
             raise ModelFormatError(f"edge {i} label must be finite, got {label!r}")
-    return _built("labels", attributed, graph, tuple(labels))
+    return _built("labels", theory.build, nodes, edges, src, tgt, tuple(labels))
 
 
 # the plain keys of the first places, each with its place: a key found here is not parsed
@@ -267,7 +264,7 @@ def _read_petri(value: Any, theory: DecorationTheory) -> System:
     raw = value["transitions"]
     if not isinstance(raw, list):
         raise ModelFormatError("transitions must be an array")
-    rated = theory._attributed is not None
+    rated = theory.attributed
     fields = ("src", "tgt", "rate") if rated else ("src", "tgt")
     exact = frozenset(fields)
     src, tgt, rates = [], [], []
@@ -282,7 +279,7 @@ def _read_petri(value: Any, theory: DecorationTheory) -> System:
                 rate = _as_finite(rate, f"transition {i} rate")
             rates.append(rate)
     cells = FinSet(len(raw))
-    return _built("transitions", theory.build, places, cells, tuple(src), tuple(tgt), tuple(rates))
+    return _built("transitions", theory.build, places, cells, src, tgt, rates if rated else None)
 
 
 def _read_field(value: Any, theory: DecorationTheory) -> PolyVectorField:

@@ -9,15 +9,18 @@ assigns to a finite set N of nodes (places) the collection of structures
 over N; relabeling along a function, disjoint union, and the structureless
 decoration make those collections compose.
 
-Every cell system is read the same way, whatever its kind: a node set and
-a cell set (`interface_of`, `cells_of`), the two ends of each cell
-(`system.ends`: node indices for graph kinds, `Multiset`s of places for
-Petri kinds), and an optional attribute column (`system.attrs`: the labels
-of an lgraph, the rates of a rated net, None otherwise).  Each operation
-below is written once on that reading.  What differs between kinds (how an
-end moves along a node map, how a system is built back from its parts,
-what its attributes demand of a morphism) is the kind's rule, held by its
-`DecorationTheory` and looked up once per operation.
+Every cell system, whatever its kind, is one record, `System`: a node set
+and a cell set (`interface`, `cells`), the two ends of each cell (`src`,
+`tgt`: node indices for graph kinds, `Multiset`s of places for Petri kinds),
+and an attribute column (`attrs`: the labels of an lgraph, the rates of a
+rated net, None otherwise).  The kinds differ only in their rules
+(`_SHAPES`, `_KIND_RULES`): what an end is and how it is checked and moved
+along a node map, what the attribute column must hold, and what it demands
+of a morphism.  A record is checked by those rules when it is built, and
+each operation below is written once on the record, reading the rules from
+the kind's `DecorationTheory`, looked up once per operation.  `Graph`,
+`PetriNet`, `LabeledGraph` and `PetriNetWithRates` build a record of their
+kind from the parts they are named for.
 
 The "dynam" row of the kind table rests on the field algebra kept beside
 it (`Poly`, `PolyVectorField`, `pushforward_field`): a field has no cells,
@@ -120,8 +123,9 @@ class Multiset:
 
     Every stored pair passes `_check_pairs` once.  `pushforward` runs that
     check on the moved pairs itself and stores them directly, and it (like
-    `PetriNet`) compares place sets by identity before equality: the set a
-    multiset lives over is most often the very object a map starts from."""
+    a Petri system's end check) compares place sets by identity before
+    equality: the set a multiset lives over is most often the very object a
+    map starts from."""
 
     over: FinSet
     pairs: tuple[tuple[int, int], ...]
@@ -193,127 +197,85 @@ class Multiset:
         return sum(k for _, k in self.pairs)
 
 
-@dataclass(frozen=True)
-class Graph:
-    """A directed multigraph: parallel edges and loops allowed."""
+@dataclass(frozen=True, init=False, eq=False)
+class System:
+    """A cell system of one kind: a node set (`interface`), a cell set
+    (`cells`), the two ends of each cell (`src`, `tgt`: node indices in the
+    graph shape, `Multiset`s of places in the Petri shape) and an attribute
+    column (`attrs`: the labels of an lgraph, the rates of a rated net, None
+    for the other kinds).
 
-    nodes: FinSet
-    edges: FinSet
-    src: FinFunction
-    tgt: FinFunction
-
-    kind = "graph"
-    attrs = None
-
-    def __post_init__(self) -> None:
-        for name, leg in (("src", self.src), ("tgt", self.tgt)):
-            if leg.dom != self.edges or leg.cod != self.nodes:
-                raise ValueError(f"{name} must map edges to nodes")
-
-    interface = property(attrgetter("nodes"))
-    cells = property(attrgetter("edges"))
-    ends = property(attrgetter("src.table", "tgt.table"))
-
-
-@dataclass(frozen=True)
-class PetriNet:
-    """A Petri net: each transition consumes and produces multisets of places."""
-
-    places: FinSet
-    transitions: FinSet
-    src: tuple[Multiset, ...]
-    tgt: tuple[Multiset, ...]
-
-    kind = "petri"
-    attrs = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "src", tuple(self.src))
-        object.__setattr__(self, "tgt", tuple(self.tgt))
-        places = self.places
-        for name, side in (("src", self.src), ("tgt", self.tgt)):
-            if len(side) != self.transitions.size:
-                raise ValueError(
-                    f"{len(side)} {name} multisets for {self.transitions.size} transitions"
-                )
-            for i, ms in enumerate(side):
-                if ms.over is not places and ms.over != places:
-                    raise ValueError(f"{name}[{i}] is a multiset over the wrong place set")
-
-    interface = property(attrgetter("places"))
-    cells = property(attrgetter("transitions"))
-    ends = property(attrgetter("src", "tgt"))
-
-
-class _Attributed:
-    """An unattributed system (`base`) with one attribute per cell (`attrs`).
-
-    Two such systems are equal when their bases are and their attributes
-    agree by `label_key`, cell by cell; hashing follows the same rule.
+    It is checked when built, by its kind's rules (`_KIND_RULES`): first its
+    shape's end check, then the kind's attribute check, which stores the
+    column as a tuple (rates as floats); an attributed kind reads None as
+    the empty column.  Two systems are equal when their kinds, parts and
+    attributes are, attributes compared by `label_key`, so 1, 1.0 and True
+    are three different labels; hashing follows the same rule.
     """
 
-    interface = property(attrgetter("base.interface"))
-    cells = property(attrgetter("base.cells"))
-    ends = property(attrgetter("base.ends"))
+    kind: str
+    interface: FinSet
+    cells: FinSet
+    src: tuple
+    tgt: tuple
+    attrs: Optional[tuple]
+
+    def __init__(
+        self, kind: str, interface: FinSet, cells: FinSet, src: Sequence, tgt: Sequence, attrs=None
+    ) -> None:
+        try:
+            shape, check_attrs, _, _ = _KIND_RULES[kind]
+        except (KeyError, TypeError):
+            if kind in KINDS:
+                raise KindError(f"{kind} decorations have no cells") from None
+            raise KindError(f"unknown system kind {kind!r}") from None
+        src, tgt = tuple(src), tuple(tgt)
+        _SHAPES[shape][2](interface, cells, src, tgt)
+        if check_attrs is not None:
+            attrs = check_attrs(cells, () if attrs is None else attrs)
+        elif attrs is not None:
+            raise ValueError(f"{kind} systems carry no attributes, got {_short(attrs)}")
+        # the frozen fields, set in the __dict__ where object.__setattr__ sets them
+        fields = self.__dict__
+        fields["kind"], fields["interface"], fields["cells"] = kind, interface, cells
+        fields["src"], fields["tgt"], fields["attrs"] = src, tgt, attrs
+
+    def _key(self) -> tuple:
+        attrs = self.attrs
+        types = None if attrs is None else tuple(map(type, attrs))
+        return (self.kind, self.interface, self.cells, self.src, self.tgt, attrs, types)
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
+        if other.__class__ is not System:
             return NotImplemented
-        return (
-            self.base == other.base
-            and self.attrs == other.attrs
-            and list(map(type, self.attrs)) == list(map(type, other.attrs))
-        )
+        return self is other or self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.base, self.attrs, tuple(map(type, self.attrs))))
+        return hash(self._key())
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledGraph(_Attributed):
+def Graph(nodes: FinSet, edges: FinSet, src: FinFunction, tgt: FinFunction) -> System:
+    """A directed multigraph, its ends given as maps edges -> nodes: parallel
+    edges and loops allowed."""
+    for name, leg in (("src", src), ("tgt", tgt)):
+        if leg.dom != edges or leg.cod != nodes:
+            raise ValueError(f"{name} must map edges to nodes")
+    return System("graph", nodes, edges, src.table, tgt.table)
+
+
+def PetriNet(places: FinSet, transitions: FinSet, src: Sequence, tgt: Sequence) -> System:
+    """A Petri net: each transition consumes and produces multisets of places."""
+    return System("petri", places, transitions, src, tgt)
+
+
+def LabeledGraph(graph: System, labels: Sequence[Label]) -> System:
     """A graph with one opaque label per edge; labels compare exactly."""
-
-    graph: Graph
-    labels: tuple[Label, ...]
-
-    kind = "lgraph"
-    base = property(attrgetter("graph"))
-    attrs = property(attrgetter("labels"))
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) != self.graph.edges.size:
-            raise ValueError(
-                f"{len(self.labels)} labels for {self.graph.edges.size} edges"
-            )
+    return System("lgraph", graph.interface, graph.cells, graph.src, graph.tgt, labels)
 
 
-@dataclass(frozen=True, eq=False)
-class PetriNetWithRates(_Attributed):
+def PetriNetWithRates(net: System, rates: Sequence[float]) -> System:
     """A Petri net together with a nonnegative rate constant per transition."""
-
-    net: PetriNet
-    rates: tuple[float, ...]
-
-    kind = "petri_rates"
-    base = property(attrgetter("net"))
-    attrs = property(attrgetter("rates"))
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", tuple(map(float, self.rates)))
-        if len(self.rates) != self.net.transitions.size:
-            raise ValueError(
-                f"{len(self.rates)} rates for {self.net.transitions.size} transitions"
-            )
-        for i, r in enumerate(self.rates):
-            if not (r >= 0.0):
-                raise ValueError(f"rate at transition {i} must be nonnegative, got {r}")
-
-    places = property(attrgetter("net.places"))
-    transitions = property(attrgetter("net.transitions"))
-
-
-System = Union[Graph, LabeledGraph, PetriNet, PetriNetWithRates]
+    return System("petri_rates", net.interface, net.cells, net.src, net.tgt, rates)
 
 
 def _lacks(value: object, what: str) -> KindError:
@@ -369,13 +331,13 @@ class SystemMorphism:
             raise KindError(
                 f"morphism between kinds {self.dom.kind!r} and {self.cod.kind!r}"
             )
-        if self.node_map.dom != interface_of(self.dom) or self.node_map.cod != interface_of(self.cod):
-            raise MorphismShapeError("node map does not fit the two systems")
-        if self.edge_map.dom != cells_of(self.dom) or self.edge_map.cod != cells_of(self.cod):
-            raise MorphismShapeError("edge map does not fit the two systems")
-
-    place_map = property(attrgetter("node_map"))
-    transition_map = property(attrgetter("edge_map"))
+        # sets are compared by identity before equality: a map most often
+        # starts and ends at the very sets of the two systems
+        maps = (("node", self.node_map, interface_of), ("edge", self.edge_map, cells_of))
+        for name, f, part in maps:
+            a, b = part(self.dom), part(self.cod)
+            if f.dom is not a and f.dom != a or f.cod is not b and f.cod != b:
+                raise MorphismShapeError(f"{name} map does not fit the two systems")
 
     @staticmethod
     def identity(system: System) -> SystemMorphism:
@@ -415,7 +377,7 @@ def validate_morphism(m: SystemMorphism, check_rates: bool = True) -> list[str]:
     """
     theory = decoration_theory(m.dom.kind)
     g = m.edge_map.table
-    (d_src, d_tgt), (c_src, c_tgt) = m.dom.ends, m.cod.ends
+    d_src, d_tgt, c_src, c_tgt = m.dom.src, m.dom.tgt, m.cod.src, m.cod.tgt
     src_fault, tgt_fault = theory.end_faults
     violations: list[str] = []
     moved = zip(theory.move(d_src, m.node_map), theory.move(d_tgt, m.node_map))
@@ -442,12 +404,11 @@ def system_union(x: System, f: FinFunction, y: System, g: FinFunction) -> System
         raise MorphismShapeError("union maps must start at the two node sets and share a target")
     theory = decoration_theory(x.kind)
     move = theory.move
-    (x_src, x_tgt), (y_src, y_tgt) = x.ends, y.ends
     return theory.build(
         f.cod,
         FinSet(cells_of(x).size + cells_of(y).size),
-        move(x_src, f) + move(y_src, g),
-        move(x_tgt, f) + move(y_tgt, g),
+        move(x.src, f) + move(y.src, g),
+        move(x.tgt, f) + move(y.tgt, g),
         None if x.attrs is None else x.attrs + y.attrs,
     )
 
@@ -503,12 +464,11 @@ def system_pushout(
             [x_column[z] for z in reps if z < x_cells], node_po.left
         ) + theory.move([y_column[z - x_cells] for z in reps if z >= x_cells], node_po.right)
 
-    (x_src, x_tgt), (y_src, y_tgt) = x.ends, y.ends
     out = theory.build(
         node_po.apex,
         edge_po.apex,
-        glued(x_src, y_src),
-        glued(x_tgt, y_tgt),
+        glued(x.src, y.src),
+        glued(x.tgt, y.tgt),
         None if x.attrs is None else tuple(map((x.attrs + y.attrs).__getitem__, reps)),
     )
     return (
@@ -528,10 +488,8 @@ def relabel(f: FinFunction, system: System) -> System:
     if f.dom != interface_of(system):
         raise MorphismShapeError("relabeling map must start at the system's node set")
     theory = decoration_theory(system.kind)
-    src, tgt = system.ends
-    return theory.build(
-        f.cod, cells_of(system), theory.move(src, f), theory.move(tgt, f), system.attrs
-    )
+    src, tgt = theory.move(system.src, f), theory.move(system.tgt, f)
+    return theory.build(f.cod, cells_of(system), src, tgt, system.attrs)
 
 
 # -- the field algebra: the decorations of the "dynam" kind
@@ -781,6 +739,50 @@ def _move_multisets(column: Sequence[Multiset], f: FinFunction) -> tuple[Multise
     return tuple([ms.pushforward(f) for ms in column])
 
 
+def _check_nodes(nodes: FinSet, edges: FinSet, src: tuple, tgt: tuple) -> None:
+    """Graph shape: each end is a node index, one per edge."""
+    size = nodes.size
+    for name, column in (("src", src), ("tgt", tgt)):
+        if len(column) != edges.size:
+            raise ValueError(f"{name} must map edges to nodes")
+        for v in column:
+            if not (type(v) is int and 0 <= v < size):
+                raise ValueError(f"{name} must map edges to nodes")
+
+
+def _check_multisets(places: FinSet, transitions: FinSet, src: tuple, tgt: tuple) -> None:
+    """Petri shape: each end is a multiset over the places, one per
+    transition; like `Multiset.pushforward`, it compares place sets by
+    identity before equality."""
+    for name, side in (("src", src), ("tgt", tgt)):
+        if len(side) != transitions.size:
+            raise ValueError(f"{len(side)} {name} multisets for {transitions.size} transitions")
+        for i, ms in enumerate(side):
+            if ms.__class__ is not Multiset:
+                raise ValueError(f"{name}[{i}] is not a multiset: {_short(ms)}")
+            if ms.over is not places and ms.over != places:
+                raise ValueError(f"{name}[{i}] is a multiset over the wrong place set")
+
+
+def _check_labels(edges: FinSet, labels: Sequence[Label]) -> tuple[Label, ...]:
+    """lgraph: one opaque label per edge."""
+    labels = tuple(labels)
+    if len(labels) != edges.size:
+        raise ValueError(f"{len(labels)} labels for {edges.size} edges")
+    return labels
+
+
+def _check_rates(transitions: FinSet, rates: Sequence[float]) -> tuple[float, ...]:
+    """petri_rates: one nonnegative rate per transition, as a float."""
+    rates = tuple(map(float, rates))
+    if len(rates) != transitions.size:
+        raise ValueError(f"{len(rates)} rates for {transitions.size} transitions")
+    for i, r in enumerate(rates):
+        if not (r >= 0.0):
+            raise ValueError(f"rate at transition {i} must be nonnegative, got {r}")
+    return rates
+
+
 def _label_faults(m: SystemMorphism, check_rates: bool) -> list[str]:
     """lgraph: every edge keeps its label exactly, by `label_key`."""
     g, cod = m.edge_map.table, m.cod.attrs
@@ -810,15 +812,13 @@ def _rate_faults(m: SystemMorphism, check_rates: bool) -> list[str]:
 # shape: (move a column of ends, the column as hashable supports (a multiset
 #         by its pairs, which hash in C; a node v as the one-point multiset
 #         ((v, 1),), so that every cell reads as consumed and produced
-#         supports), build the unattributed system from parts, wording of a
+#         supports), check the two columns of a system's ends, wording of a
 #         broken source/target end)
 _SHAPES = {
     "graph": (
         _move_nodes,
         lambda column: [((v, 1),) for v in column],
-        lambda nodes, cells, src, tgt: Graph(
-            nodes, cells, FinFunction(cells, nodes, src), FinFunction(cells, nodes, tgt)
-        ),
+        _check_nodes,
         (
             "source square fails at edge {0}: {1} != {2}",
             "target square fails at edge {0}: {1} != {2}",
@@ -827,20 +827,20 @@ _SHAPES = {
     "petri": (
         _move_multisets,
         partial(map, attrgetter("pairs")),
-        PetriNet,
+        _check_multisets,
         (
             "consumed multiset not preserved at transition {0}",
             "produced multiset not preserved at transition {0}",
         ),
     ),
 }
-# kind: (shape, class adding the attribute column, attribute rule,
-#        may gluing merge cells)
+# kind: (shape, check of the attribute column (None: the kind has none),
+#        attribute rule of a morphism, may gluing merge cells)
 _KIND_RULES = {
     "graph": ("graph", None, lambda m, check_rates: [], True),
-    "lgraph": ("graph", LabeledGraph, _label_faults, True),
+    "lgraph": ("graph", _check_labels, _label_faults, True),
     "petri": ("petri", None, lambda m, check_rates: [], True),
-    "petri_rates": ("petri", PetriNetWithRates, _rate_faults, False),
+    "petri_rates": ("petri", _check_rates, _rate_faults, False),
 }
 
 
@@ -859,29 +859,30 @@ class DecorationTheory:
     The theory also holds the kind's rules that every system operation
     reads: `shape` ("graph", "petri", or "field" for dynam), and for the
     cell kinds `move(column, f)` for a column of cell ends,
-    `hashable(column)` (the ends as hashable supports), `build` from
-    parts, `end_faults` (the wording of a broken source or target end),
-    `attribute_faults(m, check_rates)` and `glues_cells` (False where
-    merged cells have no canonical attribute).
+    `hashable(column)` (the ends as hashable supports), `build`, which is
+    the one `System` constructor call, `attributed` (whether the kind has
+    an attribute column), `end_faults` (the wording of a broken source or
+    target end), `attribute_faults(m, check_rates)` and `glues_cells`
+    (False where merged cells have no canonical attribute).
     """
 
     def __init__(self, kind: str):
         if kind not in _KIND_RULES:
             raise KindError(f"unknown system kind {kind!r}")
         self.kind = kind
-        self.shape, self._attributed, self.attribute_faults, self.glues_cells = _KIND_RULES[kind]
-        self.move, self.hashable, self._from_parts, self.end_faults = _SHAPES[self.shape]
+        self.shape, check_attrs, self.attribute_faults, self.glues_cells = _KIND_RULES[kind]
+        self.attributed = check_attrs is not None
+        self.move, self.hashable, _, self.end_faults = _SHAPES[self.shape]
 
     def build(
         self, nodes: FinSet, cells: FinSet, src: tuple, tgt: tuple, attrs: Optional[tuple]
     ) -> System:
         """The system with these nodes, cells, cell ends and attribute column
-        (ignored by kinds without one)."""
-        base = self._from_parts(nodes, cells, src, tgt)
-        return base if self._attributed is None else self._attributed(base, attrs)
+        (None for kinds without one)."""
+        return System(self.kind, nodes, cells, src, tgt, attrs)
 
     def trivial(self, a: FinSet) -> Decoration:
-        return self.build(a, EMPTY, (), (), ())
+        return self.build(a, EMPTY, (), (), None)
 
     def unit(self) -> Decoration:
         return self.trivial(EMPTY)

@@ -115,7 +115,7 @@ def test_tensor_doubles_the_boundary(tmp_path, capsys, models_dir):
     pair = load_model(str(out))
     assert pair.payload.foot_left.size == 6
     assert pair.payload.foot_right.size == 2
-    assert pair.payload.decoration.rates == (0.3, 0.1, 0.3, 0.1)
+    assert pair.payload.decoration.attrs == (0.3, 0.1, 0.3, 0.1)
 
 
 # -- folding a chain of files --------------------------------------------------------
@@ -228,7 +228,7 @@ def test_composing_sixteen_rated_nets_moves_each_cell_at_most_four_times(
 ):
     chain = random_composable(Random("count"), "petri_rates", 16, max_cells=4)
     paths = write_chain(tmp_path, "petri_rates", chain)
-    cells = sum(c.decoration.transitions.size for c in chain)
+    cells = sum(c.decoration.cells.size for c in chain)
     counts = {"hcompose": 0, "pushforward": 0}
     pushforward = Multiset.pushforward
 

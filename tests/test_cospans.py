@@ -92,8 +92,8 @@ def open_loop():
 def test_composing_two_edges_builds_a_path():
     path = hcompose(open_edge(), open_edge())
     assert path.apex == FinSet(3)
-    assert path.decoration.src.table == (0, 1)
-    assert path.decoration.tgt.table == (1, 2)
+    assert path.decoration.src == (0, 1)
+    assert path.decoration.tgt == (1, 2)
     assert path.leg_left.table == (0,) and path.leg_right.table == (2,)
 
 
@@ -206,7 +206,7 @@ def test_tensor_adds_feet_and_concatenates_structure():
     assert both.foot_left == FinSet(m.foot_left.size + n.foot_left.size)
     assert both.foot_right == FinSet(2)
     assert both.apex == FinSet(m.apex.size + n.apex.size)
-    assert both.decoration.src.table == (0, 2)
+    assert both.decoration.src == (0, 2)
     assert both.leg_left.table == (0, 2)
 
 
@@ -497,7 +497,7 @@ def test_cospan_iso_distinguishes_rates():
         m.foot_right,
         m.leg_left,
         m.leg_right,
-        type(m.decoration)(m.decoration.net, (0.3, 0.2)),
+        PetriNetWithRates(m.decoration, (0.3, 0.2)),
     )
     assert cospan_iso(m, slower) is None
 
@@ -962,7 +962,7 @@ def test_hcompose_of_rated_nets_pushes_each_end_forward_once(monkeypatch):
     monkeypatch.setattr(Multiset, "pushforward", counted)
     left, right = sir_halves()
     composite = hcompose(left, right)
-    cells = composite.decoration.transitions.size
+    cells = composite.decoration.cells.size
     assert cells == 2
     # one pushforward per consumed and per produced multiset of the composite
     assert len(calls) == 2 * cells
@@ -997,7 +997,7 @@ def test_a_structured_composite_is_one_pushout_of_finite_sets(monkeypatch):
 def full_profiles(system):
     """Per place, the sorted (consumed, produced, key) of every cell, an edge
     read as a transition that consumes its source and produces its target."""
-    src, tgt = system.ends
+    src, tgt = system.src, system.tgt
     if system.kind in GRAPH_KINDS:
         nodes = interface_of(system)
         src, tgt = ([Multiset.from_dict(nodes, {v: 1}) for v in end] for end in (src, tgt))

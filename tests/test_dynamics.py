@@ -235,7 +235,7 @@ def test_grayboxing_a_wide_net_costs_the_size_of_the_net():
         tracemalloc.stop()
     # every term's monomial is its transition's consumed support, as it is
     expected = {}
-    for consumed, produced, rate in zip(src, tgt, net.rates):
+    for consumed, produced, rate in zip(src, tgt, net.attrs):
         for p in {p for p, _ in consumed.pairs + produced.pairs}:
             delta = dict(produced.pairs).get(p, 0) - dict(consumed.pairs).get(p, 0)
             expected.setdefault(p, []).append((rate * delta, consumed.pairs))

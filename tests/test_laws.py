@@ -66,8 +66,8 @@ def test_report_line_format() -> None:
 
 def test_example_systems_have_the_advertised_shapes() -> None:
     sir = sir_open_net()
-    assert sir.decoration.places.size == 3
-    assert sir.decoration.rates == (0.3, 0.1)
+    assert sir.decoration.interface.size == 3
+    assert sir.decoration.attrs == (0.3, 0.1)
     assert (sir.foot_left.size, sir.foot_right.size) == (3, 1)
 
     left, right = sir_halves()
@@ -77,8 +77,8 @@ def test_example_systems_have_the_advertised_shapes() -> None:
     assert decay.foot_left.size == decay.foot_right.size == 0
 
     graph = intro_open_graph()
-    assert graph.decoration.nodes.size == 4
-    assert graph.decoration.edges.size == 5
+    assert graph.decoration.interface.size == 4
+    assert graph.decoration.cells.size == 5
 
 
 def test_pushout_suite_smoke() -> None:

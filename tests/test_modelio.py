@@ -282,7 +282,7 @@ def test_the_field_writer_writes_what_json_writes_of_the_dense_lists(field):
 def test_float_rates_survive_the_roundtrip_exactly():
     raw = ModelFile("petri_rates", sir_open_net()).to_json()
     again = model_from_json(json.loads(canonical_json(raw)))
-    assert again.payload.decoration.rates == (0.3, 0.1)
+    assert again.payload.decoration.attrs == (0.3, 0.1)
 
 
 # -- strict schema ---------------------------------------------------------------------
@@ -438,7 +438,7 @@ def test_loading_checks_each_stored_pair_once(monkeypatch):
     dense = counted(monkeypatch, Multiset, "__init__")
     dense_polys = counted(monkeypatch, Poly, "__init__")
     model_from_json(raws[0])
-    transitions = net.decoration.transitions.size
+    transitions = net.decoration.cells.size
     assert transitions >= 5 and len(checks) == 2 * transitions
     checks.clear()
     model_from_json(raws[1])

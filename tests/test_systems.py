@@ -110,7 +110,7 @@ def test_a_net_compares_place_sets_by_value_not_identity():
 
 def test_cli_compose_checks_every_moved_multiset_once(tmp_path, monkeypatch):
     chain = random_composable(Random("moved pairs"), "petri_rates", 4, max_cells=4)
-    cells = sum(c.decoration.transitions.size for c in chain)
+    cells = sum(c.decoration.cells.size for c in chain)
     paths = []
     for i, cospan in enumerate(chain):
         paths.append(str(tmp_path / f"net{i}.json"))
@@ -146,7 +146,7 @@ def test_discrete_systems_have_no_cells():
 
 
 def test_rates_must_be_nonnegative_and_match_transitions():
-    net = water_net().net
+    net = water_net()
     with pytest.raises(ValueError):
         PetriNetWithRates(net, (-0.1,))
     with pytest.raises(ValueError):
@@ -325,8 +325,8 @@ def test_check_rates_false_still_checks_multisets():
 def test_total_rate_is_conserved_by_valid_surjective_morphisms():
     m = two_to_one_rated(1.25, 0.5, 1.75)
     assert validate_morphism(m) == []
-    assert set(m.transition_map.table) == set(range(cells_of(m.cod).size))
-    assert sum(m.dom.rates) == sum(m.cod.rates)
+    assert set(m.edge_map.table) == set(range(cells_of(m.cod).size))
+    assert sum(m.dom.attrs) == sum(m.cod.attrs)
 
 
 # -- coproducts ------------------------------------------------------------------
@@ -338,7 +338,7 @@ def test_graph_coproduct_offsets_the_right_block():
     total, inl, inr = system_coproduct(g, h)
     assert interface_of(total) == FinSet(3)
     assert cells_of(total) == FinSet(2)
-    assert total.src.table == (0, 2) and total.tgt.table == (1, 2)
+    assert total.src == (0, 2) and total.tgt == (1, 2)
     assert validate_morphism(inl) == [] and validate_morphism(inr) == []
 
 
@@ -346,12 +346,12 @@ def test_labeled_coproduct_concatenates_labels():
     a = LabeledGraph(loop_graph(1, [0]), ("x",))
     b = LabeledGraph(loop_graph(1, [0]), ("y",))
     total, _, _ = system_coproduct(a, b)
-    assert total.labels == ("x", "y")
+    assert total.attrs == ("x", "y")
 
 
 def test_rated_coproduct_concatenates_rates():
     total, inl, inr = system_coproduct(water_net(), water_net())
-    assert total.rates == (1.0, 1.0)
+    assert total.attrs == (1.0, 1.0)
     # each injection ignores the other summand's rates, so only the
     # underlying-net conditions can hold for it
     assert validate_morphism(inl, check_rates=False) == []
@@ -418,7 +418,7 @@ def test_rated_pushout_keeps_rates_and_validates_structurally():
     f = SystemMorphism(shared, net, fn([2], 3), FinFunction.from_empty(FinSet(1)))
     g = SystemMorphism(shared, net, fn([0], 3), FinFunction.from_empty(FinSet(1)))
     glued, inj_l, inj_r = system_pushout(f, g)
-    assert glued.rates == (1.0, 1.0)
+    assert glued.attrs == (1.0, 1.0)
     assert validate_morphism(inj_l, check_rates=False) == []
     assert validate_morphism(inj_r, check_rates=False) == []
 
@@ -500,7 +500,7 @@ def test_swapping_laxator_blocks_is_not_equality_but_is_iso():
     swap = FinFunction(FinSet(2), FinSet(2), (1, 0))
     transported = theory.reindex(swap, both)
     other_order = theory.laxator(e, d)
-    assert transported.src.table == (1, 0) != other_order.src.table
+    assert transported.src == (1, 0) != other_order.src
     k = match_cells(transported, other_order, FinFunction.identity(FinSet(2)))
     assert k is not None
     assert theory.fiber_violations(transported, other_order, k) == []
