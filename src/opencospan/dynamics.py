@@ -18,13 +18,14 @@ nonzero fields witness that gray-boxing has no left adjoint.
 
 `simulate` integrates the open rate equation (field plus boundary flows)
 with RK4; `simulate_rows` yields the same trajectory a row at a time, so a
-caller can consume each row as it is made.  It compiles one whole RK4 step
-once per run into one flat generated function: four stages of the field
-and the final combination, inlined, doing exactly the float operations of
-the stage-by-stage loop over `Poly.evaluate`.  `rate_equation` compiles
-the same generated field code alone, as one stage.  The interpreted
-`evaluate` methods stay as public API and as the reference the compiled
-code is tested against.
+caller can consume each row as it is made.  The whole integration runs in
+one generated generator function: the state and the coefficients sit in
+locals, and each step does the four stages of the field and the final
+combination, inlined, with exactly the float operations of the
+stage-by-stage loop over `Poly.evaluate`.  `rate_equation` generates the
+same field code alone, as one stage.  Each is compiled once per call.
+The interpreted `evaluate` methods stay as public API and as the
+reference the compiled code is tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, DivergenceError, KindError, SimulationTooLarge
-from .finset import EMPTY, FinFunction, FinSet
+from .finset import EMPTY, FinFunction, FinSet, _short
 # the field algebra is imported back so that every dynamics.X name still resolves
 from .systems import (  # noqa: F401
     COEFF_DROP,
@@ -168,9 +169,10 @@ class FlowSchedule:
         )
 
 
-# factors per generated product expression: a longer product continues as
-# `p = p * ...`, so that no expression nests deeply enough to exhaust the
-# compiler's recursion limit
+# factors per generated product and terms per generated sum: a longer
+# product continues as `p = p * ...` and a longer sum as `a3 = a3 + ...`, so
+# that no expression nests deeply enough to exhaust the compiler's recursion
+# limit
 _CHUNK = 32
 
 # the most trajectory values, (steps + 1) * (places + 1) with the time column,
@@ -179,8 +181,8 @@ _CHUNK = 32
 # memory per value with every value a distinct float printed in 24
 # characters, and at 22.5 with 19 (1,000 places by 3,000 steps, over an 18 MB
 # baseline), so the lines of a run at the cap take under about 0.3 GB.  At
-# 1,000 steps both read 32.6: there compiling the step, about 30 MB for 1,000
-# dense places, set the peak.
+# 1,000 steps compiling the integration sets the peak instead: about 34 MB of
+# tracemalloc peak for a 1,000-place decay chain, 38 bytes per value.
 MAX_TRAJECTORY_VALUES = 10_000_000
 
 # the most exponents, places * terms, that the dense form of one field may
@@ -198,26 +200,36 @@ def _blew_up(at: float, last_good: float) -> DivergenceError:
 
 def _source(system: OpenDynam, rk4: bool) -> tuple[str, tuple[float, ...], list[int]]:
     """The generated source of the open rate equation of `system`, alone or
-    as one classical RK4 step; its coefficients; the places it touches.
+    as a whole RK4 integration; its coefficients; the places it touches.
 
-    The one generator of field code is `stage`: one statement per term, as
-    `a3 += k5 * x2 * x7 ** 2`, in the order and association of
-    `Poly.evaluate` (`0.0 +` the first term, products left to right, powers
-    kept as `**` so that an overflow still raises OverflowError), then the
-    inflows and the outflows in boundary order.  State values, stage values
-    and coefficients are plain locals; the source holds only integer
+    The one generator of field code is `stage`: one expression per touched
+    place, as `a3 = 0.0 + k5 * x2 * x7 ** 2 + k6 * x3 + f1_0 - f1_4`, in the
+    order and association of `Poly.evaluate` (`0.0 +` the first term,
+    products left to right, powers kept as `**` so that an overflow still
+    raises OverflowError), then the place's inflows and outflows in
+    boundary order.  A sum of more than `_CHUNK` terms continues as
+    `a3 = a3 + ...`, and a product of more than `_CHUNK` factors is built
+    in `p` first, ending the statement before it, so the association is
+    kept and no expression nests deeply.  These lines are built once, with
+    the names of state, stage and flow values left as `{0}`, `{1}` and
+    `{2}`, and `stage` fills them in.  State values, stage values, flow
+    values and coefficients are plain locals; the source holds only integer
     indices and exponents, and the coefficients are unpacked from the tuple
     `K`.  Code is emitted only for the touched places, those some term
     reads or some component or flow writes, so its size is that of the net.
 
     Without `rk4`, `field(s, f)` returns the right-hand side at state `s`
     with flow values `f` (inflows, then outflows); an untouched place reads
-    0.0.  With `rk4`, `step(s, t, h, f1, f2, f4)` returns the state one step
-    of size h after `s`, the flows taken at t, t + h/2 and t + h, with the
-    float operations of the stage-by-stage loop: `x + h / 2 * a` and so on,
-    then `x + h / 6 * (a + 2 * b + 2 * c + d)`.  It copies untouched places
-    as they are, and turns an OverflowError in a stage into the
-    DivergenceError `blew_up` makes from the stage's time.
+    0.0.  With `rk4`, `run(s, t0, t1, dt, n_full, flows_at)` is a generator
+    of the n_full + 1 steps `simulate_rows` lays out from the state `s`,
+    yielding `(t, state)` after each, state a new list.  It loads the
+    touched places and the coefficients once, takes the flows at t,
+    t + h/2 and t + h from `flows_at`, and does the float operations of the
+    stage-by-stage loop: `x + h2 * a` and so on, then
+    `x + h6 * (a + 2.0 * b + 2.0 * c + d)`, whose float products equal
+    those of `2 * b` without the int-to-float conversion.  It copies
+    untouched places from `s` as they are, and turns an OverflowError in a
+    stage into the DivergenceError `blew_up` makes from the stage's time.
     """
     n = system.apex.size
     left, right = system.leg_left.table, system.leg_right.table
@@ -232,59 +244,84 @@ def _source(system: OpenDynam, rk4: bool) -> tuple[str, tuple[float, ...], list[
     read = sorted({j for terms in components for _, support in terms for j, _ in support})
     written = {i for i, terms in enumerate(components) if terms}
     touched = sorted(written.union(read, left, right))
+    # per place, its flows as (sign, index of the flow value): inflows, then
+    # outflows, in boundary order
+    n_flows = len(left) + len(right)
+    flows: dict[int, list[tuple[str, int]]] = {}
+    for k, p in enumerate(left + right):
+        flows.setdefault(p, []).append(("+" if k < len(left) else "-", k))
+
+    # the lines setting {1}<i> to the right-hand side at the state {0}<j>,
+    # with the flow values {2}<k>, for every touched place i
+    template: list[str] = []
+    for i in touched:
+        # (lines that must come first, operand) per term, then per flow
+        operands: list[tuple[list[str], str]] = []
+        for k, support in components[i]:
+            factors = ["k%d" % k] + [
+                "{0}%d" % j if e == 1 else "{0}%d ** %d" % (j, e) for j, e in support
+            ]
+            if len(factors) <= _CHUNK:
+                operands.append(([], " + " + " * ".join(factors)))
+                continue
+            product = ["p = " + " * ".join(factors[:_CHUNK])] + [
+                "p = p * " + " * ".join(factors[a : a + _CHUNK])
+                for a in range(_CHUNK, len(factors), _CHUNK)
+            ]
+            operands.append((product, " + p"))
+        operands += [([], " %s {2}%d" % (sign, k)) for sign, k in flows.get(i, ())]
+        target = "{1}%d" % i
+        head, tail = "0.0", []
+        for before, operand in operands:
+            if tail and (before or len(tail) == _CHUNK):
+                template.append("%s = %s%s" % (target, head, "".join(tail)))
+                head, tail = target, []
+            template += before
+            tail.append(operand)
+        template.append("%s = %s%s" % (target, head, "".join(tail)))
 
     def stage(x: str, d: str, f: str) -> list[str]:
-        # lines setting d<i> to the right-hand side at the state x<j>, with
-        # the flow values f[...], for every touched place i
-        lines = []
-        for i in touched:
-            if not components[i]:
-                lines.append("%s%d = 0.0" % (d, i))
-            for later, (k, support) in enumerate(components[i]):
-                factors = ["k%d" % k] + [
-                    "%s%d" % (x, j) if e == 1 else "%s%d ** %d" % (x, j, e) for j, e in support
-                ]
-                product = " * ".join(factors[:_CHUNK])
-                if len(factors) > _CHUNK:
-                    lines.append("p = " + product)
-                    lines.extend(
-                        "p = p * " + " * ".join(factors[a : a + _CHUNK])
-                        for a in range(_CHUNK, len(factors), _CHUNK)
-                    )
-                    product = "p"
-                lines.append(("%s%d += %s" if later else "%s%d = 0.0 + %s") % (d, i, product))
-        lines.extend("%s%d += %s[%d]" % (d, p, f, x) for x, p in enumerate(left))
-        lines.extend("%s%d -= %s[%d]" % (d, p, f, len(left) + y) for y, p in enumerate(right))
-        return lines
+        return [line.format(x, d, f) for line in template]
 
-    body = ["x%d = s[%d]" % (j, j) for j in (touched if rk4 else read)]
-    if coefficients:
-        body.append("".join("k%d, " % k for k in range(len(coefficients))) + "= K")
+    def unpack(names: list[str], value: str) -> list[str]:
+        # the line setting the locals names from the sequence value, if any
+        return ["".join(name + ", " for name in names) + "= " + value] if names else []
+
+    body = unpack(["k%d" % k for k in range(len(coefficients))], "K")
     if not rk4:
-        body += stage("x", "v", "f")
+        body += ["x%d = s[%d]" % (j, j) for j in read]
+        body += unpack(["f1_%d" % k for k in range(n_flows)], "f")
+        body += stage("x", "v", "f1_")
         out = set(touched)
         body.append("return [%s]" % ", ".join("v%d" % i if i in out else "0.0" for i in range(n)))
         name, signature = "field", "s, f"
     else:
-        body += ["h2 = h / 2", "h6 = h / 6"]
+        body += ["x%d = s[%d]" % (j, j) for j in touched]
+        body += ["t = t0", "for step in range(n_full + 1):"]
+        loop = ["h = dt if step < n_full else t1 - t", "h2 = h / 2", "h6 = h / 6"]
         for x, d, f, at, weight in (
-            ("x", "a", "f1", "t", "h2"),
-            ("y", "b", "f2", "t + h2", "h2"),
-            ("y", "c", "f2", "t + h2", "h"),
-            ("y", "d", "f4", "t + h", None),
+            ("x", "a", "f1_", "t", "h2"),
+            ("y", "b", "f2_", "t + h2", "h2"),
+            ("y", "c", "f2_", "t + h2", "h"),
+            ("y", "d", "f4_", "t + h", None),
         ):
+            # stage c reads the flows stage b took
+            if d != "c":
+                loop += unpack(["%s%d" % (f, k) for k in range(n_flows)], "flows_at(%s)" % at)
             lines = stage(x, d, f)
             if lines:
-                body += ["try:"] + [" " + line for line in lines]
-                body += ["except OverflowError:", " raise blew_up(%s, t) from None" % at]
+                loop += ["try:"] + [" " + line for line in lines]
+                loop += ["except OverflowError:", " raise blew_up(%s, t) from None" % at]
             if weight:
-                body += ["y%d = x%d + %s * %s%d" % (j, j, weight, d, j) for j in read]
-        body.append("out = s.copy()")
-        body += [
-            "out[%d] = x%d + h6 * (a%d + 2 * b%d + 2 * c%d + d%d)" % ((i,) * 6) for i in touched
+                loop += ["y%d = x%d + %s * %s%d" % (j, j, weight, d, j) for j in read]
+        loop.append("out = s.copy()")
+        loop += [
+            "out[%d] = x%d = x%d + h6 * (a%d + 2.0 * b%d + 2.0 * c%d + d%d)" % ((i,) * 7)
+            for i in touched
         ]
-        body.append("return out")
-        name, signature = "step", "s, t, h, f1, f2, f4"
+        loop += ["t = t0 + (step + 1) * dt if step < n_full else t1", "yield t, out"]
+        body += [" " + line for line in loop]
+        name, signature = "run", "s, t0, t1, dt, n_full, flows_at"
     source = "def bind(K):\n def %s(%s):\n%s return %s\n" % (
         name, signature, "".join(f"  {line}\n" for line in body), name
     )
@@ -292,7 +329,8 @@ def _source(system: OpenDynam, rk4: bool) -> tuple[str, tuple[float, ...], list[
 
 
 def _compile(system: OpenDynam, rk4: bool) -> tuple[Callable, list[int]]:
-    """The function `_source` generates, compiled, and the touched places."""
+    """The function `_source` generates, compiled and bound to the
+    coefficients, and the touched places."""
     source, coefficients, touched = _source(system, rk4)
     namespace: dict = {"blew_up": _blew_up}
     exec(compile(source, "<rate equation>", "exec"), namespace)
@@ -339,11 +377,11 @@ def rate_equation(
     routed along its leg and added in boundary order.  The shapes of the
     schedule are checked here, the length of the state on every call.
 
-    This is the one-stage case of the code `simulate` compiles: the whole
-    right-hand side is generated once as Python source that performs the
-    float operations of `Poly.evaluate` in the same order (see `_source`).
-    The flows are evaluated once per segment between the schedule's
-    breakpoints, where they are all constant.
+    This is the one-stage case of the code `simulate` runs: the whole
+    right-hand side is generated as Python source that performs the float
+    operations of `Poly.evaluate` in the same order (see `_source`), and
+    compiled once per call.  The flows are evaluated once per segment
+    between the schedule's breakpoints, where they are all constant.
     """
     _check_schedule(system, schedule)
     n = system.apex.size
@@ -384,8 +422,8 @@ def _full_steps(t0: float, t1: float, dt: float, places: int) -> int:
     values = (n_full + 2) * (places + 1)
     if values > MAX_TRAJECTORY_VALUES:
         raise SimulationTooLarge(
-            f"{n_full + 1} steps over {places} places make {values} values, over the cap of "
-            f"{MAX_TRAJECTORY_VALUES} values, (steps + 1) * (places + 1)"
+            f"{_short(n_full + 1)} steps over {places} places make {_short(values)} values, "
+            f"over the cap of {MAX_TRAJECTORY_VALUES} values, (steps + 1) * (places + 1)"
         )
     return n_full
 
@@ -400,11 +438,12 @@ def simulate_rows(
 ) -> Iterator[tuple[float, list[float]]]:
     """The rows of `simulate`, as (t, state) one at a time, state a list.
 
-    Every check runs, and the step is compiled, at the call, before the
-    first row: a run that is refused raises here, not on the first `next`.
-    Integration then goes one step per row.  A divergence raises the same
-    DivergenceError as `simulate`, after the rows before it were yielded.
-    A yielded state is never changed afterwards, so a caller may keep it.
+    Every check runs, and the integration is generated and compiled, at
+    the call, before the first row: a run that is refused raises here, not
+    on the first `next`.  Integration then goes one step per row.  A
+    divergence raises the same DivergenceError as `simulate`, after the
+    rows before it were yielded.  A yielded state is never changed
+    afterwards, so a caller may keep it.
     """
     if not (dt > 0.0):
         raise ValueError(f"step size must be positive, got {dt}")
@@ -416,28 +455,25 @@ def simulate_rows(
         raise DimensionError(f"initial state of length {len(state)} for {n} places")
     _check_schedule(system, schedule)
     n_full = _full_steps(t0, t1, dt, n)
-    step, touched = _compile(system, rk4=True)
+    run, touched = _compile(system, rk4=True)
     flows_at = _flow_values(schedule)
 
     def rows(state: list[float]) -> Iterator[tuple[float, list[float]]]:
         yield t0, state.copy()
-        # the step copies the places it does not touch; their value after
+        # each step copies the places it does not touch; their value after
         # any step is x + 0.0, which differs from x only for -0.0, so it is
         # set once, after row 0 was copied as given
         for j in set(range(n)).difference(touched):
             state[j] += 0.0
         isfinite = math.isfinite
-        t = t0
-        for k in range(n_full + 1):
-            h = dt if k < n_full else t1 - t
-            state = step(state, t, h, flows_at(t), flows_at(t + h / 2), flows_at(t + h))
-            last_good = t
-            t = t0 + (k + 1) * dt if k < n_full else t1
-            if not all(map(isfinite, state)):
+        last_good = t0
+        for t, out in run(state, t0, t1, dt, n_full, flows_at):
+            if not all(map(isfinite, out)):
                 raise DivergenceError(
                     f"state became non-finite at t = {t}", last_good_time=last_good
                 )
-            yield t, state
+            yield t, out
+            last_good = t
 
     return rows(state)
 
@@ -460,11 +496,12 @@ def simulate(
     DivergenceError carrying the last good time; an overflow's message
     names the time of its stage.
 
-    One whole RK4 step, all four stages and the final combination, is
-    compiled once per run (`_compile`), so the trajectory is bit for bit
-    that of the stage-by-stage loop over `rate_equation`.  The trajectory
-    is the rows `simulate_rows` yields, each state made a tuple; a caller
-    that consumes each row as it comes, as CLI `simulate` does, iterates
+    The whole integration, each step's four stages and final combination
+    inlined, is one generated function (`_source`), compiled once per run
+    (`_compile`), and the trajectory is bit for bit that of the
+    stage-by-stage loop over `rate_equation`.  The trajectory is the rows
+    `simulate_rows` yields, each state made a tuple; a caller that
+    consumes each row as it comes, as CLI `simulate` does, iterates
     `simulate_rows` and never holds the whole trajectory.
     """
     rows = simulate_rows(system, schedule, initial, t0, t1, dt)

@@ -547,6 +547,18 @@ def test_simulate_refuses_an_unbounded_run_with_one_error_line(tmp_path, capsys,
     assert "over the cap of 10000000 values" in err
 
 
+def test_a_huge_step_count_is_named_in_one_short_line(tmp_path, capsys, models_dir):
+    # 1e300 steps: the count and the values are 301-digit integers, cut short
+    config = write_sim_config(tmp_path, t0=0.0, t1=1.0, dt=1e-300)
+    code, out, err = run_cli(
+        capsys, "simulate", str(models_dir / "sir.json"), "--config", config, "--out",
+        str(tmp_path / "x.csv"),
+    )
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert "steps over 3 places make" in err and "over the cap of 10000000 values" in err
+    assert len(err) < 200, err
+
+
 def one_place_net(src, tgt, rate):
     """A rated net on one place with the transition src X -> tgt X."""
     return open_system("petri_rates", {

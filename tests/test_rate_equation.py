@@ -6,10 +6,11 @@ flow along its leg by hand, in boundary order.  The two must agree bit for
 bit (any NaN matching any NaN) and must raise OverflowError on the same
 inputs, which is what `simulate` turns into a DivergenceError.
 
-`simulate` compiles a whole RK4 step from the same generator.  Its oracle
-is the stage-by-stage RK4 loop written out below over the field oracle;
-the trajectories must agree bit for bit on every row, and divergences in
-message and last good time.
+`simulate` runs a whole RK4 integration made by the same generator.  Its
+oracle is the stage-by-stage RK4 loop written out below over the field
+oracle; the trajectories must agree bit for bit on every row, and
+divergences in message and last good time.  The last test splits long
+sums and products.
 """
 
 import gc
@@ -42,7 +43,7 @@ from opencospan import (
     simulate,
     simulate_rows,
 )
-from opencospan.dynamics import _source
+from opencospan.dynamics import _CHUNK, _source
 
 
 def oracle(system, schedule, t, state):
@@ -517,3 +518,37 @@ def test_the_generated_step_has_the_size_of_the_net_not_of_its_places():
     assert len(lines) <= 4 * (terms + len(touched)) + 4 * len(touched) + 20, len(lines)
     # and no line lists every place: one such line alone is over 20,000 characters
     assert len(source) <= 200 * (terms + len(touched)), len(source)
+
+
+# -- long sums and products split without reassociating -----------------------
+
+
+def split_lines_case():
+    """Place 0 sums more than _CHUNK terms, one of them a product of more
+    than _CHUNK factors, then an inflow and an outflow; place 1 has no terms
+    and only an outflow."""
+    n = _CHUNK + 8
+    # magnitudes far apart, and an inflow that carries the sum into the
+    # next binade, so that another association or order rounds differently
+    terms = [
+        ((-1.0) ** j * 3.0 ** (j % 11) / 7, tuple(int(i == j) for i in range(n))) for j in range(n)
+    ]
+    terms.append((0.3, (1,) * n))
+    field = PolyVectorField(FinSet(n), (Poly.from_terms(n, terms),) + (Poly.zero(n),) * (n - 1))
+    schedule = FlowSchedule(
+        (PiecewiseConstant((0.01,), (2000.1, -0.3)),),
+        (PiecewiseConstant.constant(1 / 3), PiecewiseConstant((0.015,), (0.7, 1.9))),
+    )
+    state = [1 + (j % 5 - 2) * 1e-3 for j in range(n)]
+    return open_system(field, left=(0,), right=(0, 1)), schedule, state
+
+
+def test_a_long_sum_and_a_long_product_split_without_reassociating():
+    system, schedule, state = split_lines_case()
+    source = _source(system, rk4=False)[0]
+    # the sum goes on in the same place, the product through p, and the
+    # place with only an outflow is 0.0 minus it
+    assert " v0 = v0 + " in source and " p = p * " in source
+    assert "  v1 = 0.0 - f1_2\n" in source
+    assert_matches_oracle(system, schedule, [(0.0, state), (0.02, state)])
+    assert_integrates_like_the_oracle(system, schedule, state, 0.0, 0.025, 0.01)
