@@ -42,6 +42,7 @@ structured presentation, and `cospan_iso` compares them within
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter
@@ -65,6 +66,7 @@ from .finset import (
     induced,
     pushout,
     _iso_budget,
+    _over_budget,
 )
 from .systems import (
     Decoration,
@@ -533,12 +535,12 @@ def _incidences(decoration: Decoration):
 def _profiles(decoration: Decoration, colours: dict):
     """One pass over the incidences.  Per place, its colour: the bag of
     ((consumed, produced) at the place, key) over the cells that touch it,
-    interned in `colours` as a small int.  Per place x and other place x2,
+    interned in `colours` as a small int; a place no cell touches has the
+    empty bag's colour.  Per touched place x, its row: per other place x2,
     the counts of (at x, at x2, key) over the cells that touch both.  And
     the counts of the keys over all cells."""
-    places = interface_of(decoration).size
-    bags: list[dict] = [{} for _ in range(places)]
-    rows: list[dict] = [{} for _ in range(places)]
+    bags: defaultdict = defaultdict(dict)
+    rows: defaultdict = defaultdict(dict)
     keys: dict = {}
     for consumed, produced, key in _incidences(decoration):
         _count(keys, key)
@@ -547,10 +549,14 @@ def _profiles(decoration: Decoration, colours: dict):
             at[x] = (at.get(x, (0, 0))[0], k)
         for x, here in at.items():
             _count(bags[x], (here, key))
+            row = rows[x]
             for x2, there in at.items():
                 if x2 != x:
-                    _count(rows[x].setdefault(x2, {}), (here, there, key))
-    return [colours.setdefault(frozenset(bag.items()), len(colours)) for bag in bags], rows, keys
+                    _count(row.setdefault(x2, {}), (here, there, key))
+    colour = [colours.setdefault(frozenset(), len(colours))] * interface_of(decoration).size
+    for x, bag in bags.items():
+        colour[x] = colours.setdefault(frozenset(bag.items()), len(colours))
+    return colour, rows, keys
 
 
 _NO_CELLS = FinFunction.identity(EMPTY)
@@ -561,22 +567,38 @@ def _search_rules(d: Decoration, e: Decoration):
     or None) of a search from d to e, or None when their cells' keys (for
     fields, their term counts) differ.  A place maps only to a place of its
     colour, and meets each assigned place in the same cells, by `_profiles`,
-    as its image meets that place's image.  The leaf check is `match_cells`,
-    or `field_close` for a field, which has no cells."""
+    as its image meets that place's image.  That is read from x's row: each
+    assigned place in it must meet x as its image meets y, and y must meet
+    no more assigned places than x does, so a test costs the two places'
+    degrees.  The leaf check is `match_cells`, or `field_close` for a
+    field, which has no cells."""
     colours: dict = {}
     colour_d, rows_d, keys_d = _profiles(d, colours)
     colour_e, rows_e, keys_e = _profiles(e, colours)
     if keys_d != keys_e:
         return None
 
-    def compatible(x: int, y: int, assignment: list[Optional[int]]) -> bool:
+    # x's row as a tuple, which the rule walks, and y's as a dict, which it
+    # looks places up in
+    walks = {x: tuple(row.items()) for x, row in rows_d.items()}
+
+    def compatible(x: int, y: int, assignment: list[Optional[int]], used: list[bool]) -> bool:
         if colour_d[x] != colour_e[y]:
             return False
-        row_d, row_e = rows_d[x], rows_e[y]
-        for x2, y2 in enumerate(assignment):
-            if y2 is not None and row_d.get(x2) != row_e.get(y2):
-                return False
-        return True
+        row_e = rows_e.get(y)
+        if row_e is None:  # y, so x too, has the empty bag's colour
+            return True
+        met = 0
+        for x2, meets in walks[x]:
+            y2 = assignment[x2]
+            if y2 is not None:
+                if row_e.get(y2) != meets:
+                    return False
+                met += 1
+        for y2 in row_e:
+            if used[y2]:
+                met -= 1
+        return met == 0
 
     if decoration_theory(d.kind).shape == "field":
         return compatible, lambda h: (
@@ -588,18 +610,34 @@ def _search_rules(d: Decoration, e: Decoration):
 def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[IsoWitness]:
     """Decide whether two cospans over the same feet are isomorphic.
 
-    Delegates the search for an apex bijection commuting with both pairs of
-    legs to `find_iso`.  Every kind is pruned by one rule, on one reading of
-    its cells or terms as incidences (`_incidences`): a place maps only to a
-    place of the same colour, and meets each assigned place in the same
-    cells as its image meets that place's image.  The leaf check is
-    `match_cells`, or `field_close` for fields; the cell part of the
-    witness is the one the leaf check found there.  Budget, node counting
-    and witness order are those of `find_iso`; the budget is resolved
-    first, so a malformed OPENCOSPAN_ISO_BUDGET is reported whatever the
-    inputs.
+    Equal cospans are decided by that comparison alone: the witness is the
+    identity on the apex and on the cells (`_NO_CELLS` for a field), the
+    one the search finds first.  The search is still charged: it would
+    spend one node per apex place no leg pins, so that many nodes over
+    the budget raise what the search raises.
+
+    Other pairs go to `find_iso`, which searches for an apex bijection
+    commuting with both pairs of legs.  Every kind is pruned by one rule,
+    on one reading of its cells or terms as incidences (`_incidences`): a
+    place maps only to a place of the same colour, and meets each assigned
+    place in the same cells as its image meets that place's image.  The
+    leaf check is `match_cells`, or `field_close` for fields; the cell part
+    of the witness is the one the leaf check found there.  Budget, node
+    counting and witness order are those of `find_iso`, and the test at a
+    node costs at most the two places' degrees, so the budget bounds the
+    search's time.  The budget is resolved first, so a malformed
+    OPENCOSPAN_ISO_BUDGET is reported whatever the inputs.
     """
     budget = _iso_budget(budget)
+    if m == n:
+        left, right = m.leg_maps
+        unpinned = m.apex.size - len(set(left.table).union(right.table))
+        # a search with no free place charges no node, whatever the budget
+        if unpinned > max(budget, 0):
+            raise _over_budget(budget)
+        field = decoration_theory(m.kind).shape == "field"
+        cells = _NO_CELLS if field else FinFunction.identity(cells_of(m.decoration))
+        return IsoWitness(FinFunction.identity(m.apex), cells)
     if m.representation != n.representation or m.kind != n.kind:
         return None
     if m.foot_left != n.foot_left or m.foot_right != n.foot_right:

@@ -229,13 +229,18 @@ def _iso_budget(budget: Optional[int]) -> int:
     return value
 
 
+def _over_budget(max_nodes: int) -> BudgetExceeded:
+    """The error an isomorphism search raises on its first node past the budget."""
+    return BudgetExceeded(f"isomorphism search exceeded its budget of {max_nodes} nodes")
+
+
 def find_iso(
     a: FinSet,
     b: FinSet,
     constraints: Sequence[tuple[FinFunction, FinFunction]] = (),
     predicate: Optional[Callable[[FinFunction], bool]] = None,
     budget: Optional[int] = None,
-    compatible: Optional[Callable[[int, int, list[Optional[int]]], bool]] = None,
+    compatible: Optional[Callable[[int, int, list[Optional[int]], list[bool]], bool]] = None,
 ) -> Optional[FinFunction]:
     """Search for a bijection a -> b compatible with constraints and predicate.
 
@@ -247,9 +252,19 @@ def find_iso(
     budget (default 10^6, overridable via OPENCOSPAN_ISO_BUDGET), which is
     resolved before anything else, so a malformed value is always reported.
 
-    `compatible(x, y, assignment)`, if given, prunes pairwise: it says
+    The free targets are kept in a linked list in ascending order, as in
+    Knuth's dancing links (arXiv cs/0011047): a target is unlinked while it
+    is assigned and relinked where it was when the search takes the
+    assignment back, so a level visits only free targets, and each visit
+    is a charged node.  The search takes assignments back in the reverse
+    order it makes them, so a singly linked list is enough: a target is
+    unlinked after the candidate the scan reached it from, and relinked
+    there.
+
+    `compatible(x, y, assignment, used)`, if given, prunes pairwise: it says
     whether x may map to y given the partial `assignment` (a list indexed
-    by elements of a, None where unassigned).  Every pinned pair is tested
+    by elements of a, None where unassigned) and `used` (a list indexed by
+    elements of b, True where assigned).  Every pinned pair is tested
     once, with all pins in place, before the search starts; during the
     search a candidate y for x is charged its node first and then tested,
     with x itself still unassigned.  Pruning only skips candidates, so the
@@ -277,13 +292,25 @@ def find_iso(
                 return None
     if compatible is not None:
         for x, y in enumerate(assignment):
-            if y is not None and not compatible(x, y, assignment):
+            if y is not None and not compatible(x, y, assignment, used):
                 return None
 
     free = [x for x in range(a.size) if assignment[x] is None]
+    # the free targets in ascending order, a circular list through nxt
+    # whose head is b.size
+    head = b.size
+    nxt = [head] * (head + 1)
+    last = head
+    for y, taken in enumerate(used):
+        if not taken:
+            nxt[last] = last = y
+    nxt[last] = head
     # an explicit stack, so the depth is not bounded by Python's recursion
-    # limit: tried[i] is the last candidate tried for free[i], -1 for none
-    tried = [-1] * len(free)
+    # limit: level i assigns free[i], and before[i] is the target after
+    # which its image was unlinked.  Every deeper level has relinked its own
+    # image by the time level i takes its back, so the list is then as it
+    # was, and the image goes back after before[i]
+    before = [head] * len(free)
     nodes = 0
     i = 0
     while i >= 0:
@@ -294,25 +321,27 @@ def find_iso(
             i -= 1
             continue
         x = free[i]
-        y = tried[i]
-        if y >= 0:
+        y = assignment[x]
+        if y is None:
+            prev = head
+        else:
             assignment[x] = None
             used[y] = False
-        for y in range(y + 1, b.size):
-            if used[y]:
-                continue
+            nxt[before[i]] = prev = y
+        y = nxt[prev]
+        while y != head:
             nodes += 1
             if nodes > max_nodes:
-                raise BudgetExceeded(
-                    f"isomorphism search exceeded its budget of {max_nodes} nodes"
-                )
-            if compatible is None or compatible(x, y, assignment):
-                tried[i] = y
+                raise _over_budget(max_nodes)
+            if compatible is None or compatible(x, y, assignment, used):
                 assignment[x] = y
                 used[y] = True
+                before[i] = prev
+                nxt[prev] = nxt[y]
                 i += 1
                 break
+            prev = y
+            y = nxt[y]
         else:
-            tried[i] = -1
             i -= 1
     return None

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 from functools import reduce
 from random import Random
@@ -32,7 +33,7 @@ from opencospan import cli
 from opencospan.cli import MAX_APEX_SIZE, MAX_MAP_SIZE, _pairwise_fold, _parse_map, main
 from opencospan.dynamics import MAX_FIELD_EXPONENTS
 from opencospan.errors import OpenCospanError
-from opencospan.finset import ISO_BUDGET_ENV
+from opencospan.finset import DEFAULT_ISO_BUDGET, ISO_BUDGET_ENV
 from opencospan.laws import random_composable, random_cospan, sir_open_net
 from opencospan.modelio import ModelFile, canonical_json
 
@@ -1010,25 +1011,51 @@ def test_iso_check_decides_a_ten_place_ring_against_two_five_cycles(tmp_path, ca
     assert (code, err) == (2, "") and out.startswith("FAIL iso")
 
 
-def test_iso_check_decides_free_places_past_the_recursion_limit(tmp_path, capsys):
-    # the search takes one level per free place, 2,000 levels here
+def free_petri_file(tmp_path, name, places, leg_left):
+    """A transition-free `petri` file whose left foot has one element, at
+    place `leg_left`, and whose right foot is empty."""
     doc = {
         "version": "1",
         "kind": "petri",
         "representation": "decorated",
         "payload": {
-            "footLeft": 0,
+            "footLeft": 1,
             "footRight": 0,
-            "legLeft": [],
+            "legLeft": [leg_left],
             "legRight": [],
-            "system": {"places": 2000, "transitions": []},
+            "system": {"places": places, "transitions": []},
             "representation": "decorated",
         },
     }
-    path = tmp_path / "free.json"
+    path = tmp_path / name
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "check", str(path), str(path), "--laws", "iso")
-    assert (code, err) == (0, "") and out.startswith("PASS iso")
+    return str(path)
+
+
+def test_iso_check_decides_free_places_past_the_recursion_limit(tmp_path, capsys):
+    # equal files are decided by comparison; the other pair pins place 0 to
+    # place 1, and the search takes one level per free place, 1,999 here
+    same = free_petri_file(tmp_path, "same.json", 2000, 0)
+    moved = free_petri_file(tmp_path, "moved.json", 2000, 1)
+    for pair in ((same, same), (same, moved)):
+        code, out, err = run_cli(capsys, "check", *pair, "--laws", "iso")
+        assert (code, err) == (0, "") and out.startswith("PASS iso")
+
+
+def test_iso_check_of_two_million_free_places_ends_within_seconds(tmp_path, capsys, monkeypatch):
+    # both pairs spend the default budget: the equal one by the count the
+    # search would charge, the other in a search whose nodes cost O(1) each
+    monkeypatch.delenv(ISO_BUDGET_ENV, raising=False)
+    places = 2_000_000
+    assert places <= MAX_APEX_SIZE
+    same = free_petri_file(tmp_path, "same.json", places, 0)
+    moved = free_petri_file(tmp_path, "moved.json", places, 1)
+    spent = f"error: isomorphism search exceeded its budget of {DEFAULT_ISO_BUDGET} nodes\n"
+    for pair in ((same, same), (same, moved)):
+        start = time.process_time()
+        code, out, err = run_cli(capsys, "check", *pair, "--laws", "iso")
+        assert time.process_time() - start < 10
+        assert (code, out, err) == (2, "", spent)
 
 
 def test_module_entrypoint_runs_standalone():

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from collections import Counter
 from itertools import permutations
 from random import Random
@@ -636,6 +637,21 @@ def oracle_node_maps(m, n):
     ]
 
 
+def assert_witness_square(a, b, witness, node_map, case):
+    """The witness has the oracle's node map, and with identity feet it makes
+    a square from a to b with no violations."""
+    assert witness is not None and witness.node_map.table == node_map, case
+    square = TwoMorphism(
+        a,
+        b,
+        FinFunction.identity(a.foot_left),
+        FinFunction.identity(a.foot_right),
+        witness.node_map,
+        witness.cell_map,
+    )
+    assert square.violations() == [], case
+
+
 def test_cospan_iso_agrees_with_a_brute_force_oracle():
     rng = Random(20261018)
     cases, isos = 1500, 0
@@ -645,25 +661,18 @@ def test_cospan_iso_agrees_with_a_brute_force_oracle():
         left, right = (rng.randint(0, 2), rng.randint(0, 2)) if size else (0, 0)
         m = random_data(rng, kind, size, left, right)
         n = permuted_data(rng, m) if i % 2 else random_data(rng, kind, size, left, right)
-        a, b = build(kind, m), build(kind, n)
+        # `again` is built a second time from m's data, so it equals a
+        a, b, again = build(kind, m), build(kind, n), build(kind, m)
         if (i // 4) % 4 == 0:
-            a, b = to_structured(a), to_structured(b)
+            a, b, again = to_structured(a), to_structured(b), to_structured(again)
         expected = oracle_node_maps(m, n)
         witness = cospan_iso(a, b)
         assert (witness is not None) == bool(expected), (i, m, n)
-        if witness is None:
-            continue
-        isos += 1
-        assert witness.node_map.table == expected[0], (i, m, n)
-        square = TwoMorphism(
-            a,
-            b,
-            FinFunction.identity(a.foot_left),
-            FinFunction.identity(a.foot_right),
-            witness.node_map,
-            witness.cell_map,
-        )
-        assert square.violations() == [], (i, m, n)
+        if witness is not None:
+            isos += 1
+            assert_witness_square(a, b, witness, expected[0], (i, m, n))
+        assert a == again and a is not again
+        assert_witness_square(a, again, cospan_iso(a, again), oracle_node_maps(m, m)[0], (i, m))
     # every permuted copy is isomorphic, and some independent draws are too
     assert cases // 2 < isos < cases
 
@@ -755,13 +764,104 @@ def test_dynam_cospan_iso_agrees_with_a_brute_force_oracle():
         m = random_field_data(rng, size, left, right)
         n = permuted_field_data(rng, m) if i % 2 else random_field_data(rng, size, left, right)
         expected = oracle_field_maps(m, n)
-        witness = cospan_iso(build_field(m), build_field(n))
+        a = build_field(m)
+        witness = cospan_iso(a, build_field(n))
         assert (witness is not None) == bool(expected), (i, m, n)
         if witness is not None:
             isos += 1
             assert witness.node_map.table == expected[0], (i, m, n)
+        # built a second time from m's data, so equal to a
+        again = build_field(m)
+        assert a == again and a is not again
+        witness = cospan_iso(a, again)
+        assert witness.node_map.table == oracle_field_maps(m, m)[0], (i, m)
+        assert witness.cell_map == FinFunction.identity(EMPTY), (i, m)
     # every permuted copy is isomorphic, and some independent draws are too
     assert cases // 2 < isos < cases
+
+
+def seeded_equal_pair(rng, kind):
+    """Two equal cospans of a kind, each built from one seeded draw of data."""
+    size = rng.randint(0, 6)
+    left, right = (rng.randint(0, 3), rng.randint(0, 3)) if size else (0, 0)
+    if kind == "dynam":
+        data = random_field_data(rng, size, left, right)
+        return build_field(data), build_field(data)
+    data = random_data(rng, kind, size, left, right)
+    return build(kind, data), build(kind, data)
+
+
+@pytest.mark.parametrize("kind", [*CELL_KINDS, "dynam"])
+def test_equal_cospans_are_decided_as_the_search_decides_them(monkeypatch, kind):
+    rng = Random(f"equal-{kind}")
+    for case in range(60):
+        m, n = seeded_equal_pair(rng, kind)
+        if kind != "dynam" and case % 2:
+            m, n = to_structured(m), to_structured(n)
+        compatible, leaf = _search_rules(m.decoration, n.decoration)
+        cells = []  # the leaf check's cell maps, the last one the witness's
+
+        def cells_match(h):
+            cells.append(leaf(h))
+            return cells[-1] is not None
+
+        def search(budget):
+            return find_iso(
+                m.apex,
+                n.apex,
+                constraints=list(zip(m.leg_maps, n.leg_maps)),
+                predicate=cells_match,
+                budget=budget,
+                compatible=compatible,
+            )
+
+        left, right = m.leg_maps
+        unpinned = m.apex.size - len(set(left.table) | set(right.table))
+        h = search(unpinned)
+        searches = count_calls(monkeypatch, "find_iso", find_iso)
+        witness = cospan_iso(m, n, budget=unpinned)
+        assert searches == [], case  # decided by comparison
+        monkeypatch.undo()
+        assert witness.node_map.table == h.table, case
+        assert witness.cell_map.table == cells[-1].table, case
+        if unpinned:
+            with pytest.raises(BudgetExceeded) as searched:
+                search(unpinned - 1)
+            with pytest.raises(BudgetExceeded) as compared:
+                cospan_iso(m, n, budget=unpinned - 1)
+            assert str(compared.value) == str(searched.value), case
+
+
+def one_transition(places, source, target):
+    """A `petri` cospan with empty feet: one transition that consumes a token
+    of `source` and produces one of `target`."""
+    nodes = FinSet(places)
+    consumed, produced = (Multiset.from_dict(nodes, {x: 1}) for x in (source, target))
+    net = PetriNet(nodes, FinSet(1), (consumed,), (produced,))
+    return DecoratedCospan(EMPTY, EMPTY, fn([], places), fn([], places), net)
+
+
+def test_a_hundred_thousand_free_places_are_decided_in_linear_time():
+    size = 100_000
+    m = one_transition(size, 0, 1)
+    n = one_transition(size, size - 2, size - 1)
+    # places 0 and 1 each try size - 1 targets before they find their
+    # images, and every other place takes its first free target
+    nodes = 3 * size - 4
+    start = time.process_time()
+    witness = cospan_iso(m, n, budget=nodes)
+    assert time.process_time() - start < 1.0
+    assert witness.node_map.table == (size - 2, size - 1, *range(size - 2))
+    with pytest.raises(BudgetExceeded):
+        cospan_iso(m, n, budget=nodes - 1)
+    # the same cell keys, but no place of a self-loop has place 0's colour,
+    # so the first level tries every target
+    loop = one_transition(size, size - 1, size - 1)
+    start = time.process_time()
+    assert cospan_iso(m, loop, budget=size) is None
+    assert time.process_time() - start < 1.0
+    with pytest.raises(BudgetExceeded):
+        cospan_iso(m, loop, budget=size - 1)
 
 
 def ring_data(kind, arcs, size=6):
@@ -1020,10 +1120,11 @@ def test_petri_pruning_agrees_with_full_per_place_profiles(kind):
             e = relabel(FinFunction(nodes, nodes, tuple(rng.sample(range(nodes.size), nodes.size))), d)
         rules = _search_rules(d, e)
         full_d, full_e = full_profiles(d), full_profiles(e)
+        unassigned, unused = [None] * nodes.size, [False] * nodes.size
         for x in nodes:
             for y in nodes:
                 # keys that differ leave no two full profiles equal
-                allowed = rules is not None and rules[0](x, y, [])
+                allowed = rules is not None and rules[0](x, y, unassigned, unused)
                 assert allowed == (full_d[x] == full_e[y])
 
 
