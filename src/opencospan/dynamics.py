@@ -22,10 +22,11 @@ caller can consume each row as it is made.  The whole integration runs in
 one generated generator function: the state and the coefficients sit in
 locals, and each step does the four stages of the field and the final
 combination, inlined, with exactly the float operations of the
-stage-by-stage loop over `Poly.evaluate`.  `rate_equation` generates the
-same field code alone, as one stage.  Each is compiled once per call.
-The interpreted `evaluate` methods stay as public API and as the
-reference the compiled code is tested against.
+stage-by-stage loop over `rate_equation`, compiled once per run.  That
+is the only code the package generates: `rate_equation` is the
+interpreted reference, `PolyVectorField.evaluate` plus each flow routed
+along its leg, evaluated per call, and the tests hold the compiled
+stages to it bit for bit.
 """
 
 from __future__ import annotations
@@ -198,40 +199,38 @@ def _blew_up(at: float, last_good: float) -> DivergenceError:
     return DivergenceError(f"state blew up near t = {at}", last_good_time=last_good)
 
 
-def _source(system: OpenDynam, rk4: bool) -> tuple[str, tuple[float, ...], list[int]]:
-    """The generated source of the open rate equation of `system`, alone or
-    as a whole RK4 integration; its coefficients; the places it touches.
+def _source(system: OpenDynam) -> tuple[str, tuple[float, ...], list[int]]:
+    """The generated source of a whole RK4 integration of the open rate
+    equation of `system`; its coefficients; the places it touches.
 
     The one generator of field code is `stage`: one expression per touched
     place, as `a3 = 0.0 + k5 * x2 * x7 ** 2 + k6 * x3 + f1_0 - f1_4`, in the
     order and association of `Poly.evaluate` (`0.0 +` the first term,
     products left to right, powers kept as `**` so that an overflow still
     raises OverflowError), then the place's inflows and outflows in
-    boundary order.  A sum of more than `_CHUNK` terms continues as
-    `a3 = a3 + ...`, and a product of more than `_CHUNK` factors is built
-    in `p` first, ending the statement before it, so the association is
-    kept and no expression nests deeply.  These lines are built once, with
-    the names of state, stage and flow values left as `{0}`, `{1}` and
-    `{2}`, and `stage` fills them in.  State values, stage values, flow
-    values and coefficients are plain locals; the source holds only integer
-    indices and exponents, and the coefficients are unpacked from the tuple
-    `K`.  Code is emitted only for the touched places, those some term
-    reads or some component or flow writes, so its size is that of the net.
+    boundary order, as `rate_equation` adds them.  A sum of more than
+    `_CHUNK` terms continues as `a3 = a3 + ...`, and a product of more than
+    `_CHUNK` factors is built in `p` first, ending the statement before it,
+    so the association is kept and no expression nests deeply.  These lines
+    are built once, with the names of state, stage and flow values left as
+    `{0}`, `{1}` and `{2}`, and `stage` fills them in.  State values, stage
+    values, flow values and coefficients are plain locals; the source holds
+    only integer indices and exponents, and the coefficients are unpacked
+    from the tuple `K`.  Code is emitted only for the touched places, those
+    some term reads or some component or flow writes, so its size is that
+    of the net.
 
-    Without `rk4`, `field(s, f)` returns the right-hand side at state `s`
-    with flow values `f` (inflows, then outflows); an untouched place reads
-    0.0.  With `rk4`, `run(s, t0, t1, dt, n_full, flows_at)` is a generator
-    of the n_full + 1 steps `simulate_rows` lays out from the state `s`,
-    yielding `(t, state)` after each, state a new list.  It loads the
-    touched places and the coefficients once, takes the flows at t,
-    t + h/2 and t + h from `flows_at`, and does the float operations of the
-    stage-by-stage loop: `x + h2 * a` and so on, then
+    `run(s, t0, t1, dt, n_full, flows_at)` is a generator of the n_full + 1
+    steps `simulate_rows` lays out from the state `s`, yielding
+    `(t, state)` after each, state a new list.  It loads the touched places
+    and the coefficients once, takes the flows at t, t + h/2 and t + h from
+    `flows_at`, and does the float operations of the stage-by-stage loop
+    over `rate_equation`: `x + h2 * a` and so on, then
     `x + h6 * (a + 2.0 * b + 2.0 * c + d)`, whose float products equal
     those of `2 * b` without the int-to-float conversion.  It copies
     untouched places from `s` as they are, and turns an OverflowError in a
     stage into the DivergenceError `blew_up` makes from the stage's time.
     """
-    n = system.apex.size
     left, right = system.leg_left.table, system.leg_right.table
     coefficients: list[float] = []
     # per place, its terms as (index of the coefficient, monomial support)
@@ -288,50 +287,42 @@ def _source(system: OpenDynam, rk4: bool) -> tuple[str, tuple[float, ...], list[
         return ["".join(name + ", " for name in names) + "= " + value] if names else []
 
     body = unpack(["k%d" % k for k in range(len(coefficients))], "K")
-    if not rk4:
-        body += ["x%d = s[%d]" % (j, j) for j in read]
-        body += unpack(["f1_%d" % k for k in range(n_flows)], "f")
-        body += stage("x", "v", "f1_")
-        out = set(touched)
-        body.append("return [%s]" % ", ".join("v%d" % i if i in out else "0.0" for i in range(n)))
-        name, signature = "field", "s, f"
-    else:
-        body += ["x%d = s[%d]" % (j, j) for j in touched]
-        body += ["t = t0", "for step in range(n_full + 1):"]
-        loop = ["h = dt if step < n_full else t1 - t", "h2 = h / 2", "h6 = h / 6"]
-        for x, d, f, at, weight in (
-            ("x", "a", "f1_", "t", "h2"),
-            ("y", "b", "f2_", "t + h2", "h2"),
-            ("y", "c", "f2_", "t + h2", "h"),
-            ("y", "d", "f4_", "t + h", None),
-        ):
-            # stage c reads the flows stage b took
-            if d != "c":
-                loop += unpack(["%s%d" % (f, k) for k in range(n_flows)], "flows_at(%s)" % at)
-            lines = stage(x, d, f)
-            if lines:
-                loop += ["try:"] + [" " + line for line in lines]
-                loop += ["except OverflowError:", " raise blew_up(%s, t) from None" % at]
-            if weight:
-                loop += ["y%d = x%d + %s * %s%d" % (j, j, weight, d, j) for j in read]
-        loop.append("out = s.copy()")
-        loop += [
-            "out[%d] = x%d = x%d + h6 * (a%d + 2.0 * b%d + 2.0 * c%d + d%d)" % ((i,) * 7)
-            for i in touched
-        ]
-        loop += ["t = t0 + (step + 1) * dt if step < n_full else t1", "yield t, out"]
-        body += [" " + line for line in loop]
-        name, signature = "run", "s, t0, t1, dt, n_full, flows_at"
-    source = "def bind(K):\n def %s(%s):\n%s return %s\n" % (
-        name, signature, "".join(f"  {line}\n" for line in body), name
+    body += ["x%d = s[%d]" % (j, j) for j in touched]
+    body += ["t = t0", "for step in range(n_full + 1):"]
+    loop = ["h = dt if step < n_full else t1 - t", "h2 = h / 2", "h6 = h / 6"]
+    for x, d, f, at, weight in (
+        ("x", "a", "f1_", "t", "h2"),
+        ("y", "b", "f2_", "t + h2", "h2"),
+        ("y", "c", "f2_", "t + h2", "h"),
+        ("y", "d", "f4_", "t + h", None),
+    ):
+        # stage c reads the flows stage b took
+        if d != "c":
+            loop += unpack(["%s%d" % (f, k) for k in range(n_flows)], "flows_at(%s)" % at)
+        lines = stage(x, d, f)
+        if lines:
+            loop += ["try:"] + [" " + line for line in lines]
+            loop += ["except OverflowError:", " raise blew_up(%s, t) from None" % at]
+        if weight:
+            loop += ["y%d = x%d + %s * %s%d" % (j, j, weight, d, j) for j in read]
+    loop.append("out = s.copy()")
+    loop += [
+        "out[%d] = x%d = x%d + h6 * (a%d + 2.0 * b%d + 2.0 * c%d + d%d)" % ((i,) * 7)
+        for i in touched
+    ]
+    loop += ["t = t0 + (step + 1) * dt if step < n_full else t1", "yield t, out"]
+    body += [" " + line for line in loop]
+    source = "def bind(K):\n def run(s, t0, t1, dt, n_full, flows_at):\n%s return run\n" % (
+        "".join(f"  {line}\n" for line in body)
     )
     return source, tuple(coefficients), touched
 
 
-def _compile(system: OpenDynam, rk4: bool) -> tuple[Callable, list[int]]:
-    """The function `_source` generates, compiled and bound to the
-    coefficients, and the touched places."""
-    source, coefficients, touched = _source(system, rk4)
+def _compile(system: OpenDynam) -> tuple[Callable, list[int]]:
+    """The `run` generator of `_source`, compiled and bound to the
+    coefficients, and the touched places.  No other code in the package
+    compiles or executes source."""
+    source, coefficients, touched = _source(system)
     namespace: dict = {"blew_up": _blew_up}
     exec(compile(source, "<rate equation>", "exec"), namespace)
     # popped, so that the function and its globals form no reference cycle
@@ -375,25 +366,27 @@ def rate_equation(
 
     Its value is the field plus the inflows minus the outflows, each flow
     routed along its leg and added in boundary order.  The shapes of the
-    schedule are checked here, the length of the state on every call.
+    schedule are checked here, the length of the state on every call, by
+    `PolyVectorField.evaluate`.
 
-    This is the one-stage case of the code `simulate` runs: the whole
-    right-hand side is generated as Python source that performs the float
-    operations of `Poly.evaluate` in the same order (see `_source`), and
-    compiled once per call.  The flows are evaluated once per segment
-    between the schedule's breakpoints, where they are all constant.
+    This is the interpreted reference each stage of the code `simulate`
+    generates follows bit for bit (see `_source`): nothing is compiled, and
+    the field is evaluated term by term on every call.  The flows are
+    evaluated once per segment between the schedule's breakpoints, where
+    they are all constant.
     """
     _check_schedule(system, schedule)
-    n = system.apex.size
-    field, _ = _compile(system, rk4=False)
+    field, left, right = system.field, system.leg_left.table, system.leg_right.table
     flows_at = _flow_values(schedule)
 
     def rhs(t: float, state: Sequence[float]) -> list[float]:
-        if len(state) != n:
-            raise DimensionError(
-                f"state of length {len(state)} for a field over {n} places"
-            )
-        return field(state, flows_at(t))
+        out = field.evaluate(state)
+        values = flows_at(t)
+        for p, value in zip(left, values):
+            out[p] += value
+        for p, value in zip(right, values[len(left) :]):
+            out[p] -= value
+        return out
 
     return rhs
 
@@ -455,7 +448,7 @@ def simulate_rows(
         raise DimensionError(f"initial state of length {len(state)} for {n} places")
     _check_schedule(system, schedule)
     n_full = _full_steps(t0, t1, dt, n)
-    run, touched = _compile(system, rk4=True)
+    run, touched = _compile(system)
     flows_at = _flow_values(schedule)
 
     def rows(state: list[float]) -> Iterator[tuple[float, list[float]]]:
@@ -499,7 +492,7 @@ def simulate(
     The whole integration, each step's four stages and final combination
     inlined, is one generated function (`_source`), compiled once per run
     (`_compile`), and the trajectory is bit for bit that of the
-    stage-by-stage loop over `rate_equation`.  The trajectory is the rows
+    stage-by-stage loop over `rate_equation`, the interpreted reference.  The trajectory is the rows
     `simulate_rows` yields, each state made a tuple; a caller that
     consumes each row as it comes, as CLI `simulate` does, iterates
     `simulate_rows` and never holds the whole trajectory.

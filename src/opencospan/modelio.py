@@ -149,11 +149,11 @@ def _write_field(field: PolyVectorField) -> dict:
     return {"places": field.over.size, "field": dense}
 
 
-def _field_text(field: PolyVectorField) -> tuple[dict, str, list[str]]:
-    """`_write_field` with "field" held out as its text, which is built
-    only once the size check has passed."""
+def _field_text(field: PolyVectorField) -> tuple[dict, list[str]]:
+    """`_write_field` with "field" held out as null, and its text, which is
+    built only once the size check has passed."""
     _check_dense_size(field)
-    return {"places": field.over.size}, "field", _field_pieces(field)
+    return {"places": field.over.size, "field": None}, _field_pieces(field)
 
 
 def _check_dense_size(field: PolyVectorField) -> None:
@@ -189,19 +189,6 @@ def _field_pieces(field: PolyVectorField) -> list[str]:
         pieces.append("]")
     pieces.append("]")
     return pieces
-
-
-def _spliced(obj: dict, path: tuple[str, ...], pieces: list[str]) -> list[str]:
-    """The canonical JSON of obj, in pieces, with the value at path (keys
-    into nested objects) given as the pieces of its canonical JSON: each
-    object on the path is written as its keys before the held-out one, that
-    key and its value, then its keys after it, as `sort_keys` orders them."""
-    key, rest = path[0], path[1:]
-    value = _spliced(obj[key], rest, pieces) if rest else pieces
-    before = canonical_json({k: v for k, v in obj.items() if k < key})[:-1]
-    after = canonical_json({k: v for k, v in obj.items() if k > key})[1:]
-    head = [before, "," if before != "{" else "", canonical_json(key) + ":"]
-    return [*head, *value, "," if after != "}" else "", after]
 
 
 def _read_graph(value: Any, theory: DecorationTheory) -> System:
@@ -313,11 +300,12 @@ def _read_field(value: Any, theory: DecorationTheory) -> PolyVectorField:
 
 class _Layout(NamedTuple):
     """How a shape's system objects sit in a file.  `text`, if not None,
-    writes one with a value held out as its text (`_field_text`)."""
+    writes one with its "field" value held out as null, and that value's
+    text (`_field_text`)."""
 
     read: Callable[[Any, DecorationTheory], Decoration]
     write: Callable[[Decoration], dict]
-    text: Optional[Callable[[Decoration], tuple[dict, str, list[str]]]]
+    text: Optional[Callable[[Decoration], tuple[dict, list[str]]]]
     structured: bool  # whether a cospan of the shape has a structured presentation
 
 
@@ -511,15 +499,17 @@ def load_model(path: str) -> ModelFile:
 
 def _model_text(model: ModelFile) -> str:
     """The text of a model file: canonical_json(model.to_json()) + "\n".  A
-    value the layout holds out as text (the dynam field) is joined with the
-    canonical JSON of the rest of the file, not built as lists."""
+    value the layout holds out as text (the dynam field) is written as null
+    in the canonical JSON of the rest of the file, which is split once at
+    `"field":null` and joined around that text, not built as lists.  No
+    other object in a model file has a "field" key, and no JSON string
+    holds an unescaped quote, so the split finds exactly that value."""
     _, layout = _layout(model.kind)
     if layout.text is None:
         return canonical_json(model.to_json()) + "\n"
-    system, key, value = layout.text(model.payload.decoration)
-    pieces = _spliced(model._json(system), ("payload", "system", key), value)
-    pieces.append("\n")
-    return "".join(pieces)
+    system, pieces = layout.text(model.payload.decoration)
+    head, tail = canonical_json(model._json(system)).split('"field":null')
+    return "".join([head, '"field":', *pieces, tail, "\n"])
 
 
 def save_model(path: str, model: ModelFile) -> None:

@@ -151,10 +151,7 @@ class Multiset:
 
     @property
     def counts(self) -> tuple[int, ...]:
-        counts = [0] * self.over.size
-        for p, k in self.pairs:
-            counts[p] = k
-        return tuple(counts)
+        return tuple(_dense_of(self.over.size, self.pairs))
 
     def __repr__(self) -> str:
         return f"Multiset(over={self.over!r}, counts={self.counts!r})"

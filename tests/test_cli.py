@@ -1141,6 +1141,82 @@ def test_a_refused_value_is_named_in_one_short_line_however_large(tmp_path, caps
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120, err
 
 
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+
+
+def sir_sim_config(**overrides):
+    config = json.loads((MODELS / "sir_sim.json").read_text())
+    config.update(overrides)
+    return config
+
+
+def structured(doc):
+    doc["representation"] = doc["payload"]["representation"] = "structured"
+    return doc
+
+
+CONVERT = ["convert", "in.json", "--to", "decorated", "--out", "out"]
+SIMULATE_SIR = ["simulate", str(MODELS / "sir.json"), "--config", "in.json", "--out", "out"]
+
+# refusals no other test reaches, each as (arguments, the document written
+# to in.json, exit code, stderr)
+REFUSALS = {
+    "no laws": (["check", "--laws", ","], None, 3, "no laws requested"),
+    "map off its codomain": (
+        ["check", "--laws", "companion", "--map=-1", "--cod", "2"],
+        None,
+        2,
+        "table[0] = -1 is outside the codomain of size 2",
+    ),
+    "structured dynam": (
+        CONVERT,
+        structured(open_system("dynam", {"places": 3, "field": [[], [], []]})),
+        3,
+        "dynam models only have a decorated representation",
+    ),
+    "field not an array": (
+        CONVERT,
+        open_system("dynam", {"places": 3, "field": 5}),
+        3,
+        "field must be an array of 3 components",
+    ),
+    "field component not an array": (
+        CONVERT,
+        open_system("dynam", {"places": 3, "field": [5, [], []]}),
+        3,
+        "field component 0 must be an array of terms",
+    ),
+    "initialState a list": (
+        SIMULATE_SIR,
+        sir_sim_config(initialState=[0.99, 0.01, 0.0]),
+        3,
+        "initialState must map place names to numbers",
+    ),
+    "inflows a list": (
+        SIMULATE_SIR, sir_sim_config(inflows=[]), 3, "inflows must be an object"
+    ),
+    "breakpoints not an array": (
+        SIMULATE_SIR,
+        sir_sim_config(inflows={"x0": {"breakpoints": 0.5, "values": [1.0, 2.0]}}),
+        3,
+        "inflows[x0] breakpoints and values must be arrays",
+    ),
+    "t1 a 400-digit integer": (
+        SIMULATE_SIR, sir_sim_config(t1=10**399), 3, "t1 must be a finite number"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_each_remaining_refusal_keeps_its_exit_code_and_line(tmp_path, capsys, monkeypatch, case):
+    argv, doc, code, message = REFUSALS[case]
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        (tmp_path / "in.json").write_text(json.dumps(doc))
+    assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 LONG_KEY = "k" * WIDE
 
 

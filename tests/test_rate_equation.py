@@ -1,16 +1,16 @@
-"""The compiled open rate equation and RK4 step against interpreted oracles.
+"""The open rate equation and the compiled RK4 integration against interpreted oracles.
 
-`rate_equation` generates code for the whole right-hand side.  The oracle
-here evaluates the field with `PolyVectorField.evaluate` and routes each
-flow along its leg by hand, in boundary order.  The two must agree bit for
-bit (any NaN matching any NaN) and must raise OverflowError on the same
-inputs, which is what `simulate` turns into a DivergenceError.
+`rate_equation` is the interpreted reference: `PolyVectorField.evaluate`
+plus each flow routed along its leg.  The oracle here routes the flows by
+hand, in boundary order.  The two must agree bit for bit (any NaN
+matching any NaN) and must raise OverflowError on the same inputs, which
+is what `simulate` turns into a DivergenceError.
 
-`simulate` runs a whole RK4 integration made by the same generator.  Its
-oracle is the stage-by-stage RK4 loop written out below over the field
-oracle; the trajectories must agree bit for bit on every row, and
-divergences in message and last good time.  The last test splits long
-sums and products.
+`simulate` runs a whole RK4 integration in generated code, the only code
+the package generates.  Its oracle is the stage-by-stage RK4 loop written
+out below over the field oracle; the trajectories must agree bit for bit
+on every row, and divergences in message and last good time.  The last
+test splits long sums and products in the generated source.
 """
 
 import gc
@@ -69,7 +69,7 @@ def same_bits(x, y):
 
 
 def assert_matches_oracle(system, schedule, calls):
-    """Call one compiled function at each (t, state) in turn, so calls that
+    """Call one rate equation at each (t, state) in turn, so calls that
     share a flow segment reuse its cached flow values."""
     rhs = rate_equation(system, schedule)
     for t, state in calls:
@@ -137,7 +137,7 @@ def scheduled_systems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(scheduled_systems(), st.data())
-def test_compiled_rate_equation_matches_the_oracle_bit_for_bit(case, data):
+def test_rate_equation_matches_the_oracle_bit_for_bit(case, data):
     system, schedule = case
     n = system.apex.size
     calls = data.draw(
@@ -235,7 +235,7 @@ def long_term(n=3000):
     return PolyVectorField(FinSet(n), (term,) + (Poly.zero(n),) * (n - 1))
 
 
-def test_large_components_and_long_terms_compile():
+def test_large_components_and_long_terms_evaluate_like_the_oracle():
     assert_matches_oracle(
         open_system(wide_component()), FlowSchedule.zero(0, 0), [(0.0, [0.999, 1.001])]
     )
@@ -246,8 +246,8 @@ def test_large_components_and_long_terms_compile():
 
 
 def test_a_dropped_rate_equation_leaves_no_garbage_cycle():
-    # one is compiled per simulate run; a cycle would hold the generated
-    # code until the next full collection
+    # one is made per open_rate_rhs call; a cycle would hold its closure
+    # until the next full collection
     field = PolyVectorField(FinSet(1), (Poly(1, ((-0.5, (1,)),)),))
     gc.collect()
     gc.disable()
@@ -510,7 +510,7 @@ def test_the_generated_step_has_the_size_of_the_net_not_of_its_places():
     none = FinFunction.from_empty(places)
     system = graybox(DecoratedCospan(EMPTY, EMPTY, none, none, net))
     terms = sum(len(p.sparse) for p in system.field.components)
-    source, _, touched = _source(system, rk4=True)
+    source, _, touched = _source(system)
     lines = source.splitlines()
     assert terms <= 3 * cells and len(touched) <= 3 * cells
     # per stage a line per term and per touched place, then a line per
@@ -545,10 +545,10 @@ def split_lines_case():
 
 def test_a_long_sum_and_a_long_product_split_without_reassociating():
     system, schedule, state = split_lines_case()
-    source = _source(system, rk4=False)[0]
+    source = _source(system)[0]
     # the sum goes on in the same place, the product through p, and the
-    # place with only an outflow is 0.0 minus it
-    assert " v0 = v0 + " in source and " p = p * " in source
-    assert "  v1 = 0.0 - f1_2\n" in source
+    # place with only an outflow is 0.0 minus it, in every stage
+    assert " a0 = a0 + " in source and " p = p * " in source
+    assert " a1 = 0.0 - f1_2\n" in source and " d1 = 0.0 - f4_2\n" in source
     assert_matches_oracle(system, schedule, [(0.0, state), (0.02, state)])
     assert_integrates_like_the_oracle(system, schedule, state, 0.0, 0.025, 0.01)

@@ -26,7 +26,9 @@ from opencospan import (
     discrete,
     interface_of,
     is_discrete,
+    mass_action,
     match_cells,
+    pushforward_field,
     relabel,
     save_model,
     system_coproduct,
@@ -471,6 +473,22 @@ def test_theory_trivial_and_unit():
     assert theory.unit() == discrete("petri", EMPTY)
     with pytest.raises(KindError):
         decoration_theory("matrix")
+
+
+def test_the_field_theory_reindexes_by_pushforward_and_each_theory_refuses_the_other_kind():
+    rng = Random(12)
+    fields, graphs = decoration_theory("dynam"), decoration_theory("graph")
+    for _ in range(25):
+        v = mass_action(random_system(rng, "petri_rates", FinSet(4)))
+        f = random_function(rng, FinSet(4), FinSet(3))
+        assert fields.reindex(f, v) == pushforward_field(f, v)
+    g = random_system(rng, "graph", FinSet(4))
+    with pytest.raises(KindError) as refusal:
+        fields.reindex(f, g)
+    assert str(refusal.value) == "decoration of kind 'graph' in a 'dynam' theory"
+    with pytest.raises(KindError) as refusal:
+        graphs.reindex(f, v)
+    assert str(refusal.value) == "decoration of kind 'dynam' in a 'graph' theory"
 
 
 def test_laxator_concatenates_then_reindexing_commutes_up_to_fiber_iso():
