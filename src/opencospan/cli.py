@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from typing import Optional, Sequence
 
 from .errors import ModelFormatError, ModelValidationError, OpenCospanError
 from .finset import FinFunction, FinSet, _short
+from .systems import decoration_theory
 from .cospans import (
     _check_pair,
     _present,
@@ -58,9 +59,8 @@ def _fold_command(args: argparse.Namespace, op, op_name: str) -> int:
     # the left fold would meet the first bad adjacent pair first; so does this
     for m, n in zip(payloads, payloads[1:]):
         _check_pair(m, n, op_name)
-    # composing fields sums the floats of like terms, which change bits when
-    # reassociated: dynam compose keeps the left fold
-    fold = reduce if op is hcompose and models[0].kind == "dynam" else _pairwise_fold
+    associative = op is not hcompose or decoration_theory(models[0].kind).associative
+    fold = _pairwise_fold if associative else reduce
     save_model(args.out, ModelFile(models[0].kind, fold(op, payloads)))
     return 0
 
@@ -190,41 +190,56 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in reports) else 2
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Formats an option that takes a value as Python 3.10-3.12 do, with the
+    value after each spelling (`--out OUT, -o OUT`), where 3.13 writes it
+    once (`--out, -o OUT`): help pages are the same bytes on every Python
+    the package supports."""
+
+    def _format_action_invocation(self, action: argparse.Action) -> str:
+        if not action.option_strings or action.nargs == 0:
+            return super()._format_action_invocation(action)
+        value = self._format_args(action, self._get_default_metavar_for_optional(action))
+        return ", ".join(f"{option} {value}" for option in action.option_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opencospan",
         description="Compose, convert, gray-box, and simulate open systems stored as JSON.",
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, formatter_class=_HelpFormatter)
 
-    compose_p = sub.add_parser("compose", help="glue models end to end, left to right")
+    compose_p = add_parser("compose", help="glue models end to end, left to right")
     compose_p.add_argument("files", nargs="+", help="model files, composed in order")
     compose_p.add_argument("--out", "-o", required=True, help="output model file")
     compose_p.set_defaults(handler=_cmd_compose)
 
-    tensor_p = sub.add_parser("tensor", help="put models side by side")
+    tensor_p = add_parser("tensor", help="put models side by side")
     tensor_p.add_argument("files", nargs="+")
     tensor_p.add_argument("--out", "-o", required=True)
     tensor_p.set_defaults(handler=_cmd_tensor)
 
-    convert_p = sub.add_parser("convert", help="switch between the two presentations")
+    convert_p = add_parser("convert", help="switch between the two presentations")
     convert_p.add_argument("file")
     convert_p.add_argument("--to", required=True, choices=("structured", "decorated"))
     convert_p.add_argument("--out", "-o", required=True)
     convert_p.set_defaults(handler=_cmd_convert)
 
-    graybox_p = sub.add_parser("graybox", help="turn a rated open net into open ODEs")
+    graybox_p = add_parser("graybox", help="turn a rated open net into open ODEs")
     graybox_p.add_argument("file")
     graybox_p.add_argument("--out", "-o", required=True)
     graybox_p.set_defaults(handler=_cmd_graybox)
 
-    simulate_p = sub.add_parser("simulate", help="integrate an open system to CSV")
+    simulate_p = add_parser("simulate", help="integrate an open system to CSV")
     simulate_p.add_argument("file")
     simulate_p.add_argument("--config", required=True, help="JSON simulation config")
     simulate_p.add_argument("--out", "-o", required=True, help="CSV trajectory output")
     simulate_p.set_defaults(handler=_cmd_simulate)
 
-    check_p = sub.add_parser("check", help="run law suites and validations")
+    check_p = add_parser("check", help="run law suites and validations")
     check_p.add_argument("files", nargs="*", help="model files, for the iso check")
     check_p.add_argument(
         "--laws",

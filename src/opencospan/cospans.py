@@ -33,11 +33,9 @@ costs no pushout beyond its composites'.
 
 Open dynamical systems are the fifth decorated kind ("dynam"): the
 decoration is a polynomial vector field, and the union of two decorations
-is the sum of their pushforwards.  Composing them sums the float
-coefficients of like terms, so dynam `hcompose` is associative only up to
-rounding; `tensor` adds no two terms, so it is exact.  Fields have no
-structured presentation, and `cospan_iso` compares them within
-`field_close`'s tolerance at the leaves of the search.
+is the sum of their pushforwards, so dynam `hcompose` is associative only
+up to rounding.  `cospan_iso` compares fields within `field_close`'s
+tolerance at the leaves of the search.
 """
 
 from __future__ import annotations
@@ -235,7 +233,7 @@ def tensor(m: Cospan, n: Cospan) -> Cospan:
 def to_structured(cospan: DecoratedCospan) -> StructuredCospan:
     """Repackage a decorated cospan with its feet made structureless systems."""
     kind = cospan.kind
-    if decoration_theory(kind).shape == "field":
+    if not decoration_theory(kind).structured:
         raise KindError(f"{kind} models only have a decorated representation")
     no_cells = FinFunction.from_empty(cells_of(cospan.decoration))
     return StructuredCospan(
@@ -523,7 +521,7 @@ def _incidences(decoration: Decoration):
     multisets, and a term of component x its monomial and x itself.  The key
     is a cell's label or rate key, and None for a term, whose coefficient
     only the leaf check reads."""
-    if decoration_theory(decoration.kind).shape == "field":
+    if not decoration_theory(decoration.kind).has_cells:
         return (
             (support, ((x, 1),), None)
             for x, poly in enumerate(decoration.components)
@@ -600,7 +598,7 @@ def _search_rules(d: Decoration, e: Decoration):
                 met -= 1
         return met == 0
 
-    if decoration_theory(d.kind).shape == "field":
+    if not decoration_theory(d.kind).has_cells:
         return compatible, lambda h: (
             _NO_CELLS if field_close(pushforward_field(h, d), e) else None
         )
@@ -635,8 +633,8 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
         # a search with no free place charges no node, whatever the budget
         if unpinned > max(budget, 0):
             raise _over_budget(budget)
-        field = decoration_theory(m.kind).shape == "field"
-        cells = _NO_CELLS if field else FinFunction.identity(cells_of(m.decoration))
+        has_cells = decoration_theory(m.kind).has_cells
+        cells = FinFunction.identity(cells_of(m.decoration)) if has_cells else _NO_CELLS
         return IsoWitness(FinFunction.identity(m.apex), cells)
     if m.representation != n.representation or m.kind != n.kind:
         return None

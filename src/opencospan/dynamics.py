@@ -46,6 +46,7 @@ from .systems import (  # noqa: F401
     PolyVectorField,
     Support,
     System,
+    decoration_theory,
     field_close,
     poly_add,
     poly_close,
@@ -102,7 +103,7 @@ OpenDynam = DecoratedCospan
 
 def graybox(open_net: Cospan) -> OpenDynam:
     """Forget a rated open net's wiring diagram, keep its mass-action ODEs."""
-    if getattr(open_net, "representation", None) is None or open_net.kind != "petri_rates":
+    if not (hasattr(open_net, "representation") and decoration_theory(open_net.kind).rated):
         raise KindError("gray-boxing applies to open Petri nets with rates")
     open_net = _present(open_net, "decorated")
     return OpenDynam(

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .errors import OpenCospanError
 from .finset import FinFunction, FinSet, PushoutResult, compose, copair, induced, pushout
 from .systems import (
+    KINDS,
     Multiset,
     System,
     SystemMorphism,
@@ -496,7 +497,7 @@ def conversion_roundtrip(cases: int = 200, seed: int = 23) -> Iterator[str]:
     the coproduct in X built independently by `system_pushout` and
     `system_coproduct`."""
     rng = Random(seed)
-    kinds = ("graph", "lgraph", "petri", "petri_rates")
+    kinds = [kind for kind in KINDS if decoration_theory(kind).structured]
     for case in range(cases):
         kind = kinds[case % len(kinds)]
         m, n = random_composable(rng, kind, 2, max_apex=4, max_foot=2, max_cells=4)

@@ -306,13 +306,12 @@ class _Layout(NamedTuple):
     read: Callable[[Any, DecorationTheory], Decoration]
     write: Callable[[Decoration], dict]
     text: Optional[Callable[[Decoration], tuple[dict, list[str]]]]
-    structured: bool  # whether a cospan of the shape has a structured presentation
 
 
 _LAYOUTS = {
-    "graph": _Layout(_read_graph, _write_graph, None, True),
-    "petri": _Layout(_read_petri, _write_petri, None, True),
-    "field": _Layout(_read_field, _write_field, _field_text, False),
+    "graph": _Layout(_read_graph, _write_graph, None),
+    "petri": _Layout(_read_petri, _write_petri, None),
+    "field": _Layout(_read_field, _write_field, _field_text),
 }
 _KIND_LAYOUTS = {k: (decoration_theory(k), _LAYOUTS[decoration_theory(k).shape]) for k in KINDS}
 
@@ -434,7 +433,7 @@ def model_from_json(value: Any) -> ModelFile:
         )
     system = layout.read(payload["system"], theory)
     apex = interface_of(system)
-    if representation != "decorated" and not layout.structured:
+    if representation != "decorated" and not theory.structured:
         raise ModelFormatError(f"{theory.kind} models only have a decorated representation")
     feet = []
     for where in ("footLeft", "footRight"):
@@ -580,22 +579,18 @@ def load_sim_config(path: str) -> SimConfig:
     return sim_config_from_json(_read_json(path))
 
 
-# the kinds a simulation runs, each with whether it is gray-boxed first
-_SIMULATED = {"dynam": False, "petri_rates": True}
-
-
 def resolve_simulation(
     model: ModelFile, config: SimConfig
 ) -> tuple[OpenDynam, FlowSchedule, list[float], Names]:
     """Turn named config entries into positional state and flow schedules."""
-    grayboxed = _SIMULATED.get(model.kind)
-    if grayboxed is None:
+    theory = decoration_theory(model.kind)
+    if theory.has_cells and not theory.rated:
         raise ModelValidationError(
             f"simulation needs a dynam or petri_rates model, got kind {model.kind!r}"
         )
     # refuse an over-cap run before gray-boxing and naming every place
     _full_steps(config.t0, config.t1, config.dt, model.payload.apex.size)
-    system = graybox(model.payload) if grayboxed else model.payload
+    system = graybox(model.payload) if theory.rated else model.payload
     names = default_names(model)
     assert names.places is not None and names.foot_left is not None
     assert names.foot_right is not None

@@ -59,8 +59,6 @@ from .finset import (
     _short,
 )
 
-KINDS = ("graph", "lgraph", "petri", "petri_rates", "dynam")
-
 Label = Union[str, int, float, bool]
 
 
@@ -439,7 +437,7 @@ def system_pushout(
         if bad:
             raise MorphismShapeError(f"{name} leg of the span is not a morphism: {bad[0]}")
     theory = decoration_theory(f.dom.kind)
-    if not theory.glues_cells and cells_of(f.dom).size > 0:
+    if theory.rated and cells_of(f.dom).size > 0:
         raise UnsupportedGluing(
             "rated nets can only be glued along spans with no transitions"
         )
@@ -608,13 +606,7 @@ class Poly:
             raise DimensionError(
                 f"point of length {len(point)} for a polynomial in {self.nvars} variables"
             )
-        total = 0.0
-        for c, support in self.sparse:
-            value = c
-            for j, k in support:
-                value *= point[j] ** k
-            total += value
-        return total
+        return _values((self,), point)[0]
 
     def substitute_along(self, f: FinFunction) -> Poly:
         """Rename variable i to variable f(i); merged variables add exponents:
@@ -625,6 +617,22 @@ class Poly:
         return Poly._canonical(
             f.cod.size, [(c, _push_pairs(support, table)) for c, support in self.sparse]
         )
+
+
+def _values(polys: Sequence[Poly], point: Sequence[float]) -> list[float]:
+    """Each polynomial's value at a point whose length the caller checked:
+    per term, its coefficient times its powers left to right, and the terms
+    summed in order from 0.0."""
+    values = []
+    for poly in polys:
+        total = 0.0
+        for c, support in poly.sparse:
+            value = c
+            for j, k in support:
+                value *= point[j] ** k
+            total += value
+        values.append(total)
+    return values
 
 
 def poly_add(*polys: Poly) -> Poly:
@@ -693,7 +701,7 @@ class PolyVectorField:
             raise DimensionError(
                 f"state of length {len(point)} for a field over {self.over.size} places"
             )
-        return [p.evaluate(point) for p in self.components]
+        return _values(self.components, point)
 
 
 def field_close(u: PolyVectorField, v: PolyVectorField) -> bool:
@@ -832,12 +840,12 @@ _SHAPES = {
     ),
 }
 # kind: (shape, check of the attribute column (None: the kind has none),
-#        attribute rule of a morphism, may gluing merge cells)
+#        attribute rule of a morphism, do its cells carry rates)
 _KIND_RULES = {
-    "graph": ("graph", None, lambda m, check_rates: [], True),
-    "lgraph": ("graph", _check_labels, _label_faults, True),
-    "petri": ("petri", None, lambda m, check_rates: [], True),
-    "petri_rates": ("petri", _check_rates, _rate_faults, False),
+    "graph": ("graph", None, lambda m, check_rates: [], False),
+    "lgraph": ("graph", _check_labels, _label_faults, False),
+    "petri": ("petri", None, lambda m, check_rates: [], False),
+    "petri_rates": ("petri", _check_rates, _rate_faults, True),
 }
 
 
@@ -853,23 +861,28 @@ class DecorationTheory:
     isomorphisms that re-address the coproduct, which is exactly why
     composites of decorated cospans live over a chosen pushout.
 
-    The theory also holds the kind's rules that every system operation
-    reads: `shape` ("graph", "petri", or "field" for dynam), and for the
-    cell kinds `move(column, f)` for a column of cell ends,
-    `hashable(column)` (the ends as hashable supports), `build`, which is
-    the one `System` constructor call, `attributed` (whether the kind has
-    an attribute column), `end_faults` (the wording of a broken source or
-    target end), `attribute_faults(m, check_rates)` and `glues_cells`
-    (False where merged cells have no canonical attribute).
+    Each row states four facts about its kind, which other modules read
+    instead of its name: `has_cells` (its decorations are systems of cells,
+    not fields), `structured` (its cospans have a structured presentation),
+    `associative` (`hcompose` is associative on the nose: `union` adds no
+    floats) and `rated` (cells carry rates, so gluing merges none and the
+    kind gray-boxes).  A row with cells also holds the rules every system
+    operation reads: `shape` ("graph" or "petri"; "field" for dynam),
+    `move(column, f)` for a column of cell ends, `hashable(column)` (the
+    ends as hashable supports), `build`, the one `System` constructor call,
+    `attributed` (whether the kind has an attribute column), `end_faults`
+    (the wording of a broken source or target end) and
+    `attribute_faults(m, check_rates)`.
     """
 
+    has_cells = structured = associative = True
+
     def __init__(self, kind: str):
-        if kind not in _KIND_RULES:
-            raise KindError(f"unknown system kind {kind!r}")
         self.kind = kind
-        self.shape, check_attrs, self.attribute_faults, self.glues_cells = _KIND_RULES[kind]
-        self.attributed = check_attrs is not None
-        self.move, self.hashable, _, self.end_faults = _SHAPES[self.shape]
+        if self.has_cells:
+            self.shape, check_attrs, self.attribute_faults, self.rated = _KIND_RULES[kind]
+            self.attributed = check_attrs is not None
+            self.move, self.hashable, _, self.end_faults = _SHAPES[self.shape]
 
     def build(
         self, nodes: FinSet, cells: FinSet, src: tuple, tgt: tuple, attrs: Optional[tuple]
@@ -913,8 +926,8 @@ class _FieldTheory(DecorationTheory):
     R^S, reindexed by `pushforward_field`; the union of two fields is the
     sum of their pushforwards, so the laxator is the direct sum."""
 
-    def __init__(self) -> None:
-        self.kind, self.shape = "dynam", "field"
+    shape = "field"
+    has_cells = structured = associative = rated = False
 
     def trivial(self, a: FinSet) -> PolyVectorField:
         return PolyVectorField.zero(a)
@@ -935,7 +948,8 @@ class _FieldTheory(DecorationTheory):
 
 
 _THEORIES = {kind: DecorationTheory(kind) for kind in _KIND_RULES}
-_THEORIES["dynam"] = _FieldTheory()
+_THEORIES["dynam"] = _FieldTheory("dynam")
+KINDS = tuple(_THEORIES)
 
 
 def decoration_theory(kind: str) -> DecorationTheory:

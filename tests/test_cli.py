@@ -1423,3 +1423,47 @@ def test_a_usage_error_leaves_the_next_call_as_in_a_fresh_process(
         capsys.readouterr()
         assert run_cli(capsys, *argv) == fresh
         assert vars(cli._parser().parse_args(argv)) == namespace
+
+
+# -- help pages on every supported Python -----------------------------------------
+
+HELP_PAGES = ([], ["compose"], ["tensor"], ["convert"], ["graybox"], ["simulate"], ["check"])
+# prints the top-level help page, then each command's
+HELP_SCRIPT = (
+    "from opencospan.cli import main\n"
+    f"for page in {HELP_PAGES!r}:\n"
+    "    try:\n"
+    "        main([*page, '--help'])\n"
+    "    except SystemExit:\n"
+    "        pass\n"
+)
+
+
+def pyenv_python(version):
+    """The newest interpreter of `version` (say "3.13") in pyenv's versions
+    folder that starts, or None."""
+    root = pathlib.Path(os.environ.get("PYENV_ROOT") or pathlib.Path.home() / ".pyenv")
+    for python in sorted(root.glob(f"versions/{version}.*/bin/python"), reverse=True):
+        if subprocess.run([str(python), "-c", ""], capture_output=True).returncode == 0:
+            return python
+    return None
+
+
+@pytest.mark.parametrize("version", ("3.10", "3.12", "3.13"))
+def test_help_pages_are_the_same_bytes_on_every_supported_python(capsys, monkeypatch, version):
+    python = pyenv_python(version)
+    if python is None:
+        pytest.skip(f"no Python {version} that starts in pyenv's versions folder")
+    monkeypatch.setenv("COLUMNS", "80")
+    for page in HELP_PAGES:
+        with pytest.raises(SystemExit):
+            main([*page, "--help"])
+    expected = capsys.readouterr().out.encode()
+    package_root = str(pathlib.Path(opencospan.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [str(python), "-c", HELP_SCRIPT],
+        capture_output=True,
+        env={**os.environ, "COLUMNS": "80", "PYTHONPATH": package_root},
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == expected

@@ -1,12 +1,16 @@
-"""One file layer: `modelio` reads and writes a system by its shape's layout.
+"""Each kind's facts stated once, in its theory row; one file layer.
 
-Two guards.  The AST guard fails on any test in `modelio` of a kind or a
-shape against a kind or shape name (a string, or `KINDS`): the layout of a
-kind is looked up in `modelio._LAYOUTS`, keyed by the shape its theory
-names, not picked by a chain of comparisons.  The cost guard counts the
-Python-level calls (`sys.setprofile`) made while loading seeded files of
-64 and 512 cells, and bounds how many each further cell adds, so a frame
-per cell that comes back shows here without a clock.
+The AST guard fails on any test, in any module but `systems`, of a kind or
+a shape against a kind or shape name (a string, or `KINDS`): what differs
+by kind is read from the kind's `DecorationTheory` row (`has_cells`,
+`structured`, `associative`, `rated`), and `modelio` looks a kind's
+layout up in `_LAYOUTS`, keyed by the shape its theory names, not picked
+by a chain of comparisons.  A table test pins each row's four facts, and
+a single-owner test changes one fact on its row and sees its readers
+follow.  The cost guard counts the Python-level calls (`sys.setprofile`)
+made while loading seeded files of 64 and 512 cells, and bounds how many
+each further cell adds, so a frame per cell that comes back shows here
+without a clock.
 """
 
 import ast
@@ -26,10 +30,15 @@ from opencospan import (
     Poly,
     PolyVectorField,
     canonical_json,
+    decoration_theory,
     load_model,
     modelio,
     save_model,
+    to_structured,
 )
+from opencospan.errors import OpenCospanError
+from opencospan.modelio import model_from_json
+from opencospan.systems import KINDS
 
 KIND_WORDS = {"kind", "shape"}
 
@@ -69,9 +78,14 @@ def kind_tests(tree):
     return found
 
 
-def test_modelio_picks_no_layout_by_comparing_kinds():
-    source = pathlib.Path(modelio.__file__).read_text(encoding="utf-8")
-    assert kind_tests(ast.parse(source)) == []
+def test_no_module_but_systems_compares_a_kind_with_a_name():
+    package = pathlib.Path(modelio.__file__).parent
+    checked = sorted(path for path in package.glob("*.py") if path.name != "systems.py")
+    assert {"cli.py", "cospans.py", "dynamics.py", "laws.py", "modelio.py"} <= {
+        path.name for path in checked
+    }
+    for path in checked:
+        assert kind_tests(ast.parse(path.read_text(encoding="utf-8"))) == [], path.name
 
 
 def test_the_guard_sees_a_dispatch_on_the_kind_or_the_shape():
@@ -87,12 +101,61 @@ def test_the_guard_sees_a_dispatch_on_the_kind_or_the_shape():
         "class ModelFile:\n"
         "    def check(self):\n"
         "        assert self.payload.kind == self.kind\n"
+        "def _fold_command(args, op, op_name):\n"
+        "    fold = reduce if models[0].kind == 'dynam' else _pairwise_fold\n"
+        "def to_structured(cospan):\n"
+        "    if decoration_theory(kind).shape == 'field':\n"
+        "        pass\n"
+        "def graybox(open_net):\n"
+        "    if open_net.kind != 'petri_rates':\n"
+        "        pass\n"
     )
     assert [name for name, _ in kind_tests(ast.parse(source))] == [
         "system_from_json",
         "system_from_json",
         "system_to_json",
+        "_fold_command",
+        "to_structured",
+        "graybox",
     ]
+
+
+# kind: (has_cells, structured, associative, rated)
+FACTS = {
+    "graph": (True, True, True, False),
+    "lgraph": (True, True, True, False),
+    "petri": (True, True, True, False),
+    "petri_rates": (True, True, True, True),
+    "dynam": (False, False, False, False),
+}
+
+
+def test_each_theory_row_states_its_four_facts():
+    assert KINDS == ("graph", "lgraph", "petri", "petri_rates", "dynam")
+    for kind in KINDS:
+        theory = decoration_theory(kind)
+        facts = (theory.has_cells, theory.structured, theory.associative, theory.rated)
+        assert facts == FACTS[kind], kind
+
+
+def test_the_dynam_rows_structured_fact_alone_decides_the_refusal(monkeypatch):
+    over = FinSet(2)
+    field = PolyVectorField(over, (Poly.from_terms(2, [(1.0, (1, 0))]), Poly.zero(2)))
+    legs = (FinFunction(FinSet(1), over, (0,)), FinFunction(FinSet(1), over, (1,)))
+    cospan = DecoratedCospan(FinSet(1), FinSet(1), *legs, field)
+    doc = ModelFile("dynam", cospan).to_json()
+    doc["representation"] = doc["payload"]["representation"] = "structured"
+    refusal = "dynam models only have a decorated representation"
+    attempts = (lambda: to_structured(cospan), lambda: model_from_json(doc))
+    for attempt in attempts:
+        with pytest.raises(OpenCospanError, match=refusal):
+            attempt()
+    monkeypatch.setattr(decoration_theory("dynam"), "structured", True)
+    for attempt in attempts:
+        try:
+            attempt()
+        except OpenCospanError as exc:
+            assert refusal not in str(exc)
 
 
 # -- the cost of a load, in Python-level calls --------------------------------------
