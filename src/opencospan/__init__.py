@@ -7,6 +7,8 @@ side by side; and rated open nets gray-box into simulable open
 polynomial dynamics, which are cospans decorated by fields.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BoundaryError,
     BudgetExceeded,
@@ -123,106 +125,10 @@ from .modelio import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjointPair",
-    "BoundaryError",
-    "BudgetExceeded",
-    "CoefficientOverflow",
-    "ComposabilityError",
-    "CompositionError",
-    "Cospan",
-    "DEFAULT_ISO_BUDGET",
-    "DecoratedCospan",
-    "DecorationTheory",
-    "DimensionError",
-    "DivergenceError",
-    "FieldTooLarge",
-    "EMPTY",
-    "FinFunction",
-    "FinSet",
-    "FlowSchedule",
-    "Graph",
-    "ISO_BUDGET_ENV",
-    "IsoWitness",
-    "KindError",
-    "LabeledGraph",
-    "ModelFile",
-    "ModelFormatError",
-    "ModelValidationError",
-    "MorphismShapeError",
-    "Multiset",
-    "Names",
-    "NotInImageOfL",
-    "OpenCospanError",
-    "OpenDynam",
-    "PetriNet",
-    "PetriNetWithRates",
-    "PiecewiseConstant",
-    "Poly",
-    "PolyVectorField",
-    "PushoutResult",
-    "SimConfig",
-    "SimulationTooLarge",
-    "SpanError",
-    "StructuredCospan",
-    "System",
-    "SystemMorphism",
-    "TwoMorphism",
-    "UnsupportedGluing",
-    "admits_morphism_from_empty",
-    "canonical_json",
-    "cells_of",
-    "check_companion",
-    "check_conjoint",
-    "companion",
-    "compose",
-    "compose_morphism",
-    "compose_open_dynam",
-    "conjoint",
-    "copair",
-    "coproduct",
-    "coproduct_map",
-    "cospan_iso",
-    "csv_lines",
-    "decoration_theory",
-    "default_names",
-    "discrete",
-    "field_close",
-    "find_iso",
-    "graybox",
-    "hcompose",
-    "hcompose_cells",
-    "identity_cospan",
-    "interface_of",
-    "is_discrete",
-    "left_unitor",
-    "load_model",
-    "load_sim_config",
-    "mass_action",
-    "match_cells",
-    "model_from_json",
-    "open_dynam_iso",
-    "open_rate_rhs",
-    "poly_add",
-    "poly_close",
-    "pushforward_field",
-    "pushout",
-    "rate_equation",
-    "relabel",
-    "resolve_simulation",
-    "reverse",
-    "right_unitor",
-    "save_model",
-    "sim_config_from_json",
-    "simulate",
-    "simulate_rows",
-    "system_coproduct",
-    "system_pushout",
-    "tensor",
-    "to_decorated",
-    "to_structured",
-    "trajectory_to_csv",
-    "unit_cell",
-    "validate_morphism",
-    "vcompose",
-]
+# every public name imported above, stated once there: the submodules the
+# imports bind in this namespace are not part of it
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

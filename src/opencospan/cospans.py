@@ -64,7 +64,6 @@ from .finset import (
     induced,
     pushout,
     _iso_budget,
-    _over_budget,
 )
 from .systems import (
     Decoration,
@@ -534,7 +533,7 @@ def _profiles(decoration: Decoration, colours: dict):
     """One pass over the incidences.  Per place, its colour: the bag of
     ((consumed, produced) at the place, key) over the cells that touch it,
     interned in `colours` as a small int; a place no cell touches has the
-    empty bag's colour.  Per touched place x, its row: per other place x2,
+    empty bag's colour, 0.  Per touched place x, its row: per other place x2,
     the counts of (at x, at x2, key) over the cells that touch both.  And
     the counts of the keys over all cells."""
     bags: defaultdict = defaultdict(dict)
@@ -551,7 +550,7 @@ def _profiles(decoration: Decoration, colours: dict):
             for x2, there in at.items():
                 if x2 != x:
                     _count(row.setdefault(x2, {}), (here, there, key))
-    colour = [colours.setdefault(frozenset(), len(colours))] * interface_of(decoration).size
+    colour = [0] * interface_of(decoration).size
     for x, bag in bags.items():
         colour[x] = colours.setdefault(frozenset(bag.items()), len(colours))
     return colour, rows, keys
@@ -561,16 +560,17 @@ _NO_CELLS = FinFunction.identity(EMPTY)
 
 
 def _search_rules(d: Decoration, e: Decoration):
-    """The `compatible` rule and the leaf check (node bijection -> cell map
-    or None) of a search from d to e, or None when their cells' keys (for
-    fields, their term counts) differ.  A place maps only to a place of its
-    colour, and meets each assigned place in the same cells, by `_profiles`,
-    as its image meets that place's image.  That is read from x's row: each
-    assigned place in it must meet x as its image meets y, and y must meet
-    no more assigned places than x does, so a test costs the two places'
-    degrees.  The leaf check is `match_cells`, or `field_close` for a
-    field, which has no cells."""
-    colours: dict = {}
+    """The `compatible` rule, the leaf check (node bijection -> cell map or
+    None) and the colour lists of d and e for a search from d to e, or None
+    when their cells' keys (for fields, their term counts) differ.  A place
+    maps only to a place of its colour, and meets each assigned place in the
+    same cells, by `_profiles`, as its image meets that place's image.  That
+    is read from x's row: each assigned place in it must meet x as its image
+    meets y, and y must meet no more assigned places than x does, so a test
+    costs the two places' degrees.  The leaf check is `match_cells`, or
+    `field_close` for a field, which has no cells.  A place of colour 0 is
+    touched by no cell or term: it is in no row and no leaf check reads it."""
+    colours: dict = {frozenset(): 0}
     colour_d, rows_d, keys_d = _profiles(d, colours)
     colour_e, rows_e, keys_e = _profiles(e, colours)
     if keys_d != keys_e:
@@ -598,41 +598,40 @@ def _search_rules(d: Decoration, e: Decoration):
                 met -= 1
         return met == 0
 
-    if not decoration_theory(d.kind).has_cells:
-        return compatible, lambda h: (
-            _NO_CELLS if field_close(pushforward_field(h, d), e) else None
-        )
-    return compatible, lambda h: match_cells(d, e, h)
+    has_cells = decoration_theory(d.kind).has_cells
+
+    def leaf(h: FinFunction) -> Optional[FinFunction]:
+        if has_cells:
+            return match_cells(d, e, h)
+        return _NO_CELLS if field_close(pushforward_field(h, d), e) else None
+
+    return compatible, leaf, colour_d, colour_e
 
 
 def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[IsoWitness]:
     """Decide whether two cospans over the same feet are isomorphic.
 
-    Equal cospans are decided by that comparison alone: the witness is the
-    identity on the apex and on the cells (`_NO_CELLS` for a field), the
-    one the search finds first.  The search is still charged: it would
-    spend one node per apex place no leg pins, so that many nodes over
-    the budget raise what the search raises.
+    The budget is resolved first, so a malformed OPENCOSPAN_ISO_BUDGET is
+    reported whatever the inputs.  Equal cospans are then decided by that
+    comparison alone and charge nothing: the witness is the identity on
+    the apex and on the cells (`_NO_CELLS` for a field), the one the
+    search finds first.
 
     Other pairs go to `find_iso`, which searches for an apex bijection
     commuting with both pairs of legs.  Every kind is pruned by one rule,
     on one reading of its cells or terms as incidences (`_incidences`): a
     place maps only to a place of the same colour, and meets each assigned
-    place in the same cells as its image meets that place's image.  The
-    leaf check is `match_cells`, or `field_close` for fields; the cell part
-    of the witness is the one the leaf check found there.  Budget, node
-    counting and witness order are those of `find_iso`, and the test at a
-    node costs at most the two places' degrees, so the budget bounds the
-    search's time.  The budget is resolved first, so a malformed
-    OPENCOSPAN_ISO_BUDGET is reported whatever the inputs.
-    """
+    place in the same cells as its image meets that place's image.  Places
+    that no leg pins and no cell or term touches are interchangeable, so
+    they are pinned to each other in ascending order, or the pair refused
+    if the sides have different numbers of them.  The leaf check is
+    `match_cells`, or `field_close` for fields; the cell part of the
+    witness is the one the leaf check found there.  Budget, node counting
+    and witness order are those of `find_iso`, and the test at a node
+    costs at most the two places' degrees, so the budget bounds the
+    search's time."""
     budget = _iso_budget(budget)
     if m == n:
-        left, right = m.leg_maps
-        unpinned = m.apex.size - len(set(left.table).union(right.table))
-        # a search with no free place charges no node, whatever the budget
-        if unpinned > max(budget, 0):
-            raise _over_budget(budget)
         has_cells = decoration_theory(m.kind).has_cells
         cells = FinFunction.identity(cells_of(m.decoration)) if has_cells else _NO_CELLS
         return IsoWitness(FinFunction.identity(m.apex), cells)
@@ -645,7 +644,19 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
     rules = _search_rules(m.decoration, n.decoration)
     if rules is None:
         return None
-    compatible, leaf = rules
+    compatible, leaf, *colours = rules
+    constraints = list(zip(m.leg_maps, n.leg_maps))
+    if 0 in colours[0] or 0 in colours[1]:
+        # per side, the places of colour 0 that no leg pins, ascending; both
+        # sides take their ints from one list, so each place's is made once
+        places, idle = list(range(m.apex.size)), []
+        for cospan, colour in zip((m, n), colours):
+            pinned = set().union(*(leg.table for leg in cospan.leg_maps))
+            kept = tuple(x for x, c in zip(places, colour) if c == 0 and x not in pinned)
+            idle.append(FinFunction(FinSet(len(kept)), cospan.apex, kept))
+        if idle[0].dom != idle[1].dom:
+            return None
+        constraints.append(idle)
     cells: Optional[FinFunction] = None
 
     def cells_match(h: FinFunction) -> bool:
@@ -656,7 +667,7 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
     h = find_iso(
         m.apex,
         n.apex,
-        constraints=list(zip(m.leg_maps, n.leg_maps)),
+        constraints=constraints,
         predicate=cells_match,
         budget=budget,
         compatible=compatible,

@@ -229,11 +229,6 @@ def _iso_budget(budget: Optional[int]) -> int:
     return value
 
 
-def _over_budget(max_nodes: int) -> BudgetExceeded:
-    """The error an isomorphism search raises on its first node past the budget."""
-    return BudgetExceeded(f"isomorphism search exceeded its budget of {max_nodes} nodes")
-
-
 def find_iso(
     a: FinSet,
     b: FinSet,
@@ -248,8 +243,10 @@ def find_iso(
     these pin down leg images before the backtracking starts.  The predicate,
     if given, accepts or rejects a complete bijection.  Candidates are tried
     in ascending order, so the witness returned is the lexicographically
-    smallest table.  Every attempted assignment costs one node against the
-    budget (default 10^6, overridable via OPENCOSPAN_ISO_BUDGET), which is
+    smallest table.  Every attempted assignment of a free element costs one
+    node against the budget (default 10^6, overridable via
+    OPENCOSPAN_ISO_BUDGET); pinned elements cost none.  This is the one
+    place that charges nodes and raises `BudgetExceeded`.  The budget is
     resolved before anything else, so a malformed value is always reported.
 
     The free targets are kept in a linked list in ascending order, as in
@@ -332,7 +329,9 @@ def find_iso(
         while y != head:
             nodes += 1
             if nodes > max_nodes:
-                raise _over_budget(max_nodes)
+                raise BudgetExceeded(
+                    f"isomorphism search exceeded its budget of {max_nodes} nodes"
+                )
             if compatible is None or compatible(x, y, assignment, used):
                 assignment[x] = y
                 used[y] = True

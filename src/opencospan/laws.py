@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -362,13 +363,50 @@ def pushout_universal_property(
 # double-category laws, up to isomorphism
 
 
+def _cell_bag(system: System, table: Sequence[int]) -> Counter:
+    """The cells, each as its two ends moved along a node table and its
+    attribute's (type, value), counted; a Petri end's (place, count) pairs
+    are summed at their images."""
+
+    def moved(end):
+        if isinstance(end, int):
+            return table[end]
+        counts: Counter = Counter()
+        for place, count in end.pairs:
+            counts[table[place]] += count
+        return frozenset(counts.items())
+
+    attrs = itertools.repeat(None) if system.attrs is None else system.attrs
+    return Counter((moved(s), moved(t), type(a), a) for s, t, a in zip(system.src, system.tgt, attrs))
+
+
+def _iso_broken(m: DecoratedCospan, n: DecoratedCospan, absent: str, where: str) -> str:
+    """`absent` where `cospan_iso` finds no isomorphism m -> n, else what
+    its witness breaks, checked from the tables with no code of the search:
+    it must be a bijection of the apexes that commutes with both legs and
+    carries m's cells onto n's."""
+    witness = cospan_iso(m, n)
+    if witness is None:
+        return absent
+    h = witness.node_map
+    if h.dom != m.leg_left.cod or h.cod != n.leg_left.cod or not h.is_bijection():
+        return f"witness is not a bijection of the apexes {where}"
+    for leg, image in ((m.leg_left, n.leg_left), (m.leg_right, n.leg_right)):
+        if leg.dom != image.dom or any(h.table[x] != y for x, y in zip(leg.table, image.table)):
+            return f"witness does not commute with the legs {where}"
+    if _cell_bag(m.decoration, h.table) != _cell_bag(n.decoration, range(h.cod.size)):
+        return f"witness does not carry the cells {where}"
+    return ""
+
+
 def _unitors_broken(m: DecoratedCospan, kind: str) -> str:
     left = hcompose(identity_cospan(kind, m.foot_left), m)
     right = hcompose(m, identity_cospan(kind, m.foot_right))
-    if cospan_iso(left, m) is None:
-        return "left unit composite not isomorphic"
-    if cospan_iso(right, m) is None:
-        return "right unit composite not isomorphic"
+    for name, composite in (("left", left), ("right", right)):
+        absent = f"{name} unit composite not isomorphic"
+        broken = _iso_broken(composite, m, absent, f"for the {name} unit composite")
+        if broken:
+            return broken
     cells = (("left", left_unitor(m), left), ("right", right_unitor(m), right))
     for name, cell, composite in cells:
         if cell.src != composite or cell.tgt != m:
@@ -393,7 +431,7 @@ def associator_law(cases: int = 100, seed: int = 13, kind: str = "graph") -> Ite
         m, n, p = random_composable(rng, kind, 3, max_apex=4, max_foot=2, max_cells=4)
         lhs = hcompose(hcompose(m, n), p)
         rhs = hcompose(m, hcompose(n, p))
-        yield f"composites not isomorphic at case {case}" if cospan_iso(lhs, rhs) is None else ""
+        yield _iso_broken(lhs, rhs, f"composites not isomorphic at case {case}", f"at case {case}")
 
 
 @_suite("interchange")
@@ -404,11 +442,8 @@ def interchange_law(cases: int = 100, seed: int = 17, kind: str = "graph") -> It
         n1, n2 = random_composable(rng, kind, 2, max_apex=3, max_foot=2, max_cells=3)
         lhs = hcompose(tensor(m1, n1), tensor(m2, n2))
         rhs = tensor(hcompose(m1, m2), hcompose(n1, n2))
-        yield (
-            f"tensor and composition do not interchange at case {case}"
-            if cospan_iso(lhs, rhs) is None
-            else ""
-        )
+        absent = f"tensor and composition do not interchange at case {case}"
+        yield _iso_broken(lhs, rhs, absent, f"at case {case}")
 
 
 def _all_functions(max_size: int) -> Iterable[FinFunction]:

@@ -4,12 +4,15 @@ Pushouts are checked against a brute-force coequalizer that merges blocks
 naively, and the iso search against exhaustive permutation enumeration.
 """
 
+import ast
 import itertools
+import pathlib
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opencospan
 from opencospan import (
     EMPTY,
     BudgetExceeded,
@@ -391,6 +394,43 @@ def test_find_iso_budget_exhaustion_raises():
     never = lambda h: False
     with pytest.raises(BudgetExceeded):
         find_iso(FinSet(6), FinSet(6), predicate=never, budget=10)
+
+
+def budget_users(tree, module):
+    """(module, enclosing top-level name) of each use of `BudgetExceeded`
+    outside an import."""
+    return {
+        (module, getattr(top, "name", None))
+        for top in tree.body
+        if not isinstance(top, (ast.Import, ast.ImportFrom))
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "BudgetExceeded"
+    }
+
+
+def test_only_find_iso_raises_the_budget_error():
+    # one owner of the node rule: no other function charges nodes or builds
+    # the error, so a caller cannot charge what the search does not spend
+    package = pathlib.Path(opencospan.__file__).resolve().parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "errors":  # where the class is defined
+            found |= budget_users(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == {("finset", "find_iso")}
+
+
+def test_the_budget_guard_sees_a_helper_that_builds_the_error():
+    source = (
+        "from .errors import BudgetExceeded\n"
+        "def _over_budget(n):\n"
+        "    return BudgetExceeded(n)\n"
+        "def find_iso():\n"
+        "    raise BudgetExceeded('spent')\n"
+    )
+    assert budget_users(ast.parse(source), "finset") == {
+        ("finset", "_over_budget"),
+        ("finset", "find_iso"),
+    }
 
 
 def test_find_iso_env_budget_applies(monkeypatch):

@@ -7,10 +7,11 @@ turns, with every other suite still passing.  A change to the suites that
 alters what they report, or where they stop, shows here (mutation
 analysis: Jia & Harman, IEEE TSE 37(5), 2011).
 
-Two mutants are left out because no suite catches them yet: an iso search
-with its legs unpinned, and an iso search that always answers yes.  The
-up-to-iso suites use the library's own search as their oracle; ROADMAP's
-"Law suites that can fail" plans the certificate check that would.
+The up-to-iso suites (unitors, associativity, interchange) check every
+witness the search returns from its tables alone, so an iso search with
+its legs unpinned and one that always answers yes both fail there.
+Associativity holds on the nose, so the identity is a true witness there
+and neither mutant turns it.
 """
 
 import functools
@@ -19,6 +20,7 @@ import pytest
 
 from opencospan import cospans, finset, laws, systems
 from opencospan.cli import main
+from opencospan.cospans import IsoWitness
 from opencospan.finset import FinFunction, FinSet
 from opencospan.laws import LAW_SUITES
 from opencospan.systems import DecorationTheory, system_union
@@ -38,7 +40,7 @@ SMALL = {
     "simulation": {},
 }
 
-REAL_PUSHOUT, REAL_SIMULATE = finset.pushout, laws.simulate
+REAL_PUSHOUT, REAL_SIMULATE, REAL_FIND_ISO = finset.pushout, laws.simulate, finset.find_iso
 
 
 def _pushout_skipping_the_last_pair(f, g):
@@ -46,6 +48,14 @@ def _pushout_skipping_the_last_pair(f, g):
         dom = FinSet(f.dom.size - 1)
         f, g = FinFunction(dom, f.cod, f.table[:-1]), FinFunction(dom, g.cod, g.table[:-1])
     return REAL_PUSHOUT(f, g)
+
+
+def _find_iso_without_pins(a, b, constraints=(), **kwargs):
+    return REAL_FIND_ISO(a, b, **kwargs)
+
+
+def _iso_always_found(m, n, budget=None):
+    return IsoWitness(FinFunction.identity(m.apex), FinFunction.identity(m.decoration.cells))
 
 
 def _leaking_simulate(*args, **kwargs):
@@ -63,6 +73,24 @@ MUTANTS = {
             "associativity": "FAIL associativity (1 cases): composites not isomorphic at case 0",
             "interchange": "FAIL interchange (1 cases): "
             "tensor and composition do not interchange at case 0",
+        },
+    ),
+    "legs unpinned": (
+        [(cospans, "find_iso", _find_iso_without_pins)],
+        {
+            "unitors": "FAIL unitors (2 cases): "
+            "witness does not commute with the legs for the left unit composite",
+            "interchange": "FAIL interchange (2 cases): "
+            "witness does not commute with the legs at case 1",
+        },
+    ),
+    "an iso that always answers yes": (
+        [(laws, "cospan_iso", _iso_always_found)],
+        {
+            "unitors": "FAIL unitors (1 cases): "
+            "witness does not commute with the legs for the left unit composite",
+            "interchange": "FAIL interchange (2 cases): "
+            "witness does not commute with the legs at case 1",
         },
     ),
     "union lists y's cells first": (

@@ -12,6 +12,7 @@ import pathlib
 import pytest
 
 import opencospan
+from opencospan import DecoratedCospan, FinFunction, FinSet, IsoWitness, Multiset, laws
 from opencospan.systems import DecorationTheory, system_union
 from opencospan.laws import (
     LAW_SUITES,
@@ -106,6 +107,64 @@ def test_associator_suite_smoke() -> None:
 
 def test_interchange_suite_smoke() -> None:
     assert interchange_law(cases=8, seed=1).passed
+
+
+def _open_system(kind, places, cells, left=(), right=()):
+    """A decorated cospan over `places` with one cell per (src, tgt, attr)."""
+    theory = opencospan.decoration_theory(kind)
+    nodes = FinSet(places)
+    if theory.shape == "petri":
+        cells = [(Multiset(nodes, s), Multiset(nodes, t), a) for s, t, a in cells]
+    src, tgt, attrs = (tuple(column) for column in zip(*cells)) if cells else ((), (), ())
+    system = theory.build(nodes, FinSet(len(cells)), src, tgt, attrs if theory.attributed else None)
+    legs = [FinFunction(FinSet(len(leg)), nodes, leg) for leg in (left, right)]
+    return DecoratedCospan(legs[0].dom, legs[1].dom, *legs, system)
+
+
+WITNESS_CASES = {
+    # (m, n, the node table the iso returns, the verdict)
+    "carried": (
+        _open_system("petri", 2, [((1, 2), (0, 1), None)]),
+        _open_system("petri", 2, [((2, 1), (1, 0), None)]),
+        (1, 0),
+        "",
+    ),
+    "not a bijection": (
+        _open_system("graph", 2, []),
+        _open_system("graph", 2, []),
+        (0, 0),
+        "witness is not a bijection of the apexes at case 0",
+    ),
+    "legs": (
+        _open_system("graph", 2, [], left=(0,)),
+        _open_system("graph", 2, [], left=(0,)),
+        (1, 0),
+        "witness does not commute with the legs at case 0",
+    ),
+    "ends": (
+        _open_system("graph", 2, [(0, 1, None)]),
+        _open_system("graph", 2, [(0, 1, None)]),
+        (1, 0),
+        "witness does not carry the cells at case 0",
+    ),
+    "label types": (
+        _open_system("lgraph", 1, [(0, 0, 1)]),
+        _open_system("lgraph", 1, [(0, 0, True)]),
+        (0,),
+        "witness does not carry the cells at case 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+def test_each_iso_witness_is_checked_from_its_tables(monkeypatch, case) -> None:
+    m, n, table, verdict = WITNESS_CASES[case]
+    apexes = m.leg_left.cod, n.leg_left.cod
+    witness = IsoWitness(FinFunction(*apexes, table), FinFunction.identity(m.decoration.cells))
+    monkeypatch.setattr(laws, "cospan_iso", lambda m, n: witness)
+    assert laws._iso_broken(m, n, "not isomorphic", "at case 0") == verdict
+    monkeypatch.setattr(laws, "cospan_iso", lambda m, n: None)
+    assert laws._iso_broken(m, n, "not isomorphic", "at case 0") == "not isomorphic"
 
 
 def test_companion_and_conjoint_smoke() -> None:

@@ -1,5 +1,7 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and the
+package exports exactly the names its `__init__` imports from its modules."""
 
+import ast
 import json
 import os
 import pathlib
@@ -32,3 +34,15 @@ def test_importing_the_package_loads_only_the_standard_library():
     assert "opencospan" in loaded
     outside = [name for name in loaded if name != "opencospan" and name not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_the_package_exports_exactly_the_names_its_init_imports():
+    tree = ast.parse(pathlib.Path(opencospan.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert "cospan_iso" in imported
+    assert opencospan.__all__ == sorted(imported)
