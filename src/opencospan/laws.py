@@ -15,6 +15,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -543,22 +544,67 @@ def conversion_roundtrip(cases: int = 200, seed: int = 23) -> Iterator[str]:
 # gray-boxing
 
 
+# the rate equation oracle's own tolerances: a term matched on both sides
+# agrees within 1e-9 relative, an unmatched one is at most 1e-12 in size
+_RATE_REL, _RATE_UNMATCHED = Fraction(1, 10**9), Fraction(1, 10**12)
+
+
+def _rate_equation(net) -> dict[tuple[int, tuple], Fraction]:
+    """The rate equation of a rated net, x' = sum over transitions t of
+    r(t) (produced(t) - consumed(t)) x^consumed(t), in exact arithmetic from
+    the multisets' pairs and the float rates: (place, monomial support) ->
+    nonzero coefficient."""
+    terms: dict[tuple[int, tuple], Fraction] = {}
+    for consumed, produced, rate in zip(net.src, net.tgt, net.attrs):
+        monomial, r = consumed.pairs, Fraction(rate)
+        for sign, side in ((1, produced), (-1, consumed)):
+            for p, k in side.pairs:
+                terms[p, monomial] = terms.get((p, monomial), 0) + sign * k * r
+    return {key: c for key, c in terms.items() if c}
+
+
+def _off_rate_equation(exact: dict[tuple[int, tuple], Fraction], field) -> bool:
+    """Whether a field's terms, read as plain (coefficient, support) data,
+    differ from the exact ones: a matched term by more than 1e-9 relative,
+    an unmatched one by more than 1e-12."""
+    found = {
+        (p, support): Fraction(c)
+        for p, component in enumerate(field.components)
+        for c, support in component.sparse
+    }
+    for key in exact.keys() | found.keys():
+        a, b = exact.get(key, 0), found.get(key, 0)
+        bound = _RATE_REL * max(abs(a), abs(b)) if a and b else _RATE_UNMATCHED
+        if abs(a - b) > bound:
+            return True
+    return False
+
+
 @_suite("graybox")
 def graybox_functoriality(cases: int = 200, seed: int = 29) -> Iterator[str]:
     """Gray-box then compose equals compose then gray-box.
 
     Both routes land over the same chosen pushout, so legs must agree
-    exactly and fields coefficientwise within 1e-9 relative.
+    exactly and fields coefficientwise within 1e-9 relative.  Each route's
+    field is then held to the rate equation of the composite net, built in
+    exact arithmetic by `_rate_equation`, which shares no code with the
+    library's fields, so a fault both routes share shows too.
     """
     rng = Random(seed)
     for case in range(cases):
         m, n = random_composable(rng, "petri_rates", 2, max_apex=4, max_foot=3, max_cells=3)
-        via_nets = graybox(hcompose(m, n))
+        composite = hcompose(m, n)
+        via_nets = graybox(composite)
         via_fields = hcompose(graybox(m), graybox(n))
+        exact = _rate_equation(composite.decoration)
         if via_nets.leg_left != via_fields.leg_left or via_nets.leg_right != via_fields.leg_right:
             yield f"legs disagree at case {case}"
         elif not field_close(via_nets.field, via_fields.field):
             yield f"fields disagree beyond 1e-9 at case {case}"
+        elif _off_rate_equation(exact, via_nets.field):
+            yield f"the gray-boxed composite is off its rate equation at case {case}"
+        elif _off_rate_equation(exact, via_fields.field):
+            yield f"the composite of gray boxes is off the rate equation at case {case}"
         else:
             yield ""
 

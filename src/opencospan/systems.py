@@ -13,14 +13,14 @@ Every cell system, whatever its kind, is one record, `System`: a node set
 and a cell set (`interface`, `cells`), the two ends of each cell (`src`,
 `tgt`: node indices for graph kinds, `Multiset`s of places for Petri kinds),
 and an attribute column (`attrs`: the labels of an lgraph, the rates of a
-rated net, None otherwise).  The kinds differ only in their rules
-(`_SHAPES`, `_KIND_RULES`): what an end is and how it is checked and moved
-along a node map, what the attribute column must hold, and what it demands
-of a morphism.  A record is checked by those rules when it is built, and
-each operation below is written once on the record, reading the rules from
-the kind's `DecorationTheory`, looked up once per operation.  `Graph`,
-`PetriNet`, `LabeledGraph` and `PetriNetWithRates` build a record of their
-kind from the parts they are named for.
+rated net, None otherwise).  The kinds differ only in their rules, stated
+once, in the kind's `DecorationTheory` row (`_THEORIES`): what an end is and
+how it is checked and moved along a node map, what the attribute column
+must hold, and what it demands of a morphism.  A record is checked by its
+row when it is built, and each operation below is written once on the
+record, reading the rules from the row, looked up once per operation.
+`Graph`, `PetriNet`, `LabeledGraph` and `PetriNetWithRates` build a record
+of their kind from the parts they are named for.
 
 The "dynam" row of the kind table rests on the field algebra kept beside
 it (`Poly`, `PolyVectorField`, `pushforward_field`): a field has no cells,
@@ -200,10 +200,10 @@ class System:
     column (`attrs`: the labels of an lgraph, the rates of a rated net, None
     for the other kinds).
 
-    It is checked when built, by its kind's rules (`_KIND_RULES`): first its
-    shape's end check, then the kind's attribute check, which stores the
-    column as a tuple (rates as floats); an attributed kind reads None as
-    the empty column.  Two systems are equal when their kinds, parts and
+    It is checked when built, by its kind's `DecorationTheory` row: first
+    the row's `check_ends`, then its `check_attrs`, which stores the column
+    as a tuple (rates as floats); an attributed kind reads None as the
+    empty column.  Two systems are equal when their kinds, parts and
     attributes are, attributes compared by `label_key`, so 1, 1.0 and True
     are three different labels; hashing follows the same rule.
     """
@@ -219,15 +219,15 @@ class System:
         self, kind: str, interface: FinSet, cells: FinSet, src: Sequence, tgt: Sequence, attrs=None
     ) -> None:
         try:
-            shape, check_attrs, _, _ = _KIND_RULES[kind]
+            theory = _THEORIES[kind]
         except (KeyError, TypeError):
-            if kind in KINDS:
-                raise KindError(f"{kind} decorations have no cells") from None
             raise KindError(f"unknown system kind {kind!r}") from None
+        if not theory.has_cells:
+            raise KindError(f"{kind} decorations have no cells")
         src, tgt = tuple(src), tuple(tgt)
-        _SHAPES[shape][2](interface, cells, src, tgt)
-        if check_attrs is not None:
-            attrs = check_attrs(cells, () if attrs is None else attrs)
+        theory.check_ends(interface, cells, src, tgt)
+        if theory.check_attrs is not None:
+            attrs = theory.check_attrs(cells, () if attrs is None else attrs)
         elif attrs is not None:
             raise ValueError(f"{kind} systems carry no attributes, got {_short(attrs)}")
         # the frozen fields, set in the __dict__ where object.__setattr__ sets them
@@ -359,12 +359,13 @@ def validate_morphism(m: SystemMorphism, check_rates: bool = True) -> list[str]:
     Every cell's two ends, moved along the node map, must equal the ends of
     its image: for graph kinds the source and target squares commute, for
     Petri kinds the consumed and produced multisets are transported.  Then
-    the kind's attribute rule applies: labels are preserved exactly, and
+    the row's `attribute_faults(m)` apply: labels are preserved exactly, and
     every target transition's rate equals the sum of the rates mapped onto
     it (so transitions outside the image must have rate zero).  Violations
     are listed per cell, source side first, then the attribute rule's.
 
-    Pass check_rates=False to skip the rate rule.  It makes an inclusion
+    Pass check_rates=False to skip the rate rule (the rule takes only m:
+    this function alone decides when it is skipped).  It makes an inclusion
     into a larger net invalid whenever the rest of that net carries positive
     rates, so boundary legs of open rated systems are held to the underlying
     conditions; the full rule is for maps that account for rates, such as
@@ -382,7 +383,8 @@ def validate_morphism(m: SystemMorphism, check_rates: bool = True) -> list[str]:
             violations.append(src_fault.format(e, s, c_src[image]))
         if t != c_tgt[image]:
             violations.append(tgt_fault.format(e, t, c_tgt[image]))
-    violations.extend(theory.attribute_faults(m, check_rates))
+    if check_rates or not theory.rated:
+        violations.extend(theory.attribute_faults(m))
     return violations
 
 
@@ -788,7 +790,7 @@ def _check_rates(transitions: FinSet, rates: Sequence[float]) -> tuple[float, ..
     return rates
 
 
-def _label_faults(m: SystemMorphism, check_rates: bool) -> list[str]:
+def _label_faults(m: SystemMorphism) -> list[str]:
     """lgraph: every edge keeps its label exactly, by `label_key`."""
     g, cod = m.edge_map.table, m.cod.attrs
     return [
@@ -798,10 +800,8 @@ def _label_faults(m: SystemMorphism, check_rates: bool) -> list[str]:
     ]
 
 
-def _rate_faults(m: SystemMorphism, check_rates: bool) -> list[str]:
+def _rate_faults(m: SystemMorphism) -> list[str]:
     """petri_rates: each target rate is the sum of the rates mapped onto it."""
-    if not check_rates:
-        return []
     g, dom = m.edge_map.table, m.dom.attrs
     faults = []
     for t_out, rate in enumerate(m.cod.attrs):
@@ -814,11 +814,8 @@ def _rate_faults(m: SystemMorphism, check_rates: bool) -> list[str]:
     return faults
 
 
-# shape: (move a column of ends, the column as hashable supports (a multiset
-#         by its pairs, which hash in C; a node v as the one-point multiset
-#         ((v, 1),), so that every cell reads as consumed and produced
-#         supports), check the two columns of a system's ends, wording of a
-#         broken source/target end)
+# shape: (move, hashable (a multiset by its pairs, which hash in C), check_ends,
+#         end_faults), as `DecorationTheory` names them
 _SHAPES = {
     "graph": (
         _move_nodes,
@@ -839,15 +836,6 @@ _SHAPES = {
         ),
     ),
 }
-# kind: (shape, check of the attribute column (None: the kind has none),
-#        attribute rule of a morphism, do its cells carry rates)
-_KIND_RULES = {
-    "graph": ("graph", None, lambda m, check_rates: [], False),
-    "lgraph": ("graph", _check_labels, _label_faults, False),
-    "petri": ("petri", None, lambda m, check_rates: [], False),
-    "petri_rates": ("petri", _check_rates, _rate_faults, True),
-}
-
 
 class DecorationTheory:
     """One kind's fiberwise interface: what lives over a node set and how it moves.
@@ -866,23 +854,26 @@ class DecorationTheory:
     not fields), `structured` (its cospans have a structured presentation),
     `associative` (`hcompose` is associative on the nose: `union` adds no
     floats) and `rated` (cells carry rates, so gluing merges none and the
-    kind gray-boxes).  A row with cells also holds the rules every system
-    operation reads: `shape` ("graph" or "petri"; "field" for dynam),
-    `move(column, f)` for a column of cell ends, `hashable(column)` (the
-    ends as hashable supports), `build`, the one `System` constructor call,
-    `attributed` (whether the kind has an attribute column), `end_faults`
-    (the wording of a broken source or target end) and
-    `attribute_faults(m, check_rates)`.
+    kind gray-boxes).  A row is built from its kind's named rules: `shape`
+    ("graph" or "petri"; by default "field"), `check_attrs` (the attribute
+    column's check, None for a kind without one, which is not `attributed`)
+    and `attribute_faults(m)` (what the column demands of a morphism; by
+    default nothing).  A row with cells takes its shape's `move(column, f)`,
+    `hashable(column)` (the ends as supports, a node v as ((v, 1),)),
+    `check_ends` and `end_faults` (the wording of a broken end) from
+    `_SHAPES`, which nothing else reads.  `build` calls `System`.
     """
 
     has_cells = structured = associative = True
 
-    def __init__(self, kind: str):
-        self.kind = kind
+    def __init__(
+        self, kind: str, shape="field", check_attrs=None, attribute_faults=lambda m: [], rated=False
+    ) -> None:
+        self.kind, self.shape, self.rated = kind, shape, rated
+        self.check_attrs, self.attributed = check_attrs, check_attrs is not None
+        self.attribute_faults = attribute_faults
         if self.has_cells:
-            self.shape, check_attrs, self.attribute_faults, self.rated = _KIND_RULES[kind]
-            self.attributed = check_attrs is not None
-            self.move, self.hashable, _, self.end_faults = _SHAPES[self.shape]
+            self.move, self.hashable, self.check_ends, self.end_faults = _SHAPES[shape]
 
     def build(
         self, nodes: FinSet, cells: FinSet, src: tuple, tgt: tuple, attrs: Optional[tuple]
@@ -926,8 +917,7 @@ class _FieldTheory(DecorationTheory):
     R^S, reindexed by `pushforward_field`; the union of two fields is the
     sum of their pushforwards, so the laxator is the direct sum."""
 
-    shape = "field"
-    has_cells = structured = associative = rated = False
+    has_cells = structured = associative = False
 
     def trivial(self, a: FinSet) -> PolyVectorField:
         return PolyVectorField.zero(a)
@@ -947,8 +937,13 @@ class _FieldTheory(DecorationTheory):
         )
 
 
-_THEORIES = {kind: DecorationTheory(kind) for kind in _KIND_RULES}
-_THEORIES["dynam"] = _FieldTheory("dynam")
+_THEORIES = {
+    "graph": DecorationTheory("graph", "graph"),
+    "lgraph": DecorationTheory("lgraph", "graph", _check_labels, _label_faults),
+    "petri": DecorationTheory("petri", "petri"),
+    "petri_rates": DecorationTheory("petri_rates", "petri", _check_rates, _rate_faults, rated=True),
+    "dynam": _FieldTheory("dynam"),
+}
 KINDS = tuple(_THEORIES)
 
 

@@ -1,6 +1,7 @@
 """Cospan composition, tensoring, squares, companions, and iso search."""
 
 import math
+import re
 import sys
 import time
 from collections import Counter
@@ -319,6 +320,28 @@ def test_square_with_a_misfit_apex_map_is_reported(apex_map):
     assert square.violations() == ["apex map has the wrong endpoints"]
 
 
+@pytest.mark.parametrize(
+    "misfit, expected",
+    [
+        ({"left": fn([0], 2)}, "left foot map has the wrong endpoints"),
+        ({"right": fn([0, 0], 1)}, "right foot map has the wrong endpoints"),
+        (
+            {"cell_map": fn([0, 1, 2, 3], 5)},
+            "apex morphism ill-shaped: edge map does not fit the two systems",
+        ),
+    ],
+)
+def test_square_with_a_misfit_foot_or_cell_map_is_reported(misfit, expected):
+    m = intro_open_graph()
+    maps = {
+        "left": FinFunction.identity(m.foot_left),
+        "right": FinFunction.identity(m.foot_right),
+        "apex_map": FinFunction.identity(m.apex),
+        "cell_map": FinFunction.identity(FinSet(5)),
+    }
+    assert TwoMorphism(m, m, **{**maps, **misfit}).violations() == [expected]
+
+
 def test_square_validation_catches_label_breakage():
     inner = Graph(FinSet(1), FinSet(1), fn([0], 1), fn([0], 1))
     a = DecoratedCospan(EMPTY, EMPTY, fn([], 1), fn([], 1), LabeledGraph(inner, ("x",)))
@@ -385,6 +408,43 @@ def test_structured_feet_must_be_discrete_to_convert_back():
     leg = SystemMorphism.identity(loop)
     with pytest.raises(NotInImageOfL, match="left foot carries 1 cells"):
         StructuredCospan(leg, leg)
+
+
+def _two_nodes():
+    return discrete("graph", FinSet(2))
+
+
+def _two_apex_legs():
+    """Two structured legs from the empty system into two different apexes."""
+    return [
+        SystemMorphism(discrete("graph", EMPTY), discrete("graph", FinSet(n)), fn([], n), fn([], 0))
+        for n in (1, 2)
+    ]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: DecoratedCospan(FinSet(2), EMPTY, fn([0], 2), fn([], 2), _two_nodes()),
+            "left leg must map the left foot into the apex",
+            id="left leg misses its foot",
+        ),
+        pytest.param(
+            lambda: DecoratedCospan(EMPTY, FinSet(1), fn([], 2), fn([0], 3), _two_nodes()),
+            "right leg must map the right foot into the apex",
+            id="right leg misses the apex",
+        ),
+        pytest.param(
+            lambda: StructuredCospan(*_two_apex_legs()),
+            "both legs must land in one shared apex system",
+            id="structured legs with two apexes",
+        ),
+    ],
+)
+def test_cospan_legs_that_do_not_fit_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_structured_unit_and_feet_accessors():

@@ -119,8 +119,40 @@ def test_poly_add_and_close():
     assert dropped == Poly.zero(1)
     assert not poly_close(kept, dropped) and not poly_close(dropped, kept)
     assert not poly_close(mono(1, 1.0, (1,)), mono(1, 1.0, (2,)))
+    # polynomials in different variable counts are never close, zero or not
+    assert not poly_close(Poly.zero(1), Poly.zero(2))
+    assert not poly_close(mono(1, 1.0, (1,)), mono(2, 1.0, (1, 0)))
     with pytest.raises(DimensionError):
         poly_add(mono(1, 1.0, (1,)), mono(2, 1.0, (1, 0)))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: Poly(2, [(1.0, (1, 1))]).substitute_along(fn([0], 2)),
+            DimensionError,
+            "substitution map must cover every variable",
+            id="substitution along a short map",
+        ),
+        pytest.param(poly_add, ValueError, "need at least one polynomial", id="no summands"),
+        pytest.param(
+            lambda: PolyVectorField(FinSet(2), (Poly.zero(2), Poly.zero(1))),
+            ValueError,
+            "component 1 uses 1 variables, need 2",
+            id="a component in the wrong variable count",
+        ),
+        pytest.param(
+            lambda: pushforward_field(fn([0, 0], 1), PolyVectorField.zero(FinSet(3))),
+            DimensionError,
+            "field must live over the map's domain",
+            id="pushforward along a map from the wrong set",
+        ),
+    ],
+)
+def test_the_field_algebra_refuses_misfit_inputs(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 def test_bool_exponents_are_refused():

@@ -363,6 +363,18 @@ def test_find_iso_conflicting_constraints_is_none():
     assert find_iso(FinSet(2), FinSet(2), constraints=[(p, q)]) is None
 
 
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        (fn([0], 2), fn([0, 1], 2), "constraint maps must share a domain"),
+        (fn([0], 2), fn([0], 3), "constraint maps must land in the two search sets"),
+    ],
+)
+def test_find_iso_refuses_constraints_of_the_wrong_shape(p, q, message):
+    with pytest.raises(SpanError, match=f"^{message}$"):
+        find_iso(FinSet(2), FinSet(2), constraints=[(p, q)])
+
+
 def test_find_iso_predicate_filters():
     target = fn([2, 0, 1], 3)
     h = find_iso(FinSet(3), FinSet(3), predicate=lambda cand: cand == target)

@@ -12,18 +12,26 @@ witness the search returns from its tables alone, so an iso search with
 its legs unpinned and one that always answers yes both fail there.
 Associativity holds on the nose, so the identity is a true witness there
 and neither mutant turns it.
+
+The two rate mutants change `dynamics.mass_action`, which both routes of
+the `graybox` suite run, so the routes still agree; the suite's rate
+equation oracle, built from the composite net in exact arithmetic, turns
+them.  A guard pins that the oracle names nothing from `systems`,
+`dynamics` or `cospans`.
 """
 
+import ast
 import functools
+import pathlib
 
 import pytest
 
-from opencospan import cospans, finset, laws, systems
+from opencospan import cospans, dynamics, finset, laws, systems
 from opencospan.cli import main
 from opencospan.cospans import IsoWitness
 from opencospan.finset import FinFunction, FinSet
 from opencospan.laws import LAW_SUITES
-from opencospan.systems import DecorationTheory, system_union
+from opencospan.systems import DecorationTheory, PetriNetWithRates, system_union
 
 SMALL = {
     "pushout": {"cases": 60},
@@ -41,6 +49,7 @@ SMALL = {
 }
 
 REAL_PUSHOUT, REAL_SIMULATE, REAL_FIND_ISO = finset.pushout, laws.simulate, finset.find_iso
+REAL_MASS_ACTION = dynamics.mass_action
 
 
 def _pushout_skipping_the_last_pair(f, g):
@@ -62,7 +71,19 @@ def _leaking_simulate(*args, **kwargs):
     return [(t, [x * 1.001 for x in state]) for t, state in REAL_SIMULATE(*args, **kwargs)]
 
 
+def _mass_action_doubling(doubled):
+    """mass_action with the rate of each transition whose consumed multiset
+    is doubled(consumed) multiplied by two."""
+
+    def mutant(net):
+        rates = [2 * r if doubled(ms) else r for ms, r in zip(net.src, net.attrs)]
+        return REAL_MASS_ACTION(PetriNetWithRates(net, rates))
+
+    return mutant
+
+
 SQUARES = "squares do not agree on the glued apex; are both valid 2-morphisms?"
+GRAYBOX_OFF = "FAIL graybox (1 cases): the gray-boxed composite is off its rate equation at case 0"
 
 # mutant: (the attributes it rebinds, the FAIL line of each suite it turns)
 MUTANTS = {
@@ -148,6 +169,18 @@ MUTANTS = {
             "decay differs from the closed form by 1.000e-03",
         },
     ),
+    "the rate of a transition consuming three or more tokens doubled": (
+        [(dynamics, "mass_action", _mass_action_doubling(lambda ms: ms.total() >= 3))],
+        {"graybox": GRAYBOX_OFF},
+    ),
+    "every rate doubled": (
+        [(dynamics, "mass_action", _mass_action_doubling(lambda ms: True))],
+        {
+            "graybox": GRAYBOX_OFF,
+            "simulation": "FAIL simulation (1 cases): "
+            "decay differs from the closed form by 2.500e-01",
+        },
+    ),
 }
 
 
@@ -181,3 +214,57 @@ def test_check_all_prints_every_verdict_when_a_suite_raises(monkeypatch, capsys)
     lines = out.splitlines()
     assert len(lines) == len(LAW_SUITES) and err == ""
     assert [line for line in lines if not line.startswith("PASS")] == list(expected.values())
+
+
+# -- the rate equation oracle shares no code with what it checks ---------------------
+
+
+def foreign_names(tree, functions, modules=("systems", "dynamics", "cospans")):
+    """The names, imported into the module from one of modules, that the
+    named top-level functions read (annotations included)."""
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module in modules
+        for alias in node.names
+    }
+    return sorted(
+        {
+            node.id
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name in functions
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id in imported
+        }
+    )
+
+
+ORACLE = ("_rate_equation", "_off_rate_equation")
+
+
+def test_the_rate_equation_oracle_names_nothing_from_the_library_it_checks():
+    tree = ast.parse(pathlib.Path(laws.__file__).read_text(encoding="utf-8"))
+    assert {top.name for top in tree.body if isinstance(top, ast.FunctionDef)} >= set(ORACLE)
+    assert foreign_names(tree, ORACLE) == []
+
+
+def test_the_oracle_guard_sees_the_field_algebra():
+    source = (
+        "from .systems import Poly, PolyVectorField, field_close, poly_close\n"
+        "from .dynamics import mass_action, pushforward_field\n"
+        "from fractions import Fraction\n"
+        "def _rate_equation(net) -> PolyVectorField:\n"
+        "    return pushforward_field(net.f, mass_action(net))\n"
+        "def _off_rate_equation(exact, field):\n"
+        "    return not field_close(field, exact) or poly_close(Poly.zero(1), Fraction(0))\n"
+        "def graybox_functoriality():\n"
+        "    return field_close\n"
+    )
+    assert foreign_names(ast.parse(source), ORACLE) == [
+        "Poly",
+        "PolyVectorField",
+        "field_close",
+        "mass_action",
+        "poly_close",
+        "pushforward_field",
+    ]

@@ -3,10 +3,14 @@
 A graph, an lgraph, a Petri net and a rated net are each a node set, a cell
 set, the two ends of each cell and an attribute column; the kinds differ
 only in their rules, which check a record when it is built.  These tests pin
-those checks and the equality rule, and two guards: no code in the package
-reads a per-kind accessor (`.net`, `.rates`, `.labels`, ...), and `systems`
-defines one class for cell systems.  Building a morphism or a cospan from
-the very sets of its systems compares no sets through `FinSet.__eq__`.
+those checks and the equality rule, and three guards: no code in the
+package reads a per-kind accessor (`.net`, `.rates`, `.labels`, ...),
+`systems` defines one class for cell systems, and each kind's rules are
+stated once, in its `DecorationTheory` row: no `_KIND_RULES` table, `_SHAPES`
+read only by the row's constructor, and no morphism rule (`*_faults`) that
+takes the `check_rates` flag, which `validate_morphism` alone reads.
+Building a morphism or a cospan from the very sets of its systems compares
+no sets through `FinSet.__eq__`.
 """
 
 import ast
@@ -239,3 +243,61 @@ def test_the_guards_see_the_per_kind_classes_and_their_readers():
     tree = ast.parse(classes)
     assert cell_system_classes(tree) == ["Graph", "_Attributed", "PetriNetWithRates"]
     assert sorted(name for _, name in accessor_reads(tree)) == ["base", "rates"]
+
+
+def rule_table_faults(tree):
+    """How a module states a kind's rules outside its theory row: a
+    `_KIND_RULES` name, a read of `_SHAPES` outside
+    `DecorationTheory.__init__`, a `*_faults` function taking `check_rates`."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.Name) and node.id == "_KIND_RULES":
+            found.append(f"{where} names _KIND_RULES")
+        if (
+            isinstance(node, ast.Name)
+            and node.id == "_SHAPES"
+            and isinstance(node.ctx, ast.Load)
+            and where != "DecorationTheory.__init__"
+        ):
+            found.append(f"{where} reads _SHAPES")
+        if isinstance(node, ast.FunctionDef):
+            if node.name.endswith("_faults") and any(
+                a.arg == "check_rates" for a in node.args.args + node.args.kwonlyargs
+            ):
+                found.append(f"{node.name} takes check_rates")
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for top in tree.body:
+        visit(top, "<module>")
+    return found
+
+
+def test_each_kinds_rules_are_stated_once_in_its_row():
+    tree = ast.parse(pathlib.Path(systems.__file__).read_text(encoding="utf-8"))
+    assert rule_table_faults(tree) == []
+
+
+def test_the_rule_guard_sees_a_positional_rule_table():
+    source = (
+        "class System:\n"
+        "    def __init__(self, kind, interface, cells, src, tgt, attrs=None):\n"
+        "        shape, check_attrs, _, _ = _KIND_RULES[kind]\n"
+        "        _SHAPES[shape][2](interface, cells, src, tgt)\n"
+        "def _rate_faults(m, check_rates):\n"
+        "    return []\n"
+        "_KIND_RULES = {'graph': ('graph', None, lambda m, check_rates: [], False)}\n"
+        "class DecorationTheory:\n"
+        "    def __init__(self, kind):\n"
+        "        self.move, self.hashable, _, self.end_faults = _SHAPES[_KIND_RULES[kind][0]]\n"
+    )
+    assert rule_table_faults(ast.parse(source)) == [
+        "System.__init__ names _KIND_RULES",
+        "System.__init__ reads _SHAPES",
+        "_rate_faults takes check_rates",
+        "<module> names _KIND_RULES",
+        "DecorationTheory.__init__ names _KIND_RULES",
+    ]

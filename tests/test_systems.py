@@ -1,6 +1,7 @@
 """Systems over finite sets: morphism validation, coproducts, pushouts,
 relabeling, and the per-kind decoration theories."""
 
+import re
 from random import Random
 
 import pytest
@@ -36,6 +37,7 @@ from opencospan import (
     validate_morphism,
 )
 from opencospan import systems
+from opencospan.systems import compose_morphism, system_union
 from opencospan.cli import main
 from opencospan.laws import random_composable, random_function, random_system, water_net
 
@@ -465,6 +467,75 @@ def test_relabel_is_strictly_functorial():
             g = random_function(rng, FinSet(3), FinSet(5))
             gf = FinFunction(FinSet(4), FinSet(5), tuple(g.table[y] for y in f.table))
             assert relabel(gf, d) == relabel(g, relabel(f, d))
+
+
+ONE, TWO = loop_graph(1, [0]), loop_graph(2, [0])
+GRAPHS = decoration_theory("graph")
+
+
+@pytest.mark.parametrize(
+    "refused, error, message",
+    [
+        pytest.param(
+            lambda: Graph(FinSet(2), FinSet(1), fn([0, 1], 2), fn([0], 2)),
+            ValueError,
+            "src must map edges to nodes",
+            id="graph leg from the wrong edges",
+        ),
+        pytest.param(
+            lambda: Graph(FinSet(2), FinSet(1), fn([0], 2), fn([0], 3)),
+            ValueError,
+            "tgt must map edges to nodes",
+            id="graph leg into the wrong nodes",
+        ),
+        pytest.param(lambda: interface_of(42), KindError, "not a system: int", id="an int"),
+        pytest.param(
+            lambda: SystemMorphism(ONE, TWO, fn([0], 3), fn([0], 1)),
+            MorphismShapeError,
+            "node map does not fit the two systems",
+            id="node map that does not fit",
+        ),
+        pytest.param(
+            lambda: SystemMorphism(ONE, TWO, fn([0], 2), fn([0], 2)),
+            MorphismShapeError,
+            "edge map does not fit the two systems",
+            id="edge map that does not fit",
+        ),
+        pytest.param(
+            lambda: compose_morphism(SystemMorphism.identity(ONE), SystemMorphism.identity(TWO)),
+            MorphismShapeError,
+            "morphisms do not meet end to end",
+            id="morphisms that do not meet",
+        ),
+        pytest.param(
+            lambda: system_union(ONE, fn([0], 1), TWO, fn([0, 0], 2)),
+            MorphismShapeError,
+            "union maps must start at the two node sets and share a target",
+            id="union maps without a shared target",
+        ),
+        pytest.param(
+            lambda: relabel(fn([0, 0], 1), ONE),
+            MorphismShapeError,
+            "relabeling map must start at the system's node set",
+            id="relabeling from the wrong nodes",
+        ),
+        pytest.param(
+            lambda: GRAPHS.laxator(ONE, discrete("petri", EMPTY)),
+            KindError,
+            "laxator arguments must match the theory's kind",
+            id="laxator of the wrong kind",
+        ),
+        pytest.param(
+            lambda: GRAPHS.fiber_violations(*[discrete("lgraph", EMPTY)] * 2, fn([], 0)),
+            KindError,
+            "fiber morphisms must match the theory's kind",
+            id="fiber morphism of the wrong kind",
+        ),
+    ],
+)
+def test_misfit_maps_and_kinds_are_refused(refused, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        refused()
 
 
 def test_theory_trivial_and_unit():
