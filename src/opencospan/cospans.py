@@ -35,13 +35,14 @@ Open dynamical systems are the fifth decorated kind ("dynam"): the
 decoration is a polynomial vector field, and the union of two decorations
 is the sum of their pushforwards, so dynam `hcompose` is associative only
 up to rounding.  `cospan_iso` compares fields within `field_close`'s
-tolerance at the leaves of the search.
+tolerance at the leaves of the search, term by term under the bijection.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import attrgetter
 from typing import Optional, Union
@@ -72,11 +73,11 @@ from .systems import (
     cells_of,
     decoration_theory,
     discrete,
-    field_close,
     interface_of,
     is_discrete,
-    pushforward_field,
     validate_morphism,
+    _push_pairs,
+    _terms_close,
 )
 
 
@@ -559,22 +560,55 @@ def _profiles(decoration: Decoration, colours: dict):
 _NO_CELLS = FinFunction.identity(EMPTY)
 
 
+def _shapes(colour: list[int], rows: dict, colours: dict, shapes: dict) -> list[int]:
+    """Each touched place's colour joined with its component's shape.  Two
+    places are joined when some cell or term touches both, that is when
+    one is in the other's row.  The shape is the sorted colours of the
+    component's members, interned in `shapes`, and (colour, shape) is
+    interned in `colours`.  An untouched place keeps colour 0."""
+    joined = [0] * len(colour)
+    for start in rows:
+        if joined[start]:
+            continue
+        component, stack = [start], [start]
+        joined[start] = -1
+        while stack:
+            for x in rows[stack.pop()]:
+                if not joined[x]:
+                    joined[x] = -1
+                    component.append(x)
+                    stack.append(x)
+        shape = shapes.setdefault(tuple(sorted([colour[x] for x in component])), len(shapes))
+        for x in component:
+            joined[x] = colours.setdefault((colour[x], shape), len(colours))
+    return joined
+
+
 def _search_rules(d: Decoration, e: Decoration):
     """The `compatible` rule, the leaf check (node bijection -> cell map or
     None) and the colour lists of d and e for a search from d to e, or None
     when their cells' keys (for fields, their term counts) differ.  A place
     maps only to a place of its colour, and meets each assigned place in the
-    same cells, by `_profiles`, as its image meets that place's image.  That
-    is read from x's row: each assigned place in it must meet x as its image
-    meets y, and y must meet no more assigned places than x does, so a test
-    costs the two places' degrees.  The leaf check is `match_cells`, or
-    `field_close` for a field, which has no cells.  A place of colour 0 is
-    touched by no cell or term: it is in no row and no leaf check reads it."""
+    same cells, by `_profiles`, as its image meets that place's image.  A
+    touched place's colour also names its component's shape (`_shapes`), so
+    no place of a ring may map into two equal cycles, which 1-dimensional
+    colour refinement cannot tell from it.  The meetings are read from
+    x's row: each assigned place in it must meet x as its image meets y,
+    and y must meet no more assigned places than x does, so a test costs
+    the two places' degrees.  The leaf check is `match_cells`, or for a
+    field a term by term comparison: each component of d, its supports
+    moved along h, against e's component at its image, by `_terms_close`.
+    That is `field_close(pushforward_field(h, d), e)` for a bijection h,
+    which merges no terms and drops none.  A place of colour 0 is touched
+    by no cell or term: it is in no row and no leaf check reads it."""
     colours: dict = {frozenset(): 0}
-    colour_d, rows_d, keys_d = _profiles(d, colours)
-    colour_e, rows_e, keys_e = _profiles(e, colours)
+    bags_d, rows_d, keys_d = _profiles(d, colours)
+    bags_e, rows_e, keys_e = _profiles(e, colours)
     if keys_d != keys_e:
         return None
+    shapes: dict = {}
+    colour_d = _shapes(bags_d, rows_d, colours, shapes)
+    colour_e = _shapes(bags_e, rows_e, colours, shapes)
 
     # x's row as a tuple, which the rule walks, and y's as a dict, which it
     # looks places up in
@@ -598,12 +632,17 @@ def _search_rules(d: Decoration, e: Decoration):
                 met -= 1
         return met == 0
 
-    has_cells = decoration_theory(d.kind).has_cells
+    if decoration_theory(d.kind).has_cells:
+        return compatible, partial(match_cells, d, e), colour_d, colour_e
+    wants = [{support: c for c, support in poly.sparse} for poly in e.components]
 
     def leaf(h: FinFunction) -> Optional[FinFunction]:
-        if has_cells:
-            return match_cells(d, e, h)
-        return _NO_CELLS if field_close(pushforward_field(h, d), e) else None
+        table = h.table
+        for x, poly in enumerate(d.components):
+            moved = {_push_pairs(support, table): c for c, support in poly.sparse}
+            if not _terms_close(moved, wants[table[x]]):
+                return None
+        return _NO_CELLS
 
     return compatible, leaf, colour_d, colour_e
 
@@ -621,15 +660,18 @@ def cospan_iso(m: Cospan, n: Cospan, budget: Optional[int] = None) -> Optional[I
     commuting with both pairs of legs.  Every kind is pruned by one rule,
     on one reading of its cells or terms as incidences (`_incidences`): a
     place maps only to a place of the same colour, and meets each assigned
-    place in the same cells as its image meets that place's image.  Places
+    place in the same cells as its image meets that place's image.  A
+    touched place's colour names its own bag of incidences and the shape
+    of its component, the sorted bags of the places that cells or terms
+    link it to, so a ring and two equal cycles share no colour.  Places
     that no leg pins and no cell or term touches are interchangeable, so
     they are pinned to each other in ascending order, or the pair refused
     if the sides have different numbers of them.  The leaf check is
-    `match_cells`, or `field_close` for fields; the cell part of the
-    witness is the one the leaf check found there.  Budget, node counting
-    and witness order are those of `find_iso`, and the test at a node
-    costs at most the two places' degrees, so the budget bounds the
-    search's time."""
+    `match_cells`, or for fields a term by term `field_close` under the
+    bijection; the cell part of the witness is the one the leaf check
+    found there.  Budget, node counting and witness order are those of
+    `find_iso`, and the test at a node costs at most the two places'
+    degrees, so the budget bounds the search's time."""
     budget = _iso_budget(budget)
     if m == n:
         has_cells = decoration_theory(m.kind).has_cells

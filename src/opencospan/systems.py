@@ -661,8 +661,12 @@ def poly_close(p: Poly, q: Poly) -> bool:
     """
     if p.nvars != q.nvars:
         return False
-    a = {e: c for c, e in p.sparse}
-    b = {e: c for c, e in q.sparse}
+    return _terms_close({e: c for c, e in p.sparse}, {e: c for c, e in q.sparse})
+
+
+def _terms_close(a: dict[Support, float], b: dict[Support, float]) -> bool:
+    """`poly_close`'s rule on two polynomials' terms, each a dict from
+    support to coefficient."""
     for e in a.keys() | b.keys():
         ca, cb = a.get(e, 0.0), b.get(e, 0.0)
         # the difference is non-finite when either side is, and when two
@@ -950,5 +954,5 @@ KINDS = tuple(_THEORIES)
 def decoration_theory(kind: str) -> DecorationTheory:
     try:
         return _THEORIES[kind]
-    except KeyError:
+    except (KeyError, TypeError):
         raise KindError(f"unknown system kind {kind!r}") from None

@@ -988,31 +988,56 @@ def test_iso_check_respects_the_search_budget(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.startswith("PASS iso")
 
 
+def rated_cycles_file(tmp_path, name, places, cycles):
+    """A `petri_rates` file with empty feet: one arc of rate 0.5 from each
+    place of a cycle to the next."""
+    arcs = [(c[j], c[(j + 1) % len(c)]) for c in cycles for j in range(len(c))]
+    transitions = [{"src": {str(s): 1}, "tgt": {str(t): 1}, "rate": 0.5} for s, t in arcs]
+    doc = {
+        "version": "1",
+        "kind": "petri_rates",
+        "representation": "decorated",
+        "payload": {
+            "footLeft": 0,
+            "footRight": 0,
+            "legLeft": [],
+            "legRight": [],
+            "system": {"places": places, "transitions": transitions},
+            "representation": "decorated",
+        },
+    }
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_iso_check_decides_a_ten_place_ring_against_two_five_cycles(tmp_path, capsys):
     # profiles alone cannot tell these equal-rate nets apart, and the search
     # over them ran out of its default budget
-    paths = []
-    for name, cycles in (("ring", [range(10)]), ("cycles", [range(5), range(5, 10)])):
-        arcs = [(c[j], c[(j + 1) % len(c)]) for c in cycles for j in range(len(c))]
-        transitions = [{"src": {str(s): 1}, "tgt": {str(t): 1}, "rate": 0.5} for s, t in arcs]
-        doc = {
-            "version": "1",
-            "kind": "petri_rates",
-            "representation": "decorated",
-            "payload": {
-                "footLeft": 0,
-                "footRight": 0,
-                "legLeft": [],
-                "legRight": [],
-                "system": {"places": 10, "transitions": transitions},
-                "representation": "decorated",
-            },
-        }
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        paths.append(str(path))
+    paths = [
+        rated_cycles_file(tmp_path, "ring.json", 10, [range(10)]),
+        rated_cycles_file(tmp_path, "cycles.json", 10, [range(5), range(5, 10)]),
+    ]
     code, out, err = run_cli(capsys, "check", *paths, "--laws", "iso")
     assert (code, err) == (2, "") and out.startswith("FAIL iso")
+
+
+@pytest.mark.parametrize("kind", ["petri_rates", "dynam"])
+def test_iso_check_tells_a_shuffled_ring_from_two_equal_cycles(tmp_path, capsys, kind):
+    # numbered out of ring order, the 18-place ring spent the million-node
+    # budget while only 1-dimensional colours pruned; component shapes tell
+    # it from two 9-cycles at the first place
+    order = Random(18).sample(range(18), 18)
+    paths = [
+        rated_cycles_file(tmp_path, "ring.json", 18, [order]),
+        rated_cycles_file(tmp_path, "cycles.json", 18, [range(9), range(9, 18)]),
+    ]
+    if kind == "dynam":
+        for path in paths:
+            code, _, err = run_cli(capsys, "graybox", path, "--out", path)
+            assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "check", *paths, "--laws", "iso")
+    assert (code, err) == (2, "") and out.startswith("FAIL iso") and out.count("\n") == 1
 
 
 def free_petri_file(tmp_path, name, places, leg_left):

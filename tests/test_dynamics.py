@@ -437,14 +437,18 @@ def rated_ring(n, cycles, rate=0.5):
 
 
 def test_the_dynam_iso_search_spends_the_pinned_nodes(monkeypatch):
-    # term co-occurrence prunes as adjacency does for graphs: 60 nodes exhaust
-    # the search (1956 without pruning), and 9 reach the relabelling (103)
+    # term co-occurrence prunes as adjacency does for graphs, and the
+    # component shapes tell the ring from two triangles at the first place:
+    # 6 nodes exhaust that search (60 with adjacency alone, 1956 without
+    # pruning), and 9 reach the relabelling (103 without pruning).  Each
+    # budget is pinned beside the one before component shapes: it may only drop
     ring = rated_ring(6, [list(range(6))])
     cases = (
-        (rated_ring(6, [[0, 1, 2], [3, 4, 5]]), 60, None),
-        (rated_ring(6, [[0, 2, 4, 1, 3, 5]]), 9, (0, 2, 4, 1, 3, 5)),
+        (rated_ring(6, [[0, 1, 2], [3, 4, 5]]), 6, 60, None),
+        (rated_ring(6, [[0, 2, 4, 1, 3, 5]]), 9, 9, (0, 2, 4, 1, 3, 5)),
     )
-    for other, budget, witness in cases:
+    for other, budget, old_budget, witness in cases:
+        assert budget <= old_budget
         monkeypatch.setenv(ISO_BUDGET_ENV, str(budget))
         found = open_dynam_iso(ring, other)
         assert (found if found is None else found.table) == witness

@@ -31,6 +31,7 @@ from opencospan import (
     System,
     SystemMorphism,
     discrete,
+    identity_cospan,
     systems,
 )
 
@@ -44,6 +45,14 @@ def test_a_field_kind_or_an_unknown_kind_is_not_a_cell_system():
         System("petri_net", FinSet(1), EMPTY, (), ())
     with pytest.raises(KindError, match="unknown system kind"):
         System(["graph"], FinSet(1), EMPTY, (), ())
+
+
+@pytest.mark.parametrize("build", [discrete, identity_cospan])
+def test_an_unhashable_kind_is_refused_by_name(build):
+    # the kind lookup refuses it as `System` does, not with a TypeError
+    with pytest.raises(KindError) as caught:
+        build(["graph"], FinSet(1))
+    assert str(caught.value) == "unknown system kind ['graph']"
 
 
 @pytest.mark.parametrize("kind", ["graph", "petri"])
