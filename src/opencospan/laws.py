@@ -158,7 +158,7 @@ _RANDOM_ATTRS = {
 
 
 def random_system(rng: Random, kind: str, nodes: FinSet, max_cells: int = 5) -> System:
-    """A random system of a cell kind, built by its theory; the draws come in
+    """A random system of a cell kind, read from its theory's shape; the draws come in
     a fixed order: the cell count, all sources, all targets, all attributes."""
     theory = decoration_theory(kind)
     if theory.shape not in _RANDOM_ENDS:
@@ -170,7 +170,7 @@ def random_system(rng: Random, kind: str, nodes: FinSet, max_cells: int = 5) -> 
     tgt = tuple(end(rng, nodes) for _ in cells)
     attr = _RANDOM_ATTRS.get(kind)
     attrs = None if attr is None else tuple(attr(rng) for _ in cells)
-    return theory.build(nodes, cells, src, tgt, attrs)
+    return System(kind, nodes, cells, src, tgt, attrs)
 
 
 def random_cospan(

@@ -14,11 +14,11 @@ The optional names block labels places and boundary elements; it never
 affects composition or conversion.
 
 Each value check has one owner.  The constructors check sizes, ranges,
-counts, exponents, table entries and lengths; a reader reports their
-refusal as a `ModelFormatError` at its place in the file.  This module
-checks only the JSON shape (objects, arrays, fields, repeated keys), the
-plain spelling of place keys, and finite numbers, and cuts any value from
-the file in a message to 40 characters.
+counts, exponents, table entries and lengths, graph ends, labels, rates
+and names; a reader reports their refusal as a `ModelFormatError` at its
+place in the file.  This module checks only the JSON shape (objects,
+arrays, fields, repeated keys), the plain spelling of place keys, and JSON
+numbers, and cuts any value from the file in a message to 40 characters.
 
 A file is read in one pass: its bytes are decoded once as UTF-8, as
 text-mode reading would, and parsed by one decoder; then the reader of the
@@ -90,12 +90,12 @@ def _require_keys(obj: Any, required: tuple, optional: tuple, where: str) -> Non
                 raise ModelFormatError(f"{where} has unknown field {_short(key)}")
 
 
-def _built(where: str, build: Callable[..., Any], *args: Any) -> Any:
-    """build(*args), with a constructor's refusal as a format error at where."""
+def _built(where: Optional[str], build: Callable[..., Any], *args: Any) -> Any:
+    """build(*args), with a constructor's refusal as a format error at where, if given."""
     try:
         return build(*args)
     except ValueError as exc:
-        raise ModelFormatError(f"{where}: {exc}") from exc
+        raise ModelFormatError(str(exc) if where is None else f"{where}: {exc}") from exc
 
 
 def _as_finite(value: Any, where: str) -> float:
@@ -114,12 +114,6 @@ def _entry(block: str, name: str) -> str:
     """Where a config entry sits, `block[name]`, for a message: a name
     over 40 characters is cut to 40."""
     return f"{block}[{name if len(name) <= 40 else name[:37] + '...'}]"
-
-
-def _finfunction(value: Any, dom: FinSet, cod: FinSet, where: str) -> FinFunction:
-    if not isinstance(value, list):
-        raise ModelFormatError(f"{where} must be an array of integers")
-    return _built(where, FinFunction, dom, cod, value)
 
 
 def _write_graph(system: System) -> dict:
@@ -197,18 +191,13 @@ def _read_graph(value: Any, theory: DecorationTheory) -> System:
     _require_keys(value, required, (), f"{theory.kind} system")
     nodes = _built("nodes", FinSet, value["nodes"])
     edges = _built("edges", FinSet, value["edges"])
-    src = _finfunction(value["src"], edges, nodes, "src").table
-    tgt = _finfunction(value["tgt"], edges, nodes, "tgt").table
-    if not attributed:
-        return theory.build(nodes, edges, src, tgt, None)
-    labels = value["labels"]
-    scalars = (str, int, float, bool)
-    if not isinstance(labels, list) or not all([isinstance(x, scalars) for x in labels]):
+    for name in ("src", "tgt"):
+        if not isinstance(value[name], list):
+            raise ModelFormatError(f"{name} must be an array of integers")
+    labels = value["labels"] if attributed else None
+    if attributed and not isinstance(labels, list):
         raise ModelFormatError("labels must be an array of scalars")
-    for i, label in enumerate(labels):
-        if isinstance(label, float) and not math.isfinite(label):
-            raise ModelFormatError(f"edge {i} label must be finite, got {label!r}")
-    return _built("labels", theory.build, nodes, edges, src, tgt, tuple(labels))
+    return _built(None, System, theory.kind, nodes, edges, value["src"], value["tgt"], labels)
 
 
 # the plain keys of the first places, each with its place: a key found here is not parsed
@@ -254,7 +243,7 @@ def _read_petri(value: Any, theory: DecorationTheory) -> System:
     rated = theory.attributed
     fields = ("src", "tgt", "rate") if rated else ("src", "tgt")
     exact = frozenset(fields)
-    src, tgt, rates = [], [], []
+    src, tgt, rates = [], [], ([] if rated else None)
     for i, entry in enumerate(raw):
         if entry.__class__ is not dict or entry.keys() != exact:
             _require_keys(entry, fields, (), f"transition {i}")
@@ -266,7 +255,7 @@ def _read_petri(value: Any, theory: DecorationTheory) -> System:
                 rate = _as_finite(rate, f"transition {i} rate")
             rates.append(rate)
     cells = FinSet(len(raw))
-    return _built("transitions", theory.build, places, cells, src, tgt, rates if rated else None)
+    return _built("transitions", System, theory.kind, places, cells, src, tgt, rates)
 
 
 def _read_field(value: Any, theory: DecorationTheory) -> PolyVectorField:
@@ -342,22 +331,30 @@ _NAME_KEYS = ("places", "footLeft", "footRight")
 
 @dataclass(frozen=True)
 class Names:
-    """Presentation-only labels for places and boundary elements."""
+    """Presentation-only labels for places and boundary elements: each list,
+    when given, is a list or tuple of distinct strings, stored as a tuple."""
 
     places: Optional[tuple[str, ...]] = None
     foot_left: Optional[tuple[str, ...]] = None
     foot_right: Optional[tuple[str, ...]] = None
 
+    def __post_init__(self) -> None:
+        for key, field in zip(_NAME_KEYS, ("places", "foot_left", "foot_right")):
+            names = getattr(self, field)
+            if names is not None:
+                if names.__class__ not in (list, tuple) or not set(map(type, names)) <= {str}:
+                    raise ModelFormatError(f"names.{key} must be an array of strings")
+                if len(set(names)) != len(names):
+                    raise ModelFormatError(f"names.{key} must not repeat names")
+                object.__setattr__(self, field, tuple(names))
+
     @staticmethod
     def from_json(value: Any) -> Names:
         _require_keys(value, (), _NAME_KEYS, "names")
-        for key in _NAME_KEYS:
-            raw = value.get(key, [])
-            if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
+        for key in _NAME_KEYS:  # a null is no array; an absent key is no list
+            if key in value and value[key] is None:
                 raise ModelFormatError(f"names.{key} must be an array of strings")
-            if len(set(raw)) != len(raw):
-                raise ModelFormatError(f"names.{key} must not repeat names")
-        return Names(*(tuple(value[key]) if key in value else None for key in _NAME_KEYS))
+        return Names(*map(value.get, _NAME_KEYS))
 
     def to_json(self) -> dict:
         lists = zip(_NAME_KEYS, (self.places, self.foot_left, self.foot_right))
@@ -445,7 +442,9 @@ def model_from_json(value: Any) -> ModelFile:
             feet.append((_built(where, FinSet, foot), 0))
     legs = []
     for (foot, cells), where in zip(feet, ("legLeft", "legRight")):
-        legs.append(_finfunction(payload[where], foot, apex, where))
+        if not isinstance(payload[where], list):
+            raise ModelFormatError(f"{where} must be an array of integers")
+        legs.append(_built(where, FinFunction, foot, apex, payload[where]))
         if cells:
             raise NotInImageOfL(
                 f"{where}: foot carries {cells} cells and is not the image of a finite set"

@@ -60,6 +60,7 @@ from .finset import (
 )
 
 Label = Union[str, int, float, bool]
+_LABEL_TYPES = frozenset((str, int, float, bool))  # a label's exact type
 
 
 def label_key(label: Label) -> tuple[type, Label]:
@@ -399,11 +400,9 @@ def system_union(x: System, f: FinFunction, y: System, g: FinFunction) -> System
         raise KindError(f"cannot form a coproduct of kinds {x.kind!r} and {y.kind!r}")
     if f.dom != interface_of(x) or g.dom != interface_of(y) or f.cod != g.cod:
         raise MorphismShapeError("union maps must start at the two node sets and share a target")
-    theory = decoration_theory(x.kind)
-    move = theory.move
-    return theory.build(
-        f.cod,
-        FinSet(cells_of(x).size + cells_of(y).size),
+    move = decoration_theory(x.kind).move
+    return System(
+        x.kind, f.cod, FinSet(cells_of(x).size + cells_of(y).size),
         move(x.src, f) + move(y.src, g),
         move(x.tgt, f) + move(y.tgt, g),
         None if x.attrs is None else x.attrs + y.attrs,
@@ -461,9 +460,8 @@ def system_pushout(
             [x_column[z] for z in reps if z < x_cells], node_po.left
         ) + theory.move([y_column[z - x_cells] for z in reps if z >= x_cells], node_po.right)
 
-    out = theory.build(
-        node_po.apex,
-        edge_po.apex,
+    out = System(
+        x.kind, node_po.apex, edge_po.apex,
         glued(x.src, y.src),
         glued(x.tgt, y.tgt),
         None if x.attrs is None else tuple(map((x.attrs + y.attrs).__getitem__, reps)),
@@ -484,9 +482,9 @@ def relabel(f: FinFunction, system: System) -> System:
     """
     if f.dom != interface_of(system):
         raise MorphismShapeError("relabeling map must start at the system's node set")
-    theory = decoration_theory(system.kind)
-    src, tgt = theory.move(system.src, f), theory.move(system.tgt, f)
-    return theory.build(f.cod, cells_of(system), src, tgt, system.attrs)
+    move = decoration_theory(system.kind).move
+    src, tgt = move(system.src, f), move(system.tgt, f)
+    return System(system.kind, f.cod, cells_of(system), src, tgt, system.attrs)
 
 
 # -- the field algebra: the decorations of the "dynam" kind
@@ -751,14 +749,16 @@ def _move_multisets(column: Sequence[Multiset], f: FinFunction) -> tuple[Multise
 
 
 def _check_nodes(nodes: FinSet, edges: FinSet, src: tuple, tgt: tuple) -> None:
-    """Graph shape: each end is a node index, one per edge."""
-    size = nodes.size
+    """Graph shape: one node index per edge, refused in `FinFunction`'s words."""
+    size, m = nodes.size, edges.size
     for name, column in (("src", src), ("tgt", tgt)):
-        if len(column) != edges.size:
-            raise ValueError(f"{name} must map edges to nodes")
+        if len(column) != m:
+            raise ValueError(f"{name}: table length {len(column)} does not match domain size {m}")
         for v in column:
             if not (type(v) is int and 0 <= v < size):
-                raise ValueError(f"{name} must map edges to nodes")
+                x = next(x for x, w in enumerate(column) if w is v)  # all before v passed
+                fault = f"table[{x}] = {_short(v)} is outside the codomain of size {size}"
+                raise ValueError(f"{name}: {fault}")
 
 
 def _check_multisets(places: FinSet, transitions: FinSet, src: tuple, tgt: tuple) -> None:
@@ -776,21 +776,29 @@ def _check_multisets(places: FinSet, transitions: FinSet, src: tuple, tgt: tuple
 
 
 def _check_labels(edges: FinSet, labels: Sequence[Label]) -> tuple[Label, ...]:
-    """lgraph: one opaque label per edge."""
+    """lgraph: one label per edge, a str, int, float or bool (by exact type), a float one finite."""
     labels = tuple(labels)
+    types = set(map(type, labels))
+    if not types <= _LABEL_TYPES:
+        raise ValueError("labels must be an array of scalars")
+    if float in types:
+        for i, label in enumerate(labels):
+            if label.__class__ is float and label - label:  # NaN or an infinity
+                raise ValueError(f"edge {i} label must be finite, got {label!r}")
     if len(labels) != edges.size:
-        raise ValueError(f"{len(labels)} labels for {edges.size} edges")
+        raise ValueError(f"labels: {len(labels)} labels for {edges.size} edges")
     return labels
 
 
 def _check_rates(transitions: FinSet, rates: Sequence[float]) -> tuple[float, ...]:
-    """petri_rates: one nonnegative rate per transition, as a float."""
+    """petri_rates: one finite nonnegative rate per transition, as a float."""
     rates = tuple(map(float, rates))
     if len(rates) != transitions.size:
         raise ValueError(f"{len(rates)} rates for {transitions.size} transitions")
     for i, r in enumerate(rates):
-        if not (r >= 0.0):
-            raise ValueError(f"rate at transition {i} must be nonnegative, got {r}")
+        if not (0.0 <= r < math.inf):
+            fault = "finite" if r == math.inf else "nonnegative"
+            raise ValueError(f"rate at transition {i} must be {fault}, got {r}")
     return rates
 
 
@@ -865,7 +873,7 @@ class DecorationTheory:
     default nothing).  A row with cells takes its shape's `move(column, f)`,
     `hashable(column)` (the ends as supports, a node v as ((v, 1),)),
     `check_ends` and `end_faults` (the wording of a broken end) from
-    `_SHAPES`, which nothing else reads.  `build` calls `System`.
+    `_SHAPES`, which nothing else reads.
     """
 
     has_cells = structured = associative = True
@@ -879,15 +887,8 @@ class DecorationTheory:
         if self.has_cells:
             self.move, self.hashable, self.check_ends, self.end_faults = _SHAPES[shape]
 
-    def build(
-        self, nodes: FinSet, cells: FinSet, src: tuple, tgt: tuple, attrs: Optional[tuple]
-    ) -> System:
-        """The system with these nodes, cells, cell ends and attribute column
-        (None for kinds without one)."""
-        return System(self.kind, nodes, cells, src, tgt, attrs)
-
     def trivial(self, a: FinSet) -> Decoration:
-        return self.build(a, EMPTY, (), (), None)
+        return System(self.kind, a, EMPTY, (), ())
 
     def unit(self) -> Decoration:
         return self.trivial(EMPTY)

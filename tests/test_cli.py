@@ -1040,9 +1040,9 @@ def test_iso_check_tells_a_shuffled_ring_from_two_equal_cycles(tmp_path, capsys,
     assert (code, err) == (2, "") and out.startswith("FAIL iso") and out.count("\n") == 1
 
 
-def free_petri_file(tmp_path, name, places, leg_left):
-    """A transition-free `petri` file whose left foot has one element, at
-    place `leg_left`, and whose right foot is empty."""
+def petri_file(tmp_path, name, places, leg_left, transitions=()):
+    """A `petri` file whose left foot has one element, at place `leg_left`,
+    whose right foot is empty, and which has the given transitions."""
     doc = {
         "version": "1",
         "kind": "petri",
@@ -1052,7 +1052,7 @@ def free_petri_file(tmp_path, name, places, leg_left):
             "footRight": 0,
             "legLeft": [leg_left],
             "legRight": [],
-            "system": {"places": places, "transitions": []},
+            "system": {"places": places, "transitions": list(transitions)},
             "representation": "decorated",
         },
     }
@@ -1061,14 +1061,20 @@ def free_petri_file(tmp_path, name, places, leg_left):
     return str(path)
 
 
-def test_iso_check_decides_free_places_past_the_recursion_limit(tmp_path, capsys):
-    # equal files are decided by comparison; the other pair pins place 0 to
-    # place 1, and the search takes one level per free place, 1,999 here
-    same = free_petri_file(tmp_path, "same.json", 2000, 0)
-    moved = free_petri_file(tmp_path, "moved.json", 2000, 1)
-    for pair in ((same, same), (same, moved)):
-        code, out, err = run_cli(capsys, "check", *pair, "--laws", "iso")
-        assert (code, err) == (0, "") and out.startswith("PASS iso")
+def test_iso_check_decides_free_places_past_the_recursion_limit(tmp_path, capsys, monkeypatch):
+    # a chain, transition i from place i to place i + 1, listed in opposite
+    # orders: the search runs and takes one node per place after the pinned
+    # place 0, 1,999 levels past the recursion limit of 1,000.  That is its
+    # least budget
+    chain = [{"src": {str(i): 1}, "tgt": {str(i + 1): 1}} for i in range(1999)]
+    forward = petri_file(tmp_path, "forward.json", 2000, 0, chain)
+    backward = petri_file(tmp_path, "backward.json", 2000, 0, reversed(chain))
+    monkeypatch.setenv(ISO_BUDGET_ENV, "1999")
+    code, out, err = run_cli(capsys, "check", forward, backward, "--laws", "iso")
+    assert (code, out, err) == (0, "PASS iso (1 cases)\n", "")
+    monkeypatch.setenv(ISO_BUDGET_ENV, "1998")
+    code, out, err = run_cli(capsys, "check", forward, backward, "--laws", "iso")
+    assert (code, out, err) == (2, "", "error: isomorphism search exceeded its budget of 1998 nodes\n")
 
 
 def test_iso_check_of_two_million_free_places_ends_within_seconds(tmp_path, capsys, monkeypatch):
@@ -1077,8 +1083,8 @@ def test_iso_check_of_two_million_free_places_ends_within_seconds(tmp_path, caps
     monkeypatch.delenv(ISO_BUDGET_ENV, raising=False)
     places = 2_000_000
     assert places <= MAX_APEX_SIZE
-    same = free_petri_file(tmp_path, "same.json", places, 0)
-    moved = free_petri_file(tmp_path, "moved.json", places, 1)
+    same = petri_file(tmp_path, "same.json", places, 0)
+    moved = petri_file(tmp_path, "moved.json", places, 1)
     for pair in ((same, same), (same, moved)):
         start = time.process_time()
         code, out, err = run_cli(capsys, "check", *pair, "--laws", "iso")

@@ -5,6 +5,7 @@ import re
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from functools import reduce
 from itertools import permutations
 from random import Random
@@ -13,6 +14,7 @@ import pytest
 
 from opencospan import (
     EMPTY,
+    AdjointPair,
     BoundaryError,
     BudgetExceeded,
     ComposabilityError,
@@ -53,7 +55,7 @@ from opencospan import (
     unit_cell,
     vcompose,
 )
-from opencospan.cospans import _present, _search_rules
+from opencospan.cospans import _check_adjoint, _present, _search_rules
 from opencospan.finset import ISO_BUDGET_ENV, compose, find_iso, pushout
 from opencospan.systems import (
     COEFF_DROP,
@@ -345,6 +347,20 @@ def test_square_with_a_misfit_foot_or_cell_map_is_reported(misfit, expected):
     assert TwoMorphism(m, m, **{**maps, **misfit}).violations() == [expected]
 
 
+def labeled(m):
+    """The graph cospan m with the label "x" on every edge."""
+    labels = ("x",) * m.decoration.cells.size
+    decoration = LabeledGraph(m.decoration, labels)
+    return DecoratedCospan(m.foot_left, m.foot_right, m.leg_left, m.leg_right, decoration)
+
+
+@pytest.mark.parametrize("other", [to_structured, labeled], ids=["presentation", "kind"])
+def test_a_square_between_cospans_of_different_species_is_reported(other):
+    m = intro_open_graph()
+    square = replace(TwoMorphism.identity(m), tgt=other(m))
+    assert square.violations() == ["source and target cospans are of different species"]
+
+
 def test_square_validation_catches_label_breakage():
     inner = Graph(FinSet(1), FinSet(1), fn([0], 1), fn([0], 1))
     a = DecoratedCospan(EMPTY, EMPTY, fn([], 1), fn([], 1), LabeledGraph(inner, ("x",)))
@@ -373,6 +389,30 @@ def test_companion_equations_hold_for_sample_functions():
             assert ok, why
             ok, why = check_conjoint(f, "graph", representation)
             assert ok, why
+
+
+def _companion_with_a_broken_to_unit(f):
+    pair = companion(f)
+    return AdjointPair(pair.cospan, replace(pair.to_unit, left=fn([1, 1], 2)), pair.from_unit)
+
+
+@pytest.mark.parametrize(
+    "pair, f, mirrored, why",
+    [
+        # a square whose left leg square does not commute
+        (_companion_with_a_broken_to_unit(fn([0, 0], 2)), fn([0, 0], 2), False,
+         "to_unit is not a valid square: left leg square does not commute"),
+        # the squares of another function
+        (companion(fn([0, 0], 2)), fn([1, 1], 2), False,
+         "stacked squares do not equal the unit square on f"),
+        # the companion's squares pasted the conjoint's way
+        (companion(fn([0, 0], 2)), fn([0, 0], 2), True,
+         "bent composite does not match the unitors"),
+    ],
+    ids=["invalid square", "another function", "mirrored"],
+)
+def test_the_adjoint_check_refuses_each_broken_equation(pair, f, mirrored, why):
+    assert _check_adjoint(pair, f, "graph", "decorated", mirrored) == (False, why)
 
 
 def test_conjoint_is_the_reversed_companion():
@@ -1302,6 +1342,13 @@ def test_match_cells_pairs_parallel_edges_in_order():
     double = Graph(FinSet(2), FinSet(2), fn([0, 0], 2), fn([1, 1], 2))
     k = match_cells(double, double, FinFunction.identity(FinSet(2)))
     assert k == FinFunction.identity(FinSet(2))
+
+
+def test_match_cells_refuses_groups_of_different_sizes():
+    # cells keyed [A, A, B] against [A, B, B]: the same keys, in other numbers
+    d = Graph(FinSet(2), FinSet(3), fn([0, 0, 1], 2), fn([0, 0, 1], 2))
+    e = Graph(FinSet(2), FinSet(3), fn([0, 1, 1], 2), fn([0, 1, 1], 2))
+    assert match_cells(d, e, FinFunction.identity(FinSet(2))) is None
 
 
 # -- composition moves each cell once -------------------------------------------

@@ -21,6 +21,7 @@ them.  A guard pins that the oracle names nothing from `systems`,
 """
 
 import ast
+import dataclasses
 import functools
 import pathlib
 
@@ -28,7 +29,7 @@ import pytest
 
 from opencospan import cospans, dynamics, finset, laws, systems
 from opencospan.cli import main
-from opencospan.cospans import IsoWitness
+from opencospan.cospans import IsoWitness, TwoMorphism, reverse
 from opencospan.finset import FinFunction, FinSet
 from opencospan.laws import LAW_SUITES
 from opencospan.systems import DecorationTheory, PetriNetWithRates, system_union
@@ -50,6 +51,7 @@ SMALL = {
 
 REAL_PUSHOUT, REAL_SIMULATE, REAL_FIND_ISO = finset.pushout, laws.simulate, finset.find_iso
 REAL_MASS_ACTION = dynamics.mass_action
+REAL_TO_DECORATED, REAL_GRAYBOX = laws.to_decorated, laws.graybox
 
 
 def _pushout_skipping_the_last_pair(f, g):
@@ -80,6 +82,19 @@ def _mass_action_doubling(doubled):
         return REAL_MASS_ACTION(PetriNetWithRates(net, rates))
 
     return mutant
+
+
+def _mass_action_drifting(net):
+    """mass_action with every rate scaled by 1 + 1e-6 per transition of the
+    net, so a composite drifts from the sum of its parts."""
+    scale = 1 + 1e-6 * net.cells.size
+    return REAL_MASS_ACTION(PetriNetWithRates(net, [r * scale for r in net.attrs]))
+
+
+def _graybox_right_leg_at_place_0(net):
+    box = REAL_GRAYBOX(net)
+    leg = box.leg_right
+    return dataclasses.replace(box, leg_right=FinFunction(leg.dom, leg.cod, (0,) * leg.dom.size))
 
 
 SQUARES = "squares do not agree on the glued apex; are both valid 2-morphisms?"
@@ -172,6 +187,26 @@ MUTANTS = {
     "the rate of a transition consuming three or more tokens doubled": (
         [(dynamics, "mass_action", _mass_action_doubling(lambda ms: ms.total() >= 3))],
         {"graybox": GRAYBOX_OFF},
+    ),
+    "left unitor is the identity square": (
+        [(laws, "left_unitor", TwoMorphism.identity)],
+        {"unitors": "FAIL unitors (1 cases): left unitor has wrong boundary"},
+    ),
+    "to_decorated reverses the cospan": (
+        [(laws, "to_decorated", lambda cospan: reverse(REAL_TO_DECORATED(cospan)))],
+        {"conversion": "FAIL conversion (1 cases): roundtrip broke a graph cospan"},
+    ),
+    "conjoint is the companion": (
+        [(laws, "conjoint", laws.companion)],
+        {"conjoint": "FAIL conjoint (2 cases): conjoint of f=[] is not the reversed companion"},
+    ),
+    "graybox sends its right leg to place 0": (
+        [(laws, "graybox", _graybox_right_leg_at_place_0)],
+        {"graybox": "FAIL graybox (1 cases): legs disagree at case 0"},
+    ),
+    "rates drift with the transition count": (
+        [(dynamics, "mass_action", _mass_action_drifting)],
+        {"graybox": "FAIL graybox (1 cases): fields disagree beyond 1e-9 at case 0"},
     ),
     "every rate doubled": (
         [(dynamics, "mass_action", _mass_action_doubling(lambda ms: True))],

@@ -13,7 +13,7 @@ import pytest
 
 import opencospan
 from opencospan import DecoratedCospan, FinFunction, FinSet, IsoWitness, Multiset, laws
-from opencospan.systems import DecorationTheory, system_union
+from opencospan.systems import DecorationTheory, System, system_union
 from opencospan.laws import (
     LAW_SUITES,
     LawReport,
@@ -116,7 +116,7 @@ def _open_system(kind, places, cells, left=(), right=()):
     if theory.shape == "petri":
         cells = [(Multiset(nodes, s), Multiset(nodes, t), a) for s, t, a in cells]
     src, tgt, attrs = (tuple(column) for column in zip(*cells)) if cells else ((), (), ())
-    system = theory.build(nodes, FinSet(len(cells)), src, tgt, attrs if theory.attributed else None)
+    system = System(kind, nodes, FinSet(len(cells)), src, tgt, attrs if theory.attributed else None)
     legs = [FinFunction(FinSet(len(leg)), nodes, leg) for leg in (left, right)]
     return DecoratedCospan(legs[0].dom, legs[1].dom, *legs, system)
 

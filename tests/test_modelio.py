@@ -26,7 +26,10 @@ from opencospan import (
     Multiset,
     Names,
     NotInImageOfL,
+    OpenCospanError,
     OpenDynam,
+    PetriNet,
+    PetriNetWithRates,
     PiecewiseConstant,
     Poly,
     PolyVectorField,
@@ -99,20 +102,28 @@ def test_save_load_save_is_byte_identical(tmp_path, name):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_a_model_that_cannot_be_serialized_leaves_the_file_as_it_was(tmp_path):
-    # an lgraph built through the API may carry a NaN label, which
-    # canonical JSON refuses
-    graph = Graph(FinSet(1), FinSet(1), fn([0], 1), fn([0], 1))
-    bad = ModelFile(
-        "lgraph",
-        DecoratedCospan(EMPTY, EMPTY, fn([], 1), fn([], 1), LabeledGraph(graph, (math.nan,))),
-    )
-    out = tmp_path / "out.json"
-    out.write_bytes(b"previous contents\n")
-    with pytest.raises(ModelFormatError, match="not serializable canonically"):
-        save_model(str(out), bad)
-    assert out.read_bytes() == b"previous contents\n"
+@pytest.mark.parametrize(
+    "places, foot_left, message",
+    [
+        (("S", "S", "R"), None, "names.places must not repeat names"),
+        ((1, 2, 3), None, "names.places must be an array of strings"),
+        (None, "SIR", "names.footLeft must be an array of strings"),
+    ],
+)
+def test_names_are_distinct_strings_when_built(places, foot_left, message):
+    # the words a model file with such names is refused in
+    with pytest.raises(ModelFormatError) as caught:
+        Names(places, foot_left)
+    assert str(caught.value) == message
+    assert Names(["a"], []) == Names(("a",), ())  # lists are stored as tuples
 
+
+def test_a_labeled_graph_refuses_the_nan_label_its_files_refuse():
+    # a file with this label is refused in the same words; a model that cannot
+    # be written at all is the FieldTooLarge case below
+    graph = Graph(FinSet(1), FinSet(1), fn([0], 1), fn([0], 1))
+    with pytest.raises(ValueError, match="edge 0 label must be finite, got nan"):
+        LabeledGraph(graph, (math.nan,))
 
 
 def test_a_model_file_refuses_a_payload_of_another_kind(tmp_path):
@@ -285,6 +296,78 @@ def test_float_rates_survive_the_roundtrip_exactly():
     assert again.payload.decoration.attrs == (0.3, 0.1)
 
 
+# -- what a constructor accepts, a file keeps --------------------------------------------
+
+# values a caller may hand a constructor: JSON scalars and non-scalars, the
+# special floats, and three equal-comparing labels of three types
+HOSTILE = st.one_of(
+    st.sampled_from([True, 1, 1.0, -0.0, math.nan, math.inf, -math.inf, None]),
+    st.integers(-2, 3),
+    st.floats(),
+    st.text("ab", max_size=2),
+    st.lists(st.integers(0, 1), max_size=2),
+    st.dictionaries(st.text("a", max_size=1), st.integers(0, 1), max_size=1),
+)
+RATES = st.one_of(st.integers(0, 3), st.floats(), st.sampled_from([math.inf, math.nan, -0.0]))
+
+
+def hostile_names(data, size):
+    """None, or `size` names: distinct strings, a plain string, or a list or
+    tuple that may repeat a name or hold a non-string."""
+    distinct = st.lists(st.text("abc", max_size=2), min_size=size, max_size=size, unique=True)
+    names = st.lists(st.one_of(st.text("ab", max_size=1), HOSTILE), min_size=size, max_size=size)
+    plain = st.text("ab", min_size=size, max_size=size)
+    return data.draw(st.one_of(st.none(), distinct, plain, names, names.map(tuple)))
+
+
+def hostile_decoration(data, kind, places):
+    """A system or field of kind over `places`, built by the public
+    constructors from hostile labels, rates and coefficients."""
+    n = places.size
+    m = data.draw(st.integers(0, 3))
+    cells = FinSet(m)
+    if kind == "dynam":
+        exponents = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+        terms = st.lists(st.tuples(RATES, exponents), max_size=2)
+        return PolyVectorField(places, [Poly.from_terms(n, data.draw(terms)) for _ in places])
+    if kind in ("graph", "lgraph"):
+        ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+        graph = Graph(places, cells, *(fn(data.draw(ends), n) for _ in "st"))
+        if kind == "graph":
+            return graph
+        return LabeledGraph(graph, data.draw(st.lists(HOSTILE, min_size=m, max_size=m)))
+    counts = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    src, tgt = ([Multiset(places, data.draw(counts)) for _ in cells] for _ in "st")
+    net = PetriNet(places, cells, src, tgt)
+    if kind == "petri":
+        return net
+    return PetriNetWithRates(net, data.draw(st.lists(RATES, min_size=m, max_size=m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(systems.KINDS))
+def test_a_model_the_constructors_accept_is_loaded_as_it_was_saved(tmp_path_factory, data, kind):
+    path = str(tmp_path_factory.getbasetemp() / "round_trip.json")
+    n = data.draw(st.integers(1, 3))
+    legs = [fn(data.draw(st.lists(st.integers(0, n - 1), max_size=2)), n) for _ in "lr"]
+    try:
+        decoration = hostile_decoration(data, kind, FinSet(n))
+        model = DecoratedCospan(legs[0].dom, legs[1].dom, *legs, decoration)
+        if systems.decoration_theory(kind).structured and data.draw(st.booleans()):
+            model = to_structured(model)
+        names = None
+        if data.draw(st.booleans()):
+            sizes = (n, legs[0].dom.size, legs[1].dom.size)
+            names = Names(*(hostile_names(data, size) for size in sizes))
+        model_file = ModelFile(kind, model, names)
+    except (ValueError, OpenCospanError):
+        return  # a constructor refused it
+    save_model(path, model_file)
+    loaded = load_model(path)
+    assert canonical_json(loaded.to_json()) == canonical_json(model_file.to_json())
+    assert loaded.payload == model_file.payload
+
+
 # -- strict schema ---------------------------------------------------------------------
 
 
@@ -295,6 +378,39 @@ def valid_json():
 def rejects(raw, exc=ModelFormatError):
     with pytest.raises(exc):
         model_from_json(raw)
+
+
+LGRAPH, NAMES = ("payload", "system"), ("names",)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # the reader's JSON shape checks
+        (LGRAPH + ("src",), 1, "src must be an array of integers"),
+        (LGRAPH + ("tgt",), "01", "tgt must be an array of integers"),
+        (LGRAPH + ("labels",), "ab", "labels must be an array of scalars"),
+        (NAMES + ("places",), None, "names.places must be an array of strings"),
+        # the constructors' rules, in the same words
+        (LGRAPH + ("src",), [0, 7], "src: table[1] = 7 is outside the codomain of size 2"),
+        (LGRAPH + ("tgt",), [True, 0], "tgt: table[0] = True is outside the codomain of size 2"),
+        (LGRAPH + ("src",), [0], "src: table length 1 does not match domain size 2"),
+        (LGRAPH + ("labels",), [None, "a"], "labels must be an array of scalars"),
+        (LGRAPH + ("labels",), [math.inf, 1], "edge 0 label must be finite, got inf"),
+        (LGRAPH + ("labels",), ["a"], "labels: 1 labels for 2 edges"),
+        (NAMES + ("places",), ["p", "p"], "names.places must not repeat names"),
+        (NAMES + ("footLeft",), "x", "names.footLeft must be an array of strings"),
+    ],
+)
+def test_each_value_rule_refuses_a_file_in_its_own_words(path, value, message):
+    raw = ModelFile("lgraph", open_lgraph(), Names(("p", "q"), ("x",), ("y",))).to_json()
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ModelFormatError) as caught:
+        model_from_json(json.loads(json.dumps(raw)))
+    assert str(caught.value) == message
 
 
 def test_unknown_fields_are_rejected_at_every_level():

@@ -15,6 +15,7 @@ no sets through `FinSet.__eq__`.
 
 import ast
 import gc
+import math
 import pathlib
 import sys
 
@@ -69,22 +70,44 @@ def test_an_attribute_column_has_one_entry_per_cell():
         System("petri_rates", FinSet(1), FinSet(1), (ms,), (ms,), ())
     with pytest.raises(ValueError, match="rate at transition 0 must be nonnegative"):
         System("petri_rates", FinSet(1), FinSet(1), (ms,), (ms,), (-1,))
+    with pytest.raises(ValueError, match="rate at transition 0 must be nonnegative, got nan"):
+        System("petri_rates", FinSet(1), FinSet(1), (ms,), (ms,), (math.nan,))
+    with pytest.raises(ValueError, match="rate at transition 0 must be finite, got inf"):
+        System("petri_rates", FinSet(1), FinSet(1), (ms,), (ms,), (math.inf,))
     rated = System("petri_rates", FinSet(1), FinSet(1), (ms,), (ms,), (1,))
     assert rated.attrs == (1.0,) and type(rated.attrs[0]) is float
 
 
 @pytest.mark.parametrize(
-    "src, tgt, message",
+    "labels, message",
     [
-        ((2,), (0,), "src must map edges to nodes"),
-        ((0,), (-1,), "tgt must map edges to nodes"),
-        ((0,), (True,), "tgt must map edges to nodes"),
-        ((0, 1), (0,), "src must map edges to nodes"),
+        ([[1, 2]], "labels must be an array of scalars"),
+        ([None], "labels must be an array of scalars"),
+        ([math.nan, {}], "labels must be an array of scalars"),
+        ([-math.inf], "edge 0 label must be finite, got -inf"),
     ],
 )
+def test_a_label_is_a_finite_scalar(labels, message):
+    # the words a model file with such a label is refused in
+    with pytest.raises(ValueError) as caught:
+        System("lgraph", FinSet(1), FinSet(1), (0,), (0,), labels)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "src, tgt, message",
+    [
+        ((2,), (0,), "src: table[0] = 2 is outside the codomain of size 2"),
+        ((0,), (-1,), "tgt: table[0] = -1 is outside the codomain of size 2"),
+        ((0,), (True,), "tgt: table[0] = True is outside the codomain of size 2"),
+        ((0, 1), (0,), "src: table length 2 does not match domain size 1"),
+    ],
+    ids=["src past the nodes", "tgt negative", "tgt a bool", "src too long"],
+)
 def test_a_graph_end_lies_in_the_node_set(src, tgt, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as caught:
         System("graph", FinSet(2), FinSet(1), src, tgt)
+    assert str(caught.value) == message
 
 
 def test_a_petri_end_is_a_multiset_over_the_places():
