@@ -109,7 +109,7 @@ MAX_MAP_SIZE = 100_000
 # compose, tensor and graybox of cell-free files grow linearly with the apex:
 # 4 * 10**6 apex elements take at most 1.2-2.3 s and 216-284 MB, so a run at
 # the cap stays under about 0.7 GB (2 cores, Python 3.11).  check --laws iso
-# of two such files is decided by comparison when they are equal (0.5 s and
+# of two such files is decided by comparison when they are equal (0.24 s and
 # 171 MB at 4 * 10**6 places); else the places no cell touches are pinned,
 # not searched, and memory grows linearly: two files that differ in one leg
 # pass in 3.3 s and 415 MB at 4 * 10**6 places, and 1.0 GB at the cap

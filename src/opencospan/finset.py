@@ -61,7 +61,12 @@ EMPTY = FinSet(0)
 
 @dataclass(frozen=True)
 class FinFunction:
-    """A total function between canonical finite sets, stored as a lookup table."""
+    """A total function between canonical finite sets, stored as a lookup table.
+
+    The constructor checks every entry: it is where a map enters from
+    outside.  A map the library derives from maps and sets already checked
+    (a composite, an injection, a pushout leg, a search's witness) is total
+    by construction and is built by `_made`, which skips the check."""
 
     dom: FinSet
     cod: FinSet
@@ -80,16 +85,25 @@ class FinFunction:
                     f"table[{x}] = {_short(y)} is outside the codomain of size {size}"
                 )
 
+    @classmethod
+    def _made(cls, dom: FinSet, cod: FinSet, table: tuple[int, ...]) -> FinFunction:
+        """A map derived from checked values: the table, a tuple, is stored
+        as given.  Only `finset` and `systems` call it."""
+        f = object.__new__(cls)
+        fields = f.__dict__
+        fields["dom"], fields["cod"], fields["table"] = dom, cod, table
+        return f
+
     def __call__(self, x: int) -> int:
         return self.table[x]
 
     @staticmethod
     def identity(a: FinSet) -> FinFunction:
-        return FinFunction(a, a, tuple(range(a.size)))
+        return FinFunction._made(a, a, tuple(range(a.size)))
 
     @staticmethod
     def from_empty(cod: FinSet) -> FinFunction:
-        return FinFunction(EMPTY, cod, ())
+        return FinFunction._made(EMPTY, cod, ())
 
     def is_bijection(self) -> bool:
         return self.dom.size == self.cod.size and len(set(self.table)) == self.dom.size
@@ -100,7 +114,7 @@ class FinFunction:
         table = [0] * self.cod.size
         for x, y in enumerate(self.table):
             table[y] = x
-        return FinFunction(self.cod, self.dom, tuple(table))
+        return FinFunction._made(self.cod, self.dom, tuple(table))
 
 
 def compose(g: FinFunction, f: FinFunction) -> FinFunction:
@@ -109,14 +123,14 @@ def compose(g: FinFunction, f: FinFunction) -> FinFunction:
         raise CompositionError(
             f"cannot compose: first map lands in {f.cod.size}, second expects {g.dom.size}"
         )
-    return FinFunction(f.dom, g.cod, tuple(g.table[y] for y in f.table))
+    return FinFunction._made(f.dom, g.cod, tuple([g.table[y] for y in f.table]))
 
 
 def coproduct(a: FinSet, b: FinSet) -> tuple[FinSet, FinFunction, FinFunction]:
     """Disjoint union a + b with b shifted past a; returns (sum, inl, inr)."""
     apex = FinSet(a.size + b.size)
-    inl = FinFunction(a, apex, tuple(range(a.size)))
-    inr = FinFunction(b, apex, tuple(range(a.size, apex.size)))
+    inl = FinFunction._made(a, apex, tuple(range(a.size)))
+    inr = FinFunction._made(b, apex, tuple(range(a.size, apex.size)))
     return apex, inl, inr
 
 
@@ -124,15 +138,15 @@ def coproduct_map(f: FinFunction, g: FinFunction) -> FinFunction:
     """f + g acting blockwise: a + b -> c + d."""
     dom = FinSet(f.dom.size + g.dom.size)
     cod = FinSet(f.cod.size + g.cod.size)
-    table = tuple(f.table) + tuple(f.cod.size + y for y in g.table)
-    return FinFunction(dom, cod, table)
+    table = f.table + tuple([f.cod.size + y for y in g.table])
+    return FinFunction._made(dom, cod, table)
 
 
 def copair(f: FinFunction, g: FinFunction) -> FinFunction:
     """The map out of a coproduct induced by f and g into a shared codomain."""
     if f.cod != g.cod:
         raise CompositionError("copairing needs a shared codomain")
-    return FinFunction(FinSet(f.dom.size + g.dom.size), f.cod, tuple(f.table) + tuple(g.table))
+    return FinFunction._made(FinSet(f.dom.size + g.dom.size), f.cod, f.table + g.table)
 
 
 @dataclass(frozen=True)
@@ -187,7 +201,9 @@ def pushout(f: FinFunction, g: FinFunction) -> PushoutResult:
             parent[z] = parent[p]
     apex = FinSet(count)
     return PushoutResult(
-        apex, FinFunction(f.cod, apex, parent[:b]), FinFunction(g.cod, apex, parent[b:])
+        apex,
+        FinFunction._made(f.cod, apex, tuple(parent[:b])),
+        FinFunction._made(g.cod, apex, tuple(parent[b:])),
     )
 
 
@@ -209,7 +225,7 @@ def induced(po: PushoutResult, u: FinFunction, w: FinFunction) -> Optional[FinFu
                 table[cls] = image
             elif table[cls] != image:
                 return None
-    return FinFunction(po.apex, u.cod, table)
+    return FinFunction._made(po.apex, u.cod, tuple(table))
 
 
 def _iso_budget(budget: Optional[int]) -> int:
@@ -312,7 +328,7 @@ def find_iso(
     i = 0
     while i >= 0:
         if i == len(free):
-            h = FinFunction(a, b, tuple(assignment))  # type: ignore[arg-type]
+            h = FinFunction._made(a, b, tuple(assignment))  # type: ignore[arg-type]
             if predicate is None or predicate(h):
                 return h
             i -= 1

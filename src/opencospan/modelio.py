@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -469,8 +470,9 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 def _read_json(path: str) -> Any:
     """A JSON file's value, decoded as text-mode reading would: universal
-    newlines, and a byte order mark refused.  Invalid UTF-8 or JSON and
-    repeated keys are refused."""
+    newlines, and a byte order mark refused.  Invalid UTF-8 or JSON, an
+    integer literal too long for `int` to read, and repeated keys are
+    refused."""
     with open(path, "rb", buffering=0) as handle:
         data = handle.read()
     try:
@@ -489,6 +491,9 @@ def _read_json(path: str) -> Any:
         raise ModelFormatError(f"{path} is not valid JSON: nested too deeply") from None
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # the decoder's refusal of an integer literal too long to read
+        where = f"an integer literal has more than {sys.get_int_max_str_digits()} digits"
+        raise ModelFormatError(f"{path} is not valid JSON: {where}") from exc
 
 
 def load_model(path: str) -> ModelFile:

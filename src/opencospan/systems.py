@@ -35,6 +35,7 @@ every target transition exactly the sum of the rates mapped onto it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -80,7 +81,9 @@ _EXPONENT_FAULT = "exponents must be nonnegative ints, got {1} at {0}"
 
 def _check_pairs(pairs: Support, size: int, fault: str = _COUNT_FAULT) -> None:
     """Sparse support over {0..size-1}: increasing int places, positive int
-    counts.  This is the one check of every stored pair, on every path; a
+    counts.  This is the one check of every pair that enters from outside
+    (a multiset's or a monomial's constructor, the file reader); pairs moved
+    from checked pairs along a checked map are not checked again.  A
     refusal names the first bad pair, with its values cut short."""
     last = -1
     for p, k in pairs:
@@ -120,11 +123,12 @@ class Multiset:
     (place, count) `pairs` in place order; built from and read back as one
     count per place (`counts`).
 
-    Every stored pair passes `_check_pairs` once.  `pushforward` runs that
-    check on the moved pairs itself and stores them directly, and it (like
-    a Petri system's end check) compares place sets by identity before
-    equality: the set a multiset lives over is most often the very object a
-    map starts from."""
+    Every pair that enters from outside passes `_check_pairs` once.
+    `pushforward` stores the moved pairs without it: pairs moved from
+    checked pairs along a checked map are increasing, positive and inside
+    the map's codomain by construction.  It (like a Petri system's end
+    check) compares place sets by identity before equality: the set a
+    multiset lives over is most often the very object a map starts from."""
 
     over: FinSet
     pairs: tuple[tuple[int, int], ...]
@@ -177,16 +181,14 @@ class Multiset:
 
     def pushforward(self, f: FinFunction) -> Multiset:
         """Transport counts along f, summing over merged elements.  The moved
-        pairs get the one pair check and are stored without another call."""
+        pairs are sorted sums of positive counts at places of f's codomain,
+        so they are stored unchecked."""
         over = self.over
         if f.dom is not over and f.dom != over:
             raise MorphismShapeError("multiset pushforward along a map with the wrong domain")
-        cod = f.cod
-        pairs = _push_pairs(self.pairs, f.table)
-        _check_pairs(pairs, cod.size)
         ms = object.__new__(Multiset)
         fields = ms.__dict__
-        fields["over"], fields["pairs"] = cod, pairs
+        fields["over"], fields["pairs"] = f.cod, _push_pairs(self.pairs, f.table)
         return ms
 
     def total(self) -> int:
@@ -206,7 +208,10 @@ class System:
     as a tuple (rates as floats); an attributed kind reads None as the
     empty column.  Two systems are equal when their kinds, parts and
     attributes are, attributes compared by `label_key`, so 1, 1.0 and True
-    are three different labels; hashing follows the same rule.
+    are three different labels; hashing follows the same rule.  A record
+    the library derives from checked records along checked maps (a union,
+    a pushout, a relabeling, a structureless record) is built by `_made`,
+    which skips the row's checks.
     """
 
     kind: str
@@ -231,10 +236,23 @@ class System:
             attrs = theory.check_attrs(cells, () if attrs is None else attrs)
         elif attrs is not None:
             raise ValueError(f"{kind} systems carry no attributes, got {_short(attrs)}")
+        self._set(kind, interface, cells, src, tgt, attrs)
+
+    def _set(self, kind, interface, cells, src, tgt, attrs) -> None:
         # the frozen fields, set in the __dict__ where object.__setattr__ sets them
         fields = self.__dict__
         fields["kind"], fields["interface"], fields["cells"] = kind, interface, cells
         fields["src"], fields["tgt"], fields["attrs"] = src, tgt, attrs
+
+    @classmethod
+    def _made(
+        cls, kind: str, interface: FinSet, cells: FinSet, src: tuple, tgt: tuple, attrs
+    ) -> System:
+        """A record derived from checked values, its columns tuples as the
+        row stores them: stored as given.  Only `systems` calls it."""
+        system = object.__new__(cls)
+        system._set(kind, interface, cells, src, tgt, attrs)
+        return system
 
     def _key(self) -> tuple:
         attrs = self.attrs
@@ -401,7 +419,7 @@ def system_union(x: System, f: FinFunction, y: System, g: FinFunction) -> System
     if f.dom != interface_of(x) or g.dom != interface_of(y) or f.cod != g.cod:
         raise MorphismShapeError("union maps must start at the two node sets and share a target")
     move = decoration_theory(x.kind).move
-    return System(
+    return System._made(
         x.kind, f.cod, FinSet(cells_of(x).size + cells_of(y).size),
         move(x.src, f) + move(y.src, g),
         move(x.tgt, f) + move(y.tgt, g),
@@ -460,7 +478,7 @@ def system_pushout(
             [x_column[z] for z in reps if z < x_cells], node_po.left
         ) + theory.move([y_column[z - x_cells] for z in reps if z >= x_cells], node_po.right)
 
-    out = System(
+    out = System._made(
         x.kind, node_po.apex, edge_po.apex,
         glued(x.src, y.src),
         glued(x.tgt, y.tgt),
@@ -484,7 +502,7 @@ def relabel(f: FinFunction, system: System) -> System:
         raise MorphismShapeError("relabeling map must start at the system's node set")
     move = decoration_theory(system.kind).move
     src, tgt = move(system.src, f), move(system.tgt, f)
-    return System(system.kind, f.cod, cells_of(system), src, tgt, system.attrs)
+    return System._made(system.kind, f.cod, cells_of(system), src, tgt, system.attrs)
 
 
 # -- the field algebra: the decorations of the "dynam" kind
@@ -776,7 +794,10 @@ def _check_multisets(places: FinSet, transitions: FinSet, src: tuple, tgt: tuple
 
 
 def _check_labels(edges: FinSet, labels: Sequence[Label]) -> tuple[Label, ...]:
-    """lgraph: one label per edge, a str, int, float or bool (by exact type), a float one finite."""
+    """lgraph: one label per edge, a str, int, float or bool (by exact type),
+    a float one finite and an int one that a file can hold: of at most
+    `sys.get_int_max_str_digits()` digits, the most a number in JSON text
+    is read or written with."""
     labels = tuple(labels)
     types = set(map(type, labels))
     if not types <= _LABEL_TYPES:
@@ -785,21 +806,39 @@ def _check_labels(edges: FinSet, labels: Sequence[Label]) -> tuple[Label, ...]:
         for i, label in enumerate(labels):
             if label.__class__ is float and label - label:  # NaN or an infinity
                 raise ValueError(f"edge {i} label must be finite, got {label!r}")
+    digits = sys.get_int_max_str_digits()
+    if int in types and digits:
+        bound = 10**digits
+        for i, label in enumerate(labels):
+            if label.__class__ is int and not -bound < label < bound:
+                raise ValueError(f"edge {i} label must be an int of at most {digits} digits")
     if len(labels) != edges.size:
         raise ValueError(f"labels: {len(labels)} labels for {edges.size} edges")
     return labels
 
 
 def _check_rates(transitions: FinSet, rates: Sequence[float]) -> tuple[float, ...]:
-    """petri_rates: one finite nonnegative rate per transition, as a float."""
-    rates = tuple(map(float, rates))
+    """petri_rates: one finite nonnegative rate per transition, an int or a
+    float (by exact type), stored as a float."""
+    rates = tuple(rates)
     if len(rates) != transitions.size:
         raise ValueError(f"{len(rates)} rates for {transitions.size} transitions")
+    floats = []
     for i, r in enumerate(rates):
+        if r.__class__ is not float:
+            if r.__class__ is not int:
+                fault = f"must be an int or a float, got {_short(r)}"
+                raise ValueError(f"rate at transition {i} {fault}")
+            try:
+                r = float(r)
+            except OverflowError:
+                fault = "must be finite, got an int too large for a float"
+                raise ValueError(f"rate at transition {i} {fault}") from None
         if not (0.0 <= r < math.inf):
             fault = "finite" if r == math.inf else "nonnegative"
             raise ValueError(f"rate at transition {i} must be {fault}, got {r}")
-    return rates
+        floats.append(r)
+    return tuple(floats)
 
 
 def _label_faults(m: SystemMorphism) -> list[str]:
@@ -888,7 +927,7 @@ class DecorationTheory:
             self.move, self.hashable, self.check_ends, self.end_faults = _SHAPES[shape]
 
     def trivial(self, a: FinSet) -> Decoration:
-        return System(self.kind, a, EMPTY, (), ())
+        return System._made(self.kind, a, EMPTY, (), (), () if self.attributed else None)
 
     def unit(self) -> Decoration:
         return self.trivial(EMPTY)

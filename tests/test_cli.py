@@ -1352,6 +1352,31 @@ def test_a_deeply_nested_model_or_config_file_is_refused_in_one_short_line(
         assert err == f"error: {deep} is not valid JSON: nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"rate":0.3', '"rate":1' + "0" * 5000),
+        ('"places":3', '"places":1' + "0" * 5000),
+        ('"places":["S"', '"places":[1' + "0" * 5000),
+    ],
+    ids=["rate", "size", "name"],
+)
+def test_an_integer_literal_too_long_to_read_is_refused_in_one_line(
+    tmp_path, capsys, models_dir, old, new
+):
+    text = (models_dir / "sir.json").read_text()
+    assert text.count(old) == 1
+    huge = tmp_path / "huge.json"
+    huge.write_text(text.replace(old, new))
+    out = tmp_path / "x.json"
+    code, _, err = run_cli(capsys, "convert", str(huge), "--to", "structured", "--out", str(out))
+    assert code == 3 and not out.exists()
+    assert err == (
+        f"error: {huge} is not valid JSON: an integer literal has more than "
+        f"{sys.get_int_max_str_digits()} digits\n"
+    )
+
+
 # a model or config file is read as text-mode reading gives it: CR LF and a
 # lone CR count as one newline, and a UTF-8 byte order mark is kept, then refused
 UNREADABLE_FILES = [

@@ -126,6 +126,18 @@ def test_a_labeled_graph_refuses_the_nan_label_its_files_refuse():
         LabeledGraph(graph, (math.nan,))
 
 
+def test_the_longest_int_labels_a_labeled_graph_takes_are_saved_and_loaded(tmp_path):
+    digits = sys.get_int_max_str_digits()
+    graph = Graph(FinSet(1), FinSet(2), fn([0, 0], 1), fn([0, 0], 1))
+    longest = LabeledGraph(graph, (10**digits - 1, 1 - 10**digits))
+    path = str(tmp_path / "long.json")
+    cospan = DecoratedCospan(EMPTY, EMPTY, fn([], 1), fn([], 1), longest)
+    save_model(path, ModelFile("lgraph", cospan))
+    assert load_model(path).payload.decoration == longest
+    with pytest.raises(ValueError, match=f"edge 0 label must be an int of at most {digits} digits"):
+        LabeledGraph(graph, (10**digits, 0))
+
+
 def test_a_model_file_refuses_a_payload_of_another_kind(tmp_path):
     # such a file would be written, then refused when it is loaded
     out = tmp_path / "out.json"

@@ -79,12 +79,34 @@ def test_an_attribute_column_has_one_entry_per_cell():
 
 
 @pytest.mark.parametrize(
+    "rate, message",
+    [
+        ("2", "rate at transition 0 must be an int or a float, got '2'"),
+        (True, "rate at transition 0 must be an int or a float, got True"),
+        (10**400, "rate at transition 0 must be finite, got an int too large for a float"),
+    ],
+    ids=["a string", "a bool", "an int past the floats"],
+)
+def test_a_rate_is_a_finite_int_or_float(rate, message):
+    # a file's rate is a JSON number, which the reader checks as such
+    ms = Multiset(FinSet(1), (1,))
+    with pytest.raises(ValueError) as caught:
+        System("petri_rates", FinSet(1), FinSet(1), (ms,), (ms,), (rate,))
+    assert str(caught.value) == message
+
+
+# the most digits a number in JSON text is read or written with
+DIGITS = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
     "labels, message",
     [
         ([[1, 2]], "labels must be an array of scalars"),
         ([None], "labels must be an array of scalars"),
         ([math.nan, {}], "labels must be an array of scalars"),
         ([-math.inf], "edge 0 label must be finite, got -inf"),
+        (["a", -(10**5000)], f"edge 1 label must be an int of at most {DIGITS} digits"),
     ],
 )
 def test_a_label_is_a_finite_scalar(labels, message):
