@@ -37,7 +37,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import DimensionError, DivergenceError, KindError, SimulationTooLarge
+from .errors import (
+    CoefficientOverflow,
+    DimensionError,
+    DivergenceError,
+    KindError,
+    SimulationTooLarge,
+)
 from .finset import EMPTY, FinFunction, FinSet, _short
 # the field algebra is imported back so that every dynamics.X name still resolves
 from .systems import (  # noqa: F401
@@ -67,14 +73,20 @@ def mass_action(net: System) -> PolyVectorField:
     """
     n = net.interface.size
     raw: dict[int, list[tuple[float, Support]]] = {}
-    for consumed, produced, rate in zip(net.src, net.tgt, net.attrs):
-        support = consumed.pairs
-        deltas = dict(produced.pairs)
-        for p, k in support:
-            deltas[p] = deltas.get(p, 0) - k
-        for p, delta in deltas.items():
-            if delta:
-                raw.setdefault(p, []).append((rate * delta, support))
+    try:
+        for consumed, produced, rate in zip(net.src, net.tgt, net.attrs):
+            support = consumed.pairs
+            deltas = dict(produced.pairs)
+            for p, k in support:
+                deltas[p] = deltas.get(p, 0) - k
+            for p, delta in deltas.items():
+                if delta:
+                    raw.setdefault(p, []).append((rate * delta, support))
+    except OverflowError:  # a count change too large for a float
+        raise CoefficientOverflow(
+            f"coefficient overflow: rate {rate!r} times the count change {_short(delta)} "
+            f"at place {p} is not a finite float"
+        ) from None
     zero = Poly.zero(n)
     return PolyVectorField(
         net.interface, tuple([Poly._canonical(n, raw[p]) if p in raw else zero for p in range(n)])
@@ -416,7 +428,8 @@ def _full_steps(t0: float, t1: float, dt: float, places: int) -> int:
     values = (n_full + 2) * (places + 1)
     if values > MAX_TRAJECTORY_VALUES:
         raise SimulationTooLarge(
-            f"{_short(n_full + 1)} steps over {places} places make {_short(values)} values, "
+            f"{_short(n_full + 1)} steps over {_short(places)} places make "
+            f"{_short(values)} values, "
             f"over the cap of {MAX_TRAJECTORY_VALUES} values, (steps + 1) * (places + 1)"
         )
     return n_full

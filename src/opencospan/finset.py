@@ -76,7 +76,7 @@ class FinFunction:
         object.__setattr__(self, "table", tuple(self.table))
         if len(self.table) != self.dom.size:
             raise ValueError(
-                f"table length {len(self.table)} does not match domain size {self.dom.size}"
+                f"table length {len(self.table)} does not match domain size {_short(self.dom.size)}"
             )
         size = self.cod.size
         for x, y in enumerate(self.table):
@@ -210,7 +210,8 @@ def pushout(f: FinFunction, g: FinFunction) -> PushoutResult:
 def induced(po: PushoutResult, u: FinFunction, w: FinFunction) -> Optional[FinFunction]:
     """The map h out of the chosen pushout that the cocone u: B -> T,
     w: C -> T induces, the one with h . po.left == u and h . po.right == w;
-    None when u and w send two members of one class to different places."""
+    None when u and w send two members of one class to different places.
+    An apex class that neither leg reaches has no image: refused."""
     if u.dom != po.left.dom or w.dom != po.right.dom:
         raise CompositionError(
             f"cannot induce a map out of a pushout of {po.left.dom.size} and "
@@ -225,6 +226,10 @@ def induced(po: PushoutResult, u: FinFunction, w: FinFunction) -> Optional[FinFu
                 table[cls] = image
             elif table[cls] != image:
                 return None
+    if -1 in table:
+        # only a hand-built PushoutResult gets here: the legs `pushout`
+        # builds are jointly onto
+        raise CompositionError(f"apex class {table.index(-1)} is reached by neither leg")
     return FinFunction._made(po.apex, u.cod, tuple(table))
 
 

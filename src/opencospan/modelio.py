@@ -333,7 +333,8 @@ _NAME_KEYS = ("places", "footLeft", "footRight")
 @dataclass(frozen=True)
 class Names:
     """Presentation-only labels for places and boundary elements: each list,
-    when given, is a list or tuple of distinct strings, stored as a tuple."""
+    when given, is a list or tuple of distinct strings that UTF-8 can encode
+    (no lone surrogate), stored as a tuple."""
 
     places: Optional[tuple[str, ...]] = None
     foot_left: Optional[tuple[str, ...]] = None
@@ -347,6 +348,10 @@ class Names:
                     raise ModelFormatError(f"names.{key} must be an array of strings")
                 if len(set(names)) != len(names):
                     raise ModelFormatError(f"names.{key} must not repeat names")
+                try:  # a name is written as UTF-8 text, into a CSV header too
+                    "".join(names).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ModelFormatError(f"names.{key} must hold no lone surrogate") from None
                 object.__setattr__(self, field, tuple(names))
 
     @staticmethod
@@ -381,7 +386,9 @@ class ModelFile:
         sizes = (payload.apex.size, payload.foot_left.size, payload.foot_right.size)
         for label, got, want in zip(_NAME_KEYS, lists, sizes):
             if got is not None and len(got) != want:
-                raise ModelFormatError(f"names.{label} has {len(got)} entries, expected {want}")
+                raise ModelFormatError(
+                    f"names.{label} has {len(got)} entries, expected {_short(want)}"
+                )
 
     @property
     def representation(self) -> str:

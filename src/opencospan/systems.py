@@ -109,7 +109,30 @@ def _nonzero_pairs(values: Sequence, fault: str) -> Support:
 
 
 def _push_pairs(pairs: Support, table: Sequence[int]) -> Support:
-    """Sparse support moved along a map's table, summing over merged places."""
+    """Sparse support moved along a map's table, summing over merged places.
+
+    This is the one move of a support: `Multiset.pushforward`,
+    `Poly.substitute_along` and the dynam iso leaf all call it.  The ends
+    of real nets touch one or two places, so supports of one or two pairs
+    take a path without a dict or a sort that gives what the merge below
+    gives.  One pair moves to the one pair (table[p], k): nothing merges,
+    and one pair is in order.  Two pairs take one comparison of their
+    images: kept in order when the first is smaller, swapped when it is
+    larger, and merged into one pair holding the sum of both counts when
+    both land on one place.  Any other support is summed per image in a
+    dict and sorted by place."""
+    n = len(pairs)
+    if n == 1:
+        ((p, k),) = pairs
+        return ((table[p], k),)
+    if n == 2:
+        (p, k), (p2, k2) = pairs
+        q, q2 = table[p], table[p2]
+        if q < q2:
+            return ((q, k), (q2, k2))
+        if q2 < q:
+            return ((q2, k2), (q, k))
+        return ((q, k + k2),)
     moved: dict[int, int] = {}
     for p, k in pairs:
         q = table[p]
@@ -528,7 +551,7 @@ def _support_of(nvars: int, exps: Sequence[int]) -> Support:
     if not isinstance(exps, (list, tuple)):
         exps = tuple(exps)
     if len(exps) != nvars:
-        raise ValueError(f"exponent vector has {len(exps)} entries, not {nvars}")
+        raise ValueError(f"exponent vector has {len(exps)} entries, not {_short(nvars)}")
     return _nonzero_pairs(exps, _EXPONENT_FAULT)
 
 
@@ -771,7 +794,9 @@ def _check_nodes(nodes: FinSet, edges: FinSet, src: tuple, tgt: tuple) -> None:
     size, m = nodes.size, edges.size
     for name, column in (("src", src), ("tgt", tgt)):
         if len(column) != m:
-            raise ValueError(f"{name}: table length {len(column)} does not match domain size {m}")
+            raise ValueError(
+                f"{name}: table length {len(column)} does not match domain size {_short(m)}"
+            )
         for v in column:
             if not (type(v) is int and 0 <= v < size):
                 x = next(x for x, w in enumerate(column) if w is v)  # all before v passed

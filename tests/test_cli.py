@@ -1377,6 +1377,47 @@ def test_an_integer_literal_too_long_to_read_is_refused_in_one_line(
     )
 
 
+def test_a_count_too_large_for_a_float_is_refused_by_graybox_and_simulate(
+    tmp_path, capsys, models_dir
+):
+    """A count of 309 or more digits is an int a net holds and moves, but its
+    mass-action coefficient is no float."""
+    text = (models_dir / "sir.json").read_text()
+    old = '"tgt":{"1":2}'
+    assert text.count(old) == 1
+    big = tmp_path / "big.json"
+    big.write_text(text.replace(old, '"tgt":{"1":1' + "0" * 400 + "}"))
+    config, out = str(models_dir / "sir_sim.json"), tmp_path / "out"
+    for args in (("graybox", str(big)), ("simulate", str(big), "--config", config)):
+        code, stdout, err = run_cli(capsys, *args, "--out", str(out))
+        assert (code, stdout, err) == (
+            2, "",
+            "error: coefficient overflow: rate 0.3 times the count change "
+            "999999999999999999...9999999999999999999 at place 1 is not a finite float\n",
+        )
+        assert not out.exists()
+    code, _, _ = run_cli(capsys, "convert", str(big), "--to", "structured", "--out", str(out))
+    assert code == 0
+
+
+@pytest.mark.parametrize("key, old", [("places", '"S"'), ("footLeft", '"i2"')])
+def test_a_name_with_a_lone_surrogate_is_refused(tmp_path, capsys, models_dir, key, old):
+    """A lone surrogate is no text UTF-8 can write: a CSV header holds the
+    place names, so every command refuses such a name when it reads it."""
+    text = (models_dir / "sir.json").read_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace(old, '"\\ud800"'))
+    csv = tmp_path / "x.csv"
+    for args in (
+        ("convert", str(bad), "--to", "structured", "--out", str(tmp_path / "x.json")),
+        ("simulate", str(bad), "--config", str(models_dir / "sir_sim.json"), "--out", str(csv)),
+    ):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out, err) == (3, "", f"error: names.{key} must hold no lone surrogate\n")
+        assert not csv.exists()
+
+
 # a model or config file is read as text-mode reading gives it: CR LF and a
 # lone CR count as one newline, and a UTF-8 byte order mark is kept, then refused
 UNREADABLE_FILES = [

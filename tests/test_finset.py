@@ -27,7 +27,7 @@ from opencospan import (
     find_iso,
     pushout,
 )
-from opencospan.finset import ISO_BUDGET_ENV, induced
+from opencospan.finset import ISO_BUDGET_ENV, PushoutResult, induced
 from opencospan.laws import brute_quotient_blocks
 
 
@@ -297,6 +297,15 @@ def test_induced_refuses_maps_that_are_not_out_of_the_pushout():
     ):
         with pytest.raises(CompositionError):
             induced(po, bad_u, bad_w)
+
+
+def test_induced_refuses_a_pushout_whose_legs_miss_a_class():
+    """A hand-built `PushoutResult` need not be jointly onto: here apex class
+    1 is reached by neither leg, so it has no image under any cocone."""
+    f = FinFunction(FinSet(1), FinSet(2), (0,))
+    u = FinFunction(FinSet(1), FinSet(3), (2,))
+    with pytest.raises(CompositionError, match=r"^apex class 1 is reached by neither leg$"):
+        induced(PushoutResult(FinSet(2), f, f), u, u)
 
 
 def test_the_quotient_is_the_copaired_legs_built_once_on_demand():

@@ -2,7 +2,9 @@
 
 A `Multiset` stores only its nonzero (place, count) pairs.  The oracle here
 is a `collections.Counter` of places filled from the dense counts; it shares
-no code with `opencospan.systems`.
+no code with `opencospan.systems`.  The kernel every support move runs,
+`systems._push_pairs`, is held to a dense oracle of its own, directly and
+through `Poly.substitute_along`.
 """
 
 from collections import Counter
@@ -10,7 +12,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opencospan import FinFunction, FinSet, MorphismShapeError, Multiset, compose
+from opencospan import FinFunction, FinSet, MorphismShapeError, Multiset, Poly, compose
+from opencospan.systems import _push_pairs
 
 
 def oracle(counts):
@@ -130,3 +133,76 @@ def test_pushforward_compares_domains_by_value_not_identity():
         with pytest.raises(MorphismShapeError) as caught:
             ms.pushforward(FinFunction(dom, FinSet(1), (0,) * dom.size))
         assert str(caught.value) == "multiset pushforward along a map with the wrong domain"
+
+
+def oracle_push(pairs, table, cod_size):
+    """A support moved densely, by `oracle_pushforward`, with the nonzero
+    images kept in place order."""
+    counts = [0] * len(table)
+    for p, k in pairs:
+        counts[p] = k
+    moved = oracle_pushforward(counts, table, cod_size)
+    return tuple((q, k) for q, k in enumerate(moved) if k)
+
+
+@st.composite
+def supports(draw, n, places):
+    """A support of exactly `places` of the n places, with counts 1..4."""
+    chosen = draw(st.lists(st.integers(0, n - 1), min_size=places, max_size=places, unique=True))
+    return tuple((p, draw(st.integers(1, 4))) for p in sorted(chosen))
+
+
+@st.composite
+def moves(draw, places, table_kind):
+    """A support of exactly `places` places over a set of at most 6, and a
+    table on that set: the identity, the reversal, a merge (fewer images
+    than support places, so two of them share one) or any table."""
+    n = draw(st.integers(min_value=max(places, 1), max_value=6))
+    pairs = draw(supports(n, places))
+    if table_kind == "identity":
+        m, table = n, tuple(range(n))
+    elif table_kind == "reverse":
+        m, table = n, tuple(range(n - 1, -1, -1))
+    else:
+        m = draw(st.integers(1, max(places - 1, 1) if table_kind == "merge" else 6))
+        table = tuple(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    return pairs, FinFunction(FinSet(n), FinSet(m), table)
+
+
+SHAPES = [(places, kind) for places in range(5) for kind in ("identity", "reverse", "merge", "any")]
+
+
+@pytest.mark.parametrize("places, table_kind", SHAPES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_support_move_agrees_with_the_dense_oracle(places, table_kind, data):
+    """The one- and two-place fast paths and the merge of three or more places
+    all give the dense oracle's support, whatever the table does."""
+    pairs, f = data.draw(moves(places, table_kind))
+    assert _push_pairs(pairs, f.table) == oracle_push(pairs, f.table, f.cod.size)
+    if table_kind == "merge" and places >= 2:
+        assert len(_push_pairs(pairs, f.table)) < places
+
+
+@pytest.mark.parametrize("places, table_kind", SHAPES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_substitution_moves_each_monomial_as_the_dense_oracle_does(places, table_kind, data):
+    """Each monomial's support moves as `oracle_push` moves it; like terms
+    then add.  Integer coefficients keep every sum exact."""
+    pairs, f = data.draw(moves(places, table_kind))
+    n, m = f.dom.size, f.cod.size
+    coefficients = st.integers(-3, 3).filter(bool).map(float)
+    raw = [(data.draw(coefficients), pairs)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        size = data.draw(st.integers(0, min(4, n)))
+        raw.append((data.draw(coefficients), data.draw(supports(n, size))))
+    dense = [(c, [dict(support).get(p, 0) for p in range(n)]) for c, support in raw]
+    want: dict = {}
+    for c, support in raw:
+        exps = [0] * m
+        for q, k in oracle_push(support, f.table, m):
+            exps[q] = k
+        want[tuple(exps)] = want.get(tuple(exps), 0.0) + c
+    got = Poly.from_terms(n, dense).substitute_along(f)
+    assert got.terms == tuple((c, exps) for exps, c in sorted(want.items()) if c)
