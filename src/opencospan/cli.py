@@ -6,6 +6,8 @@ node count of isomorphism searches.
 
 `main` builds its argument parser on its first call and reuses it for every
 later call in the process; `build_parser` returns a fresh one each time.
+`check` imports the law suites (`laws`) on its first call, so no other
+command compiles or runs them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache, partial, reduce
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ModelFormatError, ModelValidationError, OpenCospanError
 from .finset import FinFunction, FinSet, _short
@@ -28,7 +30,6 @@ from .cospans import (
     tensor,
 )
 from .dynamics import graybox, simulate_rows
-from .laws import LAW_SUITES, LawReport
 from .modelio import (
     ModelFile,
     csv_lines,
@@ -37,6 +38,9 @@ from .modelio import (
     resolve_simulation,
     save_model,
 )
+
+if TYPE_CHECKING:
+    from .laws import LawReport
 
 
 def _pairwise_fold(op, items: list):
@@ -152,6 +156,8 @@ def _parse_map(raw: str, cod: Optional[int]) -> FinFunction:
 
 
 def _check_iso(args: argparse.Namespace) -> LawReport:
+    from .laws import LawReport
+
     if len(args.files) != 2:
         raise ModelValidationError("the iso check needs exactly two model files")
     a, b = (_present(load_model(path).payload, "decorated") for path in args.files)
@@ -164,6 +170,8 @@ def _check_iso(args: argparse.Namespace) -> LawReport:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .laws import LAW_SUITES, LawReport
+
     requested = [name.strip() for name in args.laws.split(",") if name.strip()]
     if not requested:
         raise ModelFormatError("no laws requested")

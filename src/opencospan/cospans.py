@@ -511,10 +511,6 @@ def match_cells(d: System, e: System, h: FinFunction) -> Optional[FinFunction]:
     return FinFunction(cells_of(d), cells_of(e), tuple(table))
 
 
-def _count(counts: dict, key) -> None:
-    counts[key] = counts.get(key, 0) + 1
-
-
 def _incidences(decoration: Decoration):
     """Every cell or term as (consumed support, produced support, key): an
     edge consumes its source and produces its target, a transition its two
@@ -536,21 +532,24 @@ def _profiles(decoration: Decoration, colours: dict):
     interned in `colours` as a small int; a place no cell touches has the
     empty bag's colour, 0.  Per touched place x, its row: per other place x2,
     the counts of (at x, at x2, key) over the cells that touch both.  And
-    the counts of the keys over all cells."""
+    the counts of the keys over all cells.  Counts are kept in place, with
+    no call per count."""
     bags: defaultdict = defaultdict(dict)
     rows: defaultdict = defaultdict(dict)
     keys: dict = {}
     for consumed, produced, key in _incidences(decoration):
-        _count(keys, key)
+        keys[key] = keys.get(key, 0) + 1
         at = {x: (k, 0) for x, k in consumed}
         for x, k in produced:
             at[x] = (at.get(x, (0, 0))[0], k)
         for x, here in at.items():
-            _count(bags[x], (here, key))
+            bag, entry = bags[x], (here, key)
+            bag[entry] = bag.get(entry, 0) + 1
             row = rows[x]
             for x2, there in at.items():
                 if x2 != x:
-                    _count(row.setdefault(x2, {}), (here, there, key))
+                    meets, entry = row.setdefault(x2, {}), (here, there, key)
+                    meets[entry] = meets.get(entry, 0) + 1
     colour = [0] * interface_of(decoration).size
     for x, bag in bags.items():
         colour[x] = colours.setdefault(frozenset(bag.items()), len(colours))

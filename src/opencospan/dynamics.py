@@ -208,6 +208,11 @@ MAX_TRAJECTORY_VALUES = 10_000_000
 MAX_FIELD_EXPONENTS = 50_000_000
 
 
+# the least int that `float` cannot convert, as `x ** e` converts its
+# exponent: it rounds up to 2 ** 1024
+_FLOAT_INT_LIMIT = 2**1024 - 2**970
+
+
 def _blew_up(at: float, last_good: float) -> DivergenceError:
     return DivergenceError(f"state blew up near t = {at}", last_good_time=last_good)
 
@@ -231,7 +236,9 @@ def _source(system: OpenDynam) -> tuple[str, tuple[float, ...], list[int]]:
     only integer indices and exponents, and the coefficients are unpacked
     from the tuple `K`.  Code is emitted only for the touched places, those
     some term reads or some component or flow writes, so its size is that
-    of the net.
+    of the net.  A term with an exponent too large for a float raises
+    CoefficientOverflow here: `x ** e` would raise OverflowError at every
+    state, 0 included, which a run would report as a divergence.
 
     `run(s, t0, t1, dt, n_full, flows_at)` is a generator of the n_full + 1
     steps `simulate_rows` lays out from the state `s`, yielding
@@ -269,10 +276,15 @@ def _source(system: OpenDynam) -> tuple[str, tuple[float, ...], list[int]]:
     for i in touched:
         # (lines that must come first, operand) per term, then per flow
         operands: list[tuple[list[str], str]] = []
-        for k, support in components[i]:
-            factors = ["k%d" % k] + [
-                "{0}%d" % j if e == 1 else "{0}%d ** %d" % (j, e) for j, e in support
-            ]
+        for term, (k, support) in enumerate(components[i]):
+            factors = ["k%d" % k]
+            for j, e in support:
+                if e >= _FLOAT_INT_LIMIT:
+                    raise CoefficientOverflow(
+                        f"term {term} of place {i} raises place {j} to {_short(e)}, "
+                        "an exponent too large for a float"
+                    )
+                factors.append("{0}%d" % j if e == 1 else "{0}%d ** %d" % (j, e))
             if len(factors) <= _CHUNK:
                 operands.append(([], " + " + " * ".join(factors)))
                 continue
@@ -499,9 +511,10 @@ def simulate(
     on t1; the trajectory includes both endpoints.  A run whose step count
     is not finite, or whose (steps + 1) * (places + 1) values exceed
     `MAX_TRAJECTORY_VALUES`, is refused with SimulationTooLarge before the
-    first step.  A non-finite state, or an overflow in a stage, raises
-    DivergenceError carrying the last good time; an overflow's message
-    names the time of its stage.
+    first step, and a term with an exponent too large for a float with
+    CoefficientOverflow.  A non-finite state, or an overflow in a stage,
+    raises DivergenceError carrying the last good time; an overflow's
+    message names the time of its stage.
 
     The whole integration, each step's four stages and final combination
     inlined, is one generated function (`_source`), compiled once per run

@@ -67,7 +67,8 @@ class FieldTooLarge(OpenCospanError):
 
 class CoefficientOverflow(OpenCospanError):
     """A polynomial coefficient is not a finite float: a rate, or a sum or
-    product of them, overflowed."""
+    product of them, overflowed; or an exponent is too large for a float,
+    so no state can be raised to it."""
 
 
 class ModelFormatError(OpenCospanError):

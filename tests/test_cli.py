@@ -593,6 +593,50 @@ def test_a_diverging_run_writes_no_csv_and_keeps_an_existing_one(tmp_path, capsy
     assert csv_path.read_bytes() == b"previous contents\n"
 
 
+# an exponent of 10 ** 400, in a field or gray-boxed from a net's count
+# of 10 ** 400 tokens that it consumes and puts back, with the config's
+# initial state; its term is refused before the first row, where the
+# generated run read it as a divergence at t = 0.0
+HUGE_EXPONENTS = {
+    "dynam": (
+        {"places": 1, "field": [[[-1.0, [10**400]]]]},
+        {"p0": 0.5},
+        "term 0 of place 0 raises place 0 to",
+    ),
+    "petri_rates": (
+        {
+            "places": 2,
+            "transitions": [
+                {"src": {"0": 10**400}, "tgt": {"0": 10**400, "1": 1}, "rate": 0.5},
+            ],
+        },
+        {"p0": 0.5, "p1": 0.0},
+        "term 0 of place 1 raises place 0 to",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HUGE_EXPONENTS))
+def test_simulate_names_a_term_whose_exponent_is_too_large_for_a_float(tmp_path, capsys, kind):
+    system, initial, names = HUGE_EXPONENTS[kind]
+    doc = open_system(kind, system)
+    model = tmp_path / "huge.json"
+    model.write_text(json.dumps(doc))
+    config = write_sim_config(tmp_path, t1=1.0, dt=0.5, initialState=initial)
+    csv_path = tmp_path / "x.csv"
+    argv = ("simulate", str(model), "--config", config, "--out", str(csv_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and not csv_path.exists()
+    assert err == (
+        f"error: {names} 100000000000000000...0000000000000000000, "
+        "an exponent too large for a float\n"
+    )
+    # 10 ** 30 converts to a float, and the run goes through
+    model.write_text(json.dumps(doc).replace("1" + "0" * 400, "1" + "0" * 30))
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert csv_path.read_text().count("\n") == 4
+
+
 def test_simulate_holds_about_one_line_of_text_per_row(tmp_path, capsys, models_dir):
     config = json.loads((models_dir / "sir_sim.json").read_text())
     config["dt"] = 1e-4

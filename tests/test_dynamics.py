@@ -585,3 +585,21 @@ def test_simulate_refuses_an_unbounded_run_before_the_first_step(monkeypatch):
     assert len(simulate(system, FlowSchedule.zero(0, 0), [1.0], 0.0, 1.0, 0.25)) == 5
     with pytest.raises(SimulationTooLarge, match="5 steps over 1 places make 12 values"):
         simulate(system, FlowSchedule.zero(0, 0), [1.0], 0.0, 1.0, 0.2)
+
+
+def test_simulate_rows_refuses_an_exponent_too_large_for_a_float_at_the_call():
+    # x ** e turns e into a float first; from 2 ** 1024 - 2 ** 970 on that
+    # overflows at every state, so no run can evaluate the term
+    limit = 2**1024 - 2**970
+    for e in (limit, 10**400):
+        system = one_place_dynam(mono(1, -1.0, (e,)))
+        with pytest.raises(CoefficientOverflow) as excinfo:
+            dynamics.simulate_rows(system, FlowSchedule.zero(0, 0), [0.5], 0.0, 1.0, 0.5)
+        message = str(excinfo.value)
+        assert message.startswith("term 0 of place 0 raises place 0 to 1")
+        assert message.endswith(", an exponent too large for a float") and len(message) < 120
+    # one less converts to the largest float, and 0.5 to such a power is 0.0
+    for e in (limit - 1, 10**30):
+        system = one_place_dynam(mono(1, -1.0, (e,)))
+        traj = simulate(system, FlowSchedule.zero(0, 0), [0.5], 0.0, 1.0, 0.5)
+        assert traj == [(0.0, (0.5,)), (0.5, (0.5,)), (1.0, (0.5,))]

@@ -10,11 +10,12 @@ import sys
 
 import opencospan
 
-# the child lists the top-level modules that importing opencospan added
+# the child lists the top-level modules that importing opencospan added;
+# `cli` loads `laws` only when `check` runs, so the child imports it too
 PROBE = """
 import json, sys
 before = set(sys.modules)
-import opencospan, opencospan.cli
+import opencospan, opencospan.cli, opencospan.laws
 print(json.dumps(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
 """
 
