@@ -17,14 +17,15 @@ field admits a map from the empty system exactly when it is zero, so
 nonzero fields witness that gray-boxing has no left adjoint.
 
 `simulate` integrates the open rate equation (field plus boundary flows)
-with RK4; `simulate_rows` yields the same trajectory a row at a time, so a
-caller can consume each row as it is made.  The whole integration runs in
-one generated generator function: the state and the coefficients sit in
-locals, and each step does the four stages of the field and the final
-combination, inlined, with exactly the float operations of the
-stage-by-stage loop over `rate_equation`, compiled once per run.  That
-is the only code the package generates: `rate_equation` is the
-interpreted reference, `PolyVectorField.evaluate` plus each flow routed
+with RK4; `simulate_rows` checks the run and yields the same trajectory a
+row at a time, so a caller can consume each row as it is made.  The whole
+trajectory is one generated generator function, compiled once per run: it
+yields row 0 as given, keeps the state and the coefficients in locals,
+does each step's four stages of the field and final combination, inlined,
+with exactly the float operations of the stage-by-stage loop over
+`rate_equation`, and raises both divergences, a stage's overflow and a
+non-finite row.  That is the only code the package generates:
+`rate_equation` is the interpreted reference, `PolyVectorField.evaluate` plus each flow routed
 along its leg, evaluated per call, and the tests hold the compiled
 stages to it bit for bit.
 """
@@ -213,8 +214,10 @@ MAX_FIELD_EXPONENTS = 50_000_000
 _FLOAT_INT_LIMIT = 2**1024 - 2**970
 
 
-def _blew_up(at: float, last_good: float) -> DivergenceError:
-    return DivergenceError(f"state blew up near t = {at}", last_good_time=last_good)
+def _diverged(event: str, at: float, last_good: float) -> DivergenceError:
+    """The divergence a run raises: the state "blew up near" t = at, from a
+    stage's OverflowError, or "became non-finite at" t = at, in a row."""
+    return DivergenceError(f"state {event} t = {at}", last_good_time=last_good)
 
 
 def _source(system: OpenDynam) -> tuple[str, tuple[float, ...], list[int]]:
@@ -240,16 +243,20 @@ def _source(system: OpenDynam) -> tuple[str, tuple[float, ...], list[int]]:
     CoefficientOverflow here: `x ** e` would raise OverflowError at every
     state, 0 included, which a run would report as a divergence.
 
-    `run(s, t0, t1, dt, n_full, flows_at)` is a generator of the n_full + 1
-    steps `simulate_rows` lays out from the state `s`, yielding
-    `(t, state)` after each, state a new list.  It loads the touched places
-    and the coefficients once, takes the flows at t, t + h/2 and t + h from
-    `flows_at`, and does the float operations of the stage-by-stage loop
-    over `rate_equation`: `x + h2 * a` and so on, then
+    `run(s, t0, t1, dt, n_full, flows_at)` is a generator of the whole
+    trajectory from the state `s`, a list it may change: row 0 as given,
+    then `(t, state)` after each of the n_full + 1 steps `simulate_rows`
+    lays out, state a new copy of `s` with the touched places set.  After
+    row 0 it sets the other places, all but `T`, bound beside `K`, to
+    x + 0.0 once, the value every step gives them.  It loads the touched
+    places and the coefficients once, takes the flows at t, t + h/2 and
+    t + h from `flows_at`, and does the float operations of the
+    stage-by-stage loop over `rate_equation`: `x + h2 * a` and so on, then
     `x + h6 * (a + 2.0 * b + 2.0 * c + d)`, whose float products equal
-    those of `2 * b` without the int-to-float conversion.  It copies
-    untouched places from `s` as they are, and turns an OverflowError in a
-    stage into the DivergenceError `blew_up` makes from the stage's time.
+    those of `2 * b` without the int-to-float conversion.  Both divergences
+    go through `diverged`, the last row's time the last good time: a
+    stage's OverflowError "blew up near" the stage's time, a non-finite
+    row "became non-finite at" its time.
     """
     left, right = system.leg_left.table, system.leg_right.table
     coefficients: list[float] = []
@@ -311,7 +318,8 @@ def _source(system: OpenDynam) -> tuple[str, tuple[float, ...], list[int]]:
         # the line setting the locals names from the sequence value, if any
         return ["".join(name + ", " for name in names) + "= " + value] if names else []
 
-    body = unpack(["k%d" % k for k in range(len(coefficients))], "K")
+    body = ["yield t0, s.copy()", "for j in set(range(len(s))).difference(T):", " s[j] += 0.0"]
+    body += unpack(["k%d" % k for k in range(len(coefficients))], "K")
     body += ["x%d = s[%d]" % (j, j) for j in touched]
     body += ["t = t0", "for step in range(n_full + 1):"]
     loop = ["h = dt if step < n_full else t1 - t", "h2 = h / 2", "h6 = h / 6"]
@@ -327,7 +335,8 @@ def _source(system: OpenDynam) -> tuple[str, tuple[float, ...], list[int]]:
         lines = stage(x, d, f)
         if lines:
             loop += ["try:"] + [" " + line for line in lines]
-            loop += ["except OverflowError:", " raise blew_up(%s, t) from None" % at]
+            loop += ["except OverflowError:"]
+            loop.append(" raise diverged('blew up near', %s, t) from None" % at)
         if weight:
             loop += ["y%d = x%d + %s * %s%d" % (j, j, weight, d, j) for j in read]
     loop.append("out = s.copy()")
@@ -335,24 +344,31 @@ def _source(system: OpenDynam) -> tuple[str, tuple[float, ...], list[int]]:
         "out[%d] = x%d = x%d + h6 * (a%d + 2.0 * b%d + 2.0 * c%d + d%d)" % ((i,) * 7)
         for i in touched
     ]
-    loop += ["t = t0 + (step + 1) * dt if step < n_full else t1", "yield t, out"]
+    loop += [
+        "u = t0 + (step + 1) * dt if step < n_full else t1",
+        "if not all(map(isfinite, out)):",
+        " raise diverged('became non-finite at', u, t)",
+        "t = u",
+        "yield t, out",
+    ]
     body += [" " + line for line in loop]
-    source = "def bind(K):\n def run(s, t0, t1, dt, n_full, flows_at):\n%s return run\n" % (
+    source = "def bind(K, T):\n def run(s, t0, t1, dt, n_full, flows_at):\n%s return run\n" % (
         "".join(f"  {line}\n" for line in body)
     )
     return source, tuple(coefficients), touched
 
 
-def _compile(system: OpenDynam) -> tuple[Callable, list[int]]:
+def _compile(system: OpenDynam) -> Callable:
     """The `run` generator of `_source`, compiled and bound to the
-    coefficients, and the touched places.  No other code in the package
+    coefficients and the touched places: the one owner of a trajectory,
+    from row 0 to either divergence.  No other code in the package
     compiles or executes source."""
     source, coefficients, touched = _source(system)
-    namespace: dict = {"blew_up": _blew_up}
+    namespace: dict = {"diverged": _diverged, "isfinite": math.isfinite}
     exec(compile(source, "<rate equation>", "exec"), namespace)
     # popped, so that the function and its globals form no reference cycle
     # and are freed as soon as the caller drops them
-    return namespace.pop("bind")(coefficients), touched
+    return namespace.pop("bind")(coefficients, touched)
 
 
 def _check_schedule(system: OpenDynam, schedule: FlowSchedule) -> None:
@@ -458,43 +474,27 @@ def simulate_rows(
     """The rows of `simulate`, as (t, state) one at a time, state a list.
 
     Every check runs, and the integration is generated and compiled, at
-    the call, before the first row: a run that is refused raises here, not
-    on the first `next`.  Integration then goes one step per row.  A
-    divergence raises the same DivergenceError as `simulate`, after the
-    rows before it were yielded.  A yielded state is never changed
-    afterwards, so a caller may keep it.
+    the call, before the first row: a run that is refused, a non-finite
+    initial state among them, raises here, not on the first `next`.  The
+    rows are those of the generated `run` (`_source`), which yields row 0
+    as given, integrates one step per row and raises the same
+    DivergenceError as `simulate`, after the rows before it were yielded.
+    A yielded state is never changed afterwards, so a caller may keep it.
     """
     if not (dt > 0.0):
         raise ValueError(f"step size must be positive, got {dt}")
     if not (t1 > t0):
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    state = [float(x) for x in initial]
+    state = list(map(float, initial))
     n = system.apex.size
     if len(state) != n:
         raise DimensionError(f"initial state of length {len(state)} for {n} places")
+    if not all(map(math.isfinite, state)):
+        j = list(map(math.isfinite, state)).index(False)
+        raise ValueError(f"initial state must be finite, got {_short(state[j])} at place {j}")
     _check_schedule(system, schedule)
     n_full = _full_steps(t0, t1, dt, n)
-    run, touched = _compile(system)
-    flows_at = _flow_values(schedule)
-
-    def rows(state: list[float]) -> Iterator[tuple[float, list[float]]]:
-        yield t0, state.copy()
-        # each step copies the places it does not touch; their value after
-        # any step is x + 0.0, which differs from x only for -0.0, so it is
-        # set once, after row 0 was copied as given
-        for j in set(range(n)).difference(touched):
-            state[j] += 0.0
-        isfinite = math.isfinite
-        last_good = t0
-        for t, out in run(state, t0, t1, dt, n_full, flows_at):
-            if not all(map(isfinite, out)):
-                raise DivergenceError(
-                    f"state became non-finite at t = {t}", last_good_time=last_good
-                )
-            yield t, out
-            last_good = t
-
-    return rows(state)
+    return _compile(system)(state, t0, t1, dt, n_full, _flow_values(schedule))
 
 
 def simulate(
@@ -512,15 +512,16 @@ def simulate(
     is not finite, or whose (steps + 1) * (places + 1) values exceed
     `MAX_TRAJECTORY_VALUES`, is refused with SimulationTooLarge before the
     first step, and a term with an exponent too large for a float with
-    CoefficientOverflow.  A non-finite state, or an overflow in a stage,
-    raises DivergenceError carrying the last good time; an overflow's
-    message names the time of its stage.
+    CoefficientOverflow.  A non-finite initial state is refused with
+    ValueError.  A non-finite state after a step, or an overflow in a
+    stage, raises DivergenceError carrying the last good time; an
+    overflow's message names the time of its stage.
 
     The whole integration, each step's four stages and final combination
     inlined, is one generated function (`_source`), compiled once per run
     (`_compile`), and the trajectory is bit for bit that of the
-    stage-by-stage loop over `rate_equation`, the interpreted reference.  The trajectory is the rows
-    `simulate_rows` yields, each state made a tuple; a caller that
+    stage-by-stage loop over `rate_equation`, the interpreted reference.
+    The trajectory is the rows `simulate_rows` yields, each state made a tuple; a caller that
     consumes each row as it comes, as CLI `simulate` does, iterates
     `simulate_rows` and never holds the whole trajectory.
     """

@@ -247,10 +247,7 @@ class System:
     def __init__(
         self, kind: str, interface: FinSet, cells: FinSet, src: Sequence, tgt: Sequence, attrs=None
     ) -> None:
-        try:
-            theory = _THEORIES[kind]
-        except (KeyError, TypeError):
-            raise KindError(f"unknown system kind {kind!r}") from None
+        theory = decoration_theory(kind)
         if not theory.has_cells:
             raise KindError(f"{kind} decorations have no cells")
         src, tgt = tuple(src), tuple(tgt)
@@ -790,18 +787,13 @@ def _move_multisets(column: Sequence[Multiset], f: FinFunction) -> tuple[Multise
 
 
 def _check_nodes(nodes: FinSet, edges: FinSet, src: tuple, tgt: tuple) -> None:
-    """Graph shape: one node index per edge, refused in `FinFunction`'s words."""
-    size, m = nodes.size, edges.size
+    """Graph shape: each end column is a map edges -> nodes, checked by
+    `FinFunction` and refused in its words after the column's name."""
     for name, column in (("src", src), ("tgt", tgt)):
-        if len(column) != m:
-            raise ValueError(
-                f"{name}: table length {len(column)} does not match domain size {_short(m)}"
-            )
-        for v in column:
-            if not (type(v) is int and 0 <= v < size):
-                x = next(x for x, w in enumerate(column) if w is v)  # all before v passed
-                fault = f"table[{x}] = {_short(v)} is outside the codomain of size {size}"
-                raise ValueError(f"{name}: {fault}")
+        try:
+            FinFunction(edges, nodes, column)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
 
 def _check_multisets(places: FinSet, transitions: FinSet, src: tuple, tgt: tuple) -> None:

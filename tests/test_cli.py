@@ -17,6 +17,7 @@ import pytest
 
 import opencospan
 from opencospan import (
+    FinFunction,
     FlowSchedule,
     Multiset,
     PiecewiseConstant,
@@ -1134,6 +1135,23 @@ def test_iso_check_of_two_million_free_places_ends_within_seconds(tmp_path, caps
         code, out, err = run_cli(capsys, "check", *pair, "--laws", "iso")
         assert time.process_time() - start < 10
         assert (code, out, err) == (0, "PASS iso (1 cases)\n", "")
+
+
+def test_iso_check_of_equal_files_builds_no_witness(tmp_path, capsys, monkeypatch):
+    # the check needs only the verdict: equal files are decided by `==`, so
+    # no identity map is built over the apex, and the budget is still read
+    # first, so a malformed one is refused whatever the files
+    path = petri_file(tmp_path, "same.json", 1000, 0, [{"src": {"0": 1}, "tgt": {"1": 1}}])
+    real = FinFunction.identity
+    sizes = []
+    monkeypatch.setattr(FinFunction, "identity", lambda a: sizes.append(a.size) or real(a))
+    monkeypatch.delenv(ISO_BUDGET_ENV, raising=False)
+    assert run_cli(capsys, "check", path, path, "--laws", "iso") == (0, "PASS iso (1 cases)\n", "")
+    assert 1000 not in sizes
+    monkeypatch.setenv(ISO_BUDGET_ENV, "many")
+    assert run_cli(capsys, "check", path, path, "--laws", "iso") == (
+        2, "", "error: OPENCOSPAN_ISO_BUDGET must be an integer, got 'many'\n"
+    )
 
 
 def test_module_entrypoint_runs_standalone():

@@ -560,6 +560,21 @@ def test_simulate_rejects_bad_windows():
         simulate(system, FlowSchedule.zero(0, 0), [1.0, 2.0], 0.0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_initial_state_is_refused_at_the_call(value):
+    # no row was ever good, so the run is refused, not reported as diverged
+    system = graybox(decay_open_net())
+    message = f"initial state must be finite, got {value!r} at place 0"
+    for run in (simulate, dynamics.simulate_rows):
+        with pytest.raises(ValueError) as excinfo:
+            run(system, FlowSchedule.zero(0, 0), [value], 0.0, 1.0, 0.5)
+        assert str(excinfo.value) == message
+    wide = one_place_dynam(Poly.zero(1))
+    wide = tensor(tensor(wide, wide), wide)
+    with pytest.raises(ValueError, match=r"^initial state must be finite, got nan at place 1$"):
+        dynamics.simulate_rows(wide, FlowSchedule.zero(0, 0), [1.0, math.nan, value], 0.0, 1.0, 0.5)
+
+
 def test_simulate_reports_divergence_with_the_last_good_time():
     # dx/dt = x^2 from x(0) = 10 blows up at t = 0.1
     system = one_place_dynam(mono(1, 1.0, (2,)))

@@ -18,6 +18,18 @@ the `graybox` suite run, so the routes still agree; the suite's rate
 equation oracle, built from the composite net in exact arithmetic, turns
 them.  A guard pins that the oracle names nothing from `systems`,
 `dynamics` or `cospans`.
+
+The pushout suite's verdicts on the square and on surjectivity have no
+mutant: the partition check before them already fails on any quotient
+that breaks either.  The universal suite counts the maps out of the apex
+apart from `induced`, so only an apex class that no leg reaches, which
+`induced` itself refuses, makes that count differ from one; its mutant
+drops that refusal.  The graybox suite's verdict on the composite of gray
+boxes has no mutant either: it needs the gray-boxed composite within
+1e-9 of the exact rate equation, the composite of gray boxes within 1e-9
+of it and yet more than 1e-9 off the equation.  A rate drift that
+shrinks with the net's size was tried; a composite of one transition
+trips the verdict on the gray-boxed composite first.
 """
 
 import ast
@@ -30,7 +42,7 @@ import pytest
 from opencospan import cospans, dynamics, finset, laws, systems
 from opencospan.cli import main
 from opencospan.cospans import IsoWitness, TwoMorphism, reverse
-from opencospan.finset import FinFunction, FinSet
+from opencospan.finset import FinFunction, FinSet, PushoutResult, compose
 from opencospan.laws import LAW_SUITES
 from opencospan.systems import DecorationTheory, PetriNetWithRates, system_union
 
@@ -52,6 +64,7 @@ SMALL = {
 REAL_PUSHOUT, REAL_SIMULATE, REAL_FIND_ISO = finset.pushout, laws.simulate, finset.find_iso
 REAL_MASS_ACTION = dynamics.mass_action
 REAL_TO_DECORATED, REAL_GRAYBOX = laws.to_decorated, laws.graybox
+REAL_LEFT_UNITOR = laws.left_unitor
 
 
 def _pushout_skipping_the_last_pair(f, g):
@@ -59,6 +72,55 @@ def _pushout_skipping_the_last_pair(f, g):
         dom = FinSet(f.dom.size - 1)
         f, g = FinFunction(dom, f.cod, f.table[:-1]), FinFunction(dom, g.cod, g.table[:-1])
     return REAL_PUSHOUT(f, g)
+
+
+def _pushout_renumbered(renumber):
+    """pushout with its classes moved along renumber(po), an apex size and
+    a table from the chosen apex into one of that size."""
+
+    def mutant(f, g):
+        po = REAL_PUSHOUT(f, g)
+        size, table = renumber(po)
+        move = FinFunction(po.apex, FinSet(size), tuple(table))
+        return PushoutResult(move.cod, compose(move, po.left), compose(move, po.right))
+
+    return mutant
+
+
+def _by_greatest_member(po):
+    greatest = {}
+    for z, cls in enumerate(po.quotient.table):
+        greatest[cls] = z
+    order = sorted(range(po.apex.size), key=greatest.__getitem__)
+    return po.apex.size, [order.index(cls) for cls in range(po.apex.size)]
+
+
+def _last_class_merged(po):
+    n = po.apex.size
+    return (n - 1, list(range(n - 1)) + [n - 2]) if n >= 2 else (n, list(range(n)))
+
+
+def _spare_class(po):
+    return po.apex.size + 1, list(range(po.apex.size))
+
+
+def _induced_keeping_unreached_classes(po, u, w):
+    """induced without its refusal of an apex class neither leg reaches:
+    such a class keeps -1 in the table."""
+    table = [-1] * po.apex.size
+    for classes, images in ((po.left.table, u.table), (po.right.table, w.table)):
+        for cls, image in zip(classes, images):
+            if table[cls] < 0:
+                table[cls] = image
+            elif table[cls] != image:
+                return None
+    return FinFunction._made(po.apex, u.cod, tuple(table))
+
+
+def _left_unitor_onto_place_0(m):
+    cell = REAL_LEFT_UNITOR(m)
+    onto_0 = FinFunction(cell.apex_map.dom, cell.apex_map.cod, (0,) * cell.apex_map.dom.size)
+    return dataclasses.replace(cell, apex_map=onto_0)
 
 
 def _find_iso_without_pins(a, b, constraints=(), **kwargs):
@@ -187,6 +249,37 @@ MUTANTS = {
     "the rate of a transition consuming three or more tokens doubled": (
         [(dynamics, "mass_action", _mass_action_doubling(lambda ms: ms.total() >= 3))],
         {"graybox": GRAYBOX_OFF},
+    ),
+    "pushout numbers classes by their greatest member": (
+        [(laws, "pushout", _pushout_renumbered(_by_greatest_member))],
+        {
+            "pushout": "FAIL pushout (1 cases): class numbering not by least member for "
+            "f=[0, 2, 1, 2, 1, 2, 0], g=[3, 2, 3, 4, 4, 1, 2]",
+        },
+    ),
+    "pushout merges one extra pair": (
+        [(laws, "pushout", _pushout_renumbered(_last_class_merged))],
+        {
+            "pushout": "FAIL pushout (1 cases): partition mismatch for "
+            "f=[0, 2, 1, 2, 1, 2, 0], g=[3, 2, 3, 4, 4, 1, 2]",
+            "universal": "FAIL universal (3 cases): no mediating map for "
+            "f=[0, 0], g=[0, 2], u=[0, 0], w=[0, 0, 0, 1]",
+        },
+    ),
+    "pushout with a spare class, induced keeping it": (
+        [
+            (laws, "pushout", _pushout_renumbered(_spare_class)),
+            (laws, "induced", _induced_keeping_unreached_classes),
+        ],
+        {
+            "pushout": "FAIL pushout (1 cases): partition mismatch for "
+            "f=[0, 2, 1, 2, 1, 2, 0], g=[3, 2, 3, 4, 4, 1, 2]",
+            "universal": "FAIL universal (2 cases): 2 mediating maps for f=[0, 0], g=[0, 2]",
+        },
+    ),
+    "left unitor sends every place to place 0": (
+        [(laws, "left_unitor", _left_unitor_onto_place_0)],
+        {"unitors": "FAIL unitors (1 cases): left unitor is not an iso square"},
     ),
     "left unitor is the identity square": (
         [(laws, "left_unitor", TwoMorphism.identity)],

@@ -51,6 +51,8 @@ def test_dense_terms_round_trip_and_are_stored_as_their_support(data):
     assert repr(p) == f"Poly(nvars={n}, terms={dense!r})"
     assert Poly.from_terms(n, dense[::-1]) == p
     assert Poly(n, p.terms) == p and hash(Poly(n, p.terms)) == hash(p)
+    # an exponent vector that is neither a list nor a tuple is read once, as a tuple
+    assert Poly(n, [(c, iter(v)) for c, v in dense]) == p
     if len(dense) > 1:
         with pytest.raises(ValueError, match="sorted by distinct exponent vectors"):
             Poly(n, dense[::-1])

@@ -9,8 +9,9 @@ is what `simulate` turns into a DivergenceError.
 `simulate` runs a whole RK4 integration in generated code, the only code
 the package generates.  Its oracle is the stage-by-stage RK4 loop written
 out below over the field oracle; the trajectories must agree bit for bit
-on every row, and divergences in message and last good time.  The last
-test splits long sums and products in the generated source.
+on every row, and divergences in message and last good time; a
+non-finite initial state is refused with the same message by both.  The
+last test splits long sums and products in the generated source.
 """
 
 import gc
@@ -262,8 +263,12 @@ def test_a_dropped_rate_equation_leaves_no_garbage_cycle():
 
 
 def oracle_simulate(system, schedule, initial, t0, t1, dt):
-    """The RK4 loop of `simulate` written out stage by stage over `oracle`."""
+    """The RK4 loop of `simulate` written out stage by stage over `oracle`.
+    A state that is not finite at t0 was never good: it is refused."""
     state = [float(x) for x in initial]
+    for j, x in enumerate(state):
+        if not math.isfinite(x):
+            raise ValueError(f"initial state must be finite, got {x!r} at place {j}")
     trajectory = [(t0, tuple(state))]
 
     def rhs(t, c):
@@ -298,17 +303,20 @@ def oracle_simulate(system, schedule, initial, t0, t1, dt):
 
 
 def run(integrate, *args):
-    """The trajectory, or the divergence as (message, last good time)."""
+    """The trajectory, the divergence as (message, last good time), or the
+    refusal of the initial state as its message."""
     try:
         return integrate(*args)
     except DivergenceError as exc:
         return str(exc), exc.last_good_time
+    except ValueError as exc:
+        return str(exc)
 
 
 def assert_integrates_like_the_oracle(system, schedule, initial, t0, t1, dt):
     got = run(simulate, system, schedule, initial, t0, t1, dt)
     want = run(oracle_simulate, system, schedule, initial, t0, t1, dt)
-    if isinstance(want, tuple):
+    if isinstance(want, (tuple, str)):
         assert got == want
         return want
     assert len(got) == len(want)
@@ -372,13 +380,16 @@ def test_the_compiled_step_integrates_like_the_stage_by_stage_loop(case):
 
 def collected_rows(system, schedule, initial, t0, t1, dt):
     """The rows `simulate_rows` yields, states as tuples, or the divergence
-    and the rows yielded before it."""
+    and the rows yielded before it; a refusal at the call yields no row."""
     rows = []
     try:
         for t, state in simulate_rows(system, schedule, initial, t0, t1, dt):
             rows.append((t, tuple(state)))
     except DivergenceError as exc:
         return rows, (str(exc), exc.last_good_time)
+    except ValueError as exc:
+        assert not rows
+        return rows, str(exc)
     return rows, None
 
 
@@ -389,9 +400,11 @@ def test_the_row_iterator_yields_the_trajectory_simulate_returns(case):
     want = run(simulate, *case)
     if divergence is not None:
         assert divergence == want
+        if isinstance(divergence, str):
+            return
         # every row before the divergence was good, the last at its last good time
         assert rows and rows[-1][0] == divergence[1]
-        assert all(all(map(math.isfinite, state)) for _, state in rows[1:])
+        assert all(all(map(math.isfinite, state)) for _, state in rows)
         return
     assert len(rows) == len(want)
     for (t, state), (t_want, state_want) in zip(rows, want):
